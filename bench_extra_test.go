@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/history"
+	"repro/internal/run"
 	"repro/internal/valency"
 	"repro/internal/word"
 )
@@ -119,16 +121,15 @@ func BenchmarkSearchUniformVsPCT(b *testing.B) {
 	// Head-to-head: violations found per 1000 runs on the deep
 	// Theorem 19 configuration (f=2, n=4). PCT's advantage is the
 	// headline number; see EXPERIMENTS.md E9.
-	cfg := explore.Config{
-		Protocol:        core.NewStaged(2, 1),
-		Inputs:          benchInputs(4),
-		FaultyObjects:   []int{0, 1},
-		FaultsPerObject: 1,
+	opts := []run.Option{
+		run.WithProtocol(core.NewStaged(2, 1)),
+		run.WithInputs(benchInputs(4)...),
+		run.WithFaultyObjects([]int{0, 1}, 1),
 	}
 	b.Run("uniform", func(b *testing.B) {
 		viol := 0
 		for i := 0; i < b.N; i++ {
-			out, err := explore.Stress(cfg, 1000, int64(i))
+			out, err := explore.StressWith(1000, int64(i), opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -139,7 +140,7 @@ func BenchmarkSearchUniformVsPCT(b *testing.B) {
 	b.Run("pct", func(b *testing.B) {
 		viol := 0
 		for i := 0; i < b.N; i++ {
-			out, err := explore.StressPCT(cfg, 1000, int64(i), 3, 0)
+			out, err := explore.StressPCTWith(1000, int64(i), 3, 0, opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -154,15 +155,14 @@ func BenchmarkCoveringVsModelCheck(b *testing.B) {
 	// proof-driven adversary (direct construction) vs the model
 	// checker's DFS. The adversary is O(one execution); the checker
 	// pays for its generality.
-	cfg := explore.Config{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          benchInputs(3),
-		FaultyObjects:   []int{0},
-		FaultsPerObject: 1,
+	opts := []run.Option{
+		run.WithProtocol(core.NewStaged(1, 1)),
+		run.WithInputs(benchInputs(3)...),
+		run.WithFaultyObjects([]int{0}, 1),
 	}
 	b.Run("modelcheck", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out, err := explore.Check(cfg)
+			out, err := explore.CheckWith(context.Background(), opts...)
 			if err != nil || out.OK() {
 				b.Fatal("expected violation")
 			}

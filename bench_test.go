@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -29,6 +30,11 @@ func benchInputs(n int) []int64 {
 	return in
 }
 
+// consensus runs one execution described by the settings.
+func consensus(s run.Settings) (*run.Result, error) {
+	return run.ConsensusContext(context.Background(), &s)
+}
+
 func objectIDs(n int) []int {
 	ids := make([]int, n)
 	for i := range ids {
@@ -44,7 +50,7 @@ func BenchmarkE1TwoProcess(b *testing.B) {
 		b.Run(fmt.Sprintf("rate=%.1f", rate), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				seed := int64(i)
-				res, err := run.Consensus(run.Config{
+				res, err := consensus(run.Settings{
 					Protocol:  core.SingleCAS{},
 					Inputs:    benchInputs(2),
 					Scheduler: sim.NewRandom(seed),
@@ -68,7 +74,7 @@ func BenchmarkE2FPlusOne(b *testing.B) {
 				proto := core.NewFPlusOne(f)
 				for i := 0; i < b.N; i++ {
 					seed := int64(i)
-					res, err := run.Consensus(run.Config{
+					res, err := consensus(run.Settings{
 						Protocol:  proto,
 						Inputs:    benchInputs(n),
 						Scheduler: sim.NewRandom(seed),
@@ -93,7 +99,7 @@ func BenchmarkE3Staged(b *testing.B) {
 			n := cfg.f + 1
 			for i := 0; i < b.N; i++ {
 				seed := int64(i)
-				res, err := run.Consensus(run.Config{
+				res, err := consensus(run.Settings{
 					Protocol:  proto,
 					Inputs:    benchInputs(n),
 					Scheduler: sim.NewRandom(seed),
@@ -112,12 +118,11 @@ func BenchmarkE3Staged(b *testing.B) {
 
 func BenchmarkE4CounterexampleSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := explore.Check(explore.Config{
-			Protocol:        core.SingleCAS{},
-			Inputs:          benchInputs(3),
-			FaultyObjects:   []int{0},
-			FaultsPerObject: fault.Unbounded,
-		})
+		out, err := explore.CheckWith(context.Background(),
+			run.WithProtocol(core.SingleCAS{}),
+			run.WithInputs(benchInputs(3)...),
+			run.WithFaultyObjects([]int{0}, fault.Unbounded),
+		)
 		if err != nil || out.OK() {
 			b.Fatal("expected a violation")
 		}
@@ -145,12 +150,11 @@ func BenchmarkE5Covering(b *testing.B) {
 func BenchmarkE6ExhaustiveTheorem6(b *testing.B) {
 	var execs int
 	for i := 0; i < b.N; i++ {
-		out, err := explore.Check(explore.Config{
-			Protocol:        core.NewStaged(1, 1),
-			Inputs:          benchInputs(2),
-			FaultyObjects:   []int{0},
-			FaultsPerObject: 1,
-		})
+		out, err := explore.CheckWith(context.Background(),
+			run.WithProtocol(core.NewStaged(1, 1)),
+			run.WithInputs(benchInputs(2)...),
+			run.WithFaultyObjects([]int{0}, 1),
+		)
 		if err != nil || !out.Complete || !out.OK() {
 			b.Fatal("exhaustive verification failed")
 		}

@@ -434,7 +434,16 @@ func TestCLIModelcheckInterruptFlushesCleanly(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
+	// Signal once the exploration is under way: run.start is an Info event,
+	// written through to the log as soon as the engine emits it.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if data, _ := os.ReadFile(eventsFile); strings.Contains(string(data), `"run.start"`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no run.start event within 30s")
+		}
+	}
 	signaled := cmd.Process.Signal(os.Interrupt) == nil
 	err := cmd.Wait()
 	out := buf.String()

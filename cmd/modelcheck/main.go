@@ -78,7 +78,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/fault"
 	"repro/internal/ledger"
@@ -89,21 +88,23 @@ import (
 )
 
 func main() {
+	// The configuration flags (settingsFlags) are read back by name, so a
+	// run manifest can stand in for any of them.
 	var (
-		protoName = flag.String("proto", "figure3", "protocol: figure1 | figure2 | figure3 | silent-retry")
-		f         = flag.Int("f", 1, "fault parameter f")
-		t         = flag.Int("t", 1, "per-object fault bound t")
-		n         = flag.Int("n", 2, "number of processes")
-		kindName  = flag.String("fault", "overriding", "fault kind: overriding | silent")
+		_         = flag.String("proto", "figure3", "protocol: figure1 | figure2 | figure3 | silent-retry")
+		_         = flag.Int("f", 1, "fault parameter f")
+		_         = flag.Int("t", 1, "per-object fault bound t")
+		_         = flag.Int("n", 2, "number of processes")
+		_         = flag.String("fault", "overriding", "fault kind: overriding | silent")
 		engine    = flag.String("engine", "auto", "execution form: auto | compiled | interpreted (goroutine reference)")
-		reduceF   = flag.String("reduce", "off", "partial-order reduction: off | on (sleep sets + symmetry; keeps verdict and lex-least counterexample) | aggressive (adds footprint persistent sets; verdict only, compiled form required)")
-		unbounded = flag.Bool("unbounded", false, "unbounded faults per faulty object")
-		faulty    = flag.Int("faulty", -1, "number of faulty objects (default: all of the protocol's objects)")
+		_         = flag.String("reduce", "off", "partial-order reduction: off | on (sleep sets + symmetry; keeps verdict and lex-least counterexample) | aggressive (adds footprint persistent sets; verdict only, compiled form required)")
+		_         = flag.Bool("unbounded", false, "unbounded faults per faulty object")
+		_         = flag.Int("faulty", -1, "number of faulty objects (default: all of the protocol's objects)")
 		maxExecs  = flag.Int("max", explore.DefaultMaxExecutions, "execution cap")
 		workers   = flag.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS); results are identical for any value")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for the exploration (0 = none), e.g. 30s")
 		progress  = flag.Duration("progress", 0, "print throughput reports at this interval (0 = off), e.g. 2s")
-		dedup     = flag.Bool("dedup", false, "prune subtrees rooted at already-visited canonical states")
+		_         = flag.Bool("dedup", false, "prune subtrees rooted at already-visited canonical states")
 		checkpt   = flag.String("checkpoint", "", "create a run directory there and checkpoint the exploration into it")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "checkpoint period (default 5s)")
 		resume    = flag.String("resume", "", "resume the exploration recorded in this run directory")
@@ -160,6 +161,13 @@ func main() {
 		return
 	}
 
+	// SIGINT/SIGTERM cancel the exploration context instead of killing the
+	// process. The handler is installed before the run directory is touched
+	// and held until every output file is sealed, so a signal at any moment
+	// ends in flushed, well-formed files.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+
 	if *resume != "" && *checkpt != "" {
 		fail("use either -checkpoint (new run) or -resume (existing run), not both")
 	}
@@ -170,182 +178,30 @@ func main() {
 		fail("-ledger-finalize merges a finished run on its own; combine it only with output flags")
 	}
 
-	// The manifest carries the flags a run was created with; resume, ledger
-	// joiners, and finalize reconstruct the protocol from it and refuse
-	// contradictions, so `modelcheck -resume dir` (or `-ledger dir`,
-	// `-ledger-finalize dir`) alone always continues the right exploration.
-	restore := map[string]func(string){
-		"proto":     func(v string) { *protoName = v },
-		"f":         func(v string) { *f = atoi(v) },
-		"t":         func(v string) { *t = atoi(v) },
-		"n":         func(v string) { *n = atoi(v) },
-		"fault":     func(v string) { *kindName = v },
-		"unbounded": func(v string) { *unbounded = v == "true" },
-		"faulty":    func(v string) { *faulty = atoi(v) },
-		"dedup":     func(v string) { *dedup = v == "true" },
-		"engine":    func(v string) { *engine = v },
-		"reduce":    func(v string) { *reduceF = v },
-	}
-	var st *store.Store
-	if *resume != "" {
-		var err error
-		if st, err = store.Open(*resume); err != nil {
-			fail("%v", err)
-		}
-		applyManifest(st.Manifest().Extra, restore)
-	}
-	if dir := *ledgerF + *finalizeF; dir != "" {
-		// Exactly one of the two is set (checked above). The first worker on
-		// an empty directory commits its own flags as the manifest; everyone
-		// after it — and finalize always — adopts the stored settings.
-		sm, err := store.OpenShared(dir)
-		switch {
-		case err == nil:
-			applyManifest(sm.Manifest().Extra, restore)
-			sm.Close()
-		case errors.Is(err, fs.ErrNotExist) && *finalizeF == "":
-			// First participant: this process's flags create the run.
-		default:
-			fail("%v", err)
-		}
-	}
-
-	var proto core.Protocol
-	switch strings.ToLower(*protoName) {
-	case "figure1", "single":
-		proto = core.SingleCAS{}
-	case "figure2", "fplusone":
-		proto = core.NewFPlusOne(*f)
-	case "figure3", "staged":
-		proto = core.NewStaged(*f, *t)
-	case "silent-retry", "silent":
-		proto = core.NewSilentRetry(*t)
-	default:
-		fail("unknown protocol %q", *protoName)
-	}
-
-	var kind fault.Kind
-	switch strings.ToLower(*kindName) {
-	case "overriding":
-		kind = fault.Overriding
-	case "silent":
-		kind = fault.Silent
-	default:
-		fail("unsupported fault kind %q", *kindName)
-	}
-
-	numFaulty := *faulty
-	if numFaulty < 0 {
-		numFaulty = proto.Objects()
-	}
-	ids := make([]int, numFaulty)
-	for i := range ids {
-		ids[i] = i
-	}
-	perObject := *t
-	if *unbounded {
-		perObject = fault.Unbounded
-	}
-
-	inputs := make([]int64, *n)
-	for i := range inputs {
-		inputs[i] = int64(10 + i)
-	}
-
-	execMode, err := run.ParseExecMode(strings.ToLower(*engine))
-	if err != nil {
-		fail("%v", err)
-	}
-	compiled, err := run.ResolveExec(execMode, proto)
+	// At most one run directory is named (checked above); its manifest
+	// supplies every setting the flags leave out.
+	s := settingsFromFlags(*resume+*ledgerF+*finalizeF, *ledgerF != "")
+	compiled, err := run.ResolveExec(s.Exec, s.Protocol)
 	if err != nil {
 		fail("%v", err)
 	}
 	execLabel := run.ExecLabel(compiled)
-	reduceMode, err := run.ParseReduceMode(strings.ToLower(*reduceF))
-	if err != nil {
-		fail("%v", err)
-	}
-	reduceLabel := reduceMode.String()
-
-	cfg := explore.ConfigFrom(run.NewSettings(
-		run.WithProtocol(proto),
-		run.WithInputs(inputs...),
-		run.WithFaultyObjects(ids, perObject),
-		run.WithFaultKind(kind),
-		run.WithMaxExecutions(*maxExecs),
-		run.WithExecMode(execMode),
-		run.WithReduce(reduceMode),
-	))
 
 	if *finalizeF != "" {
-		finalizeLedger(cfg, *finalizeF, proto, execLabel, ids, perObject, *n,
-			*jsonOut, *diagram, *reportOut,
-			settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup))
+		finalizeLedger(s, *finalizeF, execLabel, *jsonOut, *diagram, *reportOut)
 		return
 	}
 
-	if st != nil {
-		m, err := explore.ManifestFor(cfg, false, *dedup)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := st.Verify(m); err != nil {
-			fail("%v", err)
-		}
-	}
-	if *checkpt != "" {
-		m, err := explore.ManifestFor(cfg, false, *dedup)
-		if err != nil {
-			fail("%v", err)
-		}
-		m.Extra = settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup)
-		if st, err = store.Create(*checkpt, m); err != nil {
-			fail("%v", err)
-		}
-	}
-	var led *ledger.Ledger
-	if *ledgerF != "" {
-		id := *workerID
-		if id == "" {
-			host, err := os.Hostname()
-			if err != nil || host == "" {
-				host = "worker"
-			}
-			id = fmt.Sprintf("%s:%d", host, os.Getpid())
-		}
-		var err error
-		if led, _, err = ledger.Join(*ledgerF, id, *leaseTTL); err != nil {
-			fail("%v", err)
-		}
-		// Bind the run directory to these settings: the first participant
-		// commits the manifest; racing losers and later joiners verify
-		// against it, so two processes can never sweep different execution
-		// spaces into one ledger.
-		m, err := explore.ManifestFor(cfg, false, *dedup)
-		if err != nil {
-			fail("%v", err)
-		}
-		m.Extra = settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup)
-		m.LedgerEpoch = led.Epoch()
-		sm, err := store.CreateShared(*ledgerF, m)
-		if errors.Is(err, fs.ErrExist) {
-			if sm, err = store.OpenShared(*ledgerF); err != nil {
-				fail("%v", err)
-			}
-			err = sm.Verify(m)
-		}
-		if err != nil {
-			fail("%v", err)
-		}
-		sm.Close()
+	s.MaxExecutions = *maxExecs
+	s.Workers = *workers
+	s.CheckpointDir, s.CheckpointEvery, s.Resume = *checkpt, *ckptEvery, *resume
+	s.LedgerDir, s.WorkerID, s.LeaseTTL = *ledgerF, *workerID, *leaseTTL
+	s.TraceDir, s.TraceSample = *traceDir, *traceN
+	eng := &explore.Engine{FleetSnapshots: *fleetSnap}
+	if err := eng.Attach(s); err != nil {
+		fail("%v", err)
 	}
 
-	// SIGINT/SIGTERM cancel the exploration context instead of killing the
-	// process, so the event log, checkpoint, trace files, and profiles are
-	// all flushed and sealed before exit (a second signal kills immediately
-	// once stopSignals runs).
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	if *deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
@@ -375,26 +231,7 @@ func main() {
 		}
 		events = obs.NewLog(w, lvl)
 	}
-	eng := &explore.Engine{
-		Workers:         *workers,
-		Dedup:           *dedup,
-		Store:           st,
-		Ledger:          led,
-		FleetSnapshots:  *fleetSnap,
-		CheckpointEvery: *ckptEvery,
-		Metrics:         reg,
-		Events:          events,
-	}
-	var tracer *explore.Tracer
-	if *traceDir != "" {
-		var err error
-		tracer, err = explore.NewTracer(*traceDir, *traceN,
-			settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup))
-		if err != nil {
-			fail("%v", err)
-		}
-		eng.Tracer = tracer
-	}
+	s.Metrics, s.Events = reg, events
 	// Progress goes to stderr through one buffered writer so report lines
 	// never interleave with the verdict on stdout; the final report is
 	// flushed before any result is printed. The reporter also retains the
@@ -406,14 +243,14 @@ func main() {
 	}
 	if *progress > 0 || *httpAddr != "" {
 		eng.Progress = func(p explore.Progress) { rep.tick(p, *progress > 0) }
-		if led != nil && *progress > 0 {
+		if eng.Ledger != nil && *progress > 0 {
 			// On a ledger run each progress tick also reports the fleet:
 			// who has joined, which leases are live or forfeited, and how
 			// much is already merged into published results. The status is
 			// served through the fleet aggregator's cache — a full
 			// ledger.Status is a directory scan that grows with task and
 			// result count, so ticks within half a TTL reuse one scan.
-			cache := fleet.NewStatusCache(*ledgerF, led.TTL()/2)
+			cache := fleet.NewStatusCache(*ledgerF, eng.Ledger.TTL()/2)
 			eng.Progress = func(p explore.Progress) {
 				rep.tick(p, true)
 				rep.ledgerLine(cache)
@@ -423,7 +260,7 @@ func main() {
 	if *httpAddr != "" {
 		mux := obs.Handler(reg, rep.latest)
 		endpoints := "/metrics /progress /healthz /pprof/"
-		if led != nil {
+		if eng.Ledger != nil {
 			// Any worker can answer for the whole fleet: the view is
 			// rebuilt from the shared run directory per request.
 			fleet.Attach(mux, *ledgerF)
@@ -436,13 +273,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "modelcheck: introspection on http://%s (%s)\n", addr, endpoints)
 		defer shutdown() //nolint:errcheck // exiting anyway
 	}
-	out, err := eng.Check(ctx, cfg)
-	// From here on a signal should kill the process the ordinary way; the
-	// flushes below run regardless because the engine already returned.
-	stopSignals()
+	out, err := eng.Check(ctx, s)
 	deadlineHit := errors.Is(err, context.DeadlineExceeded)
 	interrupted := errors.Is(err, context.Canceled)
-	if cerr := tracer.Close(); cerr != nil && err == nil {
+	if cerr := eng.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil && !deadlineHit && !interrupted {
@@ -463,7 +297,7 @@ func main() {
 		fail("event log: %v", err)
 	}
 	if *reportOut != "" {
-		meta := settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup)
+		meta := run.MetaFromSettings(s)
 		meta["workers"] = strconv.Itoa(out.Workers)
 		meta["max"] = strconv.Itoa(*maxExecs)
 		if err := obs.WriteReport(*reportOut, buildReport(out, reg, events, meta)); err != nil {
@@ -473,10 +307,13 @@ func main() {
 	if err := profiles.stop(); err != nil {
 		fail("%v", err)
 	}
+	// Every file is sealed; from here on a signal kills the process the
+	// ordinary way.
+	stopSignals()
 
-	fmt.Printf("protocol    : %s (%s form)\n", proto.Name(), execLabel)
+	fmt.Printf("protocol    : %s (%s form)\n", s.Protocol.Name(), execLabel)
 	fmt.Printf("processes   : %d, faulty objects: %v, faults/object: %s\n",
-		*n, ids, tString(perObject))
+		len(s.Inputs), s.FaultyObjects, tString(s.FaultsPerObject))
 	fmt.Printf("executions  : %d (complete: %v)\n", out.Executions, out.Complete)
 	fmt.Printf("max steps   : %d per process, max faults: %d per execution\n",
 		out.MaxProcSteps, out.MaxFaults)
@@ -488,9 +325,9 @@ func main() {
 		fmt.Printf("dedup       : %d states, %d of %d replays pruned (%.1f%% hit rate)\n",
 			out.Dedup.States, out.Dedup.Hits, out.Dedup.LeafLookups, 100*out.Dedup.HitRate())
 	}
-	if cfg.Reduce != run.ReduceOff {
+	if s.Reduce != run.ReduceOff {
 		fmt.Printf("reduce      : %s, %d sleep-blocked subtrees pruned\n",
-			reduceLabel, out.ReducePrunes)
+			s.Reduce, out.ReducePrunes)
 	}
 	if deadlineHit {
 		fmt.Printf("deadline    : %s exceeded — partial exploration\n", *deadline)
@@ -498,8 +335,8 @@ func main() {
 	if interrupted {
 		fmt.Printf("interrupted : signal received — partial exploration, state flushed cleanly\n")
 	}
-	if tracer != nil {
-		ts := tracer.Summary()
+	if eng.Tracer != nil {
+		ts := eng.Tracer.Summary()
 		fmt.Printf("trace       : %d violation(s), %d sample(s), %d span(s) captured in %s\n",
 			ts.Violations, ts.Samples, ts.Spans, ts.Dir)
 		if ts.Skipped > 0 {
@@ -510,15 +347,15 @@ func main() {
 	if *profDir != "" {
 		fmt.Printf("profiles    : cpu.pprof and heap.pprof written to %s\n", *profDir)
 	}
-	if st != nil {
-		dir := st.Dir()
+	if eng.Store != nil {
+		dir := eng.Store.Dir()
 		if deadlineHit || (!out.Complete && out.Violation == nil) {
 			fmt.Printf("checkpoint  : saved to %s — continue with: modelcheck -resume %s\n", dir, dir)
 		} else {
 			fmt.Printf("checkpoint  : finished run recorded in %s\n", dir)
 		}
 	}
-	if led != nil {
+	if eng.Ledger != nil {
 		if rs, rserr := ledger.Status(*ledgerF); rserr == nil {
 			if rs.Drained {
 				fmt.Printf("ledger      : drained — %d participant(s), %d subtree result(s) in %s\n",
@@ -531,7 +368,7 @@ func main() {
 	}
 
 	if out.Violation == nil {
-		if led != nil {
+		if eng.Ledger != nil {
 			// This worker's published claims hold no counterexample, but
 			// another participant's might: the authoritative verdict is the
 			// merged fold over every published result.
@@ -653,27 +490,62 @@ func (r *progressReporter) ledgerLine(cache *fleet.StatusCache) {
 
 func (r *progressReporter) flush() { r.w.Flush() } //nolint:errcheck // stderr
 
-// settingsMeta renders the run settings as the flat string map shared by
-// the checkpoint manifest (Extra), the trace/v1 header, and the -report Run
-// section. engine is the -engine flag as given (so a resume restores it
-// verbatim); exec is the resolved execution form ("compiled"/"interpreted"),
-// sealed so replays of the artifact run under the form that produced it;
-// reduce is the resolved reduction mode, sealed for the same reason — a
-// reduced tree has different choice-path coordinates, so -explain and
-// resume must replay under the mode that produced the artifact.
-func settingsMeta(protoName, kindName, engine, exec, reduce string, f, t, n, faulty int, unbounded, dedup bool) map[string]string {
-	return map[string]string{
-		"proto":     strings.ToLower(protoName),
-		"f":         strconv.Itoa(f),
-		"t":         strconv.Itoa(t),
-		"n":         strconv.Itoa(n),
-		"fault":     strings.ToLower(kindName),
-		"unbounded": strconv.FormatBool(unbounded),
-		"faulty":    strconv.Itoa(faulty),
-		"dedup":     strconv.FormatBool(dedup),
-		"engine":    strings.ToLower(engine),
-		"exec":      exec,
-		"reduce":    reduce,
+// settingsFlags are the flags that describe the explored configuration.
+// They map onto the keys of run.MetaFromSettings ("engine" onto the sealed
+// "exec"), so a run directory's manifest restores them.
+var settingsFlags = []string{"proto", "f", "t", "n", "fault", "unbounded", "faulty", "dedup", "engine", "reduce"}
+
+// settingsFromFlags builds the explored configuration from the flags. dir,
+// when set, is a run directory whose manifest supplies every setting not
+// given explicitly; an explicit flag that contradicts it is refused — a run
+// directory continues only with the settings it was created with. The first
+// participant of a new ledger (mayCreate) finds no manifest yet and keeps
+// its own flags.
+func settingsFromFlags(dir string, mayCreate bool) *run.Settings {
+	meta := map[string]string{}
+	for _, name := range settingsFlags {
+		meta[name] = strings.ToLower(flag.Lookup(name).Value.String())
+	}
+	if dir != "" {
+		st, err := store.OpenShared(dir)
+		switch {
+		case err == nil:
+			restoreFlags(meta, st.Manifest().Extra)
+			st.Close()
+		case errors.Is(err, fs.ErrNotExist) && mayCreate:
+		default:
+			fail("%v", err)
+		}
+	}
+	s, err := run.SettingsFromMeta(meta, nil)
+	if err != nil {
+		fail("%v", err)
+	}
+	if s.Exec, err = run.ParseExecMode(meta["engine"]); err != nil {
+		fail("%v", err)
+	}
+	s.Dedup = meta["dedup"] == "true"
+	return s
+}
+
+// restoreFlags overlays a run manifest's recorded settings onto the flag
+// values in meta, failing on an explicitly set flag that contradicts them.
+func restoreFlags(meta, extra map[string]string) {
+	explicit := map[string]bool{}
+	flag.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
+	for name, cur := range meta {
+		v, ok := extra[name]
+		if !ok && name == "engine" {
+			v, ok = extra["exec"]
+		}
+		if !ok {
+			continue
+		}
+		v = strings.ToLower(v)
+		if explicit[name] && cur != v {
+			fail("-%s %s contradicts the run manifest (%s=%s); a run directory resumes only with the settings it was created with", name, cur, name, v)
+		}
+		meta[name] = v
 	}
 }
 
@@ -682,9 +554,8 @@ func settingsMeta(protoName, kindName, engine, exec, reduce string, f, t, n, fau
 // exits 0, a violation prints the replayed counterexample and exits 1, and
 // an incomplete ledger (pending tasks or leases) reports who is still
 // working and exits 2.
-func finalizeLedger(cfg explore.Config, dir string, proto core.Protocol, execLabel string,
-	ids []int, perObject, n int, jsonOut, diagram bool, reportOut string, meta map[string]string) {
-	out, merged, err := explore.FinalizeLedger(cfg, dir, false)
+func finalizeLedger(s *run.Settings, dir, execLabel string, jsonOut, diagram bool, reportOut string) {
+	out, merged, err := explore.FinalizeLedger(s, dir, false)
 	var inc *ledger.IncompleteError
 	if errors.As(err, &inc) {
 		if rs, serr := ledger.Status(dir); serr == nil {
@@ -703,6 +574,7 @@ func finalizeLedger(cfg explore.Config, dir string, proto core.Protocol, execLab
 		// the live registry, and the fleet shape rides in the Run section.
 		reg := obs.NewRegistry()
 		reg.Counter("explore.violations").Add(merged.Violations)
+		meta := run.MetaFromSettings(s)
 		meta["workers"] = strconv.Itoa(out.Workers)
 		meta["ledger_participants"] = strconv.Itoa(len(merged.Participants))
 		meta["ledger_results"] = strconv.Itoa(merged.Results)
@@ -721,8 +593,9 @@ func finalizeLedger(cfg explore.Config, dir string, proto core.Protocol, execLab
 		}
 	}
 
-	fmt.Printf("protocol    : %s (%s form)\n", proto.Name(), execLabel)
-	fmt.Printf("processes   : %d, faulty objects: %v, faults/object: %s\n", n, ids, tString(perObject))
+	fmt.Printf("protocol    : %s (%s form)\n", s.Protocol.Name(), execLabel)
+	fmt.Printf("processes   : %d, faulty objects: %v, faults/object: %s\n",
+		len(s.Inputs), s.FaultyObjects, tString(s.FaultsPerObject))
 	fmt.Printf("executions  : %d (complete: %v)\n", out.Executions, out.Complete)
 	fmt.Printf("max steps   : %d per process, max faults: %d per execution\n",
 		out.MaxProcSteps, out.MaxFaults)
@@ -852,45 +725,6 @@ func (p *profileCapture) stop() error {
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "modelcheck: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-func atoi(s string) int {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		fail("corrupt manifest value %q: %v", s, err)
-	}
-	return v
-}
-
-// applyManifest restores flag values from a run manifest's Extra map,
-// refusing explicitly-set flags that contradict it — a run directory
-// continues only with the settings it was created with.
-func applyManifest(extra map[string]string, restore map[string]func(string)) {
-	explicit := map[string]bool{}
-	flag.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
-	for name, set := range restore {
-		v, ok := extra[name]
-		if !ok {
-			continue
-		}
-		if explicit[name] {
-			cur := flagValue(name)
-			if cur != v {
-				fail("-%s %s contradicts the run manifest (%s=%s); a run directory resumes only with the settings it was created with", name, cur, name, v)
-			}
-			continue
-		}
-		set(v)
-	}
-}
-
-// flagValue renders the current value of a named flag for conflict messages.
-func flagValue(name string) string {
-	fl := flag.Lookup(name)
-	if fl == nil {
-		return ""
-	}
-	return strings.ToLower(fl.Value.String())
 }
 
 func tString(t int) string {

@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -22,13 +23,13 @@ import (
 
 func TestCounterexamplePipeline(t *testing.T) {
 	// 1. The checker finds the Theorem 18 violation.
-	cfg := explore.Config{
+	cfg := &run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          benchInputs(3),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: fault.Unbounded,
 	}
-	out, err := explore.Check(cfg)
+	out, err := (&explore.Engine{}).Check(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +98,13 @@ func TestScheduleScriptReproducesCounterexample(t *testing.T) {
 	// Script scheduler (with fault decisions scripted from the trace)
 	// and yields the same violation — the end-to-end reproducibility
 	// guarantee the trace format exists for.
-	cfg := explore.Config{
+	cfg := &run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          benchInputs(3),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: fault.Unbounded,
 	}
-	out, err := explore.Check(cfg)
+	out, err := (&explore.Engine{}).Check(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestScheduleScriptReproducesCounterexample(t *testing.T) {
 		return fault.NoFault
 	})
 
-	res, err := run.Consensus(run.Config{
+	res, err := consensus(run.Settings{
 		Protocol:  cfg.Protocol,
 		Inputs:    cfg.Inputs,
 		Scheduler: sim.NewScript(ce.Schedule...),
@@ -157,7 +158,7 @@ func TestProtocolPortabilityAcrossSubstrates(t *testing.T) {
 	}
 	for _, proto := range protos {
 		// Simulated substrate.
-		simRes, err := run.Consensus(run.Config{
+		simRes, err := consensus(run.Settings{
 			Protocol: proto,
 			Inputs:   []int64{77},
 		})
@@ -205,7 +206,7 @@ func TestAuditToleranceMatchesBudgetAcrossRandomRuns(t *testing.T) {
 	// enforced end to end.
 	for seed := int64(0); seed < 30; seed++ {
 		budget := fault.NewFixedBudget([]int{0, 1}, 2)
-		res, err := run.Consensus(run.Config{
+		res, err := consensus(run.Settings{
 			Protocol:  core.NewStaged(2, 2),
 			Inputs:    benchInputs(3),
 			Scheduler: sim.NewRandom(seed),

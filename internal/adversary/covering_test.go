@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -138,13 +139,12 @@ func TestReducedModelDefeatsSingleCASThreeProcs(t *testing.T) {
 	// Theorem 18's reduced model: p0's CAS executions are always faulty.
 	// Exploring schedules only (faults deterministic) must find a
 	// violation for the single-object protocol with three processes.
-	out, err := explore.Check(explore.Config{
-		Protocol:        core.SingleCAS{},
-		Inputs:          inputs(3),
-		FaultyObjects:   []int{0},
-		FaultsPerObject: fault.Unbounded,
-		FixedPolicy:     ReducedModelPolicy(0),
-	})
+	out, err := explore.CheckWith(context.Background(),
+		run.WithProtocol(core.SingleCAS{}),
+		run.WithInputs(inputs(3)...),
+		run.WithFaultyObjects([]int{0}, fault.Unbounded),
+		run.WithPolicy(ReducedModelPolicy(0)),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +156,12 @@ func TestReducedModelDefeatsSingleCASThreeProcs(t *testing.T) {
 func TestReducedModelHarmlessAtTwoProcs(t *testing.T) {
 	// Theorem 4 again, now under the reduced model: schedules explored
 	// exhaustively, p0 always faulty — two processes still agree.
-	out, err := explore.Check(explore.Config{
-		Protocol:        core.SingleCAS{},
-		Inputs:          inputs(2),
-		FaultyObjects:   []int{0},
-		FaultsPerObject: fault.Unbounded,
-		FixedPolicy:     ReducedModelPolicy(0),
-	})
+	out, err := explore.CheckWith(context.Background(),
+		run.WithProtocol(core.SingleCAS{}),
+		run.WithInputs(inputs(2)...),
+		run.WithFaultyObjects([]int{0}, fault.Unbounded),
+		run.WithPolicy(ReducedModelPolicy(0)),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

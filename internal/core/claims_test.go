@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -24,7 +25,7 @@ func stagedTrace(t *testing.T, f, tt int, seed int64) *trace.Log {
 	for i := range allObjs {
 		allObjs[i] = i
 	}
-	res, err := run.Consensus(run.Config{
+	res, err := run.ConsensusContext(context.Background(), &run.Settings{
 		Protocol:  core.NewStaged(f, tt),
 		Inputs:    distinctInputs(f + 1),
 		Scheduler: sim.NewRandom(seed),

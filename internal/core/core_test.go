@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -19,9 +20,9 @@ func distinctInputs(n int) []int64 {
 }
 
 // mustOK runs one execution and fails the test on any consensus violation.
-func mustOK(t *testing.T, cfg run.Config) *run.Result {
+func mustOK(t *testing.T, cfg run.Settings) *run.Result {
 	t.Helper()
-	res, err := run.Consensus(cfg)
+	res, err := run.ConsensusContext(context.Background(), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func mustOK(t *testing.T, cfg run.Config) *run.Result {
 func TestSingleCASFaultFreeAnyProcs(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		for seed := int64(0); seed < 5; seed++ {
-			mustOK(t, run.Config{
+			mustOK(t, run.Settings{
 				Protocol:  core.SingleCAS{},
 				Inputs:    distinctInputs(n),
 				Scheduler: sim.NewRandom(seed),
@@ -47,7 +48,7 @@ func TestSingleCASTwoProcsUnboundedOverriding(t *testing.T) {
 	// Theorem 4: one CAS object with unboundedly many overriding faults
 	// still solves consensus for two processes.
 	for seed := int64(0); seed < 50; seed++ {
-		mustOK(t, run.Config{
+		mustOK(t, run.Settings{
 			Protocol:  core.SingleCAS{},
 			Inputs:    distinctInputs(2),
 			Scheduler: sim.NewRandom(seed),
@@ -61,7 +62,7 @@ func TestSingleCASThreeProcsOverridingViolation(t *testing.T) {
 	// Theorem 18 witness: with three processes and unbounded overriding
 	// faults, the sequential schedule p0, p1, p2 makes p2 adopt p1's
 	// input while p0 and p1 decided p0's — a consistency violation.
-	res, err := run.Consensus(run.Config{
+	res, err := run.ConsensusContext(context.Background(), &run.Settings{
 		Protocol:  core.SingleCAS{},
 		Inputs:    distinctInputs(3),
 		Scheduler: sim.NewScript(0, 1, 2),
@@ -81,7 +82,7 @@ func TestSingleCASThreeProcsOverridingViolation(t *testing.T) {
 func TestFPlusOneFaultFree(t *testing.T) {
 	for _, f := range []int{0, 1, 2, 4} {
 		for _, n := range []int{1, 2, 3, 6} {
-			mustOK(t, run.Config{
+			mustOK(t, run.Settings{
 				Protocol:  core.NewFPlusOne(f),
 				Inputs:    distinctInputs(n),
 				Scheduler: sim.NewRoundRobin(),
@@ -103,7 +104,7 @@ func TestFPlusOneToleratesFFaultyObjects(t *testing.T) {
 				for i := range faulty {
 					faulty[i] = i
 				}
-				mustOK(t, run.Config{
+				mustOK(t, run.Settings{
 					Protocol:  core.NewFPlusOne(f),
 					Inputs:    distinctInputs(n),
 					Scheduler: sim.NewRandom(seed),
@@ -121,7 +122,7 @@ func TestFPlusOneToleratesAnyFaultySubset(t *testing.T) {
 	subsets := [][]int{{0, 1}, {0, 2}, {1, 2}}
 	for _, sub := range subsets {
 		for seed := int64(0); seed < 10; seed++ {
-			mustOK(t, run.Config{
+			mustOK(t, run.Settings{
 				Protocol:  core.NewFPlusOne(f),
 				Inputs:    distinctInputs(4),
 				Scheduler: sim.NewRandom(seed),
@@ -135,7 +136,7 @@ func TestFPlusOneToleratesAnyFaultySubset(t *testing.T) {
 func TestFPlusOneStepCountExact(t *testing.T) {
 	// Figure 2 takes exactly f+1 CAS steps per process.
 	f := 3
-	res := mustOK(t, run.Config{
+	res := mustOK(t, run.Settings{
 		Protocol:  core.NewFPlusOne(f),
 		Inputs:    distinctInputs(4),
 		Scheduler: sim.NewRoundRobin(),
@@ -152,7 +153,7 @@ func TestStagedFaultFree(t *testing.T) {
 		for _, t2 := range []int{1, 2} {
 			proto := core.NewStaged(f, t2)
 			for _, n := range []int{1, 2, f + 1} {
-				mustOK(t, run.Config{
+				mustOK(t, run.Settings{
 					Protocol:  proto,
 					Inputs:    distinctInputs(n),
 					Scheduler: sim.NewRoundRobin(),
@@ -173,7 +174,7 @@ func TestStagedToleratesBoundedFaultsAllObjectsFaulty(t *testing.T) {
 				allObjs[i] = i
 			}
 			for seed := int64(0); seed < 25; seed++ {
-				mustOK(t, run.Config{
+				mustOK(t, run.Settings{
 					Protocol:  proto,
 					Inputs:    distinctInputs(f + 1),
 					Scheduler: sim.NewRandom(seed),
@@ -187,7 +188,7 @@ func TestStagedToleratesBoundedFaultsAllObjectsFaulty(t *testing.T) {
 
 func TestStagedSoloDecidesOwnInput(t *testing.T) {
 	proto := core.NewStaged(2, 1)
-	res := mustOK(t, run.Config{
+	res := mustOK(t, run.Settings{
 		Protocol:  proto,
 		Inputs:    []int64{42},
 		Scheduler: sim.NewRoundRobin(),
@@ -225,7 +226,7 @@ func TestStagedLateAdopterAgreesAfterFault(t *testing.T) {
 	// solo to completion deciding v0; p1's first CAS overrides the final
 	// content but returns it, so p1 adopts v0 at maxStage and agrees.
 	proto := core.NewStaged(1, 1)
-	res := mustOK(t, run.Config{
+	res := mustOK(t, run.Settings{
 		Protocol:  proto,
 		Inputs:    []int64{10, 11},
 		Scheduler: sim.NewSolo(0, 1),
@@ -265,7 +266,7 @@ func TestStagedWithBudgetStillDecides(t *testing.T) {
 	// n=2, consistency too (the two-process anomaly; see E10).
 	proto := core.NewStagedWithBudget(1, 1, 2)
 	for seed := int64(0); seed < 20; seed++ {
-		mustOK(t, run.Config{
+		mustOK(t, run.Settings{
 			Protocol:  proto,
 			Inputs:    distinctInputs(2),
 			Scheduler: sim.NewRandom(seed),
@@ -279,7 +280,7 @@ func TestSilentRetryBoundedFaults(t *testing.T) {
 	for _, b := range []int{1, 2, 4} {
 		for _, n := range []int{1, 2, 3} {
 			for seed := int64(0); seed < 10; seed++ {
-				mustOK(t, run.Config{
+				mustOK(t, run.Settings{
 					Protocol:  core.NewSilentRetry(b),
 					Inputs:    distinctInputs(n),
 					Scheduler: sim.NewRandom(seed),
@@ -294,7 +295,7 @@ func TestSilentRetryBoundedFaults(t *testing.T) {
 func TestSilentRetryUnboundedFaultsLosesLiveness(t *testing.T) {
 	// Section 3.4: with unboundedly many silent faults no process ever
 	// lands a write, so the protocol never terminates.
-	res, err := run.Consensus(run.Config{
+	res, err := run.ConsensusContext(context.Background(), &run.Settings{
 		Protocol:  core.NewSilentRetry(3), // believes B=3, reality is ∞
 		Inputs:    distinctInputs(2),
 		Scheduler: sim.NewRoundRobin(),
@@ -370,7 +371,7 @@ func TestAllProtocolsEqualInputs(t *testing.T) {
 	for _, p := range protos {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			res := mustOK(t, run.Config{
+			res := mustOK(t, run.Settings{
 				Protocol:  p,
 				Inputs:    []int64{7, 7, 7},
 				Scheduler: sim.NewRandom(3),
@@ -395,7 +396,7 @@ func TestStagedManySeedsManyConfigs(t *testing.T) {
 		name := fmt.Sprintf("f=%d,t=%d", cfg.f, cfg.t)
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 60; seed++ {
-				mustOK(t, run.Config{
+				mustOK(t, run.Settings{
 					Protocol:  proto,
 					Inputs:    distinctInputs(cfg.f + 1),
 					Scheduler: sim.NewRandom(seed),

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -34,7 +35,7 @@ func TestProtocolsSurviveCrashes(t *testing.T) {
 			for crashed := 0; crashed < c.n; crashed++ {
 				for _, crashStep := range []int{0, 1, 2, bound / 2} {
 					for seed := int64(0); seed < 8; seed++ {
-						res, err := run.Consensus(run.Config{
+						res, err := run.ConsensusContext(context.Background(), &run.Settings{
 							Protocol: c.proto,
 							Inputs:   distinctInputs(c.n),
 							Scheduler: sim.NewCrash(sim.NewRandom(seed),
@@ -75,7 +76,7 @@ func TestProtocolsSurviveCrashes(t *testing.T) {
 // Crashing every process but one: the lone survivor decides its own view.
 func TestLoneSurvivorDecides(t *testing.T) {
 	proto := core.NewStaged(2, 1)
-	res, err := run.Consensus(run.Config{
+	res, err := run.ConsensusContext(context.Background(), &run.Settings{
 		Protocol: proto,
 		Inputs:   distinctInputs(3),
 		Scheduler: sim.NewCrash(sim.NewRoundRobin(),

@@ -13,13 +13,13 @@ import (
 // The f-tolerant construction of Figure 2 on the deterministic simulator:
 // three processes, one faulty object overriding on every opportunity.
 func ExampleFPlusOne() {
-	res, err := run.Consensus(run.Config{
-		Protocol:  core.NewFPlusOne(1),
-		Inputs:    []int64{10, 11, 12},
-		Scheduler: sim.NewRoundRobin(),
-		Budget:    fault.NewFixedBudget([]int{0}, fault.Unbounded),
-		Policy:    fault.WhenEffective(fault.Always(fault.Overriding)),
-	})
+	res, err := run.ConsensusWith(
+		run.WithProtocol(core.NewFPlusOne(1)),
+		run.WithInputs(10, 11, 12),
+		run.WithScheduler(sim.NewRoundRobin()),
+		run.WithFaultyObjects([]int{0}, fault.Unbounded),
+		run.WithPolicy(fault.WhenEffective(fault.Always(fault.Overriding))),
+	)
 	if err != nil {
 		panic(err)
 	}
@@ -60,13 +60,13 @@ func ExampleLog() {
 // Two-process consensus survives even a CAS object that ALWAYS overrides —
 // Theorem 4 in four lines.
 func ExampleSingleCAS() {
-	res, err := run.Consensus(run.Config{
-		Protocol:  core.SingleCAS{},
-		Inputs:    []int64{1, 2},
-		Scheduler: sim.NewRoundRobin(),
-		Budget:    fault.NewBudget(1, fault.Unbounded),
-		Policy:    fault.WhenEffective(fault.Always(fault.Overriding)),
-	})
+	res, err := run.ConsensusWith(
+		run.WithProtocol(core.SingleCAS{}),
+		run.WithInputs(1, 2),
+		run.WithScheduler(sim.NewRoundRobin()),
+		run.WithBudget(fault.NewBudget(1, fault.Unbounded)),
+		run.WithPolicy(fault.WhenEffective(fault.Always(fault.Overriding))),
+	)
 	if err != nil {
 		panic(err)
 	}

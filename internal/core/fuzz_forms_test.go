@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -78,7 +79,7 @@ func fuzzRun(proto core.Protocol, inputs []int64, kind fault.Kind, sched, faults
 	for i := range ids {
 		ids[i] = i
 	}
-	return run.Consensus(run.Config{
+	return run.ConsensusContext(context.Background(), &run.Settings{
 		Protocol:  proto,
 		Inputs:    inputs,
 		Scheduler: &byteSched{bytes: sched},

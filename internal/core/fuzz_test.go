@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/run"
 )
 
 // FuzzStagedAgreement derives a protocol configuration and an execution
@@ -29,12 +30,11 @@ func FuzzStagedAgreement(f *testing.F) {
 		for i := range inputs {
 			inputs[i] = int64(10 + i)
 		}
-		ce, err := explore.Sample(explore.Config{
-			Protocol:        proto,
-			Inputs:          inputs,
-			FaultyObjects:   faulty,
-			FaultsPerObject: tN,
-		}, seed)
+		ce, err := explore.SampleWith(seed,
+			run.WithProtocol(proto),
+			run.WithInputs(inputs...),
+			run.WithFaultyObjects(faulty, tN),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,12 +62,11 @@ func FuzzFPlusOneAgreement(f *testing.F) {
 		for i := range inputs {
 			inputs[i] = int64(10 + i%3) // duplicates allowed
 		}
-		ce, err := explore.Sample(explore.Config{
-			Protocol:        proto,
-			Inputs:          inputs,
-			FaultyObjects:   faulty,
-			FaultsPerObject: -1, // unbounded
-		}, seed)
+		ce, err := explore.SampleWith(seed,
+			run.WithProtocol(proto),
+			run.WithInputs(inputs...),
+			run.WithFaultyObjects(faulty, -1), // unbounded
+		)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -22,7 +23,7 @@ func TestFPlusOneToleratesMixedFaultKinds(t *testing.T) {
 		1: fault.WhenEffective(fault.Always(fault.Silent)),
 	})
 	for seed := int64(0); seed < 40; seed++ {
-		res, err := run.Consensus(run.Config{
+		res, err := run.ConsensusContext(context.Background(), &run.Settings{
 			Protocol:  proto,
 			Inputs:    []int64{10, 11, 12, 13},
 			Scheduler: sim.NewRandom(seed),
@@ -51,7 +52,7 @@ func TestArbitraryFaultBreaksValidity(t *testing.T) {
 
 	violations := 0
 	for seed := int64(0); seed < 40; seed++ {
-		res, err := run.Consensus(run.Config{
+		res, err := run.ConsensusContext(context.Background(), &run.Settings{
 			Protocol:  core.NewFPlusOne(1),
 			Inputs:    []int64{10, 11, 12},
 			Scheduler: sim.NewRandom(seed),
@@ -79,7 +80,7 @@ func TestMixedFaultsActuallyFired(t *testing.T) {
 		0: fault.WhenEffective(fault.Always(fault.Overriding)),
 		1: fault.WhenEffective(fault.Always(fault.Silent)),
 	})
-	res, err := run.Consensus(run.Config{
+	res, err := run.ConsensusContext(context.Background(), &run.Settings{
 		Protocol:  proto,
 		Inputs:    []int64{10, 11, 12, 13},
 		Scheduler: sim.NewRoundRobin(),

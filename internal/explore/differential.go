@@ -37,27 +37,26 @@ type CrossReport struct {
 // otherwise); dedup and fixed policies are outside CrossCheck's scope —
 // it exists to certify the compiled form against the reference, and does so
 // over the checker's own choice-driven fault policy.
-func CrossCheck(cfg Config) (*CrossReport, error) {
-	icfg := cfg
+func CrossCheck(s *run.Settings) (*CrossReport, error) {
+	if s.Policy != nil {
+		return nil, fmt.Errorf("explore: CrossCheck drives the checker's own fault policy, not a fixed Policy")
+	}
+	icfg, ccfg := *s, *s
 	icfg.Exec = run.ExecInterpreted
-	ccfg := cfg
 	ccfg.Exec = run.ExecCompiled
-	kind, cap, _, err := icfg.prepare()
+	kind, cap, _, err := prepare(&icfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, _, _, err := ccfg.prepare(); err != nil {
+	if _, _, _, err := prepare(&ccfg, nil, nil); err != nil {
 		return nil, err
-	}
-	if cfg.FixedPolicy != nil {
-		return nil, fmt.Errorf("explore: CrossCheck drives the checker's own fault policy, not FixedPolicy")
 	}
 
 	ic := &chooser{}
-	ies := newExecState(icfg, kind, false, ic, nil)
+	ies := newExecState(&icfg, kind, false, ic, nil)
 	defer ies.close()
 	cc := &chooser{}
-	ces := newExecState(ccfg, kind, true, cc, nil)
+	ces := newExecState(&ccfg, kind, true, cc, nil)
 	defer ces.close()
 
 	rep := &CrossReport{}

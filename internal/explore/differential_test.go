@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/run"
 	"repro/internal/word"
 )
 
@@ -18,27 +19,27 @@ import (
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  Config
+		cfg  run.Settings
 	}{
-		{"single-cas", Config{
+		{"single-cas", run.Settings{
 			Protocol:        core.SingleCAS{},
 			Inputs:          inputs(2),
 			FaultyObjects:   []int{0},
 			FaultsPerObject: fault.Unbounded,
 		}},
-		{"f-plus-one", Config{
+		{"f-plus-one", run.Settings{
 			Protocol:        core.NewFPlusOne(1),
 			Inputs:          inputs(2),
 			FaultyObjects:   []int{0},
 			FaultsPerObject: fault.Unbounded,
 		}},
-		{"staged", Config{
+		{"staged", run.Settings{
 			Protocol:        core.NewStaged(1, 1),
 			Inputs:          inputs(2),
 			FaultyObjects:   []int{0},
 			FaultsPerObject: fault.Unbounded,
 		}},
-		{"silent-retry", Config{
+		{"silent-retry", run.Settings{
 			Protocol:        core.NewSilentRetry(1),
 			Inputs:          inputs(2),
 			FaultyObjects:   []int{0},
@@ -52,7 +53,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			t.Parallel()
 			cfg := tc.cfg
 			cfg.MaxExecutions = 2_000_000
-			rep, err := CrossCheck(cfg)
+			rep, err := CrossCheck(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,14 +74,14 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 // vacuous: a protocol whose Stepper deliberately disagrees with its Decide
 // must be flagged.
 func TestCrossCheckDetectsDivergence(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        brokenProtocol{},
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: fault.Unbounded,
 		MaxExecutions:   10_000,
 	}
-	rep, err := CrossCheck(cfg)
+	rep, err := CrossCheck(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,24 +12,29 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/run"
 	"repro/internal/store"
 )
 
-// Engine is the parallel exploration engine: a frontier of choice-path
-// prefixes sharded across workers, each worker running independent
-// stateless replays (an execution is a pure function of protocol, inputs,
-// and choice path, so subtrees explore with no shared state beyond the
-// frontier and the aggregated outcome).
+// Engine is the exploration engine: a frontier of choice-path prefixes
+// sharded across workers, each worker running independent stateless replays
+// (an execution is a pure function of protocol, inputs, and choice path, so
+// subtrees explore with no shared state beyond the frontier and the
+// aggregated outcome). What to explore and how — protocol, inputs, fault
+// budget, cap, worker count, dedup, metrics, events — comes from the
+// run.Settings passed to Check; the Engine holds only what settings cannot
+// express.
 //
 // Determinism guarantees, independent of worker count and scheduling:
 //
 //   - A complete enumeration visits every leaf exactly once, so Executions,
-//     MaxProcSteps, and MaxFaults are identical for any Workers value.
+//     MaxProcSteps, and MaxFaults are identical for any worker count.
 //   - The reported Violation is canonical: the lexicographically least
-//     violating choice path (default mode — the same counterexample the
-//     sequential Check finds first), or the violation with the shortest
-//     schedule, ties broken lexicographically (Exhaustive mode, matching
-//     FindMinimal's notion of minimality, made deterministic).
+//     violating choice path (default mode), or the violation with the
+//     shortest schedule, ties broken lexicographically (Exhaustive mode).
+//   - With one worker the LIFO frontier hands out subtrees in lexicographic
+//     order, so leaves are visited in lexicographic order — the sequential
+//     depth-first enumeration. See Outcome for what a capped run guarantees.
 //
 // In default mode a found violation does not cancel the other workers
 // outright; instead it becomes a pruning bound: subtrees lexicographically
@@ -38,13 +43,14 @@ import (
 // context.Context cancellation threaded through sim.Run, workers stop
 // promptly once nothing below the bound is left.
 //
-// With Dedup set, workers additionally fingerprint the canonical execution
-// state before every scheduling decision and abandon subtrees rooted at a
-// state already reached by a lexicographically smaller path (see package
-// dedup for the canonicalization and the soundness argument). Deduplication
-// preserves the verdict and the canonical counterexample exactly — only
-// Executions becomes dependent on worker interleaving, since which of two
-// racing paths reaches a shared state first is nondeterministic.
+// With Settings.Dedup, workers additionally fingerprint the canonical
+// execution state before every scheduling decision and abandon subtrees
+// rooted at a state already reached by a lexicographically smaller path (see
+// package dedup for the canonicalization and the soundness argument).
+// Deduplication preserves the verdict and the canonical counterexample
+// exactly — only Executions becomes dependent on worker interleaving, since
+// which of two racing paths reaches a shared state first is
+// nondeterministic.
 //
 // With Store set, the engine periodically persists the frontier, the dedup
 // set, and the aggregated outcome to the run directory, and primes itself
@@ -52,36 +58,18 @@ import (
 // from its checkpoint reports the same verdict and counterexample as an
 // uninterrupted one.
 type Engine struct {
-	// Workers is the number of parallel exploration workers; 0 means
-	// GOMAXPROCS.
-	Workers int
 	// Exhaustive keeps enumerating after a violation (no pruning), so the
 	// complete tree is visited and the minimal counterexample (shortest
-	// schedule) is reported — the parallel analogue of FindMinimal.
+	// schedule) is reported — see FindMinimal.
 	Exhaustive bool
-	// Dedup prunes subtrees rooted at canonical execution states that a
-	// lexicographically smaller path already reached.
-	Dedup bool
-	// Store, when non-nil, receives periodic crash-safe checkpoints and,
-	// when it already holds one, seeds the exploration from it (resume).
+	// Store, when non-nil, receives crash-safe checkpoints every
+	// Settings.CheckpointEvery (default 5s) and, when it already holds one,
+	// seeds the exploration from it (resume).
 	Store *store.Store
-	// CheckpointEvery is the checkpoint period (default 5s). Ignored
-	// without Store.
-	CheckpointEvery time.Duration
 	// Progress, when non-nil, receives periodic throughput reports.
 	Progress func(Progress)
 	// ProgressEvery is the reporting period (default 2s).
 	ProgressEvery time.Duration
-	// Metrics, when non-nil, is the registry the run's counters, gauges,
-	// and histograms live on (see docs/MODEL.md for the metric names). The
-	// engine is always registry-backed — when Metrics is nil it uses a
-	// private registry — so Outcome and Progress are snapshot views of the
-	// same counters a live /metrics endpoint reads.
-	Metrics *obs.Registry
-	// Events, when non-nil, receives the run's structured event log:
-	// lifecycle, checkpoint writes/restores, violations at Info; frontier
-	// donations and dedup prunes at Debug.
-	Events *obs.Log
 	// LeaseSize is the number of executions a worker reserves from the cap
 	// in one batch (default DefaultLeaseSize). The lease is the engine's
 	// shared-state amortization unit: workers touch the shared execution
@@ -97,7 +85,7 @@ type Engine struct {
 	// claim. Checkpointing (Store) is mutually exclusive with Ledger — the
 	// ledger's published results ARE the durable state, and a worker crash
 	// loses at most one lease of work. See internal/ledger and
-	// Engine.FinalizeLedger.
+	// FinalizeLedger.
 	Ledger *ledger.Ledger
 	// FleetSnapshots, with Ledger, periodically publishes this worker's
 	// observability snapshot — registry dump, heartbeat, current claim —
@@ -195,72 +183,66 @@ func newRunMetrics(reg *obs.Registry, workers int) *runMetrics {
 	return m
 }
 
-// engineRun is the shared state of one Engine.Check invocation.
-type engineRun struct {
-	cfg         Config
-	kind        fault.Kind
-	compiled    bool
-	cap         int
-	stopOnFirst bool
-	lowWater    int
-	leaseSize   int64
-	pool        *capPool
-	fr          *frontier
-	set         *dedup.Set   // nil without dedup
-	st          *store.Store // nil without checkpointing
-	tr          *Tracer      // nil without tracing
-	start       time.Time
-	elapsed0    time.Duration // wall clock accumulated before a resume
+// tally is one reading of the shared counters a run reports. A registry may
+// outlive one run (the harness points every exploration of a sweep at the
+// same one), so the registry reads cumulatively while the cap, Outcome,
+// Progress, checkpoints, and ledger results subtract the tally their scope
+// started from.
+type tally struct{ execs, violations, donations, steals, reducePrunes int64 }
 
-	m  *runMetrics
-	ev *obs.Log // nil-safe
-	// base holds each shared counter's value at run start. A registry may
-	// outlive one run (the harness points every exploration of a sweep at
-	// the same one), so the registry reads cumulatively while the cap,
-	// Outcome, Progress, and checkpoints subtract the base to stay
-	// run-scoped.
-	base   struct{ execs, violations, donations, steals, reducePrunes int64 }
-	capped atomic.Bool
-	// bound is the lex-least violating path found so far (pruning bound);
-	// nil until a violation is seen or in Exhaustive mode.
-	bound atomic.Pointer[[]int]
-
-	mu        sync.Mutex
-	best      *Counterexample
-	firstAt   time.Duration
-	maxSteps  int
-	maxFaults int
-	err       error
-	cancel    context.CancelFunc
+func (m *runMetrics) tally() tally {
+	return tally{
+		execs:        m.execs.Load(),
+		violations:   m.violations.Load(),
+		donations:    m.donations.Load(),
+		steals:       m.steals.Load(),
+		reducePrunes: m.reducePrunes.Load(),
+	}
 }
 
-// Check explores the execution tree with the engine's worker pool. The
-// returned Outcome matches the sequential Check on every deterministic
-// field (see the Engine doc comment). When ctx is cancelled or its deadline
-// passes, the partial outcome is returned together with ctx.Err().
-func (e *Engine) Check(ctx context.Context, cfg Config) (*Outcome, error) {
-	if e.Ledger != nil {
-		return e.checkLedger(ctx, cfg)
+// since returns how far the counters moved past base.
+func (m *runMetrics) since(base tally) tally {
+	t := m.tally()
+	return tally{
+		execs:        t.execs - base.execs,
+		violations:   t.violations - base.violations,
+		donations:    t.donations - base.donations,
+		steals:       t.steals - base.steals,
+		reducePrunes: t.reducePrunes - base.reducePrunes,
 	}
-	kind, cap, compiled, err := cfg.prepare()
+}
+
+// runEnv is the setup every engine run shares, whether it enumerates the
+// whole tree or a stream of ledger claims: the settings and what prepare
+// resolved from them, the worker and lease sizes, the registry-backed
+// counters, and the dedup set.
+type runEnv struct {
+	s         *run.Settings
+	kind      fault.Kind
+	cap       int
+	compiled  bool
+	workers   int
+	leaseSize int64
+	reg       *obs.Registry
+	m         *runMetrics
+	set       *dedup.Set // nil without dedup
+	ev        *obs.Log   // nil-safe
+}
+
+// setup validates the settings against the engine's attachments and builds
+// the run environment. The registry is Settings.Metrics or a private one:
+// the engine is always registry-backed, so Outcome and Progress are views of
+// the same counters a live /metrics endpoint reads.
+func (e *Engine) setup(s *run.Settings) (*runEnv, error) {
+	kind, cap, compiled, err := prepare(s, e.Store, e.Ledger)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.FixedPolicy != nil && (e.Dedup || e.Store != nil) {
-		// A fixed policy is an opaque closure that may carry state across
-		// invocations; neither the state fingerprint nor a checkpointed
-		// replay can reproduce it.
-		return nil, fmt.Errorf("explore: dedup and checkpointing require the checker's own fault policy, not FixedPolicy")
-	}
-	workers := e.Workers
+	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	reg := e.Metrics
+	reg := s.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -268,37 +250,279 @@ func (e *Engine) Check(ctx context.Context, cfg Config) (*Outcome, error) {
 	if leaseSize <= 0 {
 		leaseSize = DefaultLeaseSize
 	}
-	r := &engineRun{
-		cfg:         cfg,
-		kind:        kind,
-		compiled:    compiled,
-		cap:         cap,
-		stopOnFirst: !e.Exhaustive,
-		lowWater:    2 * workers,
-		leaseSize:   leaseSize,
-		st:          e.Store,
-		tr:          e.Tracer,
-		start:       time.Now(),
-		cancel:      cancel,
-		m:           newRunMetrics(reg, workers),
-		ev:          e.Events,
+	env := &runEnv{
+		s: s, kind: kind, cap: cap, compiled: compiled,
+		workers: workers, leaseSize: leaseSize,
+		reg: reg, m: newRunMetrics(reg, workers), ev: s.Events,
 	}
-	r.base.execs = r.m.execs.Load()
-	r.base.violations = r.m.violations.Load()
-	r.base.donations = r.m.donations.Load()
-	r.base.steals = r.m.steals.Load()
-	r.base.reducePrunes = r.m.reducePrunes.Load()
 	reg.Gauge("explore.workers").Set(int64(workers))
-	if e.Dedup {
-		r.set = dedup.NewSet(0)
-		r.set.Register(reg)
+	if s.Dedup {
+		env.set = dedup.NewSet(0)
+		env.set.Register(reg)
 	}
-	if r.st != nil {
-		r.st.Instrument(reg, r.ev)
+	return env, nil
+}
+
+// scope is the window of the shared counters one report covers: their
+// tally when it opened, and the wall clock since then plus any time
+// accumulated before a resume.
+type scope struct {
+	base     tally
+	start    time.Time
+	elapsed0 time.Duration
+}
+
+func (env *runEnv) newScope() scope { return scope{base: env.m.tally(), start: time.Now()} }
+
+func (sc *scope) elapsed() time.Duration { return sc.elapsed0 + time.Since(sc.start) }
+
+// findings is what an enumeration has established: the reported
+// counterexample, when the first violation was replayed, and the observed
+// maxima.
+type findings struct {
+	best      *Counterexample
+	firstAt   time.Duration
+	maxSteps  int
+	maxFaults int
+}
+
+// merge folds another enumeration's findings into f.
+func (f *findings) merge(o findings, exhaustive bool) {
+	f.maxSteps = max(f.maxSteps, o.maxSteps)
+	f.maxFaults = max(f.maxFaults, o.maxFaults)
+	if o.best == nil {
+		return
 	}
+	if better(o.best, f.best, exhaustive) {
+		f.best = o.best
+	}
+	if f.firstAt == 0 || (o.firstAt != 0 && o.firstAt < f.firstAt) {
+		f.firstAt = o.firstAt
+	}
+}
+
+// better decides whether cand replaces cur as the reported counterexample:
+// the lexicographically least path by default, the shortest schedule with a
+// lexicographic tie-break in exhaustive mode.
+func better(cand, cur *Counterexample, exhaustive bool) bool {
+	if cur == nil {
+		return true
+	}
+	if exhaustive && len(cand.Schedule) != len(cur.Schedule) {
+		return len(cand.Schedule) < len(cur.Schedule)
+	}
+	return lexLess(cand.Path, cur.Path)
+}
+
+// outcome renders a scope's counters and findings as an Outcome; finish
+// decides Complete.
+func (env *runEnv) outcome(sc *scope, f findings) *Outcome {
+	d := env.m.since(sc.base)
+	out := &Outcome{
+		Executions:       int(d.execs),
+		Violation:        f.best,
+		MaxProcSteps:     f.maxSteps,
+		MaxFaults:        f.maxFaults,
+		Workers:          env.workers,
+		Elapsed:          sc.elapsed(),
+		ViolationLatency: f.firstAt,
+		Donations:        d.donations,
+		Steals:           d.steals,
+		ReducePrunes:     d.reducePrunes,
+	}
+	if env.set != nil {
+		st := env.set.Stats()
+		out.Dedup = &st
+	}
+	return out
+}
+
+// finish seals an outcome and logs run.done with the given extra fields: a
+// cancelled run is never complete and returns ctx's error alongside its
+// partial outcome.
+func (env *runEnv) finish(ctx context.Context, sc *scope, out *Outcome, complete bool, fields map[string]any) (*Outcome, error) {
+	if fields == nil {
+		fields = map[string]any{}
+	}
+	fields["executions"] = out.Executions
+	fields["elapsed_ms"] = out.Elapsed.Milliseconds()
+	if err := ctx.Err(); err != nil {
+		fields["complete"] = false
+		fields["cancelled"] = true
+		env.ev.Emit(obs.Warn, "run.done", fields)
+		return out, err
+	}
+	out.Complete = complete
+	fields["complete"] = complete
+	fields["violations"] = env.m.since(sc.base).violations
+	env.ev.Emit(obs.Info, "run.done", fields)
+	return out, nil
+}
+
+// every calls fn once per period on its own goroutine until fn returns
+// false, ctx ends, or the returned stop function is called. stop returns
+// only after the goroutine has exited, so no call of fn is in flight
+// afterwards.
+func every(ctx context.Context, period time.Duration, fn func(now time.Time) bool) (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-ctx.Done():
+				return
+			case now := <-tick.C:
+				if !fn(now) {
+					return
+				}
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
+	}
+}
+
+// startProgress launches the periodic throughput reporter over a scope's
+// counters and returns its stop function; pending reports the queued
+// subtree count.
+func (e *Engine) startProgress(ctx context.Context, env *runEnv, sc *scope, pending func() int) func() {
+	if e.Progress == nil {
+		return func() {}
+	}
+	period := e.ProgressEvery
+	if period <= 0 {
+		period = 2 * time.Second
+	}
+	var lastExecs int64
+	lastTime := sc.start
+	return every(ctx, period, func(now time.Time) bool {
+		d := env.m.since(sc.base)
+		p := Progress{
+			Executions: d.execs,
+			Rate:       float64(d.execs-lastExecs) / now.Sub(lastTime).Seconds(),
+			Frontier:   pending(),
+			Violations: d.violations,
+			Elapsed:    sc.elapsed(),
+			Donations:  d.donations,
+			Steals:     d.steals,
+		}
+		lastExecs, lastTime = d.execs, now
+		if env.set != nil {
+			p.Dedup = env.set.Stats()
+		}
+		if snap := env.m.depth.Snapshot(); snap.Count > 0 {
+			p.DepthP50 = snap.Quantile(0.5)
+			p.DepthP99 = snap.Quantile(0.99)
+		}
+		e.Progress(p)
+		return true
+	})
+}
+
+// engineRun is the state of one enumeration: a whole Engine.Check, or one
+// ledger claim.
+type engineRun struct {
+	*runEnv
+	scope
+	stopOnFirst bool
+	lowWater    int
+	pool        *capPool
+	fr          *frontier
+	st          *store.Store // nil without checkpointing
+	tr          *Tracer      // nil without tracing
+
+	capped atomic.Bool
+	// bound is the lex-least violating path found so far (pruning bound);
+	// nil until a violation is seen or in Exhaustive mode.
+	bound atomic.Pointer[[]int]
+
+	mu sync.Mutex
+	findings
+	err    error
+	cancel context.CancelFunc
+}
+
+// newRun opens one enumeration on the shared environment: a fresh scope,
+// violation bound, and findings. lowWater is the frontier size below which
+// workers donate subtrees; cancel stops the enumeration on a framework
+// error.
+func (e *Engine) newRun(env *runEnv, lowWater int, cancel context.CancelFunc) *engineRun {
+	return &engineRun{
+		runEnv:      env,
+		scope:       env.newScope(),
+		stopOnFirst: !e.Exhaustive,
+		lowWater:    lowWater,
+		tr:          e.Tracer,
+		cancel:      cancel,
+	}
+}
+
+// seed loads the frontier with tasks and the cap pool with capacity
+// (clamped at zero) before the workers start.
+func (r *engineRun) seed(tasks []task, capacity int64) {
+	r.pool = newCapPool(max(capacity, 0))
+	r.fr = newFrontier(tasks, r.workers)
+	for _, t := range tasks {
+		r.m.depth.Observe(float64(len(t.path)))
+	}
+}
+
+// runWorkers runs the worker pool until the frontier drains, the cap is
+// spent, or ctx ends. pop and acquire block on condition variables, not on
+// ctx, so cancellation is translated into frontier and cap-pool aborts that
+// wake waiting workers.
+func (r *engineRun) runWorkers(ctx context.Context) {
+	go func() {
+		<-ctx.Done()
+		r.fr.abort()
+		r.pool.abort()
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < r.workers; i++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r.worker(ctx, w)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// result returns the enumeration's findings, or the first framework error.
+func (r *engineRun) result() (findings, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.findings, r.err
+}
+
+// Check explores the execution tree the settings describe with the engine's
+// worker pool. When ctx is cancelled or its deadline passes, the partial
+// outcome is returned together with ctx.Err(). See Outcome for what each way
+// of ending guarantees.
+func (e *Engine) Check(ctx context.Context, s *run.Settings) (*Outcome, error) {
+	env, err := e.setup(s)
+	if err != nil {
+		return nil, err
+	}
+	if e.Ledger != nil {
+		return e.checkLedger(ctx, env)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	r := e.newRun(env, 2*env.workers, cancel)
+	r.st = e.Store
 	tasks := []task{{}} // root: the empty prefix
 	resumed := false
 	if r.st != nil {
+		r.st.Instrument(env.reg, env.ev)
 		if cp := r.st.Checkpoint(); cp != nil {
 			if tasks, err = r.prime(cp); err != nil {
 				return nil, err
@@ -308,49 +532,21 @@ func (e *Engine) Check(ctx context.Context, cfg Config) (*Outcome, error) {
 	}
 	// The cap ledger: what this process may still execute is the cap minus
 	// whatever a resumed checkpoint already accounts for.
-	capacity := int64(cap) - (r.m.execs.Load() - r.base.execs)
-	if capacity < 0 {
-		capacity = 0
-	}
-	r.pool = newCapPool(capacity)
-	r.fr = newFrontier(tasks, workers)
-	reg.Func("explore.frontier.pending", func() int64 { return int64(r.fr.pending()) })
-	for _, t := range tasks {
-		r.m.depth.Observe(float64(len(t.path)))
-	}
-	r.ev.Emit(obs.Info, "run.start", map[string]any{
-		"workers": workers, "cap": cap, "dedup": e.Dedup,
+	r.seed(tasks, int64(env.cap)-r.m.since(r.base).execs)
+	env.reg.Func("explore.frontier.pending", func() int64 { return int64(r.fr.pending()) })
+	env.ev.Emit(obs.Info, "run.start", map[string]any{
+		"workers": env.workers, "cap": env.cap, "dedup": s.Dedup,
 		"checkpoint": r.st != nil, "resumed": resumed, "tasks": len(tasks),
 	})
-	// pop and acquire block on condition variables, not on ctx: translate
-	// cancellation into frontier and cap-pool aborts so waiting workers
-	// wake up.
-	go func() {
-		<-ctx.Done()
-		r.fr.abort()
-		r.pool.abort()
-	}()
-
-	stopProgress := e.startProgress(r)
-	stopCheckpoint := e.startCheckpoint(r)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r.worker(ctx, w)
-		}(i)
-	}
-	wg.Wait()
+	stopProgress := e.startProgress(ctx, env, &r.scope, r.fr.pending)
+	stopCheckpoint := r.startCheckpoint(ctx)
+	r.runWorkers(ctx)
 	stopCheckpoint()
 	stopProgress()
 
-	r.mu.Lock()
-	runErr, best := r.err, r.best
-	maxSteps, maxFaults, firstAt := r.maxSteps, r.maxFaults, r.firstAt
-	r.mu.Unlock()
-	if runErr != nil {
-		return nil, runErr
+	f, err := r.result()
+	if err != nil {
+		return nil, err
 	}
 	if r.st != nil {
 		// Final checkpoint: marks the run done when nothing is left, or
@@ -361,36 +557,8 @@ func (e *Engine) Check(ctx context.Context, cfg Config) (*Outcome, error) {
 			return nil, fmt.Errorf("explore: final checkpoint: %w", err)
 		}
 	}
-	out := &Outcome{
-		Executions:       int(r.m.execs.Load() - r.base.execs),
-		Violation:        best,
-		MaxProcSteps:     maxSteps,
-		MaxFaults:        maxFaults,
-		Workers:          workers,
-		Elapsed:          r.elapsed0 + time.Since(r.start),
-		ViolationLatency: firstAt,
-		Donations:        r.m.donations.Load() - r.base.donations,
-		Steals:           r.m.steals.Load() - r.base.steals,
-		ReducePrunes:     r.m.reducePrunes.Load() - r.base.reducePrunes,
-	}
-	if r.set != nil {
-		st := r.set.Stats()
-		out.Dedup = &st
-	}
-	if err := ctx.Err(); err != nil {
-		r.ev.Emit(obs.Warn, "run.done", map[string]any{
-			"executions": out.Executions, "complete": false,
-			"cancelled": true, "elapsed_ms": out.Elapsed.Milliseconds(),
-		})
-		return out, err
-	}
-	out.Complete = !r.capped.Load() && (best == nil || e.Exhaustive)
-	r.ev.Emit(obs.Info, "run.done", map[string]any{
-		"executions": out.Executions, "complete": out.Complete,
-		"violations": r.m.violations.Load() - r.base.violations,
-		"elapsed_ms": out.Elapsed.Milliseconds(),
-	})
-	return out, nil
+	out := env.outcome(&r.scope, f)
+	return env.finish(ctx, &r.scope, out, !r.capped.Load() && (f.best == nil || e.Exhaustive), nil)
 }
 
 // prime seeds the run from a stored checkpoint: counters, the best
@@ -409,7 +577,7 @@ func (r *engineRun) prime(cp *store.Checkpoint) ([]task, error) {
 	r.firstAt = time.Duration(cp.FirstViolationNS)
 	r.elapsed0 = time.Duration(cp.ElapsedNS)
 	if len(cp.BestPath) > 0 {
-		ce, err := Replay(r.cfg, cp.BestPath)
+		ce, err := Replay(r.s, cp.BestPath)
 		if err != nil {
 			return nil, fmt.Errorf("explore: resume: replaying stored counterexample: %w", err)
 		}
@@ -436,14 +604,15 @@ func (r *engineRun) prime(cp *store.Checkpoint) ([]task, error) {
 	return tasks, nil
 }
 
-// FindMinimal is the parallel analogue of the package-level FindMinimal: it
-// enumerates the complete tree (no early exit) and returns the violating
-// execution with the shortest schedule (ties broken by lexicographic choice
-// path, so the result is deterministic), or nil if none exists.
-func (e *Engine) FindMinimal(ctx context.Context, cfg Config) (*Counterexample, *Outcome, error) {
+// FindMinimal enumerates the complete tree (no early exit on the first
+// violation) and returns the violating execution with the shortest schedule
+// (ties broken by lexicographic choice path, so the result is
+// deterministic), or nil if none exists. Use it on small configurations to
+// extract the crispest counterexample for a report; Check is the fast path.
+func (e *Engine) FindMinimal(ctx context.Context, s *run.Settings) (*Counterexample, *Outcome, error) {
 	exhaustive := *e
 	exhaustive.Exhaustive = true
-	out, err := exhaustive.Check(ctx, cfg)
+	out, err := exhaustive.Check(ctx, s)
 	if err != nil {
 		return nil, out, err
 	}
@@ -594,11 +763,11 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 	if r.set != nil {
 		dh = &dedupHandle{
 			set:     r.set,
-			tracker: dedup.NewTracker(r.cfg.Protocol.Objects(), r.cfg.Inputs, true),
+			tracker: dedup.NewTracker(r.s.Protocol.Objects(), r.s.Inputs, true),
 		}
 	}
 	c := &chooser{}
-	es := newExecState(r.cfg, r.kind, r.compiled, c, dh)
+	es := newExecState(r.s, r.kind, r.compiled, c, dh)
 	defer es.close()
 	var l workerLease
 	for {
@@ -794,9 +963,9 @@ func (r *engineRun) recordViolation(w int, ce *Counterexample) {
 
 	r.mu.Lock()
 	if r.firstAt == 0 {
-		r.firstAt = r.elapsed0 + time.Since(r.start)
+		r.firstAt = r.elapsed()
 	}
-	improved := r.better(ce)
+	improved := better(ce, r.best, !r.stopOnFirst)
 	if improved {
 		r.best = ce
 		if r.stopOnFirst {
@@ -808,19 +977,6 @@ func (r *engineRun) recordViolation(w int, ce *Counterexample) {
 		"worker": w, "path_len": len(p), "schedule_len": len(ce.Schedule),
 		"violation": ce.Verdict.Violation, "improved": improved,
 	})
-}
-
-// better decides whether the candidate replaces the current best violation:
-// lexicographically least path in default mode (the sequential checker's
-// first), shortest schedule with lexicographic tie-break in Exhaustive mode.
-func (r *engineRun) better(cand *Counterexample) bool {
-	if r.best == nil {
-		return true
-	}
-	if !r.stopOnFirst && len(cand.Schedule) != len(r.best.Schedule) {
-		return len(cand.Schedule) < len(r.best.Schedule)
-	}
-	return lexLess(cand.Path, r.best.Path)
 }
 
 func lexLess(a, b []int) bool {
@@ -857,7 +1013,7 @@ func (r *engineRun) saveCheckpoint(final bool) error {
 		Executions: r.m.execs.Load() - r.base.execs,
 		Violations: r.m.violations.Load() - r.base.violations,
 		Capped:     r.capped.Load(),
-		ElapsedNS:  (r.elapsed0 + time.Since(r.start)).Nanoseconds(),
+		ElapsedNS:  r.elapsed().Nanoseconds(),
 		Tasks:      make([]store.Task, len(tasks)),
 	}
 	for i, t := range tasks {
@@ -891,88 +1047,19 @@ func (r *engineRun) saveCheckpoint(final bool) error {
 // startCheckpoint launches the periodic checkpoint writer and returns its
 // stop function. A failed write fails the whole run: continuing with a stale
 // checkpoint would make a later resume silently wrong.
-func (e *Engine) startCheckpoint(r *engineRun) func() {
+func (r *engineRun) startCheckpoint(ctx context.Context) func() {
 	if r.st == nil {
 		return func() {}
 	}
-	every := e.CheckpointEvery
-	if every <= 0 {
-		every = 5 * time.Second
+	period := r.s.CheckpointEvery
+	if period <= 0 {
+		period = 5 * time.Second
 	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				if err := r.saveCheckpoint(false); err != nil {
-					r.fail(fmt.Errorf("explore: checkpoint: %w", err))
-					return
-				}
-			}
+	return every(ctx, period, func(time.Time) bool {
+		if err := r.saveCheckpoint(false); err != nil {
+			r.fail(fmt.Errorf("explore: checkpoint: %w", err))
+			return false
 		}
-	}()
-	return func() {
-		close(done)
-		<-exited
-	}
-}
-
-// startProgress launches the periodic throughput reporter and returns its
-// stop function.
-func (e *Engine) startProgress(r *engineRun) func() {
-	if e.Progress == nil {
-		return func() {}
-	}
-	every := e.ProgressEvery
-	if every <= 0 {
-		every = 2 * time.Second
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		var lastExecs int64
-		lastTime := r.start
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-tick.C:
-				execs := r.m.execs.Load() - r.base.execs
-				rate := float64(execs-lastExecs) / now.Sub(lastTime).Seconds()
-				lastExecs, lastTime = execs, now
-				p := Progress{
-					Executions: execs,
-					Rate:       rate,
-					Frontier:   r.fr.pending(),
-					Violations: r.m.violations.Load() - r.base.violations,
-					Elapsed:    r.elapsed0 + time.Since(r.start),
-					Donations:  r.m.donations.Load() - r.base.donations,
-					Steals:     r.m.steals.Load() - r.base.steals,
-				}
-				if r.set != nil {
-					p.Dedup = r.set.Stats()
-				}
-				if snap := r.m.depth.Snapshot(); snap.Count > 0 {
-					p.DepthP50 = snap.Quantile(0.5)
-					p.DepthP99 = snap.Quantile(0.99)
-				}
-				e.Progress(p)
-			}
-		}
-	}()
-	// Closing done stops the reporter; waiting for exited guarantees no
-	// Progress callback is in flight after the stop function returns.
-	return func() {
-		close(done)
-		<-exited
-	}
+		return true
+	})
 }

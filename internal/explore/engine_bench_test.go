@@ -16,14 +16,14 @@ import (
 // execution tree has millions of leaves, so each iteration explores a fixed
 // 4096-execution slab (the cap is claimed atomically, so the work per
 // iteration is identical for every worker count).
-func benchConfig() Config {
+func benchConfig() run.Settings {
 	proto := core.NewStaged(2, 1)
 	objects := proto.Objects()
 	faulty := make([]int, objects)
 	for i := range faulty {
 		faulty[i] = i
 	}
-	return Config{
+	return run.Settings{
 		Protocol:        proto,
 		Inputs:          inputs(3),
 		FaultyObjects:   faulty,
@@ -41,12 +41,12 @@ func BenchmarkEngineCoveringSweep(b *testing.B) {
 	cfg := benchConfig()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := &Engine{Workers: w}
+			eng := &Engine{}
 			var execs int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := eng.Check(context.Background(), cfg)
+				out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(w)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func BenchmarkEngineCoveringSweep(b *testing.B) {
 // same verification in roughly a third of the replays; the executions and
 // hitrate metrics make the reduction visible next to the dedup=off row.
 func BenchmarkEngineDedupSweep(b *testing.B) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
@@ -80,8 +80,8 @@ func BenchmarkEngineDedupSweep(b *testing.B) {
 			var execs, hits, leafLookups int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng := &Engine{Workers: 4, Dedup: dedupOn}
-				out, err := eng.Check(context.Background(), cfg)
+				eng := &Engine{}
+				out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(4), dedupIf(dedupOn)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,7 +119,7 @@ func BenchmarkEngineDedupSweep(b *testing.B) {
 // rows as por_reduction in BENCH_explore.json and scripts/check.sh gates
 // the ratio at ≥ 3x.
 func BenchmarkEngineReduceSweep(b *testing.B) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewFPlusOne(1),
 		Inputs:          inputs(4),
 		FaultyObjects:   []int{0},
@@ -133,8 +133,8 @@ func BenchmarkEngineReduceSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := cfg
 				c.Reduce = mode
-				eng := &Engine{Workers: 1, Dedup: true}
-				out, err := eng.Check(context.Background(), c)
+				eng := &Engine{}
+				out, err := eng.Check(context.Background(), with(&c, run.WithWorkers(1), run.WithDedup()))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -168,12 +168,12 @@ func BenchmarkExecFormCoveringSweep(b *testing.B) {
 		b.Run(form.name, func(b *testing.B) {
 			cfg := benchConfig()
 			cfg.Exec = form.mode
-			eng := &Engine{Workers: 1}
+			eng := &Engine{}
 			var execs int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := eng.Check(context.Background(), cfg)
+				out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(1)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -186,22 +186,6 @@ func BenchmarkExecFormCoveringSweep(b *testing.B) {
 			b.ReportMetric(float64(execs)/b.Elapsed().Seconds(), "paths/sec")
 		})
 	}
-}
-
-// BenchmarkSequentialCoveringSweep is the baseline for the engine benchmark:
-// the sequential reference checker on the same 4096-execution slab.
-func BenchmarkSequentialCoveringSweep(b *testing.B) {
-	cfg := benchConfig()
-	var execs int64
-	for i := 0; i < b.N; i++ {
-		out, err := Check(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		execs += int64(out.Executions)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(execs)/b.Elapsed().Seconds(), "paths/sec")
 }
 
 // BenchmarkEngineTracedCoveringSweep is the covering-sweep workload with
@@ -222,8 +206,8 @@ func BenchmarkEngineTracedCoveringSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng := &Engine{Workers: 4, Tracer: tr}
-			out, err := eng.Check(context.Background(), cfg)
+			eng := &Engine{Tracer: tr}
+			out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(4)))
 			if err != nil {
 				b.Fatal(err)
 			}

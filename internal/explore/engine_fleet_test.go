@@ -14,6 +14,7 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
+	"repro/internal/run"
 	"repro/internal/store"
 )
 
@@ -23,13 +24,13 @@ import (
 // the single-process execution count — the fleet dashboard never disagrees
 // with the verdict.
 func TestEngineFleetSnapshotsMergeMatchesSingleProcess(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: fault.Unbounded,
 	}
-	seq, err := Check(cfg)
+	seq, err := check(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +52,8 @@ func TestEngineFleetSnapshotsMergeMatchesSingleProcess(t *testing.T) {
 		wg.Add(1)
 		go func(i int, l *ledger.Ledger) {
 			defer wg.Done()
-			eng := &Engine{Workers: 2, Ledger: l, Metrics: regs[i], FleetSnapshots: true}
-			_, errs[i] = eng.Check(context.Background(), cfg)
+			eng := &Engine{Ledger: l, FleetSnapshots: true}
+			_, errs[i] = eng.Check(context.Background(), with(&cfg, run.WithWorkers(2), run.WithMetrics(regs[i])))
 		}(i, l)
 	}
 	wg.Wait()
@@ -61,7 +62,7 @@ func TestEngineFleetSnapshotsMergeMatchesSingleProcess(t *testing.T) {
 			t.Fatalf("participant %d: %v", i, err)
 		}
 	}
-	out, _, err := FinalizeLedger(cfg, runDir, false)
+	out, _, err := FinalizeLedger(&cfg, runDir, false)
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
@@ -113,7 +114,7 @@ func TestEngineFleetSnapshotsMergeMatchesSingleProcess(t *testing.T) {
 // acquire is settled by exactly one release with a disposition, and the
 // "claim" trace spans carry the same correlation keys via Annotate.
 func TestEngineFleetClaimEventsCorrelate(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
@@ -130,8 +131,8 @@ func TestEngineFleetClaimEventsCorrelate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &Engine{Workers: 2, Ledger: l, Events: ev, Tracer: tr, FleetSnapshots: true}
-	if _, err := eng.Check(context.Background(), cfg); err != nil {
+	eng := &Engine{Ledger: l, Tracer: tr, FleetSnapshots: true}
+	if _, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(2), run.WithEvents(ev))); err != nil {
 		t.Fatal(err)
 	}
 	if err := ev.Flush(); err != nil {

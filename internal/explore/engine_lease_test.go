@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/run"
 	"repro/internal/store"
 )
 
@@ -26,7 +27,7 @@ import (
 // without exploring them (leaf-level savings are measured by bench.sh as
 // plain-vs-dedup Executions instead).
 func TestDedupStatsLeafAccounting(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
@@ -34,7 +35,7 @@ func TestDedupStatsLeafAccounting(t *testing.T) {
 		MaxExecutions:   1_000_000,
 	}
 	reg := obs.NewRegistry()
-	out, err := (&Engine{Workers: 1, Dedup: true, Metrics: reg}).Check(context.Background(), cfg)
+	out, err := (&Engine{}).Check(context.Background(), with(&cfg, run.WithWorkers(1), run.WithDedup(), run.WithMetrics(reg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +92,14 @@ func TestDedupStatsLeafAccounting(t *testing.T) {
 // a pruned replay never touches the cap, so the cap binds exactly on
 // completed executions.
 func TestEngineCapExactUnderDedup(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: fault.Unbounded,
 		MaxExecutions:   1_000_000,
 	}
-	full, err := (&Engine{Workers: 1, Dedup: true}).Check(context.Background(), cfg)
+	full, err := (&Engine{}).Check(context.Background(), with(&cfg, run.WithWorkers(1), run.WithDedup()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestEngineCapExactUnderDedup(t *testing.T) {
 	// it must still complete with exactly that many executions.
 	capped := cfg
 	capped.MaxExecutions = full.Executions
-	out, err := (&Engine{Workers: 1, Dedup: true}).Check(context.Background(), capped)
+	out, err := (&Engine{}).Check(context.Background(), with(&capped, run.WithWorkers(1), run.WithDedup()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestEngineCancelMidLeaseWorkerSum(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	out, err := (&Engine{Workers: 4, LeaseSize: 16, Metrics: reg}).Check(ctx, cfg)
+	out, err := (&Engine{LeaseSize: 16}).Check(ctx, with(&cfg, run.WithWorkers(4), run.WithMetrics(reg)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -161,14 +162,14 @@ func TestEngineCancelMidLeaseWorkerSum(t *testing.T) {
 // uninterrupted run, even though the throttled publish means the slot held a
 // position at most one lease old.
 func TestEngineResumeAcrossLeaseBoundary(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: fault.Unbounded,
 		MaxExecutions:   50_000,
 	}
-	ref, err := Check(cfg)
+	ref, err := check(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestEngineResumeAcrossLeaseBoundary(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	interrupted := cfg
 	interrupted.MaxExecutions = 2 // below the violation at execution 3
-	m, err := ManifestFor(interrupted, false, false)
+	m, err := ManifestFor(&interrupted, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestEngineResumeAcrossLeaseBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := (&Engine{Workers: 1, LeaseSize: 1, Store: st}).Check(context.Background(), interrupted)
+	out, err := (&Engine{LeaseSize: 1, Store: st}).Check(context.Background(), with(&interrupted, run.WithWorkers(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestEngineResumeAcrossLeaseBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := (&Engine{Workers: 2, LeaseSize: 8, Store: st}).Check(context.Background(), cfg)
+	resumed, err := (&Engine{LeaseSize: 8, Store: st}).Check(context.Background(), with(&cfg, run.WithWorkers(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,15 +226,16 @@ func TestEngineResumeAcrossLeaseBoundary(t *testing.T) {
 // arena, the pooled execState, and the interned dedup store, a replay
 // allocates near nothing — the ~84 heap objects per leaf the old runOnce
 // built (bank, closures, channels, trace log, schedule, goroutines) are what
-// made parallel workers fight the allocator instead of exploring.
+// made parallel workers fight the allocator instead of exploring. It
+// measures the whole engine with one worker over the 4096-execution slab,
+// enough executions to amortize the engine's start-up.
 func TestReplayAllocsPerExecution(t *testing.T) {
 	cfg := benchConfig()
-	cfg.MaxExecutions = 512
-	if _, err := Check(cfg); err != nil { // warm-up
+	if _, err := check(&cfg); err != nil { // warm-up
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		out, err := Check(cfg)
+		out, err := check(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,12 +10,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ledger"
+	"repro/internal/run"
 	"repro/internal/store"
 )
 
 // ledgerParticipants runs n engines over one shared run-directory ledger,
 // each as if it were a separate OS process, and finalizes the merge.
-func ledgerParticipants(t *testing.T, cfg Config, runDir string, n int, ttl time.Duration) (*Outcome, *ledger.Merged) {
+func ledgerParticipants(t *testing.T, cfg run.Settings, runDir string, n int, ttl time.Duration) (*Outcome, *ledger.Merged) {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -28,8 +29,8 @@ func ledgerParticipants(t *testing.T, cfg Config, runDir string, n int, ttl time
 		wg.Add(1)
 		go func(i int, l *ledger.Ledger) {
 			defer wg.Done()
-			eng := &Engine{Workers: 2, Ledger: l}
-			_, errs[i] = eng.Check(context.Background(), cfg)
+			eng := &Engine{Ledger: l}
+			_, errs[i] = eng.Check(context.Background(), with(&cfg, run.WithWorkers(2)))
 		}(i, l)
 	}
 	wg.Wait()
@@ -38,7 +39,7 @@ func ledgerParticipants(t *testing.T, cfg Config, runDir string, n int, ttl time
 			t.Fatalf("participant %d: %v", i, err)
 		}
 	}
-	out, m, err := FinalizeLedger(cfg, runDir, false)
+	out, m, err := FinalizeLedger(&cfg, runDir, false)
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
@@ -49,13 +50,13 @@ func ledgerParticipants(t *testing.T, cfg Config, runDir string, n int, ttl time
 // across two ledger participants must merge to the exact single-process
 // outcome — same execution count (dedup off), completeness, and maxima.
 func TestEngineLedgerMatchesSingleProcessCovering(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: fault.Unbounded,
 	}
-	seq, err := Check(cfg)
+	seq, err := check(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +99,13 @@ func TestEngineLedgerMatchesSingleProcessCovering(t *testing.T) {
 // merged counterexample must be the lexicographically least violating path —
 // the exact counterexample the sequential checker reports.
 func TestEngineLedgerCanonicalCounterexample(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: fault.Unbounded,
 	}
-	seq, err := Check(cfg)
+	seq, err := check(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +133,13 @@ func TestEngineLedgerCanonicalCounterexample(t *testing.T) {
 // surviving participant reclaims the subtree at a higher epoch and the
 // merge still reproduces the single-process outcome exactly.
 func TestEngineLedgerSurvivesDeadClaimHolder(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: 1,
 	}
-	seq, err := Check(cfg)
+	seq, err := check(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +159,11 @@ func TestEngineLedgerSurvivesDeadClaimHolder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &Engine{Workers: 2, Ledger: live}
-	if _, err := eng.Check(context.Background(), cfg); err != nil {
+	eng := &Engine{Ledger: live}
+	if _, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(2))); err != nil {
 		t.Fatalf("survivor: %v", err)
 	}
-	out, m, err := FinalizeLedger(cfg, runDir, false)
+	out, m, err := FinalizeLedger(&cfg, runDir, false)
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
@@ -192,7 +193,7 @@ func TestEngineLedgerStoreMutuallyExclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &Engine{Ledger: l, Store: &store.Store{}}
-	_, err = eng.Check(context.Background(), Config{
+	_, err = eng.Check(context.Background(), &run.Settings{
 		Protocol: core.SingleCAS{},
 		Inputs:   inputs(2),
 	})

@@ -35,7 +35,7 @@ func sumWorkerCounters(s obs.Snapshot, suffix string) int64 {
 // pruned replays release their claims on both the total and the worker
 // counter.
 func TestEngineMetricsWorkerSumInvariant(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
@@ -44,8 +44,8 @@ func TestEngineMetricsWorkerSumInvariant(t *testing.T) {
 	for name, dedupOn := range map[string]bool{"plain": false, "dedup": true} {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			eng := &Engine{Workers: 4, Dedup: dedupOn, Metrics: reg}
-			out, err := eng.Check(context.Background(), cfg)
+			eng := &Engine{}
+			out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(4), dedupIf(dedupOn), run.WithMetrics(reg)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,20 +93,20 @@ func TestEngineMetricsWorkerSumInvariant(t *testing.T) {
 // stay run-scoped — the first run's executions must not count against the
 // second run's cap.
 func TestEngineSharedRegistryRunScoped(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: 1,
 	}
-	ref, err := (&Engine{Workers: 2}).Check(context.Background(), cfg)
+	ref, err := (&Engine{}).Check(context.Background(), with(&cfg, run.WithWorkers(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	reg := obs.NewRegistry()
-	eng := &Engine{Workers: 2, Metrics: reg}
-	first, err := eng.Check(context.Background(), cfg)
+	eng := &Engine{}
+	first, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(2), run.WithMetrics(reg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestEngineSharedRegistryRunScoped(t *testing.T) {
 	// executions leaked into its cap accounting.
 	capped := cfg
 	capped.MaxExecutions = ref.Executions
-	second, err := eng.Check(context.Background(), capped)
+	second, err := eng.Check(context.Background(), with(&capped, run.WithWorkers(2), run.WithMetrics(reg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestEngineSharedRegistryRunScoped(t *testing.T) {
 // stream framed by run.start and run.done, and a violating run records
 // violation.found events.
 func TestEngineEventLog(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
@@ -142,8 +142,8 @@ func TestEngineEventLog(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	log := obs.NewLog(&buf, obs.Debug)
-	eng := &Engine{Workers: 4, Events: log}
-	out, err := eng.Check(context.Background(), cfg)
+	eng := &Engine{}
+	out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(4), run.WithEvents(log)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +193,14 @@ func TestEngineEventLog(t *testing.T) {
 // explore.executions.restored, keeping the worker-sum invariant across
 // process boundaries.
 func TestEngineMetricsResumeRestored(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: fault.Unbounded,
 	}
 	dir := filepath.Join(t.TempDir(), "run")
-	m, err := ManifestFor(cfg, false, false)
+	m, err := ManifestFor(&cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestEngineMetricsResumeRestored(t *testing.T) {
 
 	capped := cfg
 	capped.MaxExecutions = 500
-	first, err := (&Engine{Workers: 4, Store: st}).Check(context.Background(), capped)
+	first, err := (&Engine{Store: st}).Check(context.Background(), with(&capped, run.WithWorkers(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestEngineMetricsResumeRestored(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	log := obs.NewLog(&buf, obs.Debug)
-	out, err := (&Engine{Workers: 4, Store: st, Metrics: reg, Events: log}).Check(context.Background(), cfg)
+	out, err := (&Engine{Store: st}).Check(context.Background(), with(&cfg, run.WithWorkers(4), run.WithMetrics(reg), run.WithEvents(log)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestEngineMetricsResumeRestored(t *testing.T) {
 // may legitimately be zero early in a run — the invariant is ordering and
 // non-negativity, plus that reports flow at all.
 func TestEngineProgressDepthQuantiles(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
@@ -266,7 +266,6 @@ func TestEngineProgressDepthQuantiles(t *testing.T) {
 		reports []Progress
 	)
 	eng := &Engine{
-		Workers:       4,
 		ProgressEvery: time.Millisecond,
 		Progress: func(p Progress) {
 			mu.Lock()
@@ -274,7 +273,7 @@ func TestEngineProgressDepthQuantiles(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	out, err := eng.Check(context.Background(), cfg)
+	out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(4)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // plain engine while completing strictly fewer replays — pruned subtrees are
 // exactly the ones whose root state a smaller path already covered.
 func TestEngineDedupMatchesPlain(t *testing.T) {
-	configs := map[string]Config{
+	configs := map[string]run.Settings{
 		"staged-f1-t1": {
 			Protocol:        core.NewStaged(1, 1),
 			Inputs:          inputs(2),
@@ -36,7 +36,7 @@ func TestEngineDedupMatchesPlain(t *testing.T) {
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
-			plain, err := (&Engine{Workers: 4}).Check(context.Background(), cfg)
+			plain, err := (&Engine{}).Check(context.Background(), with(&cfg, run.WithWorkers(4)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,8 +44,8 @@ func TestEngineDedupMatchesPlain(t *testing.T) {
 				t.Fatalf("reference run: complete=%v violation=%v", plain.Complete, plain.Violation)
 			}
 			for _, w := range workerCounts {
-				eng := &Engine{Workers: w, Dedup: true}
-				out, err := eng.Check(context.Background(), cfg)
+				eng := &Engine{}
+				out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(w), run.WithDedup()))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -72,13 +72,13 @@ func TestEngineDedupMatchesPlain(t *testing.T) {
 // lexicographically least path per state, so the canonical (lex-least)
 // counterexample must survive pruning exactly — for every worker count.
 func TestEngineDedupCanonicalCounterexample(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: fault.Unbounded,
 	}
-	seq, err := Check(cfg)
+	seq, err := check(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func TestEngineDedupCanonicalCounterexample(t *testing.T) {
 		t.Fatal("reference run found no violation")
 	}
 	for _, w := range workerCounts {
-		eng := &Engine{Workers: w, Dedup: true}
-		out, err := eng.Check(context.Background(), cfg)
+		eng := &Engine{}
+		out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(w), run.WithDedup()))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -112,19 +112,19 @@ func TestEngineDedupCanonicalCounterexample(t *testing.T) {
 // two paths reaching the same state have equal schedule lengths, so the
 // pruned copy of any violation is never shorter than the kept one.
 func TestEngineDedupExhaustive(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: fault.Unbounded,
 	}
-	best, _, err := FindMinimal(cfg)
+	best, _, err := findMinimal(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerCounts {
-		eng := &Engine{Workers: w, Dedup: true}
-		ce, _, err := eng.FindMinimal(context.Background(), cfg)
+		eng := &Engine{}
+		ce, _, err := eng.FindMinimal(context.Background(), with(&cfg, run.WithWorkers(w), run.WithDedup()))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -140,23 +140,23 @@ func TestEngineDedupExhaustive(t *testing.T) {
 	}
 }
 
-// TestEngineDedupRejectsFixedPolicy: a fixed fault policy is an opaque,
+// TestEngineDedupRejectsPolicy: a fixed fault policy is an opaque,
 // possibly stateful closure, incompatible with state fingerprints and
 // checkpointed replay.
 func TestEngineDedupRejectsFixedPolicy(t *testing.T) {
-	cfg := Config{
-		Protocol:    core.SingleCAS{},
-		Inputs:      inputs(2),
-		FixedPolicy: fault.PolicyFunc(func(fault.Op) fault.Proposal { return fault.NoFault }),
+	cfg := run.Settings{
+		Protocol: core.SingleCAS{},
+		Inputs:   inputs(2),
+		Policy:   fault.PolicyFunc(func(fault.Op) fault.Proposal { return fault.NoFault }),
 	}
-	if _, err := (&Engine{Dedup: true}).Check(context.Background(), cfg); err == nil {
+	if _, err := (&Engine{}).Check(context.Background(), with(&cfg, run.WithDedup())); err == nil {
 		t.Fatal("dedup with FixedPolicy must be rejected")
 	}
 	st, err := store.Create(filepath.Join(t.TempDir(), "run"), store.Manifest{Protocol: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Engine{Store: st}).Check(context.Background(), cfg); err == nil {
+	if _, err := (&Engine{Store: st}).Check(context.Background(), &cfg); err == nil {
 		t.Fatal("checkpointing with FixedPolicy must be rejected")
 	}
 }
@@ -169,14 +169,14 @@ func TestEngineDedupRejectsFixedPolicy(t *testing.T) {
 // any lost task would surface as a premature "complete". Exercised with and
 // without deduplication.
 func TestEngineInterruptedResume(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: fault.Unbounded,
 		MaxExecutions:   1_000_000,
 	}
-	ref, err := (&Engine{Workers: 4}).Check(context.Background(), cfg)
+	ref, err := (&Engine{}).Check(context.Background(), with(&cfg, run.WithWorkers(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestEngineInterruptedResume(t *testing.T) {
 	for name, dedupOn := range map[string]bool{"plain": false, "dedup": true} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "run")
-			m, err := ManifestFor(cfg, false, dedupOn)
+			m, err := ManifestFor(with(&cfg, dedupIf(dedupOn)), false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,14 +202,14 @@ func TestEngineInterruptedResume(t *testing.T) {
 				if attempt > 100 {
 					t.Fatal("exploration made no progress across 100 resumes")
 				}
-				eng := &Engine{Workers: 4, Dedup: dedupOn, Store: st, CheckpointEvery: 5 * time.Millisecond}
+				eng := &Engine{Store: st}
 				runCtx := context.Background()
 				var cancel context.CancelFunc
 				if interrupted < 3 {
 					// First attempts: die young, mid-enumeration.
 					runCtx, cancel = context.WithTimeout(runCtx, 30*time.Millisecond)
 				}
-				out, err = eng.Check(runCtx, cfg)
+				out, err = eng.Check(runCtx, with(&cfg, run.WithWorkers(4), dedupIf(dedupOn), checkpointEvery(5*time.Millisecond)))
 				if cancel != nil {
 					cancel()
 				}
@@ -244,7 +244,7 @@ func TestEngineInterruptedResume(t *testing.T) {
 			if cp == nil || !cp.Done {
 				t.Fatalf("final checkpoint = %+v, want done", cp)
 			}
-			again, err := (&Engine{Workers: 4, Dedup: dedupOn, Store: st}).Check(context.Background(), cfg)
+			again, err := (&Engine{Store: st}).Check(context.Background(), with(&cfg, run.WithWorkers(4), dedupIf(dedupOn)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,14 +263,14 @@ func TestEngineInterruptedResume(t *testing.T) {
 // an execution cap below the violation's position) must, once resumed, report
 // the identical lex-least counterexample as an uninterrupted run.
 func TestEngineInterruptedResumeFindsViolation(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: fault.Unbounded,
 		MaxExecutions:   50_000,
 	}
-	ref, err := Check(cfg)
+	ref, err := check(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestEngineInterruptedResumeFindsViolation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	interruptedCfg := cfg
 	interruptedCfg.MaxExecutions = 2 // dies before the violating execution
-	m, err := ManifestFor(interruptedCfg, false, false)
+	m, err := ManifestFor(&interruptedCfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestEngineInterruptedResumeFindsViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := (&Engine{Workers: 1, Store: st}).Check(context.Background(), interruptedCfg)
+	out, err := (&Engine{Store: st}).Check(context.Background(), with(&interruptedCfg, run.WithWorkers(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestEngineInterruptedResumeFindsViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := (&Engine{Workers: 1, Store: st}).Check(context.Background(), cfg)
+	resumed, err := (&Engine{Store: st}).Check(context.Background(), with(&cfg, run.WithWorkers(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,13 +323,13 @@ func TestEngineInterruptedResumeFindsViolation(t *testing.T) {
 // settings hash), so a capped run can resume with a higher cap and finish
 // the enumeration it was cut off from.
 func TestEngineResumeCappedRun(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
 		FaultsPerObject: 1,
 	}
-	full, err := (&Engine{Workers: 2}).Check(context.Background(), cfg)
+	full, err := (&Engine{}).Check(context.Background(), with(&cfg, run.WithWorkers(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestEngineResumeCappedRun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	capped := cfg
 	capped.MaxExecutions = full.Executions / 3
-	m, err := ManifestFor(capped, false, false)
+	m, err := ManifestFor(&capped, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestEngineResumeCappedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := (&Engine{Workers: 2, Store: st}).Check(context.Background(), capped)
+	out, err := (&Engine{Store: st}).Check(context.Background(), with(&capped, run.WithWorkers(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,14 +364,14 @@ func TestEngineResumeCappedRun(t *testing.T) {
 		t.Fatalf("capped checkpoint = %+v, want unfinished tasks", cp)
 	}
 	// The uncapped settings hash equals the capped one: resume is allowed.
-	m2, err := ManifestFor(cfg, false, false)
+	m2, err := ManifestFor(&cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Verify(m2); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := (&Engine{Workers: 2, Store: st}).Check(context.Background(), cfg)
+	resumed, err := (&Engine{Store: st}).Check(context.Background(), with(&cfg, run.WithWorkers(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

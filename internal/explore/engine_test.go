@@ -15,11 +15,11 @@ import (
 var workerCounts = []int{1, 2, 4, 8}
 
 // TestEngineMatchesSequentialComplete: on configurations whose tree is fully
-// enumerable, the engine must reproduce the sequential checker's outcome —
-// same execution count, completeness, and observed maxima — for every worker
-// count.
+// enumerable, the engine must reproduce the single-worker (sequential)
+// outcome — same execution count, completeness, and observed maxima — for
+// every worker count.
 func TestEngineMatchesSequentialComplete(t *testing.T) {
-	configs := map[string]Config{
+	configs := map[string]run.Settings{
 		"single-cas-fault-free": {
 			Protocol: core.SingleCAS{},
 			Inputs:   inputs(2),
@@ -39,7 +39,7 @@ func TestEngineMatchesSequentialComplete(t *testing.T) {
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
-			seq, err := Check(cfg)
+			seq, err := check(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,8 +47,8 @@ func TestEngineMatchesSequentialComplete(t *testing.T) {
 				t.Fatalf("reference run: complete=%v violation=%v", seq.Complete, seq.Violation)
 			}
 			for _, w := range workerCounts {
-				eng := &Engine{Workers: w}
-				out, err := eng.Check(context.Background(), cfg)
+				eng := &Engine{}
+				out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(w)))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -70,11 +70,99 @@ func TestEngineMatchesSequentialComplete(t *testing.T) {
 	}
 }
 
+// sequentialReference pins what the sequential depth-first checker reported
+// on these configurations before the engine replaced it: execution count,
+// completeness, maxima, and the lex-least counterexample path. Capped runs
+// are included — with one worker the engine covers exactly the first
+// MaxExecutions leaves in lexicographic order, as the sequential loop did.
+var sequentialReference = []struct {
+	name                            string
+	cfg                             run.Settings
+	executions, maxSteps, maxFaults int
+	complete                        bool
+	violation                       run.Violation
+	path                            []int
+}{
+	{"single-cas-fault-free", run.Settings{Protocol: core.SingleCAS{}, Inputs: inputs(2)},
+		2, 1, 0, true, "", nil},
+	{"single-cas-unbounded", run.Settings{Protocol: core.SingleCAS{}, Inputs: inputs(2),
+		FaultyObjects: []int{0}, FaultsPerObject: fault.Unbounded},
+		4, 1, 1, true, "", nil},
+	{"staged-f1-t1", run.Settings{Protocol: core.NewStaged(1, 1), Inputs: inputs(2),
+		FaultyObjects: []int{0, 1, 2}, FaultsPerObject: 1},
+		4356, 8, 1, true, "", nil},
+	{"single-cas-3procs", run.Settings{Protocol: core.SingleCAS{}, Inputs: inputs(3),
+		FaultyObjects: []int{0}, FaultsPerObject: fault.Unbounded},
+		3, 1, 1, false, run.ViolationConsistency, []int{0, 0, 1, 0}},
+	{"staged-3procs-unbounded", run.Settings{Protocol: core.NewStaged(1, 1), Inputs: inputs(3),
+		FaultyObjects: []int{0, 1, 2}, FaultsPerObject: fault.Unbounded, MaxExecutions: 50_000},
+		3, 6, 1, false, run.ViolationConsistency, []int{0, 0, 0, 0, 0, 0, 0, 1, 0}},
+	{"f-plus-one-clean-reduced", run.Settings{Protocol: core.NewFPlusOne(1), Inputs: inputs(3),
+		FaultyObjects: []int{0}, FaultsPerObject: fault.Unbounded, Reduce: run.ReduceSafe},
+		72, 2, 2, true, "", nil},
+	{"silent-livelock", run.Settings{Protocol: core.NewSilentRetry(1), Inputs: inputs(2),
+		FaultyObjects: []int{0}, FaultsPerObject: fault.Unbounded, Kind: fault.Silent, StepLimit: 12},
+		23, 13, 11, false, run.ViolationWaitFreedom,
+		[]int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0}},
+	{"covering-slab-cap500", *with(ptr(benchConfig()), run.WithMaxExecutions(500)),
+		500, 26, 2, false, "", nil},
+	{"covering-slab-cap4096", benchConfig(),
+		4096, 26, 2, false, "", nil},
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// TestEngineReproducesSequentialReference: the engine with one worker
+// reproduces every pinned field of the retired sequential checker, and any
+// worker count agrees with it on what Outcome guarantees — the verdict,
+// completeness, the lex-least counterexample, and an exact cap.
+func TestEngineReproducesSequentialReference(t *testing.T) {
+	for _, tc := range sequentialReference {
+		t.Run(tc.name, func(t *testing.T) {
+			one, err := check(&tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var violation run.Violation
+			var path []int
+			if one.Violation != nil {
+				violation, path = one.Violation.Verdict.Violation, one.Violation.Path
+			}
+			if one.Executions != tc.executions || one.Complete != tc.complete ||
+				one.MaxProcSteps != tc.maxSteps || one.MaxFaults != tc.maxFaults ||
+				violation != tc.violation || !reflect.DeepEqual(path, tc.path) {
+				t.Fatalf("one worker: executions=%d complete=%v maxima=(%d,%d) violation=%q path=%v, want %d %v (%d,%d) %q %v",
+					one.Executions, one.Complete, one.MaxProcSteps, one.MaxFaults, violation, path,
+					tc.executions, tc.complete, tc.maxSteps, tc.maxFaults, tc.violation, tc.path)
+			}
+			capped := !tc.complete && tc.violation == ""
+			for _, w := range []int{2, 8} {
+				out, err := (&Engine{}).Check(context.Background(), with(&tc.cfg, run.WithWorkers(w)))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if out.Complete != tc.complete || out.OK() != (tc.violation == "") {
+					t.Fatalf("workers=%d: complete=%v violation=%v, want %v %q", w, out.Complete, out.Violation, tc.complete, tc.violation)
+				}
+				if tc.complete && out.Executions != tc.executions {
+					t.Errorf("workers=%d: executions = %d, want %d", w, out.Executions, tc.executions)
+				}
+				if capped && out.Executions != tc.cfg.MaxExecutions {
+					t.Errorf("workers=%d: capped run executed %d, want exactly %d", w, out.Executions, tc.cfg.MaxExecutions)
+				}
+				if out.Violation != nil && !reflect.DeepEqual(out.Violation.Path, tc.path) {
+					t.Errorf("workers=%d: violation path = %v, want %v", w, out.Violation.Path, tc.path)
+				}
+			}
+		})
+	}
+}
+
 // TestEngineCanonicalCounterexample: on violating configurations the engine
-// must report the lexicographically least violating path — the exact
-// counterexample the sequential checker finds first — for every worker count.
+// must report the lexicographically least violating path — the first one a
+// single worker reaches — for every worker count.
 func TestEngineCanonicalCounterexample(t *testing.T) {
-	configs := map[string]Config{
+	configs := map[string]run.Settings{
 		"single-cas-3procs": {
 			Protocol:        core.SingleCAS{},
 			Inputs:          inputs(3),
@@ -91,7 +179,7 @@ func TestEngineCanonicalCounterexample(t *testing.T) {
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
-			seq, err := Check(cfg)
+			seq, err := check(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,8 +187,8 @@ func TestEngineCanonicalCounterexample(t *testing.T) {
 				t.Fatal("reference run found no violation")
 			}
 			for _, w := range workerCounts {
-				eng := &Engine{Workers: w}
-				out, err := eng.Check(context.Background(), cfg)
+				eng := &Engine{}
+				out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(w)))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -129,15 +217,15 @@ func TestEngineCanonicalCounterexample(t *testing.T) {
 
 // TestEngineFindMinimalDeterministic: Exhaustive mode enumerates the complete
 // tree (deterministic execution count) and selects the shortest-schedule
-// counterexample, matching the sequential FindMinimal for every worker count.
+// counterexample, the same for every worker count.
 func TestEngineFindMinimalDeterministic(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: fault.Unbounded,
 	}
-	best, seq, err := FindMinimal(cfg)
+	best, seq, err := findMinimal(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +233,8 @@ func TestEngineFindMinimalDeterministic(t *testing.T) {
 		t.Fatalf("reference FindMinimal: best=%v complete=%v", best, seq.Complete)
 	}
 	for _, w := range workerCounts {
-		eng := &Engine{Workers: w}
-		ce, out, err := eng.FindMinimal(context.Background(), cfg)
+		eng := &Engine{}
+		ce, out, err := eng.FindMinimal(context.Background(), with(&cfg, run.WithWorkers(w)))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -171,7 +259,7 @@ func TestEngineFindMinimalDeterministic(t *testing.T) {
 // TestEngineExecutionCap: the atomic claim protocol must make a capped run
 // stop at exactly the cap, independent of worker count.
 func TestEngineExecutionCap(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
@@ -179,8 +267,8 @@ func TestEngineExecutionCap(t *testing.T) {
 		MaxExecutions:   500,
 	}
 	for _, w := range workerCounts {
-		eng := &Engine{Workers: w}
-		out, err := eng.Check(context.Background(), cfg)
+		eng := &Engine{}
+		out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(w)))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -196,7 +284,7 @@ func TestEngineExecutionCap(t *testing.T) {
 // TestEngineDeadline: a context deadline must stop a large exploration
 // promptly and surface as the returned error alongside the partial outcome.
 func TestEngineDeadline(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		// staged(2,1) with 3 processes: millions of executions — far more
 		// than fits in the deadline.
 		Protocol:        core.NewStaged(2, 1),
@@ -208,8 +296,8 @@ func TestEngineDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	eng := &Engine{Workers: 4}
-	out, err := eng.Check(ctx, cfg)
+	eng := &Engine{}
+	out, err := eng.Check(ctx, with(&cfg, run.WithWorkers(4)))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -232,10 +320,10 @@ func TestEngineDeadline(t *testing.T) {
 func TestEngineImmediateCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := &Engine{Workers: 2}
-	out, err := eng.Check(ctx, Config{
+	out, err := (&Engine{}).Check(ctx, &run.Settings{
 		Protocol: core.SingleCAS{},
 		Inputs:   inputs(2),
+		Workers:  2,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
@@ -250,11 +338,11 @@ func TestEngineImmediateCancel(t *testing.T) {
 func TestEngineProgressReports(t *testing.T) {
 	var reports []Progress
 	eng := &Engine{
-		Workers:       2,
 		ProgressEvery: 10 * time.Millisecond,
 		Progress:      func(p Progress) { reports = append(reports, p) },
 	}
-	out, err := eng.Check(context.Background(), Config{
+	out, err := eng.Check(context.Background(), &run.Settings{
+		Workers:         2,
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
@@ -298,20 +386,20 @@ func TestEngineCheckWithOptions(t *testing.T) {
 	}
 }
 
-// TestEngineSubsetSweep: the engine subset sweep must agree with the
-// sequential CheckAllSubsets.
+// TestEngineSubsetSweep: the subset sweep on four workers must agree with
+// the single-worker (sequential) one.
 func TestEngineSubsetSweep(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultsPerObject: 1,
 	}
-	seq, err := CheckAllSubsets(cfg, 1)
+	seq, err := (&Engine{}).CheckAllSubsets(context.Background(), with(&cfg, run.WithWorkers(1)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &Engine{Workers: 4}
-	par, err := eng.CheckAllSubsets(context.Background(), cfg, 1)
+	eng := &Engine{}
+	par, err := eng.CheckAllSubsets(context.Background(), with(&cfg, run.WithWorkers(4)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

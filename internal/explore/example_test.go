@@ -1,22 +1,23 @@
 package explore_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/run"
 )
 
 // Exhaustively verify Theorem 6's smallest instance: Figure 3 with one
 // object, one tolerated fault, two processes — every schedule, every fault
 // placement.
-func ExampleCheck() {
-	out, err := explore.Check(explore.Config{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          []int64{10, 11},
-		FaultyObjects:   []int{0},
-		FaultsPerObject: 1,
-	})
+func ExampleCheckWith() {
+	out, err := explore.CheckWith(context.Background(),
+		run.WithProtocol(core.NewStaged(1, 1)),
+		run.WithInputs(10, 11),
+		run.WithFaultyObjects([]int{0}, 1),
+	)
 	if err != nil {
 		panic(err)
 	}
@@ -26,13 +27,12 @@ func ExampleCheck() {
 
 // The same protocol with one process too many: the checker exhibits the
 // violation Theorem 19 predicts.
-func ExampleCheck_impossibility() {
-	out, err := explore.Check(explore.Config{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          []int64{10, 11, 12},
-		FaultyObjects:   []int{0},
-		FaultsPerObject: 1,
-	})
+func ExampleCheckWith_impossibility() {
+	out, err := explore.CheckWith(context.Background(),
+		run.WithProtocol(core.NewStaged(1, 1)),
+		run.WithInputs(10, 11, 12),
+		run.WithFaultyObjects([]int{0}, 1),
+	)
 	if err != nil {
 		panic(err)
 	}
@@ -42,13 +42,12 @@ func ExampleCheck_impossibility() {
 
 // Seeded randomized stress for configurations whose trees are too large to
 // enumerate.
-func ExampleStress() {
-	out, err := explore.Stress(explore.Config{
-		Protocol:        core.NewStaged(2, 1),
-		Inputs:          []int64{10, 11, 12},
-		FaultyObjects:   []int{0, 1},
-		FaultsPerObject: 1,
-	}, 100, 7)
+func ExampleStressWith() {
+	out, err := explore.StressWith(100, 7,
+		run.WithProtocol(core.NewStaged(2, 1)),
+		run.WithInputs(10, 11, 12),
+		run.WithFaultyObjects([]int{0, 1}, 1),
+	)
 	if err != nil {
 		panic(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func TestCheckpointRefusesExecFormMismatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := benchConfig()
 			cfg.Exec = tc.created
-			m, err := ManifestFor(cfg, false, false)
+			m, err := ManifestFor(&cfg, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +40,7 @@ func TestCheckpointRefusesExecFormMismatch(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			same, err := ManifestFor(cfg, false, false)
+			same, err := ManifestFor(&cfg, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +49,7 @@ func TestCheckpointRefusesExecFormMismatch(t *testing.T) {
 			}
 
 			cfg.Exec = tc.resume
-			other, err := ManifestFor(cfg, false, false)
+			other, err := ManifestFor(&cfg, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +69,7 @@ func TestExplainRefusesExecFormMismatch(t *testing.T) {
 	cfg := benchConfig()
 	cfg.Exec = run.ExecInterpreted
 	x := &export.Execution{Meta: export.Meta{Kind: "execution", Run: map[string]string{"exec": "compiled"}}}
-	err := checkExecForm(cfg, x.Meta.Run)
+	err := checkExecForm(&cfg, x.Meta.Run)
 	if err == nil {
 		t.Fatal("compiled capture replayed on the interpreted path without refusal")
 	}
@@ -78,13 +79,13 @@ func TestExplainRefusesExecFormMismatch(t *testing.T) {
 	}
 
 	cfg.Exec = run.ExecCompiled
-	if err := checkExecForm(cfg, map[string]string{"exec": "interpreted"}); err == nil {
+	if err := checkExecForm(&cfg, map[string]string{"exec": "interpreted"}); err == nil {
 		t.Error("interpreted capture replayed on the compiled path without refusal")
 	}
-	if err := checkExecForm(cfg, map[string]string{"exec": "compiled"}); err != nil {
+	if err := checkExecForm(&cfg, map[string]string{"exec": "compiled"}); err != nil {
 		t.Errorf("matching form refused: %v", err)
 	}
-	if err := checkExecForm(cfg, map[string]string{}); err != nil {
+	if err := checkExecForm(&cfg, map[string]string{}); err != nil {
 		t.Errorf("legacy capture without exec entry refused: %v", err)
 	}
 }
@@ -149,7 +150,7 @@ func TestEngineCancelMidLeaseWorkerSumCompiled(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	out, err := (&Engine{Workers: 4, LeaseSize: 16, Metrics: reg}).Check(ctx, cfg)
+	out, err := (&Engine{LeaseSize: 16}).Check(ctx, with(&cfg, run.WithWorkers(4), run.WithMetrics(reg)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -166,42 +167,42 @@ func TestEngineCancelMidLeaseWorkerSumCompiled(t *testing.T) {
 	}
 }
 
-// TestEngineFormsAgreeOnCoveringSlab pins that the two forms produce the
-// identical Outcome on the capped covering slab the benchmarks use — same
-// execution count, same canonical counterexample — through the full engine
-// (workers, leases, frontier), not just the leaf-level CrossCheck.
+// TestEngineFormsAgreeOnCoveringSlab pins that the two forms agree through
+// the full engine (workers, leases, frontier), not just the leaf-level
+// CrossCheck, on the capped covering slab the benchmarks use — to exactly
+// what Outcome promises for a capped run. With one worker the slab is the
+// first MaxExecutions leaves in lexicographic order, so every field agrees;
+// with two, which leaves ran depends on interleaving, so only the exact cap
+// and the incomplete verdict do.
 func TestEngineFormsAgreeOnCoveringSlab(t *testing.T) {
 	cfg := benchConfig()
-	cfg.Exec = run.ExecInterpreted
-	ref, err := (&Engine{Workers: 2}).Check(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Exec = run.ExecCompiled
-	got, err := (&Engine{Workers: 2}).Check(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Executions != ref.Executions || got.Complete != ref.Complete ||
-		got.MaxProcSteps != ref.MaxProcSteps || got.MaxFaults != ref.MaxFaults {
-		t.Fatalf("outcomes diverge: compiled {execs=%d complete=%v steps=%d faults=%d}, interpreted {execs=%d complete=%v steps=%d faults=%d}",
-			got.Executions, got.Complete, got.MaxProcSteps, got.MaxFaults,
-			ref.Executions, ref.Complete, ref.MaxProcSteps, ref.MaxFaults)
-	}
-	if (got.Violation == nil) != (ref.Violation == nil) {
-		t.Fatalf("violation presence diverges: compiled %v, interpreted %v",
-			got.Violation != nil, ref.Violation != nil)
-	}
-	if got.Violation != nil {
-		if want := ref.Violation.Path; len(got.Violation.Path) != len(want) {
-			t.Errorf("canonical violation path = %v, want %v", got.Violation.Path, want)
-		} else {
-			for i := range want {
-				if got.Violation.Path[i] != want[i] {
-					t.Errorf("canonical violation path = %v, want %v", got.Violation.Path, want)
-					break
-				}
+	for _, w := range []int{1, 2} {
+		ref, err := (&Engine{}).Check(context.Background(),
+			with(&cfg, run.WithWorkers(w), run.WithExecMode(run.ExecInterpreted)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := (&Engine{}).Check(context.Background(),
+			with(&cfg, run.WithWorkers(w), run.WithExecMode(run.ExecCompiled)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for form, out := range map[string]*Outcome{"interpreted": ref, "compiled": got} {
+			if out.Executions != cfg.MaxExecutions || out.Complete {
+				t.Errorf("workers=%d %s: executions=%d complete=%v, want exactly %d and incomplete",
+					w, form, out.Executions, out.Complete, cfg.MaxExecutions)
 			}
+		}
+		if w > 1 {
+			continue
+		}
+		if got.MaxProcSteps != ref.MaxProcSteps || got.MaxFaults != ref.MaxFaults {
+			t.Errorf("one worker: compiled maxima (%d,%d), interpreted (%d,%d)",
+				got.MaxProcSteps, got.MaxFaults, ref.MaxProcSteps, ref.MaxFaults)
+		}
+		if (got.Violation == nil) != (ref.Violation == nil) ||
+			(got.Violation != nil && !reflect.DeepEqual(got.Violation.Path, ref.Violation.Path)) {
+			t.Errorf("one worker: compiled violation %v, interpreted %v", got.Violation, ref.Violation)
 		}
 	}
 }

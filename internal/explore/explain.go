@@ -26,20 +26,20 @@ import (
 // event-for-event with the replayed ones. A trace that does not reproduce —
 // wrong configuration, corrupted file, stale capture — is refused with the
 // first diverging event.
-func Explain(w io.Writer, cfg Config, x *export.Execution) error {
+func Explain(w io.Writer, s *run.Settings, x *export.Execution) error {
 	if x.Meta.Kind != "execution" {
 		return fmt.Errorf("explore: cannot explain a %q trace (need an execution capture)", x.Meta.Kind)
 	}
 	if len(x.Events) == 0 {
 		return fmt.Errorf("explore: trace holds no events")
 	}
-	if err := checkExecForm(cfg, x.Meta.Run); err != nil {
+	if err := checkExecForm(s, x.Meta.Run); err != nil {
 		return err
 	}
-	if err := checkReduceMode(cfg, x.Meta.Run); err != nil {
+	if err := checkReduceMode(s, x.Meta.Run); err != nil {
 		return err
 	}
-	ce, err := Replay(cfg, x.Meta.Path)
+	ce, err := Replay(s, x.Meta.Path)
 	if err != nil {
 		return fmt.Errorf("explore: explain: replay: %w", err)
 	}
@@ -56,7 +56,7 @@ func Explain(w io.Writer, cfg Config, x *export.Execution) error {
 	}
 
 	audit := spec.AuditTrace(ce.Trace)
-	fmt.Fprintf(w, "configuration : %s\n", describeSettings(cfg, x.Meta.Run))
+	fmt.Fprintf(w, "configuration : %s\n", describeSettings(s, x.Meta.Run))
 	fmt.Fprintf(w, "replay        : verified — %d events identical, verdict %s\n", len(replayed), verdict)
 	if !ce.Verdict.OK() {
 		fmt.Fprintf(w, "violation     : %s — %s\n", ce.Verdict.Violation, ce.Verdict.Detail)
@@ -81,7 +81,7 @@ func Explain(w io.Writer, cfg Config, x *export.Execution) error {
 	}
 
 	fmt.Fprintf(w, "\nfault budget:\n  %s\n", describeAudit(audit))
-	fmt.Fprintf(w, "\ntolerance bound:\n  %s\n", toleranceNarrative(cfg, audit, ce.Verdict.OK()))
+	fmt.Fprintf(w, "\ntolerance bound:\n  %s\n", toleranceNarrative(s, audit, ce.Verdict.OK()))
 	return nil
 }
 
@@ -110,7 +110,7 @@ func ExplainFileAs(w io.Writer, path string, mode run.ExecMode) error {
 		s.Exec = mode
 	}
 	fmt.Fprintf(w, "trace         : %s (%s, captured by worker %d)\n", path, x.Meta.Schema, x.Meta.Worker)
-	return Explain(w, ConfigFrom(s), x)
+	return Explain(w, s, x)
 }
 
 // checkExecForm refuses to verify a capture under a different execution
@@ -120,12 +120,12 @@ func ExplainFileAs(w io.Writer, path string, mode run.ExecMode) error {
 // capture on the goroutine path (or vice versa) would silently prove the
 // wrong thing. Captures that predate the compiled form carry no exec entry
 // and replay under whatever form the configuration resolves to.
-func checkExecForm(cfg Config, meta map[string]string) error {
+func checkExecForm(s *run.Settings, meta map[string]string) error {
 	recorded := meta["exec"]
 	if recorded == "" {
 		return nil
 	}
-	compiled, err := run.ResolveExec(cfg.Exec, cfg.Protocol)
+	compiled, err := run.ResolveExec(s.Exec, s.Protocol)
 	if err != nil {
 		return fmt.Errorf("explore: explain: %w", err)
 	}
@@ -141,12 +141,12 @@ func checkExecForm(cfg Config, meta map[string]string) error {
 // choice paths are coordinates in the reduced tree, so replaying one under
 // another mode consumes the wrong branch alternatives. Captures from before
 // reduction existed carry no reduce entry and replay with reduction off.
-func checkReduceMode(cfg Config, meta map[string]string) error {
+func checkReduceMode(s *run.Settings, meta map[string]string) error {
 	recorded := meta["reduce"]
 	if recorded == "" {
 		recorded = run.ReduceOff.String()
 	}
-	if resolved := cfg.Reduce.String(); resolved != recorded {
+	if resolved := s.Reduce.String(); resolved != recorded {
 		return fmt.Errorf("explore: explain: trace was captured with reduction %s but this configuration replays with %s; rerun with the matching reduction mode (-reduce %s)",
 			recorded, resolved, recorded)
 	}
@@ -198,20 +198,20 @@ func explainFault(e trace.Event) string {
 	return b.String()
 }
 
-// describeSettings renders the configuration line from the live Config,
+// describeSettings renders the configuration line from the live settings,
 // cross-labelled with the trace's sealed meta when available.
-func describeSettings(cfg Config, meta map[string]string) string {
+func describeSettings(s *run.Settings, meta map[string]string) string {
 	proto := meta["proto"]
 	if proto == "" {
-		proto = cfg.Protocol.Name()
+		proto = s.Protocol.Name()
 	}
-	kind := cfg.Kind
+	kind := s.Kind
 	if kind == fault.None {
 		kind = fault.Overriding
 	}
 	return fmt.Sprintf("%s (%s), %d processes, inputs %v, %s faults on objects %v (t=%s)",
-		proto, cfg.Protocol.Name(), len(cfg.Inputs), cfg.Inputs, kind,
-		cfg.FaultyObjects, perObjectLabel(cfg.FaultsPerObject))
+		proto, s.Protocol.Name(), len(s.Inputs), s.Inputs, kind,
+		s.FaultyObjects, perObjectLabel(s.FaultsPerObject))
 }
 
 func perObjectLabel(t int) string {
@@ -246,9 +246,9 @@ func describeAudit(a *spec.Audit) string {
 // toleranceNarrative places the execution against the paper's tolerance
 // bounds: which theorem the configuration lives under and whether the
 // observed fault pattern stayed inside or escaped its (f, t) budget.
-func toleranceNarrative(cfg Config, a *spec.Audit, ok bool) string {
-	n := len(cfg.Inputs)
-	switch p := cfg.Protocol.(type) {
+func toleranceNarrative(s *run.Settings, a *spec.Audit, ok bool) string {
+	n := len(s.Inputs)
+	switch p := s.Protocol.(type) {
 	case core.Staged:
 		within := a.Tolerable(p.F, p.T)
 		if n > p.F+1 {

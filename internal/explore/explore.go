@@ -18,8 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"time"
 
 	"repro/internal/core"
@@ -34,57 +32,12 @@ import (
 	"repro/internal/word"
 )
 
-// Config describes the space of executions to explore.
-//
-// Deprecated: new code should describe explorations with the unified
-// functional options (CheckWith and the run.With... constructors); Config
-// remains as a thin shim for one release.
-type Config struct {
-	// Protocol under test. Required.
-	Protocol core.Protocol
-	// Inputs holds one input per process. Required.
-	Inputs []int64
-	// FaultyObjects is the set of object ids the adversary may fault
-	// (the paper's "at most f faulty objects", committed up front).
-	// Empty means fault-free exploration.
-	FaultyObjects []int
-	// FaultsPerObject is the per-object fault bound t (fault.Unbounded
-	// for t = ∞). Ignored when FaultyObjects is empty.
-	FaultsPerObject int
-	// Kind is the functional fault to inject; Overriding and Silent are
-	// supported (the two one-sided branch faults of Sections 3.3–3.4).
-	// Defaults to Overriding.
-	Kind fault.Kind
-	// FixedPolicy, when non-nil, replaces the checker's per-invocation
-	// fault choices with a deterministic policy (still subject to the
-	// budget), so only scheduling is explored. The reduced model of
-	// Theorem 18 — one process whose CAS executions are always faulty —
-	// is expressed this way.
-	FixedPolicy fault.Policy
-	// MaxExecutions caps the enumeration. 0 means DefaultMaxExecutions.
-	MaxExecutions int
-	// StepLimit overrides the protocol's per-process step bound.
-	StepLimit int
-	// Exec selects the execution form: the compiled step machines or the
-	// goroutine-gated reference simulator (default run.ExecAuto — compiled
-	// whenever the protocol provides a core.Stepper). Both forms enumerate
-	// identical trees with identical verdicts and counterexamples.
-	Exec run.ExecMode
-	// Reduce selects the partial-order reduction mode (default
-	// run.ReduceOff): run.ReduceSafe prunes schedule branches via sleep
-	// sets and process-symmetry canonicalization while preserving the
-	// verdict and the lexicographically least counterexample;
-	// run.ReduceAggressive additionally restricts branch points to
-	// persistent sets computed from the step machines' object footprints
-	// (verdict-preserving only, and requires the compiled form).
-	Reduce run.ReduceMode
-}
-
-// DefaultMaxExecutions bounds the enumeration when Config.MaxExecutions is 0.
+// DefaultMaxExecutions bounds the enumeration when Settings.MaxExecutions
+// is 0.
 const DefaultMaxExecutions = 200_000
 
 // Counterexample is a violating execution, replayable via its Path (with
-// the same Config) or its Schedule (with a sim.Script and scripted faults).
+// the same settings) or its Schedule (with a sim.Script and scripted faults).
 type Counterexample struct {
 	// Path is the choice sequence driving the violating execution.
 	Path []int
@@ -103,39 +56,53 @@ func (c *Counterexample) String() string {
 		len(c.Schedule), c.Verdict.String(), c.Schedule, c.Trace)
 }
 
-// Outcome summarizes an exploration.
+// Outcome summarizes an exploration. What it guarantees depends on how the
+// run ended:
+//
+//   - Complete: every leaf was visited, so Executions, MaxProcSteps, and
+//     MaxFaults are the same for any worker count.
+//   - Stopped at a violation (default mode): Violation is the canonical,
+//     lexicographically least counterexample for any worker count, while
+//     Executions counts how far the workers got before the bound stopped
+//     them.
+//   - Capped (MaxExecutions spent, ctx not cancelled): Executions ==
+//     MaxExecutions exactly, for any worker count. With one worker the run
+//     covers exactly the first MaxExecutions leaves in lexicographic order,
+//     so every field but the wall-clock ones is deterministic. With more
+//     workers, which leaves ran depends on goroutine interleaving, and so
+//     do MaxProcSteps, MaxFaults, and Violation.
+//   - Cancelled: a partial tally of whatever ran before ctx ended.
 type Outcome struct {
 	// Executions is the number of complete executions enumerated.
 	Executions int
 	// Complete reports that the entire execution tree was enumerated
-	// (no violation found and the cap was not hit).
+	// (no violation found, or Exhaustive mode, and the cap was not hit).
 	Complete bool
-	// Violation is the first violating execution found, or nil.
+	// Violation is the reported violating execution, or nil.
 	Violation *Counterexample
 	// MaxProcSteps is the largest per-process step count observed.
 	MaxProcSteps int
 	// MaxFaults is the largest total fault count observed in a run.
 	MaxFaults int
-	// Workers is the number of parallel workers used (1 for the
-	// sequential checker).
+	// Workers is the number of parallel workers used (for FinalizeLedger,
+	// the number of participant processes).
 	Workers int
-	// Elapsed is the wall-clock duration of the exploration (engine runs
-	// only; zero for the sequential checker).
+	// Elapsed is the wall-clock duration of the exploration, including
+	// time accumulated before a resume.
 	Elapsed time.Duration
 	// ViolationLatency is the wall-clock time until the first violating
-	// execution was replayed (engine runs only; zero if none was found).
+	// execution was replayed (zero if none was found).
 	ViolationLatency time.Duration
 	// Donations is the number of subtree tasks workers carved off and
-	// pushed to the frontier for others to claim (engine runs only).
+	// pushed to the frontier for others to claim.
 	Donations int64
-	// Steals is the number of tasks claimed from the shared frontier
-	// (engine runs only).
+	// Steals is the number of tasks claimed from the shared frontier.
 	Steals int64
-	// Dedup holds the state-cache counters of a deduplicated engine run
-	// (nil when deduplication was off).
+	// Dedup holds the state-cache counters of a deduplicated run (nil when
+	// deduplication was off).
 	Dedup *dedup.Stats
 	// ReducePrunes is the number of sleep-blocked subtrees the partial-order
-	// reducer cut (engine runs only; zero with reduction off).
+	// reducer cut (zero with reduction off).
 	ReducePrunes int64
 }
 
@@ -150,9 +117,9 @@ type chooser struct {
 	arity []int
 	pos   int
 	// lb is the backtracking floor: next never retracts a choice at a
-	// position below lb. The sequential checker uses lb = 0 (the whole
-	// tree); an engine worker owns the subtree rooted at its prefix and
-	// sets lb = len(prefix).
+	// position below lb. A whole-tree walk (CrossCheck) uses lb = 0; an
+	// engine worker owns the subtree rooted at its task's prefix and sets
+	// lb = len(prefix).
 	lb int
 }
 
@@ -236,244 +203,84 @@ func observable(kind fault.Kind, op fault.Op) bool {
 	}
 }
 
-// prepare validates the configuration and resolves the effective fault
-// kind, execution cap, and execution form — shared by the sequential
-// checker and the parallel engine.
-func (cfg *Config) prepare() (kind fault.Kind, cap int, compiled bool, err error) {
-	if cfg.Protocol == nil {
+// prepare validates the settings and resolves the effective fault kind,
+// execution cap, and execution form. st and l are the run store and work
+// ledger the engine is attached to (both nil for a single replay), so every
+// combination the engine cannot honour is refused in one place.
+func prepare(s *run.Settings, st *store.Store, l *ledger.Ledger) (kind fault.Kind, cap int, compiled bool, err error) {
+	if s.Protocol == nil {
 		return 0, 0, false, fmt.Errorf("explore: no protocol")
 	}
-	if len(cfg.Inputs) == 0 {
+	if len(s.Inputs) == 0 {
 		return 0, 0, false, fmt.Errorf("explore: no inputs")
 	}
-	kind = cfg.Kind
+	kind = s.Kind
 	if kind == fault.None {
 		kind = fault.Overriding
 	}
-	if cfg.FixedPolicy == nil && kind != fault.Overriding && kind != fault.Silent {
+	if s.Policy == nil && kind != fault.Overriding && kind != fault.Silent {
 		return 0, 0, false, fmt.Errorf("explore: unsupported fault kind %v", kind)
 	}
-	compiled, err = run.ResolveExec(cfg.Exec, cfg.Protocol)
+	switch {
+	case l != nil && st != nil:
+		return 0, 0, false, fmt.Errorf("explore: Ledger and Store are mutually exclusive — published results are the ledger's durable state")
+	case s.Policy != nil && l != nil:
+		return 0, 0, false, fmt.Errorf("explore: the ledger requires the checker's own fault policy, not a fixed Policy")
+	case s.Policy != nil && (s.Dedup || st != nil):
+		// A fixed policy is an opaque closure that may carry state across
+		// invocations; neither the state fingerprint nor a checkpointed
+		// replay can reproduce it.
+		return 0, 0, false, fmt.Errorf("explore: dedup and checkpointing require the checker's own fault policy, not a fixed Policy")
+	}
+	compiled, err = run.ResolveExec(s.Exec, s.Protocol)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	if cfg.Reduce != run.ReduceOff {
-		if cfg.FixedPolicy != nil {
+	if s.Reduce != run.ReduceOff {
+		if s.Policy != nil {
 			// The reducer's independence relation reasons about the
 			// checker's own fault branches (observable ∧ admitted); an
 			// opaque policy could fire faults the purity predicate does
 			// not see.
-			return 0, 0, false, fmt.Errorf("explore: partial-order reduction requires the checker's own fault policy, not FixedPolicy")
+			return 0, 0, false, fmt.Errorf("explore: partial-order reduction requires the checker's own fault policy, not a fixed Policy")
 		}
-		if cfg.Reduce == run.ReduceAggressive && !compiled {
-			return 0, 0, false, fmt.Errorf("explore: aggressive reduction needs object footprints from the compiled step machines; %s has no Stepper or the interpreted form was forced", cfg.Protocol.Name())
+		if s.Reduce == run.ReduceAggressive && !compiled {
+			return 0, 0, false, fmt.Errorf("explore: aggressive reduction needs object footprints from the compiled step machines; %s has no Stepper or the interpreted form was forced", s.Protocol.Name())
 		}
-		if len(cfg.Inputs) > 64 {
+		if len(s.Inputs) > 64 {
 			// The reducer's sleep and persistent sets are process bitmasks.
-			return 0, 0, false, fmt.Errorf("explore: partial-order reduction supports at most 64 processes, got %d", len(cfg.Inputs))
+			return 0, 0, false, fmt.Errorf("explore: partial-order reduction supports at most 64 processes, got %d", len(s.Inputs))
 		}
 	}
-	cap = cfg.MaxExecutions
+	cap = s.MaxExecutions
 	if cap <= 0 {
 		cap = DefaultMaxExecutions
 	}
 	return kind, cap, compiled, nil
 }
 
-// ConfigFrom converts the unified settings to an exploration Config.
-func ConfigFrom(s *run.Settings) Config {
-	return Config{
-		Protocol:        s.Protocol,
-		Inputs:          s.Inputs,
-		FaultyObjects:   s.FaultyObjects,
-		FaultsPerObject: s.FaultsPerObject,
-		Kind:            s.Kind,
-		FixedPolicy:     s.Policy,
-		MaxExecutions:   s.MaxExecutions,
-		StepLimit:       s.StepLimit,
-		Exec:            s.Exec,
-		Reduce:          s.Reduce,
-	}
-}
-
 // CheckWith explores the execution space described by the unified run.With...
 // options — the one way executions are constructed across the packages. The
-// exploration runs on the parallel engine with the configured worker count
+// exploration runs on the engine with the configured worker count
 // (run.WithWorkers; default GOMAXPROCS) and honors ctx cancellation.
 //
 // run.WithCheckpoint creates a run store and checkpoints into it;
 // run.WithResume opens an existing run store, refuses mismatched settings
-// (store.ErrMismatch), and continues the stored exploration. run.WithDedup
-// turns on state deduplication. run.WithTraceDir captures durable execution
-// traces (the tracer is created and sealed inside this call).
+// (store.ErrMismatch), and continues the stored exploration; run.WithLedger
+// joins a multi-process work ledger; run.WithTraceDir captures durable
+// execution traces. Engine.Attach opens all of it and Engine.Close releases
+// it before this call returns.
 func CheckWith(ctx context.Context, opts ...run.Option) (*Outcome, error) {
 	s := run.NewSettings(opts...)
-	eng := &Engine{
-		Workers:         s.Workers,
-		Dedup:           s.Dedup,
-		CheckpointEvery: s.CheckpointEvery,
-		Metrics:         s.Metrics,
-		Events:          s.Events,
+	eng := &Engine{}
+	if err := eng.Attach(s); err != nil {
+		return nil, err
 	}
-	cfg := ConfigFrom(s)
-	switch {
-	case s.LedgerDir != "":
-		if s.Resume != "" || s.CheckpointDir != "" {
-			return nil, fmt.Errorf("explore: the work ledger is the durable state of a distributed run; it cannot be combined with checkpointing or resume")
-		}
-		l, err := JoinLedger(cfg, s, eng.Exhaustive, eng.Dedup)
-		if err != nil {
-			return nil, err
-		}
-		eng.Ledger = l
-	case s.Resume != "":
-		st, err := store.Open(s.Resume)
-		if err != nil {
-			return nil, err
-		}
-		m, err := ManifestFor(cfg, eng.Exhaustive, eng.Dedup)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		if err := st.Verify(m); err != nil {
-			st.Close()
-			return nil, err
-		}
-		eng.Store = st
-	case s.CheckpointDir != "":
-		m, err := ManifestFor(cfg, eng.Exhaustive, eng.Dedup)
-		if err != nil {
-			return nil, err
-		}
-		st, err := store.Create(s.CheckpointDir, m)
-		if err != nil {
-			return nil, err
-		}
-		eng.Store = st
-	}
-	if s.TraceDir != "" {
-		tr, err := NewTracerFor(s)
-		if err != nil {
-			if eng.Store != nil {
-				eng.Store.Close()
-			}
-			return nil, err
-		}
-		eng.Tracer = tr
-	}
-	out, err := eng.Check(ctx, cfg)
-	if cerr := eng.Tracer.Close(); cerr != nil && err == nil {
+	out, err := eng.Check(ctx, s)
+	if cerr := eng.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	if eng.Store != nil {
-		// Release the run-directory owner lock so a later process (or a
-		// resume) is not refused while this one lingers.
-		if cerr := eng.Store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	return out, err
-}
-
-// WorkerIDFor returns the effective ledger participant id for the settings:
-// the configured WorkerID, or the canonical "host:pid" default.
-func WorkerIDFor(s *run.Settings) string {
-	if s.WorkerID != "" {
-		return s.WorkerID
-	}
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "worker"
-	}
-	return fmt.Sprintf("%s:%d", host, os.Getpid())
-}
-
-// JoinLedger joins (or creates) the work ledger in s.LedgerDir and binds the
-// run directory to these settings: the first participant commits a manifest
-// carrying the ledger epoch; every later participant must present identical
-// settings and is refused (store.ErrMismatch) otherwise — two processes
-// silently sweeping different execution spaces into one ledger would merge
-// to garbage.
-func JoinLedger(cfg Config, s *run.Settings, exhaustive, dedup bool) (*ledger.Ledger, error) {
-	l, _, err := ledger.Join(s.LedgerDir, WorkerIDFor(s), s.LeaseTTL)
-	if err != nil {
-		return nil, err
-	}
-	m, err := ManifestFor(cfg, exhaustive, dedup)
-	if err != nil {
-		return nil, err
-	}
-	m.LedgerEpoch = l.Epoch()
-	st, err := store.CreateShared(s.LedgerDir, m)
-	if errors.Is(err, fs.ErrExist) {
-		if st, err = store.OpenShared(s.LedgerDir); err != nil {
-			return nil, err
-		}
-		if verr := st.Verify(m); verr != nil {
-			st.Close()
-			return nil, verr
-		}
-	} else if err != nil {
-		return nil, err
-	}
-	st.Close()
-	return l, nil
-}
-
-// Check exhaustively explores the execution tree and returns the outcome.
-// It is the sequential reference implementation: the parallel Engine
-// enumerates the same leaves and is checked against it.
-func Check(cfg Config) (*Outcome, error) {
-	kind, cap, compiled, err := cfg.prepare()
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Outcome{Workers: 1}
-	c := &chooser{}
-	es := newExecState(cfg, kind, compiled, c, nil)
-	defer es.close()
-	for out.Executions < cap {
-		c.arity = c.arity[:0]
-		c.pos = 0
-		verdict, stats, pruned, err := es.runLeaf(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		if pruned {
-			// Sleep-blocked node (reduction): the whole subtree below the
-			// pruned prefix is covered below an earlier sibling. Backtrack
-			// past it without counting an execution.
-			if es.prunedAt <= c.lb {
-				out.Complete = true
-				return out, nil
-			}
-			c.path = c.path[:es.prunedAt]
-			c.arity = c.arity[:es.prunedAt]
-			if !c.next() {
-				out.Complete = true
-				return out, nil
-			}
-			continue
-		}
-		out.Executions++
-		if stats.maxSteps > out.MaxProcSteps {
-			out.MaxProcSteps = stats.maxSteps
-		}
-		if stats.faults > out.MaxFaults {
-			out.MaxFaults = stats.faults
-		}
-		if !verdict.OK() {
-			out.Violation = es.counterexample(verdict)
-			return out, nil
-		}
-		if !c.next() {
-			out.Complete = true
-			return out, nil
-		}
-	}
-	return out, nil
 }
 
 type runStats struct {
@@ -482,15 +289,15 @@ type runStats struct {
 }
 
 // execState is the reusable replay machinery of one enumeration loop (one
-// sequential Check, or one engine worker): the fault budget, the object
-// bank, the simulator arena with its pre-bound programs, the trace log, the
-// schedule buffer, and the verdict evaluator. All of it is allocated once
-// and reset per leaf — replaying a leaf used to allocate ~84 objects
-// (closures, bank, channels, goroutines, slices); at millions of leaves the
-// allocator and scheduler churn dominated the engine's profile and made
-// worker scaling negative.
+// engine worker, or one replay): the fault budget, the object bank, the
+// simulator arena with its pre-bound programs, the trace log, the schedule
+// buffer, and the verdict evaluator. All of it is allocated once and reset
+// per leaf — replaying a leaf used to allocate ~84 objects (closures, bank,
+// channels, goroutines, slices); at millions of leaves the allocator and
+// scheduler churn dominated the engine's profile and made worker scaling
+// negative.
 type execState struct {
-	cfg  Config
+	s    *run.Settings
 	kind fault.Kind
 	c    *chooser
 	dh   *dedupHandle // nil without dedup
@@ -523,14 +330,14 @@ type execState struct {
 }
 
 // newExecState builds the replay machinery for one enumeration loop driven
-// by the given chooser. compiled must come from Config.prepare (callers may
-// not request a compiled form the protocol does not provide). Callers must
+// by the given chooser. compiled must come from prepare (callers may not
+// request a compiled form the protocol does not provide). Callers must
 // close the state to release the arena's goroutines (a no-op on the
 // compiled path, which holds none).
-func newExecState(cfg Config, kind fault.Kind, compiled bool, c *chooser, dh *dedupHandle) *execState {
-	es := &execState{cfg: cfg, kind: kind, compiled: compiled, c: c, dh: dh}
-	es.budget = fault.NewFixedBudget(cfg.FaultyObjects, cfg.FaultsPerObject)
-	policy := cfg.FixedPolicy
+func newExecState(s *run.Settings, kind fault.Kind, compiled bool, c *chooser, dh *dedupHandle) *execState {
+	es := &execState{s: s, kind: kind, compiled: compiled, c: c, dh: dh}
+	es.budget = fault.NewFixedBudget(s.FaultyObjects, s.FaultsPerObject)
+	policy := s.Policy
 	if policy == nil {
 		policy = fault.PolicyFunc(func(op fault.Op) fault.Proposal {
 			if !es.budget.Admits(op.Object) || !observable(es.kind, op) {
@@ -542,40 +349,40 @@ func newExecState(cfg Config, kind fault.Kind, compiled bool, c *chooser, dh *de
 			return fault.NoFault
 		})
 	}
-	es.bank = object.NewBank(cfg.Protocol.Objects(), es.budget, policy)
+	es.bank = object.NewBank(s.Protocol.Objects(), es.budget, policy)
 	es.log = trace.New()
-	es.eval = run.NewEvaluator(cfg.Inputs)
+	es.eval = run.NewEvaluator(s.Inputs)
 
-	limit := cfg.StepLimit
+	limit := s.StepLimit
 	if limit <= 0 {
-		limit = cfg.Protocol.StepBound(len(cfg.Inputs))
+		limit = s.Protocol.StepBound(len(s.Inputs))
 	}
 	if dh != nil {
 		es.tracker = dh.tracker
 	}
-	if cfg.Reduce != run.ReduceOff {
+	if s.Reduce != run.ReduceOff {
 		if es.tracker == nil {
-			es.tracker = dedup.NewTracker(cfg.Protocol.Objects(), cfg.Inputs, true)
+			es.tracker = dedup.NewTracker(s.Protocol.Objects(), s.Inputs, true)
 		}
-		es.red = newReducer(cfg.Reduce, kind, len(cfg.Inputs), es.tracker, es.budget)
+		es.red = newReducer(s.Reduce, kind, len(s.Inputs), es.tracker, es.budget)
 	}
 	var observer func(trace.Event)
 	if es.tracker != nil {
 		observer = es.tracker.Observe
 	}
 	if compiled {
-		stepper, ok := core.Compile(cfg.Protocol)
+		stepper, ok := core.Compile(s.Protocol)
 		if !ok {
-			panic(fmt.Sprintf("explore: compiled execution of %s, which has no Stepper", cfg.Protocol.Name()))
+			panic(fmt.Sprintf("explore: compiled execution of %s, which has no Stepper", s.Protocol.Name()))
 		}
-		prog := run.NewSteppedExec(stepper, es.bank, cfg.Inputs)
+		prog := run.NewSteppedExec(stepper, es.bank, s.Inputs)
 		if es.red != nil {
 			es.red.pendingOf = prog.Pending
 			es.red.footprintOf = prog.Footprint
 		}
-		es.stepped = sim.NewStepped(len(cfg.Inputs))
+		es.stepped = sim.NewStepped(len(s.Inputs))
 		es.steppedCfg = sim.SteppedConfig{
-			Procs:     len(cfg.Inputs),
+			Procs:     len(s.Inputs),
 			Program:   prog,
 			Scheduler: sim.SchedulerFunc(es.schedNext),
 			StepLimit: limit,
@@ -584,12 +391,12 @@ func newExecState(cfg Config, kind fault.Kind, compiled bool, c *chooser, dh *de
 		}
 		return es
 	}
-	es.arena = sim.NewArena(len(cfg.Inputs))
+	es.arena = sim.NewArena(len(s.Inputs))
 	if es.red != nil {
 		es.red.pendingOf = es.arena.Pending
 	}
 	es.simCfg = sim.Config{
-		Programs:  run.BoundPrograms(cfg.Protocol, es.bank, cfg.Inputs, es.arena.Procs()),
+		Programs:  run.BoundPrograms(s.Protocol, es.bank, s.Inputs, es.arena.Procs()),
 		Scheduler: sim.SchedulerFunc(es.schedNext),
 		StepLimit: limit,
 		Log:       es.log,
@@ -718,6 +525,6 @@ func (es *execState) counterexample(verdict run.Verdict) *Counterexample {
 		Schedule: append([]int(nil), es.schedule...),
 		Verdict:  verdict,
 		Trace:    es.log.Clone(),
-		Inputs:   es.cfg.Inputs,
+		Inputs:   es.s.Inputs,
 	}
 }

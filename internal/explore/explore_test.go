@@ -1,7 +1,9 @@
 package explore
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -16,8 +18,39 @@ func inputs(n int) []int64 {
 	return in
 }
 
+// with returns a copy of s with the options applied; s is left untouched.
+func with(s *run.Settings, opts ...run.Option) *run.Settings {
+	c := *s
+	for _, opt := range opts {
+		opt(&c)
+	}
+	return &c
+}
+
+// check explores s on the engine with one worker — leaves in lexicographic
+// order, the sequential enumeration — unless s names a worker count.
+func check(s *run.Settings) (*Outcome, error) {
+	if s.Workers == 0 {
+		s = with(s, run.WithWorkers(1))
+	}
+	return (&Engine{}).Check(context.Background(), s)
+}
+
+// findMinimal is Engine.FindMinimal with one worker.
+func findMinimal(s *run.Settings) (*Counterexample, *Outcome, error) {
+	return (&Engine{}).FindMinimal(context.Background(), with(s, run.WithWorkers(1)))
+}
+
+// dedupIf sets Settings.Dedup to on.
+func dedupIf(on bool) run.Option { return func(s *run.Settings) { s.Dedup = on } }
+
+// checkpointEvery sets the checkpoint period of an engine with a Store.
+func checkpointEvery(d time.Duration) run.Option {
+	return func(s *run.Settings) { s.CheckpointEvery = d }
+}
+
 func TestExhaustiveSingleCASTwoProcsFaultFree(t *testing.T) {
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol: core.SingleCAS{},
 		Inputs:   inputs(2),
 	})
@@ -40,7 +73,7 @@ func TestExhaustiveTheorem4(t *testing.T) {
 	// Theorem 4, verified exhaustively: a single CAS object with
 	// unboundedly many overriding faults solves consensus for two
 	// processes under EVERY schedule and fault pattern.
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
@@ -63,7 +96,7 @@ func TestExhaustiveTheorem4(t *testing.T) {
 func TestExhaustiveTheorem18Instance(t *testing.T) {
 	// Theorem 18 instance: three processes on one CAS object with
 	// unbounded overriding faults. The checker must find a violation.
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
@@ -88,7 +121,7 @@ func TestExhaustiveTheorem5SmallInstance(t *testing.T) {
 	// two and three processes, every faulty-object choice.
 	for _, faulty := range [][]int{{0}, {1}} {
 		for _, n := range []int{2, 3} {
-			out, err := Check(Config{
+			out, err := check(&run.Settings{
 				Protocol:        core.NewFPlusOne(1),
 				Inputs:          inputs(n),
 				FaultyObjects:   faulty,
@@ -110,7 +143,7 @@ func TestExhaustiveTheorem5SmallInstance(t *testing.T) {
 func TestExhaustiveTheorem6SmallestInstance(t *testing.T) {
 	// Figure 3 with f=1, t=1, n=2: one object, itself faulty, one
 	// overriding fault. Verified over the complete execution tree.
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
@@ -133,7 +166,7 @@ func TestExhaustiveTheorem6SmallestInstance(t *testing.T) {
 func TestExhaustiveTheorem19Instance(t *testing.T) {
 	// Theorem 19 instance: Figure 3 sized for f=1, t=1 runs with
 	// n = f+2 = 3 processes. The checker must find a violation.
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
@@ -154,7 +187,7 @@ func TestExhaustiveTwoProcessAnomalyExtendsToStaged(t *testing.T) {
 	// n=2 — exhaustively. (A finding of this reproduction, used by
 	// experiment E9's commentary; the old value's truthfulness is all two
 	// processes need.)
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
@@ -176,7 +209,7 @@ func TestExhaustiveTwoProcessAnomalyExtendsToStaged(t *testing.T) {
 }
 
 func TestExhaustiveSilentRetry(t *testing.T) {
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol:        core.NewSilentRetry(2),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
@@ -195,7 +228,7 @@ func TestExhaustiveSilentRetry(t *testing.T) {
 }
 
 func TestExhaustiveSilentUnboundedLivelock(t *testing.T) {
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol:        core.NewSilentRetry(1), // believes B=1
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
@@ -223,12 +256,12 @@ func TestExhaustiveMixedFaultKinds(t *testing.T) {
 		0: fault.WhenEffective(fault.Always(fault.Overriding)),
 		1: fault.WhenEffective(fault.Always(fault.Silent)),
 	})
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol:        core.NewFPlusOne(2),
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0, 1},
 		FaultsPerObject: fault.Unbounded,
-		FixedPolicy:     mixed,
+		Policy:          mixed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +278,7 @@ func TestExhaustiveMixedFaultKinds(t *testing.T) {
 }
 
 func TestCheckCapReportsIncomplete(t *testing.T) {
-	out, err := Check(Config{
+	out, err := check(&run.Settings{
 		Protocol:        core.NewStaged(2, 1),
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0, 1},
@@ -264,29 +297,29 @@ func TestCheckCapReportsIncomplete(t *testing.T) {
 }
 
 func TestCheckValidation(t *testing.T) {
-	if _, err := Check(Config{Inputs: inputs(1)}); err == nil {
+	if _, err := check(&run.Settings{Inputs: inputs(1)}); err == nil {
 		t.Error("missing protocol must error")
 	}
-	if _, err := Check(Config{Protocol: core.SingleCAS{}}); err == nil {
+	if _, err := check(&run.Settings{Protocol: core.SingleCAS{}}); err == nil {
 		t.Error("missing inputs must error")
 	}
-	if _, err := Check(Config{Protocol: core.SingleCAS{}, Inputs: inputs(1), Kind: fault.Arbitrary}); err == nil {
+	if _, err := check(&run.Settings{Protocol: core.SingleCAS{}, Inputs: inputs(1), Kind: fault.Arbitrary}); err == nil {
 		t.Error("unsupported fault kind must error")
 	}
 }
 
 func TestStressSeedDeterminism(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: 1,
 	}
-	a, err := Stress(cfg, 40, 7)
+	a, err := stress(&cfg, 40, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Stress(cfg, 40, 7)
+	b, err := stress(&cfg, 40, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +329,7 @@ func TestStressSeedDeterminism(t *testing.T) {
 }
 
 func TestStressFindsKnownViolation(t *testing.T) {
-	out, err := Stress(Config{
+	out, err := stress(&run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
@@ -317,7 +350,7 @@ func TestStressFindsKnownViolation(t *testing.T) {
 }
 
 func TestStressCleanConfigStaysClean(t *testing.T) {
-	out, err := Stress(Config{
+	out, err := stress(&run.Settings{
 		Protocol:        core.NewStaged(2, 1),
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0, 1},
@@ -335,10 +368,10 @@ func TestStressCleanConfigStaysClean(t *testing.T) {
 }
 
 func TestStressValidation(t *testing.T) {
-	if _, err := Stress(Config{Inputs: inputs(1)}, 1, 0); err == nil {
+	if _, err := stress(&run.Settings{Inputs: inputs(1)}, 1, 0); err == nil {
 		t.Error("missing protocol must error")
 	}
-	if _, err := Stress(Config{Protocol: core.SingleCAS{}}, 1, 0); err == nil {
+	if _, err := stress(&run.Settings{Protocol: core.SingleCAS{}}, 1, 0); err == nil {
 		t.Error("missing inputs must error")
 	}
 }

@@ -5,15 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dedup"
-	"repro/internal/fault"
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/run"
 	"repro/internal/store"
 )
 
@@ -34,70 +32,28 @@ const exportLowWater = 4
 // The returned Outcome describes THIS process's contribution (its
 // executions, its best counterexample candidate); the global verdict is
 // the ledger merge (FinalizeLedger), identical to a single-process run.
-func (e *Engine) checkLedger(ctx context.Context, cfg Config) (*Outcome, error) {
-	kind, cap, compiled, err := cfg.prepare()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.FixedPolicy != nil {
-		return nil, fmt.Errorf("explore: the ledger requires the checker's own fault policy, not FixedPolicy")
-	}
-	if e.Store != nil {
-		return nil, fmt.Errorf("explore: Ledger and Store are mutually exclusive — published results are the ledger's durable state")
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	reg := e.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	leaseSize := int64(e.LeaseSize)
-	if leaseSize <= 0 {
-		leaseSize = DefaultLeaseSize
-	}
-	m := newRunMetrics(reg, workers)
-	reg.Gauge("explore.workers").Set(int64(workers))
-	var set *dedup.Set
-	if e.Dedup {
-		set = dedup.NewSet(0)
-		set.Register(reg)
-	}
-	e.Ledger.Instrument(reg, e.Events)
-
-	pr := &ledgerProcess{
-		eng: e, cfg: cfg, kind: kind, compiled: compiled,
-		cap: cap, workers: workers, leaseSize: leaseSize,
-		m: m, set: set, reg: reg, ev: e.Events, start: time.Now(),
-	}
-	pr.base.execs = m.execs.Load()
-	pr.base.violations = m.violations.Load()
-	pr.base.donations = m.donations.Load()
-	pr.base.steals = m.steals.Load()
+func (e *Engine) checkLedger(ctx context.Context, env *runEnv) (*Outcome, error) {
+	e.Ledger.Instrument(env.reg, env.ev)
+	pr := &ledgerProcess{eng: e, runEnv: env, scope: env.newScope()}
 	// Stamp every span this process records with its fleet identity, so
 	// exported spans from different OS processes correlate by (worker,
 	// ledger epoch) alongside the per-claim (id, epoch) args.
 	rec := e.Tracer.Recorder()
 	rec.Annotate("worker", e.Ledger.Owner())
 	rec.Annotate("ledger_epoch", e.Ledger.Epoch())
-	stopProgress := pr.startProgress()
+	stopProgress := e.startProgress(ctx, env, &pr.scope, pr.pending)
 	defer stopProgress()
-	stopSnapshots := pr.startSnapshots()
+	stopSnapshots := pr.startSnapshots(ctx)
 	defer stopSnapshots()
-	pr.ev.Emit(obs.Info, "run.start", map[string]any{
-		"workers": workers, "cap": cap, "dedup": e.Dedup,
+	env.ev.Emit(obs.Info, "run.start", map[string]any{
+		"workers": env.workers, "cap": env.cap, "dedup": env.set != nil,
 		"ledger": true, "owner": e.Ledger.Owner(),
 	})
 
 	drained := false
 	capped := false
-	var runErr error
 loop:
-	for {
-		if ctx.Err() != nil {
-			break
-		}
+	for ctx.Err() == nil {
 		if pr.budget() <= 0 {
 			capped = true
 			break
@@ -110,75 +66,34 @@ loop:
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			break loop
 		case err != nil:
-			runErr = err
-			break loop
+			return nil, err
 		}
 		co, err := pr.runClaim(ctx, lease)
 		if err != nil {
-			runErr = err
-			break loop
+			return nil, err
 		}
 		if co.capped {
 			capped = true
-			break loop
+			break
 		}
 		if co.published {
-			pr.fold(co)
+			pr.merge(co.findings, e.Exhaustive)
 		}
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	out := &Outcome{
-		Executions:       int(m.execs.Load() - pr.base.execs),
-		Violation:        pr.best,
-		MaxProcSteps:     pr.maxSteps,
-		MaxFaults:        pr.maxFaults,
-		Workers:          workers,
-		Elapsed:          time.Since(pr.start),
-		ViolationLatency: pr.firstAt,
-		Donations:        m.donations.Load() - pr.base.donations,
-		Steals:           m.steals.Load() - pr.base.steals,
-	}
-	if set != nil {
-		st := set.Stats()
-		out.Dedup = &st
-	}
-	if err := ctx.Err(); err != nil {
-		pr.ev.Emit(obs.Warn, "run.done", map[string]any{
-			"executions": out.Executions, "complete": false, "cancelled": true,
-			"ledger": true, "elapsed_ms": out.Elapsed.Milliseconds(),
-		})
-		return out, err
-	}
+	out := env.outcome(&pr.scope, pr.findings)
 	// Drained means GLOBALLY complete: no tasks, no leases, every subtree's
 	// result published. Mirror Check's semantics for the violation case.
-	out.Complete = drained && !capped && (pr.best == nil || e.Exhaustive)
-	pr.ev.Emit(obs.Info, "run.done", map[string]any{
-		"executions": out.Executions, "complete": out.Complete, "drained": drained,
-		"capped": capped, "ledger": true, "elapsed_ms": out.Elapsed.Milliseconds(),
-	})
-	return out, nil
+	return env.finish(ctx, &pr.scope, out, drained && !capped && (pr.best == nil || e.Exhaustive),
+		map[string]any{"ledger": true, "drained": drained, "capped": capped})
 }
 
 // ledgerProcess is the per-OS-process state of a distributed exploration:
-// the process-scoped counter bases (claims come and go, the registry
-// accumulates) and the fold of published claim outcomes.
+// the shared run environment, the process-wide scope (claims come and go,
+// the registry accumulates), and the findings of published claims.
 type ledgerProcess struct {
-	eng       *Engine
-	cfg       Config
-	kind      fault.Kind
-	compiled  bool
-	cap       int
-	workers   int
-	leaseSize int64
-	m         *runMetrics
-	set       *dedup.Set
-	reg       *obs.Registry
-	ev        *obs.Log
-	start     time.Time
-	base      struct{ execs, violations, donations, steals int64 }
+	eng *Engine
+	*runEnv
+	scope
 
 	cur atomic.Pointer[engineRun] // the live claim's run, for progress
 	// claim is the live claim as published in fleet snapshots. Updated
@@ -187,10 +102,7 @@ type ledgerProcess struct {
 	// the Lease struct the heartbeat mutates in place.
 	claim atomic.Pointer[obs.ClaimInfo]
 
-	best      *Counterexample // best across PUBLISHED claims only
-	firstAt   time.Duration
-	maxSteps  int
-	maxFaults int
+	findings // merged across PUBLISHED claims only
 }
 
 // budget is the process's remaining execution allowance: its cap minus
@@ -199,42 +111,19 @@ func (pr *ledgerProcess) budget() int64 {
 	return int64(pr.cap) - (pr.m.execs.Load() - pr.base.execs)
 }
 
-// fold merges a published claim's outcome into the process aggregate.
-func (pr *ledgerProcess) fold(co *claimOutcome) {
-	if co.maxSteps > pr.maxSteps {
-		pr.maxSteps = co.maxSteps
+// pending is the live claim's queued subtree count (0 between claims).
+func (pr *ledgerProcess) pending() int {
+	if cur := pr.cur.Load(); cur != nil {
+		return cur.fr.pending()
 	}
-	if co.maxFaults > pr.maxFaults {
-		pr.maxFaults = co.maxFaults
-	}
-	if co.best != nil {
-		if pr.best == nil || (!pr.eng.Exhaustive && lexLess(co.best.Path, pr.best.Path)) ||
-			(pr.eng.Exhaustive && betterExhaustive(co.best, pr.best)) {
-			pr.best = co.best
-		}
-		if pr.firstAt == 0 || (co.firstAt != 0 && co.firstAt < pr.firstAt) {
-			pr.firstAt = co.firstAt
-		}
-	}
-}
-
-func betterExhaustive(cand, cur *Counterexample) bool {
-	if len(cand.Schedule) != len(cur.Schedule) {
-		return len(cand.Schedule) < len(cur.Schedule)
-	}
-	return lexLess(cand.Path, cur.Path)
+	return 0
 }
 
 // claimOutcome is the fate of one ledger claim.
 type claimOutcome struct {
 	published bool // Release succeeded; the claim's counts are in the ledger
-	fenced    bool // superseded mid-claim; all work discarded
-	abandoned bool // returned unfinished (cancellation / cap)
 	capped    bool // the PROCESS budget ran out during this claim
-	best      *Counterexample
-	firstAt   time.Duration
-	maxSteps  int
-	maxFaults int
+	findings
 }
 
 // runClaim enumerates one claimed subtree with the full worker pool. The
@@ -269,36 +158,15 @@ func (pr *ledgerProcess) runClaim(ctx context.Context, lease *ledger.Lease) (*cl
 	rec := pr.eng.Tracer.Recorder()
 	spanStart := rec.Begin()
 
-	r := &engineRun{
-		cfg:         pr.cfg,
-		kind:        pr.kind,
-		compiled:    pr.compiled,
-		cap:         pr.cap,
-		stopOnFirst: !pr.eng.Exhaustive,
-		// Overfill the local frontier by the ledger's low-water mark so
-		// the export pump finds surplus subtrees to give away without
-		// racing local workers for the last queued task.
-		lowWater:  2*pr.workers + exportLowWater,
-		leaseSize: pr.leaseSize,
-		set:       pr.set,
-		tr:        pr.eng.Tracer,
-		start:     time.Now(),
-		cancel:    cancel,
-		m:         pr.m,
-		ev:        pr.ev,
-	}
-	r.base.execs = pr.m.execs.Load()
-	r.base.violations = pr.m.violations.Load()
-	r.base.donations = pr.m.donations.Load()
-	r.base.steals = pr.m.steals.Load()
+	// Overfill the local frontier by the ledger's low-water mark so the
+	// export pump finds surplus subtrees to give away without racing local
+	// workers for the last queued task.
+	r := pr.eng.newRun(pr.runEnv, 2*pr.workers+exportLowWater, cancel)
 	var dedupBase dedup.Stats
 	if pr.set != nil {
 		dedupBase = pr.set.Stats()
 	}
-	r.pool = newCapPool(pr.budget())
-	root := task{path: append([]int(nil), lease.Path...), floor: lease.Floor}
-	r.fr = newFrontier([]task{root}, pr.workers)
-	r.m.depth.Observe(float64(len(root.path)))
+	r.seed([]task{{path: append([]int(nil), lease.Path...), floor: lease.Floor}}, pr.budget())
 	pr.cur.Store(r)
 	defer pr.cur.Store((*engineRun)(nil))
 
@@ -317,126 +185,73 @@ func (pr *ledgerProcess) runClaim(ctx context.Context, lease *ledger.Lease) (*cl
 		})
 	}
 
-	go func() {
-		<-claimCtx.Done()
-		r.fr.abort()
-		r.pool.abort()
-	}()
-
 	// Renewal heartbeat: keep the lease alive at TTL/3; on fencing, stop
 	// the claim immediately — its work can no longer be published.
 	var fenced atomic.Bool
-	hbStop := make(chan struct{})
-	var hb sync.WaitGroup
-	hb.Add(1)
-	go func() {
-		defer hb.Done()
-		period := l.TTL() / 3
-		if period <= 0 {
-			period = time.Second
-		}
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-claimCtx.Done():
-				return
-			case <-tick.C:
-				if err := l.Renew(lease); err != nil {
-					if errors.Is(err, ledger.ErrFenced) {
-						fenced.Store(true)
-						cancel()
-						return
-					}
-					// Transient I/O: the lease may still be within TTL;
-					// retry next tick rather than killing the claim.
-					pr.ev.Emit(obs.Warn, "ledger.renew_error", map[string]any{
-						"id": lease.ID, "err": err.Error(),
-					})
-					continue
-				}
-				// A fresh immutable copy for the snapshot publisher: the
-				// renewed expiry is read here, in the renewing goroutine,
-				// never from the publisher's.
-				pr.claim.Store(&obs.ClaimInfo{
-					ID: lease.ID, Epoch: lease.Epoch,
-					StartedUnixNano:      acquired.UnixNano(),
-					LeaseExpiresUnixNano: lease.ExpiresUnixNano,
-				})
-				pr.ev.Emit(obs.Debug, "claim.renew", map[string]any{
-					"claim": lease.ID, "epoch": lease.Epoch, "worker": l.Owner(),
-					"expires_unix_nano": lease.ExpiresUnixNano,
-				})
+	period := l.TTL() / 3
+	if period <= 0 {
+		period = time.Second
+	}
+	stopRenew := every(claimCtx, period, func(time.Time) bool {
+		if err := l.Renew(lease); err != nil {
+			if errors.Is(err, ledger.ErrFenced) {
+				fenced.Store(true)
+				cancel()
+				return false
 			}
+			// Transient I/O: the lease may still be within TTL; retry
+			// next tick rather than killing the claim.
+			pr.ev.Emit(obs.Warn, "ledger.renew_error", map[string]any{
+				"id": lease.ID, "err": err.Error(),
+			})
+			return true
 		}
-	}()
+		// A fresh immutable copy for the snapshot publisher: the renewed
+		// expiry is read here, in the renewing goroutine, never from the
+		// publisher's.
+		pr.claim.Store(&obs.ClaimInfo{
+			ID: lease.ID, Epoch: lease.Epoch,
+			StartedUnixNano:      acquired.UnixNano(),
+			LeaseExpiresUnixNano: lease.ExpiresUnixNano,
+		})
+		pr.ev.Emit(obs.Debug, "claim.renew", map[string]any{
+			"claim": lease.ID, "epoch": lease.Epoch, "worker": l.Owner(),
+			"expires_unix_nano": lease.ExpiresUnixNano,
+		})
+		return true
+	})
 	// Export pump: while the ledger offers fewer tasks than other processes
 	// could claim, give away the oldest (largest) queued subtree. The pump
 	// runs at a fraction of the TTL, matching the cadence at which idle
 	// participants poll for work.
-	hb.Add(1)
-	go func() {
-		defer hb.Done()
-		pump := l.TTL() / 20
-		if pump > 50*time.Millisecond {
-			pump = 50 * time.Millisecond
+	pump := min(max(l.TTL()/20, 2*time.Millisecond), 50*time.Millisecond)
+	stopPump := every(claimCtx, pump, func(time.Time) bool {
+		if !l.Starving(exportLowWater) {
+			return true
 		}
-		if pump < 2*time.Millisecond {
-			pump = 2 * time.Millisecond
+		t, ok := r.fr.takeOldest()
+		if !ok {
+			return true
 		}
-		tick := time.NewTicker(pump)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-claimCtx.Done():
-				return
-			case <-tick.C:
-				if !l.Starving(exportLowWater) {
-					continue
-				}
-				t, ok := r.fr.takeOldest()
-				if !ok {
-					continue
-				}
-				if ledger.TaskID(t.path, t.floor) == lease.ID {
-					// The claim's own root task, still queued before any
-					// worker popped it. Exporting it would fence this very
-					// claim; keep it local.
-					r.fr.settleExport(&t)
-					continue
-				}
-				if err := l.Export(lease, t.path, t.floor); err != nil {
-					r.fr.settleExport(&t)
-				} else {
-					r.fr.settleExport(nil)
-				}
-			}
+		switch {
+		case ledger.TaskID(t.path, t.floor) == lease.ID:
+			// The claim's own root task, still queued before any worker
+			// popped it. Exporting it would fence this very claim; keep it
+			// local.
+			r.fr.settleExport(&t)
+		case l.Export(lease, t.path, t.floor) != nil:
+			r.fr.settleExport(&t)
+		default:
+			r.fr.settleExport(nil)
 		}
-	}()
+		return true
+	})
+	r.runWorkers(claimCtx)
+	stopRenew()
+	stopPump()
 
-	var wg sync.WaitGroup
-	for i := 0; i < pr.workers; i++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r.worker(claimCtx, w)
-		}(i)
-	}
-	wg.Wait()
-	close(hbStop)
-	hb.Wait()
-
-	r.mu.Lock()
-	runErr, best := r.err, r.best
-	maxSteps, maxFaults, firstAt := r.maxSteps, r.maxFaults, r.firstAt
-	r.mu.Unlock()
-	co := &claimOutcome{
-		best: best, firstAt: firstAt, maxSteps: maxSteps, maxFaults: maxFaults,
-	}
+	f, runErr := r.result()
+	co := &claimOutcome{findings: f}
 	abandon := func() error {
 		if err := l.Abandon(lease); err != nil {
 			settle("error")
@@ -458,14 +273,12 @@ func (pr *ledgerProcess) runClaim(ctx context.Context, lease *ledger.Lease) (*cl
 	case fenced.Load():
 		// Renew already dropped the lease; every counter this claim moved
 		// is excluded simply by never publishing.
-		co.fenced = true
 		settle("fenced")
 		return co, nil
 	case ctx.Err() != nil:
 		if err := abandon(); err != nil {
 			return nil, err
 		}
-		co.abandoned = true
 		return co, nil
 	case r.capped.Load():
 		// The PROCESS budget ran out mid-claim: the subtree is not fully
@@ -473,7 +286,6 @@ func (pr *ledgerProcess) runClaim(ctx context.Context, lease *ledger.Lease) (*cl
 		if err := abandon(); err != nil {
 			return nil, err
 		}
-		co.abandoned = true
 		co.capped = true
 		return co, nil
 	}
@@ -481,14 +293,14 @@ func (pr *ledgerProcess) runClaim(ctx context.Context, lease *ledger.Lease) (*cl
 	res := &ledger.Result{
 		Executions:   pr.m.execs.Load() - r.base.execs,
 		Violations:   pr.m.violations.Load() - r.base.violations,
-		MaxProcSteps: maxSteps,
-		MaxFaults:    maxFaults,
+		MaxProcSteps: f.maxSteps,
+		MaxFaults:    f.maxFaults,
 		ElapsedNS:    time.Since(r.start).Nanoseconds(),
 	}
-	if best != nil {
+	if f.best != nil {
 		res.HasBest = true
-		res.BestPath = append([]int(nil), best.Path...)
-		res.BestLen = len(best.Schedule)
+		res.BestPath = append([]int(nil), f.best.Path...)
+		res.BestLen = len(f.best.Schedule)
 	}
 	if pr.set != nil {
 		st := pr.set.Stats()
@@ -496,8 +308,6 @@ func (pr *ledgerProcess) runClaim(ctx context.Context, lease *ledger.Lease) (*cl
 	}
 	switch err := l.Release(lease, res); {
 	case errors.Is(err, ledger.ErrFenced):
-		co.fenced = true
-		co.best = nil
 		settle("fenced")
 		return co, nil
 	case err != nil:
@@ -513,61 +323,6 @@ func (pr *ledgerProcess) runClaim(ctx context.Context, lease *ledger.Lease) (*cl
 	return co, nil
 }
 
-// startProgress reports process-cumulative throughput across claims (the
-// per-claim engineRuns come and go; the ticker outlives them all).
-func (pr *ledgerProcess) startProgress() func() {
-	e := pr.eng
-	if e.Progress == nil {
-		return func() {}
-	}
-	every := e.ProgressEvery
-	if every <= 0 {
-		every = 2 * time.Second
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		var lastExecs int64
-		lastTime := pr.start
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-tick.C:
-				execs := pr.m.execs.Load() - pr.base.execs
-				rate := float64(execs-lastExecs) / now.Sub(lastTime).Seconds()
-				lastExecs, lastTime = execs, now
-				p := Progress{
-					Executions: execs,
-					Rate:       rate,
-					Violations: pr.m.violations.Load() - pr.base.violations,
-					Elapsed:    time.Since(pr.start),
-					Donations:  pr.m.donations.Load() - pr.base.donations,
-					Steals:     pr.m.steals.Load() - pr.base.steals,
-				}
-				if cur := pr.cur.Load(); cur != nil {
-					p.Frontier = cur.fr.pending()
-				}
-				if pr.set != nil {
-					p.Dedup = pr.set.Stats()
-				}
-				if snap := pr.m.depth.Snapshot(); snap.Count > 0 {
-					p.DepthP50 = snap.Quantile(0.5)
-					p.DepthP99 = snap.Quantile(0.99)
-				}
-				e.Progress(p)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-exited
-	}
-}
-
 // startSnapshots periodically publishes this worker's fleet snapshot —
 // registry dump, heartbeat, current claim — into <run>/obs/ via the
 // store's atomic write discipline, at the lease renewal cadence (TTL/3).
@@ -575,9 +330,9 @@ func (pr *ledgerProcess) startProgress() func() {
 // cleanly exited worker shows its full contribution rather than a stale
 // mid-run heartbeat. Publishing is best-effort: a failed write is a warn
 // event, never a run failure.
-func (pr *ledgerProcess) startSnapshots() func() {
+func (pr *ledgerProcess) startSnapshots(ctx context.Context) func() {
 	e := pr.eng
-	if !e.FleetSnapshots || e.Ledger == nil {
+	if !e.FleetSnapshots {
 		return func() {}
 	}
 	dir, err := store.ObsDir(e.Ledger.RunDir())
@@ -609,26 +364,14 @@ func (pr *ledgerProcess) startSnapshots() func() {
 			pr.ev.Emit(obs.Warn, "fleet.snapshot_error", map[string]any{"err": err.Error()})
 		}
 	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		publish() // an immediately visible worker beats a TTL/3 blind spot
-		for {
-			select {
-			case <-done:
-				publish()
-				return
-			case <-tick.C:
-				publish()
-			}
-		}
-	}()
+	publish() // an immediately visible worker beats a TTL/3 blind spot
+	stop := every(ctx, period, func(time.Time) bool {
+		publish()
+		return true
+	})
 	return func() {
-		close(done)
-		<-exited
+		stop()
+		publish()
 	}
 }
 
@@ -640,7 +383,7 @@ func (pr *ledgerProcess) startSnapshots() func() {
 // mode-least violating path. It refuses (*ledger.IncompleteError) while
 // unclaimed tasks or leases remain. Outcome.Workers reports the number of
 // participant processes.
-func FinalizeLedger(cfg Config, runDir string, exhaustive bool) (*Outcome, *ledger.Merged, error) {
+func FinalizeLedger(s *run.Settings, runDir string, exhaustive bool) (*Outcome, *ledger.Merged, error) {
 	m, err := ledger.Merge(runDir, exhaustive)
 	if err != nil {
 		return nil, nil, err
@@ -654,7 +397,7 @@ func FinalizeLedger(cfg Config, runDir string, exhaustive bool) (*Outcome, *ledg
 		Complete:     !m.Capped && (!m.HasBest || exhaustive),
 	}
 	if m.HasBest {
-		ce, err := Replay(cfg, m.BestPath)
+		ce, err := Replay(s, m.BestPath)
 		if err != nil {
 			return nil, nil, fmt.Errorf("explore: finalize: replaying merged counterexample: %w", err)
 		}

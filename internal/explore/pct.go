@@ -1,138 +1,52 @@
 package explore
 
 import (
-	"fmt"
 	"math/rand"
 
-	"repro/internal/fault"
 	"repro/internal/object"
 	"repro/internal/run"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
-// StressPCTWith is the unified-options form of StressPCT.
-func StressPCTWith(runs int, seed int64, depth, stepEstimate int, opts ...run.Option) (*StressOutcome, error) {
-	return StressPCT(ConfigFrom(run.NewSettings(opts...)), runs, seed, depth, stepEstimate)
-}
-
-// StressPCT samples executions like Stress but schedules each run with a
-// PCT scheduler (random priorities, depth−1 priority change points) instead
-// of a uniform random walk. The paper's impossibility executions are long
-// solo bursts punctuated by a few targeted preemptions — exactly the
+// StressPCTWith samples executions like StressWith but schedules each run
+// with a PCT scheduler (random priorities, depth−1 priority change points)
+// instead of a uniform random walk. The paper's impossibility executions are
+// long solo bursts punctuated by a few targeted preemptions — exactly the
 // schedule shape PCT generates — so for deep violations (e.g. the covering
 // execution of Theorem 19 at f ≥ 2) PCT reaches them orders of magnitude
 // sooner than uniform sampling. stepEstimate bounds where change points are
 // drawn (0 picks a default from the protocol's solo execution length).
-func StressPCT(cfg Config, runs int, seed int64, depth, stepEstimate int) (*StressOutcome, error) {
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("explore: no protocol")
-	}
-	if len(cfg.Inputs) == 0 {
-		return nil, fmt.Errorf("explore: no inputs")
-	}
-	kind := cfg.Kind
-	if kind == fault.None {
-		kind = fault.Overriding
+func StressPCTWith(runs int, seed int64, depth, stepEstimate int, opts ...run.Option) (*StressOutcome, error) {
+	return stressPCT(run.NewSettings(opts...), runs, seed, depth, stepEstimate)
+}
+
+func stressPCT(s *run.Settings, runs int, seed int64, depth, stepEstimate int) (*StressOutcome, error) {
+	kind, err := sampleKind(s)
+	if err != nil {
+		return nil, err
 	}
 	if stepEstimate <= 0 {
 		// A solo run is the natural length scale of a PCT burst; the
 		// cheap estimate below is the step count of an uncontended
 		// fault-free execution times the process count.
-		stepEstimate = soloSteps(cfg) * len(cfg.Inputs)
-		if stepEstimate < 8 {
-			stepEstimate = 8
-		}
+		stepEstimate = max(soloSteps(s)*len(s.Inputs), 8)
 	}
-
 	rng := rand.New(rand.NewSource(seed))
-	out := &StressOutcome{}
-	for i := 0; i < runs; i++ {
-		sched := sim.NewPCT(rng.Int63(), stepEstimate, depth)
-		ce, verdict, stats, err := stressOnceSched(cfg, kind, rng, sched)
-		if err != nil {
-			return nil, err
-		}
-		out.Runs++
-		out.TotalFaults += stats.faults
-		if stats.maxSteps > out.MaxProcSteps {
-			out.MaxProcSteps = stats.maxSteps
-		}
-		if !verdict.OK() {
-			out.Violations++
-			if out.First == nil {
-				out.First = ce
-			}
-		}
-	}
-	return out, nil
+	return sampleBatch(s, kind, runs, rng, func() sim.Scheduler {
+		return sim.NewPCT(rng.Int63(), stepEstimate, depth)
+	})
 }
 
 // soloSteps measures the fault-free solo execution length of the protocol.
-func soloSteps(cfg Config) int {
-	bank := object.NewBank(cfg.Protocol.Objects(), nil, nil)
+func soloSteps(s *run.Settings) int {
+	bank := object.NewBank(s.Protocol.Objects(), nil, nil)
 	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(cfg.Protocol, bank, cfg.Inputs[:1]),
+		Programs:  run.Programs(s.Protocol, bank, s.Inputs[:1]),
 		Scheduler: sim.NewRoundRobin(),
-		StepLimit: cfg.Protocol.StepBound(1),
+		StepLimit: s.Protocol.StepBound(1),
 	})
 	if err != nil || len(res.Steps) == 0 {
 		return 8
 	}
 	return res.Steps[0]
-}
-
-// stressOnceSched is stressOnce with a caller-supplied scheduler (fault
-// decisions still drawn from rng).
-func stressOnceSched(cfg Config, kind fault.Kind, rng *rand.Rand, inner sim.Scheduler) (*Counterexample, run.Verdict, runStats, error) {
-	budget := fault.NewFixedBudget(cfg.FaultyObjects, cfg.FaultsPerObject)
-	policy := fault.PolicyFunc(func(op fault.Op) fault.Proposal {
-		if !budget.Admits(op.Object) || !observable(kind, op) {
-			return fault.NoFault
-		}
-		if rng.Intn(2) == 1 {
-			return fault.Proposal{Kind: kind}
-		}
-		return fault.NoFault
-	})
-
-	bank := object.NewBank(cfg.Protocol.Objects(), budget, policy)
-	var schedule []int
-	sched := sim.SchedulerFunc(func(enabled []int) (int, bool) {
-		pick, ok := inner.Next(enabled)
-		if ok {
-			schedule = append(schedule, pick)
-		}
-		return pick, ok
-	})
-
-	limit := cfg.StepLimit
-	if limit <= 0 {
-		limit = cfg.Protocol.StepBound(len(cfg.Inputs))
-	}
-	log := trace.New()
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(cfg.Protocol, bank, cfg.Inputs),
-		Scheduler: sched,
-		StepLimit: limit,
-		Log:       log,
-	})
-	if err != nil && res == nil {
-		return nil, run.Verdict{}, runStats{}, err
-	}
-
-	stats := runStats{faults: budget.TotalFaults()}
-	for _, s := range res.Steps {
-		if s > stats.maxSteps {
-			stats.maxSteps = s
-		}
-	}
-	verdict := run.Evaluate(cfg.Inputs, res, err)
-	ce := &Counterexample{
-		Schedule: schedule,
-		Verdict:  verdict,
-		Trace:    log,
-		Inputs:   cfg.Inputs,
-	}
-	return ce, verdict, stats, nil
 }

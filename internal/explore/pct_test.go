@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/run"
 )
 
 func TestStressPCTFindsDeepViolation(t *testing.T) {
@@ -12,13 +13,13 @@ func TestStressPCTFindsDeepViolation(t *testing.T) {
 	// solo run, two targeted preemptions with faults, and another solo
 	// run — uniform random walks essentially never produce it (E9
 	// measures 0 in 4000), but PCT's solo bursts find it reliably.
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(2, 1),
 		Inputs:          inputs(4),
 		FaultyObjects:   []int{0, 1},
 		FaultsPerObject: 1,
 	}
-	out, err := StressPCT(cfg, 3000, 1, 3, 0)
+	out, err := stressPCT(&cfg, 3000, 1, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +36,13 @@ func TestStressPCTFindsDeepViolation(t *testing.T) {
 
 func TestStressPCTCleanOnTolerantConfig(t *testing.T) {
 	// Within the budget at n = f+1 PCT must find nothing (Theorem 6).
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(2, 1),
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0, 1},
 		FaultsPerObject: 1,
 	}
-	out, err := StressPCT(cfg, 500, 7, 3, 0)
+	out, err := stressPCT(&cfg, 500, 7, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +55,17 @@ func TestStressPCTCleanOnTolerantConfig(t *testing.T) {
 }
 
 func TestStressPCTSeedDeterminism(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: 1,
 	}
-	a, err := StressPCT(cfg, 100, 5, 2, 0)
+	a, err := stressPCT(&cfg, 100, 5, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := StressPCT(cfg, 100, 5, 2, 0)
+	b, err := stressPCT(&cfg, 100, 5, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +75,16 @@ func TestStressPCTSeedDeterminism(t *testing.T) {
 }
 
 func TestStressPCTValidation(t *testing.T) {
-	if _, err := StressPCT(Config{Inputs: inputs(1)}, 1, 0, 2, 0); err == nil {
+	if _, err := stressPCT(&run.Settings{Inputs: inputs(1)}, 1, 0, 2, 0); err == nil {
 		t.Error("missing protocol must error")
 	}
-	if _, err := StressPCT(Config{Protocol: core.SingleCAS{}}, 1, 0, 2, 0); err == nil {
+	if _, err := stressPCT(&run.Settings{Protocol: core.SingleCAS{}}, 1, 0, 2, 0); err == nil {
 		t.Error("missing inputs must error")
 	}
 }
 
 func TestStressPCTSilentKind(t *testing.T) {
-	out, err := StressPCT(Config{
+	out, err := stressPCT(&run.Settings{
 		Protocol:        core.NewSilentRetry(2),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},

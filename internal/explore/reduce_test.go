@@ -16,7 +16,7 @@ import (
 // the two outcomes must agree on everything reduction promises to preserve.
 type reduceCase struct {
 	name    string
-	cfg     Config
+	cfg     run.Settings
 	violate bool // the full exploration is known to find a violation
 }
 
@@ -25,48 +25,48 @@ type reduceCase struct {
 // same matrix the compiled-vs-interpreted differential sweeps.
 func reduceCases() []reduceCase {
 	return []reduceCase{
-		{"single-cas-clean", Config{
+		{"single-cas-clean", run.Settings{
 			Protocol:        core.SingleCAS{},
 			Inputs:          inputs(2),
 			FaultyObjects:   []int{0},
 			FaultsPerObject: fault.Unbounded,
 		}, false},
-		{"single-cas-violating", Config{
+		{"single-cas-violating", run.Settings{
 			Protocol:        core.SingleCAS{},
 			Inputs:          inputs(3),
 			FaultyObjects:   []int{0},
 			FaultsPerObject: fault.Unbounded,
 		}, true},
-		{"f-plus-one-clean", Config{
+		{"f-plus-one-clean", run.Settings{
 			Protocol:        core.NewFPlusOne(1),
 			Inputs:          inputs(3),
 			FaultyObjects:   []int{0},
 			FaultsPerObject: fault.Unbounded,
 		}, false},
-		{"staged-clean", Config{
+		{"staged-clean", run.Settings{
 			Protocol:        core.NewStaged(1, 1),
 			Inputs:          inputs(2),
 			FaultyObjects:   []int{0},
 			FaultsPerObject: 1,
 		}, false},
-		{"staged-violating", Config{
+		{"staged-violating", run.Settings{
 			Protocol:        core.NewStaged(1, 1),
 			Inputs:          inputs(3),
 			FaultyObjects:   []int{0},
 			FaultsPerObject: 1,
 		}, true},
-		{"f-plus-one-fault-free", Config{
+		{"f-plus-one-fault-free", run.Settings{
 			Protocol: core.NewFPlusOne(1),
 			Inputs:   inputs(3),
 		}, false},
-		{"silent-retry-clean", Config{
+		{"silent-retry-clean", run.Settings{
 			Protocol:        core.NewSilentRetry(2),
 			Inputs:          inputs(2),
 			FaultyObjects:   []int{0},
 			FaultsPerObject: 2,
 			Kind:            fault.Silent,
 		}, false},
-		{"silent-livelock", Config{
+		{"silent-livelock", run.Settings{
 			Protocol:        core.NewSilentRetry(1),
 			Inputs:          inputs(2),
 			FaultyObjects:   []int{0},
@@ -77,9 +77,9 @@ func reduceCases() []reduceCase {
 	}
 }
 
-func mustCheck(t *testing.T, cfg Config) *Outcome {
+func mustCheck(t *testing.T, cfg run.Settings) *Outcome {
 	t.Helper()
-	out, err := Check(cfg)
+	out, err := check(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestReduceAggressiveKeepsVerdict(t *testing.T) {
 // TestReduceAggressiveRefusesInterpreted pins prepare's gate: persistent
 // sets need the step machines' footprints.
 func TestReduceAggressiveRefusesInterpreted(t *testing.T) {
-	_, err := Check(Config{
+	_, err := check(&run.Settings{
 		Protocol: core.SingleCAS{},
 		Inputs:   inputs(2),
 		Exec:     run.ExecInterpreted,
@@ -212,11 +212,11 @@ func TestReduceAggressiveRefusesInterpreted(t *testing.T) {
 // TestReduceRefusesFixedPolicy pins prepare's other gate: the reducer
 // reasons about the checker's own fault branches, not an opaque policy's.
 func TestReduceRefusesFixedPolicy(t *testing.T) {
-	_, err := Check(Config{
-		Protocol:    core.SingleCAS{},
-		Inputs:      inputs(2),
-		FixedPolicy: fault.Always(fault.Overriding),
-		Reduce:      run.ReduceSafe,
+	_, err := check(&run.Settings{
+		Protocol: core.SingleCAS{},
+		Inputs:   inputs(2),
+		Policy:   fault.Always(fault.Overriding),
+		Reduce:   run.ReduceSafe,
 	})
 	if err == nil {
 		t.Fatal("reduction with FixedPolicy must be refused")
@@ -230,15 +230,15 @@ func TestReduceRefusesFixedPolicy(t *testing.T) {
 func TestReduceSymmetryEqualInputs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		cfg  run.Settings
 	}{
-		{"single-cas-n3", Config{
+		{"single-cas-n3", run.Settings{
 			Protocol:        core.SingleCAS{},
 			Inputs:          []int64{7, 7, 7},
 			FaultyObjects:   []int{0},
 			FaultsPerObject: fault.Unbounded,
 		}},
-		{"staged-n2", Config{
+		{"staged-n2", run.Settings{
 			Protocol:        core.NewStaged(1, 1),
 			Inputs:          []int64{7, 7},
 			FaultyObjects:   []int{0},
@@ -281,8 +281,8 @@ func TestReduceEngineMatchesSequential(t *testing.T) {
 			seq := mustCheck(t, cfg)
 
 			for _, workers := range []int{1, 4} {
-				eng := &Engine{Workers: workers}
-				out, err := eng.Check(context.Background(), cfg)
+				eng := &Engine{}
+				out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(workers)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -324,8 +324,8 @@ func TestReduceWithDedup(t *testing.T) {
 
 			rcfg := cfg
 			rcfg.Reduce = run.ReduceSafe
-			eng := &Engine{Workers: 2, Dedup: true}
-			out, err := eng.Check(context.Background(), rcfg)
+			eng := &Engine{}
+			out, err := eng.Check(context.Background(), with(&rcfg, run.WithWorkers(2), run.WithDedup()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -383,7 +383,7 @@ func FuzzReduceNeverMissesViolation(f *testing.F) {
 		if silent {
 			kind = fault.Silent
 		}
-		cfg := Config{
+		cfg := run.Settings{
 			Protocol:        p,
 			Inputs:          in,
 			FaultyObjects:   []int{0},
@@ -392,13 +392,13 @@ func FuzzReduceNeverMissesViolation(f *testing.F) {
 			StepLimit:       12,
 			MaxExecutions:   500_000,
 		}
-		full, err := Check(cfg)
+		full, err := check(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rcfg := cfg
 		rcfg.Reduce = run.ReduceSafe
-		red, err := Check(rcfg)
+		red, err := check(&rcfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,16 +5,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/run"
 )
 
 func TestReplayReproducesCounterexample(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: fault.Unbounded,
 	}
-	out, err := Check(cfg)
+	out, err := check(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestReplayReproducesCounterexample(t *testing.T) {
 		t.Fatal("expected a violation to replay")
 	}
 
-	re, err := Replay(cfg, out.Violation.Path)
+	re, err := Replay(&cfg, out.Violation.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestReplayReproducesCounterexample(t *testing.T) {
 }
 
 func TestReplayEmptyPathIsFirstExecution(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol: core.SingleCAS{},
 		Inputs:   inputs(2),
 	}
-	ce, err := Replay(cfg, nil)
+	ce, err := Replay(&cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,27 +69,27 @@ func TestReplayEmptyPathIsFirstExecution(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	if _, err := Replay(Config{Inputs: inputs(1)}, nil); err == nil {
+	if _, err := Replay(&run.Settings{Inputs: inputs(1)}, nil); err == nil {
 		t.Error("missing protocol must error")
 	}
-	if _, err := Replay(Config{Protocol: core.SingleCAS{}}, nil); err == nil {
+	if _, err := Replay(&run.Settings{Protocol: core.SingleCAS{}}, nil); err == nil {
 		t.Error("missing inputs must error")
 	}
 }
 
 func TestReplayIsDeterministic(t *testing.T) {
-	cfg := Config{
+	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
 		FaultsPerObject: 1,
 	}
 	path := []int{1, 0, 1} // arbitrary prefix into the tree
-	a, err := Replay(cfg, path)
+	a, err := Replay(&cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replay(cfg, path)
+	b, err := Replay(&cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,37 +36,67 @@ func (o *StressOutcome) Rate() float64 {
 	return float64(o.Violations) / float64(o.Runs)
 }
 
-// StressWith is the unified-options form of Stress: the execution space is
-// described by run.With... options instead of a Config literal.
+// StressWith samples the execution tree uniformly at random (both
+// scheduling and fault decisions) for the given number of runs. It is the
+// scalable complement to exhaustive checking for configurations whose trees
+// are too large to enumerate; a deterministic seed makes the whole batch
+// replayable.
 func StressWith(runs int, seed int64, opts ...run.Option) (*StressOutcome, error) {
-	return Stress(ConfigFrom(run.NewSettings(opts...)), runs, seed)
+	return stress(run.NewSettings(opts...), runs, seed)
 }
 
-// SampleWith is the unified-options form of Sample.
-func SampleWith(seed int64, opts ...run.Option) (*Counterexample, error) {
-	return Sample(ConfigFrom(run.NewSettings(opts...)), seed)
-}
-
-// Stress samples the execution tree uniformly at random (both scheduling and
-// fault decisions) for the given number of runs. It is the scalable
-// complement to Check for configurations whose trees are too large to
-// enumerate; a deterministic seed makes the whole batch replayable.
-func Stress(cfg Config, runs int, seed int64) (*StressOutcome, error) {
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("explore: no protocol")
+func stress(s *run.Settings, runs int, seed int64) (*StressOutcome, error) {
+	kind, err := sampleKind(s)
+	if err != nil {
+		return nil, err
 	}
-	if len(cfg.Inputs) == 0 {
-		return nil, fmt.Errorf("explore: no inputs")
-	}
-	kind := cfg.Kind
-	if kind == fault.None {
-		kind = fault.Overriding
-	}
-
 	rng := rand.New(rand.NewSource(seed))
+	return sampleBatch(s, kind, runs, rng, func() sim.Scheduler { return uniform(rng) })
+}
+
+// SampleWith runs one uniformly random execution (scheduling and fault
+// decisions both random, derived from the seed) and returns its record —
+// verdict, schedule, and trace. Use it to tally violation kinds over many
+// seeds where StressWith's aggregate view is not enough.
+func SampleWith(seed int64, opts ...run.Option) (*Counterexample, error) {
+	s := run.NewSettings(opts...)
+	kind, err := sampleKind(s)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ce, _, err := sampleOnce(s, kind, rng, uniform(rng))
+	return ce, err
+}
+
+// uniform schedules a uniformly random enabled process at every step.
+func uniform(rng *rand.Rand) sim.Scheduler {
+	return sim.SchedulerFunc(func(enabled []int) (int, bool) {
+		return enabled[rng.Intn(len(enabled))], true
+	})
+}
+
+// sampleKind validates the settings of a random sampling run and resolves
+// the fault kind it injects.
+func sampleKind(s *run.Settings) (fault.Kind, error) {
+	if s.Protocol == nil {
+		return 0, fmt.Errorf("explore: no protocol")
+	}
+	if len(s.Inputs) == 0 {
+		return 0, fmt.Errorf("explore: no inputs")
+	}
+	if s.Kind == fault.None {
+		return fault.Overriding, nil
+	}
+	return s.Kind, nil
+}
+
+// sampleBatch runs the given number of random executions, each scheduled by
+// a fresh scheduler from next, with fault decisions drawn from rng.
+func sampleBatch(s *run.Settings, kind fault.Kind, runs int, rng *rand.Rand, next func() sim.Scheduler) (*StressOutcome, error) {
 	out := &StressOutcome{}
 	for i := 0; i < runs; i++ {
-		ce, verdict, stats, err := stressOnce(cfg, kind, rng)
+		ce, stats, err := sampleOnce(s, kind, rng, next())
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +105,7 @@ func Stress(cfg Config, runs int, seed int64) (*StressOutcome, error) {
 		if stats.maxSteps > out.MaxProcSteps {
 			out.MaxProcSteps = stats.maxSteps
 		}
-		if !verdict.OK() {
+		if !ce.Verdict.OK() {
 			out.Violations++
 			if out.First == nil {
 				out.First = ce
@@ -85,27 +115,10 @@ func Stress(cfg Config, runs int, seed int64) (*StressOutcome, error) {
 	return out, nil
 }
 
-// Sample runs one uniformly random execution (scheduling and fault
-// decisions both random, derived from the seed) and returns its record —
-// verdict, schedule, and trace. Use it to tally violation kinds over many
-// seeds where Stress's aggregate view is not enough.
-func Sample(cfg Config, seed int64) (*Counterexample, error) {
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("explore: no protocol")
-	}
-	if len(cfg.Inputs) == 0 {
-		return nil, fmt.Errorf("explore: no inputs")
-	}
-	kind := cfg.Kind
-	if kind == fault.None {
-		kind = fault.Overriding
-	}
-	ce, _, _, err := stressOnce(cfg, kind, rand.New(rand.NewSource(seed)))
-	return ce, err
-}
-
-func stressOnce(cfg Config, kind fault.Kind, rng *rand.Rand) (*Counterexample, run.Verdict, runStats, error) {
-	budget := fault.NewFixedBudget(cfg.FaultyObjects, cfg.FaultsPerObject)
+// sampleOnce runs one execution scheduled by sched, with each admissible,
+// observable fault decided by a coin from rng.
+func sampleOnce(s *run.Settings, kind fault.Kind, rng *rand.Rand, sched sim.Scheduler) (*Counterexample, runStats, error) {
+	budget := fault.NewFixedBudget(s.FaultyObjects, s.FaultsPerObject)
 	policy := fault.PolicyFunc(func(op fault.Op) fault.Proposal {
 		if !budget.Admits(op.Object) || !observable(kind, op) {
 			return fault.NoFault
@@ -116,41 +129,42 @@ func stressOnce(cfg Config, kind fault.Kind, rng *rand.Rand) (*Counterexample, r
 		return fault.NoFault
 	})
 
-	bank := object.NewBank(cfg.Protocol.Objects(), budget, policy)
+	bank := object.NewBank(s.Protocol.Objects(), budget, policy)
 	var schedule []int
-	sched := sim.SchedulerFunc(func(enabled []int) (int, bool) {
-		pick := enabled[rng.Intn(len(enabled))]
-		schedule = append(schedule, pick)
-		return pick, true
+	recording := sim.SchedulerFunc(func(enabled []int) (int, bool) {
+		pick, ok := sched.Next(enabled)
+		if ok {
+			schedule = append(schedule, pick)
+		}
+		return pick, ok
 	})
 
-	limit := cfg.StepLimit
+	limit := s.StepLimit
 	if limit <= 0 {
-		limit = cfg.Protocol.StepBound(len(cfg.Inputs))
+		limit = s.Protocol.StepBound(len(s.Inputs))
 	}
 	log := trace.New()
 	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(cfg.Protocol, bank, cfg.Inputs),
-		Scheduler: sched,
+		Programs:  run.Programs(s.Protocol, bank, s.Inputs),
+		Scheduler: recording,
 		StepLimit: limit,
 		Log:       log,
 	})
 	if err != nil && res == nil {
-		return nil, run.Verdict{}, runStats{}, err
+		return nil, runStats{}, err
 	}
 
 	stats := runStats{faults: budget.TotalFaults()}
-	for _, s := range res.Steps {
-		if s > stats.maxSteps {
-			stats.maxSteps = s
+	for _, st := range res.Steps {
+		if st > stats.maxSteps {
+			stats.maxSteps = st
 		}
 	}
-	verdict := run.Evaluate(cfg.Inputs, res, err)
 	ce := &Counterexample{
 		Schedule: schedule,
-		Verdict:  verdict,
+		Verdict:  run.Evaluate(s.Inputs, res, err),
 		Trace:    log,
-		Inputs:   cfg.Inputs,
+		Inputs:   s.Inputs,
 	}
-	return ce, verdict, stats, nil
+	return ce, stats, nil
 }

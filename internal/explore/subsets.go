@@ -3,6 +3,8 @@ package explore
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/run"
 )
 
 // Subsets enumerates all size-k subsets of {0, .., n-1} in lexicographic
@@ -28,35 +30,26 @@ func Subsets(n, k int) [][]int {
 	return out
 }
 
-// CheckAllSubsets runs Check once per size-f subset of the protocol's
-// objects as the faulty set — the full quantifier of Definition 3 ("at most
-// f faulty objects", adversary's choice). It returns the first violating
-// outcome, or the combined outcome if every subset verifies.
-func CheckAllSubsets(cfg Config, f int) (*Outcome, error) {
-	return checkAllSubsets(cfg, f, func(c Config) (*Outcome, error) { return Check(c) })
-}
-
-// CheckAllSubsets is the engine form of the package-level CheckAllSubsets:
-// subsets are examined in deterministic lexicographic order, each explored
-// in parallel by the engine's workers.
-func (e *Engine) CheckAllSubsets(ctx context.Context, cfg Config, f int) (*Outcome, error) {
-	return checkAllSubsets(cfg, f, func(c Config) (*Outcome, error) { return e.Check(ctx, c) })
-}
-
-func checkAllSubsets(cfg Config, f int, check func(Config) (*Outcome, error)) (*Outcome, error) {
-	if cfg.Protocol == nil {
+// CheckAllSubsets checks the protocol once per size-f subset of its objects
+// as the faulty set — the full quantifier of Definition 3 ("at most f
+// faulty objects", adversary's choice). Subsets are examined in
+// lexicographic order, each explored by the engine's workers; it returns
+// the first violating outcome, or the combined outcome if every subset
+// verifies.
+func (e *Engine) CheckAllSubsets(ctx context.Context, s *run.Settings, f int) (*Outcome, error) {
+	if s.Protocol == nil {
 		return nil, fmt.Errorf("explore: no protocol")
 	}
-	objects := cfg.Protocol.Objects()
+	objects := s.Protocol.Objects()
 	subsets := Subsets(objects, f)
 	if len(subsets) == 0 {
 		return nil, fmt.Errorf("explore: no size-%d subsets of %d objects", f, objects)
 	}
 	total := &Outcome{Complete: true}
 	for _, sub := range subsets {
-		c := cfg
+		c := *s
 		c.FaultyObjects = sub
-		out, err := check(c)
+		out, err := e.Check(ctx, &c)
 		if err != nil {
 			return nil, err
 		}
@@ -76,48 +69,4 @@ func checkAllSubsets(cfg Config, f int, check func(Config) (*Outcome, error)) (*
 		}
 	}
 	return total, nil
-}
-
-// FindMinimal enumerates the COMPLETE execution tree (no early exit on the
-// first violation) and returns the violating execution with the shortest
-// schedule, or nil if none exists. Use it on small configurations to
-// extract the crispest counterexample for a report; Check is the fast path.
-func FindMinimal(cfg Config) (*Counterexample, *Outcome, error) {
-	kind, cap, compiled, err := cfg.prepare()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	out := &Outcome{Workers: 1}
-	var best *Counterexample
-	c := &chooser{}
-	es := newExecState(cfg, kind, compiled, c, nil)
-	defer es.close()
-	for out.Executions < cap {
-		c.arity = c.arity[:0]
-		c.pos = 0
-		verdict, stats, _, err := es.runLeaf(context.Background())
-		if err != nil {
-			return nil, nil, err
-		}
-		out.Executions++
-		if stats.maxSteps > out.MaxProcSteps {
-			out.MaxProcSteps = stats.maxSteps
-		}
-		if stats.faults > out.MaxFaults {
-			out.MaxFaults = stats.faults
-		}
-		if !verdict.OK() {
-			ce := es.counterexample(verdict)
-			if best == nil || len(ce.Schedule) < len(best.Schedule) {
-				best = ce
-			}
-		}
-		if !c.next() {
-			out.Complete = true
-			break
-		}
-	}
-	out.Violation = best
-	return best, out, nil
 }

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -45,7 +46,7 @@ func TestSubsetsCounts(t *testing.T) {
 func TestCheckAllSubsetsTheorem5(t *testing.T) {
 	// Theorem 5 with the faulty set fully quantified: EVERY choice of 1
 	// faulty object among Figure 2's 2 objects verifies exhaustively.
-	out, err := CheckAllSubsets(Config{
+	out, err := (&Engine{}).CheckAllSubsets(context.Background(), &run.Settings{
 		Protocol:        core.NewFPlusOne(1),
 		Inputs:          inputs(2),
 		FaultsPerObject: fault.Unbounded,
@@ -60,7 +61,7 @@ func TestCheckAllSubsetsTheorem5(t *testing.T) {
 
 func TestCheckAllSubsetsFindsViolation(t *testing.T) {
 	// Both objects faulty (f = objects): Theorem 18 territory at n=3.
-	out, err := CheckAllSubsets(Config{
+	out, err := (&Engine{}).CheckAllSubsets(context.Background(), &run.Settings{
 		Protocol:        core.NewFPlusOne(1),
 		Inputs:          inputs(3),
 		FaultsPerObject: fault.Unbounded,
@@ -74,16 +75,16 @@ func TestCheckAllSubsetsFindsViolation(t *testing.T) {
 }
 
 func TestCheckAllSubsetsValidation(t *testing.T) {
-	if _, err := CheckAllSubsets(Config{}, 1); err == nil {
+	if _, err := (&Engine{}).CheckAllSubsets(context.Background(), &run.Settings{}, 1); err == nil {
 		t.Error("missing protocol must error")
 	}
-	if _, err := CheckAllSubsets(Config{Protocol: core.SingleCAS{}, Inputs: inputs(2)}, 5); err == nil {
+	if _, err := (&Engine{}).CheckAllSubsets(context.Background(), &run.Settings{Protocol: core.SingleCAS{}, Inputs: inputs(2)}, 5); err == nil {
 		t.Error("oversized subset must error")
 	}
 }
 
 func TestFindMinimalCounterexample(t *testing.T) {
-	best, out, err := FindMinimal(Config{
+	best, out, err := findMinimal(&run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(3),
 		FaultyObjects:   []int{0},
@@ -109,7 +110,7 @@ func TestFindMinimalCounterexample(t *testing.T) {
 }
 
 func TestFindMinimalOnCleanConfig(t *testing.T) {
-	best, out, err := FindMinimal(Config{
+	best, out, err := findMinimal(&run.Settings{
 		Protocol:        core.SingleCAS{},
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0},
@@ -127,13 +128,13 @@ func TestFindMinimalOnCleanConfig(t *testing.T) {
 }
 
 func TestFindMinimalValidation(t *testing.T) {
-	if _, _, err := FindMinimal(Config{Inputs: inputs(1)}); err == nil {
+	if _, _, err := findMinimal(&run.Settings{Inputs: inputs(1)}); err == nil {
 		t.Error("missing protocol must error")
 	}
-	if _, _, err := FindMinimal(Config{Protocol: core.SingleCAS{}}); err == nil {
+	if _, _, err := findMinimal(&run.Settings{Protocol: core.SingleCAS{}}); err == nil {
 		t.Error("missing inputs must error")
 	}
-	if _, _, err := FindMinimal(Config{Protocol: core.SingleCAS{}, Inputs: inputs(1), Kind: fault.Arbitrary}); err == nil {
+	if _, _, err := findMinimal(&run.Settings{Protocol: core.SingleCAS{}, Inputs: inputs(1), Kind: fault.Arbitrary}); err == nil {
 		t.Error("unsupported kind must error")
 	}
 }

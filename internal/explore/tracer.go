@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/run"
 	"repro/internal/trace"
 	"repro/internal/trace/export"
 )
@@ -262,11 +261,4 @@ func (t *Tracer) Summary() TracerSummary {
 		Skipped:    t.skipped.Load(),
 		Spans:      len(t.rec.Spans()),
 	}
-}
-
-// NewTracerFor builds a Tracer from the unified settings: the trace
-// directory and sampling rate come from run.WithTraceDir, the sealed run
-// meta from run.MetaFromSettings.
-func NewTracerFor(s *run.Settings) (*Tracer, error) {
-	return NewTracer(s.TraceDir, s.TraceSample, run.MetaFromSettings(s))
 }

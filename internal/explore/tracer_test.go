@@ -67,7 +67,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, err := Replay(ConfigFrom(s), x.Meta.Path)
+	ce, err := Replay(s, x.Meta.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestTracerSummaryAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, err := Replay(ConfigFrom(run.NewSettings(violatingOpts()...)), []int{})
+	ce, err := Replay(run.NewSettings(violatingOpts()...), []int{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,17 +99,24 @@ func (l *Log) Emit(level Level, typ string, fields map[string]any) {
 	if !l.Enabled(level) {
 		return
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// Stamped under the lock, so lines are in timestamp order.
 	e := Event{
 		T:      time.Since(l.start).Nanoseconds(),
 		Level:  level.String(),
 		Type:   typ,
 		Fields: fields,
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.counts[typ]++
 	if l.err == nil {
 		l.err = l.enc.Encode(&e)
+	}
+	// Info and above are lifecycle events, rare by design; writing them
+	// through at once lets a reader follow a live run, and leaves a killed
+	// process's log showing how far it got. Debug events stay buffered.
+	if l.err == nil && level >= Info {
+		l.err = l.w.Flush()
 	}
 }
 

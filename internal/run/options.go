@@ -1,6 +1,7 @@
 package run
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -11,12 +12,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Settings is the unified description of consensus executions, shared by
-// every driver in the repository: single runs (Consensus), the exploration
-// engine (internal/explore), the experiment harness (internal/harness), and
-// the CLI tools. It replaces the three historical config types — run.Config,
-// explore.Config, and harness.Options — which remain as thin deprecated
-// shims for one release.
+// Settings is the one description of consensus executions, shared by every
+// driver in the repository: single runs (ConsensusWith, ConsensusContext),
+// the exploration engine (internal/explore), the experiment harness
+// (internal/harness), and the CLI tools.
 //
 // Construct a Settings with NewSettings and the With... functional options;
 // zero values mean "use the default".
@@ -269,27 +268,8 @@ func (s *Settings) Validate() error {
 	return nil
 }
 
-// Config converts the unified settings to the legacy single-run Config.
-func (s *Settings) Config() Config {
-	budget := s.Budget
-	if budget == nil && len(s.FaultyObjects) > 0 {
-		budget = fault.NewFixedBudget(s.FaultyObjects, s.FaultsPerObject)
-	}
-	return Config{
-		Protocol:  s.Protocol,
-		Inputs:    s.Inputs,
-		Scheduler: s.Scheduler,
-		Budget:    budget,
-		Policy:    s.Policy,
-		Trace:     s.Trace,
-		Observer:  s.Observer,
-		StepLimit: s.StepLimit,
-		Exec:      s.Exec,
-	}
-}
-
-// ConsensusWith runs one execution described by the options. It is the
-// unified-API form of Consensus.
+// ConsensusWith runs one execution described by the options (see
+// ConsensusContext).
 func ConsensusWith(opts ...Option) (*Result, error) {
-	return Consensus(NewSettings(opts...).Config())
+	return ConsensusContext(context.Background(), NewSettings(opts...))
 }

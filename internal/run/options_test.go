@@ -60,8 +60,8 @@ func TestOptionsAllObjectsFaultyRequiresProtocol(t *testing.T) {
 	NewSettings(WithAllObjectsFaulty(1))
 }
 
-// TestConsensusWithMatchesLegacyConfig: the options front door and the
-// deprecated Config shim must produce identical executions.
+// TestConsensusWithMatchesLegacyConfig: the options front door and a
+// Settings literal must produce identical executions.
 func TestConsensusWithMatchesLegacyConfig(t *testing.T) {
 	viaOptions, err := ConsensusWith(
 		WithProtocol(core.SingleCAS{}),
@@ -71,7 +71,7 @@ func TestConsensusWithMatchesLegacyConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaConfig, err := Consensus(Config{
+	viaConfig, err := consensus(Settings{
 		Protocol: core.SingleCAS{},
 		Inputs:   []int64{1, 2},
 		Trace:    true,
@@ -103,7 +103,7 @@ func TestConsensusContextCancelPropagates(t *testing.T) {
 		}
 		return enabled[0], true
 	})
-	res, err := ConsensusContext(ctx, Config{
+	res, err := ConsensusContext(ctx, &Settings{
 		Protocol:  core.NewStaged(1, 1),
 		Inputs:    []int64{1, 2},
 		Scheduler: sched,

@@ -50,33 +50,6 @@ func BoundPrograms(proto core.Protocol, bank Bank, inputs []int64, procs []*sim.
 	return progs
 }
 
-// Config describes one simulated consensus execution.
-//
-// Deprecated: new code should describe executions with the unified
-// functional options (NewSettings / ConsensusWith and the run.With...
-// constructors); Config remains as a thin shim for one release.
-type Config struct {
-	Protocol core.Protocol
-	// Inputs holds one input value per process; len(Inputs) is n.
-	Inputs []int64
-	// Scheduler chooses the interleaving; defaults to round-robin.
-	Scheduler sim.Scheduler
-	// Budget limits faults per Definition 3; nil means no faults admitted.
-	Budget *fault.Budget
-	// Policy proposes faults; nil means none.
-	Policy fault.Policy
-	// Trace enables event recording.
-	Trace bool
-	// Observer, when non-nil, sees every recorded event (requires Trace
-	// or is invoked with synthesized events).
-	Observer func(trace.Event)
-	// StepLimit overrides the protocol's StepBound when positive.
-	StepLimit int
-	// Exec selects the execution form (default ExecAuto: compiled when
-	// the protocol provides a core.Stepper).
-	Exec ExecMode
-}
-
 // Result bundles the simulation outcome with its verdict.
 type Result struct {
 	Sim     *sim.Result
@@ -84,61 +57,60 @@ type Result struct {
 	Bank    *object.Bank
 }
 
-// Consensus runs one execution and evaluates it. An error is returned only
-// for framework-level failures (program panic, cancellation); a
-// wait-freedom violation is reported through the verdict, since for the
-// impossibility experiments a violation is the expected observation, not an
-// error.
-func Consensus(cfg Config) (*Result, error) {
-	return ConsensusContext(context.Background(), cfg)
-}
-
-// ConsensusContext is Consensus with cancellation: when ctx is cancelled
+// ConsensusContext runs one execution described by the settings and
+// evaluates it. An error is returned only for framework-level failures
+// (program panic, cancellation); a wait-freedom violation is reported
+// through the verdict, since for the impossibility experiments a violation
+// is the expected observation, not an error. When ctx is cancelled
 // mid-execution the partial result is returned together with ctx.Err().
-func ConsensusContext(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("run: no protocol")
+//
+// The fault budget is Settings.Budget, or else (FaultyObjects,
+// FaultsPerObject); without either no fault is admitted.
+func ConsensusContext(ctx context.Context, s *Settings) (*Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
-	if len(cfg.Inputs) == 0 {
-		return nil, fmt.Errorf("run: no inputs")
-	}
-	sched := cfg.Scheduler
+	sched := s.Scheduler
 	if sched == nil {
 		sched = sim.NewRoundRobin()
 	}
-	compiled, err := ResolveExec(cfg.Exec, cfg.Protocol)
+	compiled, err := ResolveExec(s.Exec, s.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	bank := object.NewBank(cfg.Protocol.Objects(), cfg.Budget, cfg.Policy)
+	budget := s.Budget
+	if budget == nil && len(s.FaultyObjects) > 0 {
+		budget = fault.NewFixedBudget(s.FaultyObjects, s.FaultsPerObject)
+	}
+	bank := object.NewBank(s.Protocol.Objects(), budget, s.Policy)
 
-	limit := cfg.StepLimit
+	limit := s.StepLimit
 	if limit <= 0 {
-		limit = cfg.Protocol.StepBound(len(cfg.Inputs))
+		limit = s.Protocol.StepBound(len(s.Inputs))
 	}
 
 	var res *sim.Result
 	if compiled {
-		stepper, _ := core.Compile(cfg.Protocol)
+		stepper, _ := core.Compile(s.Protocol)
 		steppedCfg := sim.SteppedConfig{
-			Procs:     len(cfg.Inputs),
-			Program:   NewSteppedExec(stepper, bank, cfg.Inputs),
+			Procs:     len(s.Inputs),
+			Program:   NewSteppedExec(stepper, bank, s.Inputs),
 			Scheduler: sched,
 			StepLimit: limit,
-			Observer:  cfg.Observer,
+			Observer:  s.Observer,
 		}
-		if cfg.Trace {
+		if s.Trace {
 			steppedCfg.Log = trace.New()
 		}
 		res, err = sim.RunStepped(ctx, steppedCfg)
 	} else {
 		simCfg := sim.Config{
-			Programs:  Programs(cfg.Protocol, bank, cfg.Inputs),
+			Programs:  Programs(s.Protocol, bank, s.Inputs),
 			Scheduler: sched,
 			StepLimit: limit,
-			Observer:  cfg.Observer,
+			Observer:  s.Observer,
 		}
-		if cfg.Trace {
+		if s.Trace {
 			simCfg.Log = trace.New()
 		}
 		res, err = sim.RunContext(ctx, simCfg)
@@ -146,7 +118,7 @@ func ConsensusContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil && res == nil {
 		return nil, err
 	}
-	verdict := Evaluate(cfg.Inputs, res, err)
+	verdict := Evaluate(s.Inputs, res, err)
 	result := &Result{Sim: res, Verdict: verdict, Bank: bank}
 	// A wait-freedom violation is folded into the verdict (it is an
 	// observation, not a failure). Any other partial-result error —

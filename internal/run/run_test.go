@@ -1,6 +1,7 @@
 package run
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -10,8 +11,13 @@ import (
 	"repro/internal/word"
 )
 
+// consensus runs one execution described by the settings.
+func consensus(s Settings) (*Result, error) {
+	return ConsensusContext(context.Background(), &s)
+}
+
 func TestConsensusHappyPath(t *testing.T) {
-	res, err := Consensus(Config{
+	res, err := consensus(Settings{
 		Protocol: core.SingleCAS{},
 		Inputs:   []int64{1, 2},
 		Trace:    true,
@@ -31,17 +37,17 @@ func TestConsensusHappyPath(t *testing.T) {
 }
 
 func TestConsensusValidation(t *testing.T) {
-	if _, err := Consensus(Config{Inputs: []int64{1}}); err == nil {
+	if _, err := consensus(Settings{Inputs: []int64{1}}); err == nil {
 		t.Error("missing protocol must error")
 	}
-	if _, err := Consensus(Config{Protocol: core.SingleCAS{}}); err == nil {
+	if _, err := consensus(Settings{Protocol: core.SingleCAS{}}); err == nil {
 		t.Error("missing inputs must error")
 	}
 }
 
 func TestConsensusObserver(t *testing.T) {
 	var n int
-	_, err := Consensus(Config{
+	_, err := consensus(Settings{
 		Protocol: core.SingleCAS{},
 		Inputs:   []int64{1, 2},
 		Observer: func(trace.Event) { n++ },
@@ -55,7 +61,7 @@ func TestConsensusObserver(t *testing.T) {
 }
 
 func TestConsensusCustomStepLimit(t *testing.T) {
-	res, err := Consensus(Config{
+	res, err := consensus(Settings{
 		Protocol:  core.NewSilentRetry(1), // StepBound 3
 		Inputs:    []int64{1},
 		Budget:    fault.NewFixedBudget([]int{0}, fault.Unbounded),

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -110,7 +111,7 @@ func TestClassifyMatchesInjectorEndToEnd(t *testing.T) {
 				return fault.Proposal{Kind: fault.Arbitrary, Write: w3}
 			})
 		}
-		res, err := run.Consensus(run.Config{
+		res, err := run.ConsensusContext(context.Background(), &run.Settings{
 			Protocol:  core.NewFPlusOne(1),
 			Inputs:    []int64{10, 11, 12},
 			Scheduler: sim.NewRandom(5),

@@ -30,8 +30,8 @@ import (
 )
 
 // Config describes the system whose state space is analyzed. It mirrors
-// explore.Config (scheduling choices plus optional overriding-fault
-// choices on a fixed faulty-object set).
+// the exploration fields of run.Settings (scheduling choices plus optional
+// overriding-fault choices on a fixed faulty-object set).
 type Config struct {
 	Protocol        core.Protocol
 	Inputs          []int64

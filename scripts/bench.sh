@@ -77,7 +77,7 @@ RUNDIR="$(mktemp -d)"
 trap 'rm -rf "$RAW" "$RAW_TRACE" "$RAW_FORM" "$BENCH_JSON" "$OVERHEAD" "$SPEEDUP" "$REPORT" "$RUNDIR"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkEngineCoveringSweep|BenchmarkSequentialCoveringSweep|BenchmarkEngineDedupSweep|BenchmarkEngineReduceSweep' \
+	-bench 'BenchmarkEngineCoveringSweep|BenchmarkEngineDedupSweep|BenchmarkEngineReduceSweep' \
 	-benchtime "$BENCHTIME" ./internal/explore/ | tee "$RAW"
 
 awk -v benchtime="$BENCHTIME" '

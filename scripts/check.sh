@@ -5,6 +5,28 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# gate runs `go test -count=1 -v ARGS` and fails when the tests fail or when
+# the -run regex in ARGS selected no test at all: `go test -run` passes a
+# regex that matches nothing ("no tests to run"), so a renamed or deleted
+# test would otherwise drop out of its gate silently.
+gate() {
+	log="$(mktemp)"
+	status=0
+	go test -count=1 -v "$@" >"$log" 2>&1 || status=$?
+	grep -E '^(--- FAIL|FAIL|ok|panic:)' "$log" || true
+	if [ "$status" -ne 0 ]; then
+		cat "$log" >&2
+		rm -f "$log"
+		exit "$status"
+	fi
+	if ! grep -q '^=== RUN' "$log"; then
+		echo "gate: go test $* ran no tests" >&2
+		rm -f "$log"
+		exit 1
+	fi
+	rm -f "$log"
+}
+
 echo "== gofmt =="
 unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then
@@ -52,8 +74,8 @@ echo "== ledger gate (multi-process verdict equality, fresh) =="
 # the CLI tests drive real OS processes, SIGKILL one, and compare the
 # finalized verdict against an uninterrupted reference run. Uncached.
 go test -count=1 ./internal/ledger/
-go test -count=1 -run 'TestEngineLedger' ./internal/explore/
-go test -count=1 -run 'TestCLILedger' .
+gate -run 'TestEngineLedger' ./internal/explore/
+gate -run 'TestCLILedger' .
 
 echo "== fleet gate (cross-worker observability, fresh) =="
 # Fleet observability is how a distributed run is watched: per-worker
@@ -63,8 +85,8 @@ echo "== fleet gate (cross-worker observability, fresh) =="
 # anomaly rule on synthetic inputs; the CLI test SIGSTOPs a real worker
 # and follows the reclaim chain. Uncached.
 go test -count=1 ./internal/obs/fleet/
-go test -count=1 -run 'TestEngineFleet' ./internal/explore/
-go test -count=1 -run 'TestCLIFleet' .
+gate -run 'TestEngineFleet' ./internal/explore/
+gate -run 'TestCLIFleet' .
 
 echo "== exec-form equivalence gate (compiled vs interpreted covering sweeps) =="
 # The compiled Stepper machines must enumerate the SAME execution tree as
@@ -72,7 +94,7 @@ echo "== exec-form equivalence gate (compiled vs interpreted covering sweeps) ==
 # with a compiled form is swept (n=2, f=1, unbounded faults) through both
 # forms and any divergence in verdicts, schedules, decisions, step counts,
 # or trace logs fails the gate. Uncached, so the gate re-runs every time.
-go test -count=1 -run TestCompiledMatchesInterpreted ./internal/explore/
+gate -run TestCompiledMatchesInterpreted ./internal/explore/
 
 echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =="
 # Partial-order reduction must not change what the checker reports: every
@@ -81,7 +103,13 @@ echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =
 # counterexample schedule, decisions, or trace log fails the gate. The
 # reducer's sleep/symmetry bookkeeping is shared mutable state on the branch
 # path, so this gate runs under the race detector, uncached.
-go test -count=1 -race -run TestReduceMatchesFull ./internal/explore/
+gate -race -run TestReduceMatchesFull ./internal/explore/
+
+echo "== benchmark smoke test (bench/, its own module, fresh) =="
+# bench/ drives explore.CheckWith, harness.RunOne, explore.ExplainFile, and
+# store.Open exactly as bench/run.sh does, so its smoke test guards the API
+# the benchmark depends on. It is a separate module, outside go test ./...
+(cd bench && go test -count=1 .)
 
 echo "== scaling gate (workers=8 vs workers=1 smoke sweep) =="
 # Negative-scaling regression gate: the same 4096-execution covering-sweep

@@ -13,6 +13,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/fault"
 	"repro/internal/history"
+	"repro/internal/run"
 	"repro/internal/word"
 )
 
@@ -39,12 +40,12 @@ func TestSoakSimulatedProtocols(t *testing.T) {
 		c := c
 		t.Run(c.proto.Name(), func(t *testing.T) {
 			t.Parallel()
-			out, err := explore.Stress(explore.Config{
-				Protocol:        c.proto,
-				Inputs:          benchInputs(c.n),
-				FaultyObjects:   c.faulty,
-				FaultsPerObject: c.t,
-			}, runsPerConfig, 20260705)
+			opts := []run.Option{
+				run.WithProtocol(c.proto),
+				run.WithInputs(benchInputs(c.n)...),
+				run.WithFaultyObjects(c.faulty, c.t),
+			}
+			out, err := explore.StressWith(runsPerConfig, 20260705, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,12 +53,7 @@ func TestSoakSimulatedProtocols(t *testing.T) {
 				t.Fatalf("violation after soak: %s", out.First)
 			}
 			// PCT pass over the same configuration.
-			pct, err := explore.StressPCT(explore.Config{
-				Protocol:        c.proto,
-				Inputs:          benchInputs(c.n),
-				FaultyObjects:   c.faulty,
-				FaultsPerObject: c.t,
-			}, runsPerConfig/3, 20260705, 3, 0)
+			pct, err := explore.StressPCTWith(runsPerConfig/3, 20260705, 3, 0, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
