@@ -542,7 +542,8 @@ func restoreFlags(meta, extra map[string]string) {
 			continue
 		}
 		v = strings.ToLower(v)
-		if explicit[name] && cur != v {
+		// -engine auto accepts whichever form the manifest recorded.
+		if explicit[name] && cur != v && !(name == "engine" && cur == "auto") {
 			fail("-%s %s contradicts the run manifest (%s=%s); a run directory resumes only with the settings it was created with", name, cur, name, v)
 		}
 		meta[name] = v

@@ -339,8 +339,10 @@ func TestReduceWithDedup(t *testing.T) {
 				}
 			} else if !out.Complete {
 				t.Fatalf("dedup+reduce incomplete after %d executions on a clean sweep", out.Executions)
-			}
-			if out.Executions > full.Executions {
+			} else if out.Executions > full.Executions {
+				// Only a complete sweep's count is worker-independent: two
+				// workers may both replay a leaf before the first violation
+				// becomes the bound.
 				t.Errorf("dedup+reduce explored %d executions, full sweep only %d", out.Executions, full.Executions)
 			}
 		})
