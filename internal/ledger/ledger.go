@@ -368,9 +368,14 @@ func (l *Ledger) scan() (*scanState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
+	// Only a file under its canonical name is a record: a process killed
+	// between writing a temp file and linking it leaves the temp behind,
+	// and reading it as a task or lease would shadow the live record for
+	// the same id (dropping a live task as debris, or reaping a phantom
+	// lease forever).
 	for _, e := range tents {
 		var t Task
-		if readJSON(filepath.Join(l.dir, tasksDir, e.Name()), &t) && t.ID != "" {
+		if readJSON(filepath.Join(l.dir, tasksDir, e.Name()), &t) && t.ID != "" && e.Name() == taskName(t.ID) {
 			st.tasks[t.ID] = t
 		}
 	}
@@ -380,7 +385,7 @@ func (l *Ledger) scan() (*scanState, error) {
 	}
 	for _, e := range lents {
 		var ls Lease
-		if readJSON(filepath.Join(l.dir, leasesDir, e.Name()), &ls) && ls.ID != "" {
+		if readJSON(filepath.Join(l.dir, leasesDir, e.Name()), &ls) && ls.ID != "" && e.Name() == leaseName(ls.ID) {
 			st.leases[ls.ID] = ls
 		}
 	}
@@ -553,6 +558,15 @@ func (l *Ledger) Claim(ctx context.Context) (*Lease, error) {
 					continue // lost the race for this task
 				}
 				return nil, err
+			}
+			// The scan may predate another participant's whole claim and
+			// release of this task; its task file is then gone and the
+			// region published. A claim stands only while the task file it
+			// was made from is still there.
+			var cur Task
+			if !readJSON(filepath.Join(l.dir, tasksDir, taskName(id)), &cur) || cur.Epoch != t.Epoch {
+				l.dropOwnLease(&ls)
+				continue
 			}
 			if err := os.Remove(filepath.Join(l.dir, tasksDir, taskName(id))); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				// The claim stands (lease is linked); a claim-debris task

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -454,5 +455,47 @@ func TestClaimRaceSingleWinner(t *testing.T) {
 	}
 	if m.Executions != 1 {
 		t.Fatalf("merged executions = %d, want 1", m.Executions)
+	}
+}
+
+// TestScanIgnoresLeftoverTempFiles: a participant killed between writing a
+// temp file and linking it leaves "<name>.tmp…" behind, and it must not
+// shadow the live record of the same id. Read as records, a leftover task
+// with a dead lineage made Claim delete the live root task as debris (the
+// drained merge then lacked its executions), and a leftover expired lease
+// made reap "reclaim" it forever.
+func TestScanIgnoresLeftoverTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	a := join(t, dir, "a", nil)
+	root := TaskID(nil, 0)
+	leftover := func(sub, name string, v any) {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ledgerDir, sub, name), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leftover(tasksDir, taskName(root)+".tmp1", Task{ID: root, Lineage: []Ref{{ID: root, Epoch: -1}}})
+	leftover(leasesDir, leaseName(root)+".tmp2", Lease{Task: Task{ID: root}, Owner: "dead", ExpiresUnixNano: 1})
+
+	done := make(chan error, 1)
+	var ls *Lease
+	go func() {
+		var err error
+		ls, err = a.Claim(context.Background())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("claim: %v", err)
+		}
+		if ls.ID != root || ls.Epoch != 0 {
+			t.Fatalf("claimed %s@%d, want root@0", ls.ID, ls.Epoch)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Claim did not return: it reaps the leftover temp lease forever")
 	}
 }
