@@ -75,6 +75,8 @@ func TestEngineMatchesSequentialComplete(t *testing.T) {
 // completeness, maxima, and the lex-least counterexample path. Capped runs
 // are included — with one worker the engine covers exactly the first
 // MaxExecutions leaves in lexicographic order, as the sequential loop did.
+var benchSlab = benchConfig()
+
 var sequentialReference = []struct {
 	name                            string
 	cfg                             run.Settings
@@ -104,13 +106,11 @@ var sequentialReference = []struct {
 		FaultyObjects: []int{0}, FaultsPerObject: fault.Unbounded, Kind: fault.Silent, StepLimit: 12},
 		23, 13, 11, false, run.ViolationWaitFreedom,
 		[]int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0}},
-	{"covering-slab-cap500", *with(ptr(benchConfig()), run.WithMaxExecutions(500)),
+	{"covering-slab-cap500", *with(&benchSlab, run.WithMaxExecutions(500)),
 		500, 26, 2, false, "", nil},
 	{"covering-slab-cap4096", benchConfig(),
 		4096, 26, 2, false, "", nil},
 }
-
-func ptr[T any](v T) *T { return &v }
 
 // TestEngineReproducesSequentialReference: the engine with one worker
 // reproduces every pinned field of the retired sequential checker, and any
