@@ -67,6 +67,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -180,7 +181,7 @@ func main() {
 
 	// At most one run directory is named (checked above); its manifest
 	// supplies every setting the flags leave out.
-	s := settingsFromFlags(*resume+*ledgerF+*finalizeF, *ledgerF != "")
+	s, flagMeta := settingsFromFlags(*resume+*ledgerF+*finalizeF, *ledgerF != "")
 	compiled, err := run.ResolveExec(s.Exec, s.Protocol)
 	if err != nil {
 		fail("%v", err)
@@ -188,7 +189,8 @@ func main() {
 	execLabel := run.ExecLabel(compiled)
 
 	if *finalizeF != "" {
-		finalizeLedger(s, *finalizeF, execLabel, *jsonOut, *diagram, *reportOut)
+		finalizeLedger(s, *finalizeF, execLabel, *jsonOut, *diagram, *reportOut,
+			reportMeta(flagMeta, s, execLabel))
 		return
 	}
 
@@ -297,7 +299,7 @@ func main() {
 		fail("event log: %v", err)
 	}
 	if *reportOut != "" {
-		meta := run.MetaFromSettings(s)
+		meta := reportMeta(flagMeta, s, execLabel)
 		meta["workers"] = strconv.Itoa(out.Workers)
 		meta["max"] = strconv.Itoa(*maxExecs)
 		if err := obs.WriteReport(*reportOut, buildReport(out, reg, events, meta)); err != nil {
@@ -495,28 +497,34 @@ func (r *progressReporter) flush() { r.w.Flush() } //nolint:errcheck // stderr
 // "exec"), so a run directory's manifest restores them.
 var settingsFlags = []string{"proto", "f", "t", "n", "fault", "unbounded", "faulty", "dedup", "engine", "reduce"}
 
-// settingsFromFlags builds the explored configuration from the flags. dir,
-// when set, is a run directory whose manifest supplies every setting not
-// given explicitly; an explicit flag that contradicts it is refused — a run
+// settingsFromFlags builds the explored configuration from the flags, and
+// returns the flag values it was built from (keyed by flag name). dir, when
+// set, is a run directory whose manifest supplies every setting not given
+// explicitly; an explicit flag that contradicts it is refused — a run
 // directory continues only with the settings it was created with. The first
 // participant of a new ledger (mayCreate) finds no manifest yet and keeps
-// its own flags.
-func settingsFromFlags(dir string, mayCreate bool) *run.Settings {
+// its own flags. Only the manifest is read, not the checkpoint.
+func settingsFromFlags(dir string, mayCreate bool) (*run.Settings, map[string]string) {
 	meta := map[string]string{}
 	for _, name := range settingsFlags {
 		meta[name] = strings.ToLower(flag.Lookup(name).Value.String())
 	}
 	if dir != "" {
-		st, err := store.OpenShared(dir)
+		m, err := store.ReadManifest(dir)
 		switch {
 		case err == nil:
-			restoreFlags(meta, st.Manifest().Extra)
-			st.Close()
+			restoreFlags(meta, m.Extra)
 		case errors.Is(err, fs.ErrNotExist) && mayCreate:
 		default:
 			fail("%v", err)
 		}
 	}
+	return settingsFromMeta(meta), meta
+}
+
+// settingsFromMeta builds settings from flag values keyed by flag name:
+// run.SettingsFromMeta, plus the -engine and -dedup flags it does not read.
+func settingsFromMeta(meta map[string]string) *run.Settings {
 	s, err := run.SettingsFromMeta(meta, nil)
 	if err != nil {
 		fail("%v", err)
@@ -530,24 +538,46 @@ func settingsFromFlags(dir string, mayCreate bool) *run.Settings {
 
 // restoreFlags overlays a run manifest's recorded settings onto the flag
 // values in meta, failing on an explicitly set flag that contradicts them.
+// A flag contradicts the manifest only if it changes the settings: both
+// sides are compared as run.MetaFromSettings renders them, so an alias
+// (-proto staged), -faulty -1, or an f or t the protocol ignores repeats
+// the creating command line without contradicting it.
 func restoreFlags(meta, extra map[string]string) {
 	explicit := map[string]bool{}
 	flag.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
-	for name, cur := range meta {
+	given := maps.Clone(meta)
+	for _, name := range settingsFlags {
 		v, ok := extra[name]
 		if !ok && name == "engine" {
 			v, ok = extra["exec"]
 		}
-		if !ok {
+		if ok {
+			meta[name] = strings.ToLower(v)
+		}
+	}
+	recorded := run.MetaFromSettings(settingsFromMeta(meta))
+	for _, name := range settingsFlags {
+		// -engine auto accepts whichever form the manifest recorded.
+		if !explicit[name] || given[name] == meta[name] || (name == "engine" && given[name] == "auto") {
 			continue
 		}
-		v = strings.ToLower(v)
-		// -engine auto accepts whichever form the manifest recorded.
-		if explicit[name] && cur != v && !(name == "engine" && cur == "auto") {
-			fail("-%s %s contradicts the run manifest (%s=%s); a run directory resumes only with the settings it was created with", name, cur, name, v)
+		trial := maps.Clone(meta)
+		trial[name] = given[name]
+		if !maps.Equal(run.MetaFromSettings(settingsFromMeta(trial)), recorded) {
+			fail("-%s %s contradicts the run manifest (%s=%s); a run directory resumes only with the settings it was created with",
+				name, given[name], name, meta[name])
 		}
-		meta[name] = v
 	}
+}
+
+// reportMeta renders the -report Run section: the settings flags as given
+// or restored from the run manifest, the resolved execution form, and the
+// reduction mode.
+func reportMeta(flags map[string]string, s *run.Settings, execLabel string) map[string]string {
+	meta := maps.Clone(flags)
+	meta["exec"] = execLabel
+	meta["reduce"] = s.Reduce.String()
+	return meta
 }
 
 // finalizeLedger merges the drained work ledger in dir into the final
@@ -555,7 +585,7 @@ func restoreFlags(meta, extra map[string]string) {
 // exits 0, a violation prints the replayed counterexample and exits 1, and
 // an incomplete ledger (pending tasks or leases) reports who is still
 // working and exits 2.
-func finalizeLedger(s *run.Settings, dir, execLabel string, jsonOut, diagram bool, reportOut string) {
+func finalizeLedger(s *run.Settings, dir, execLabel string, jsonOut, diagram bool, reportOut string, meta map[string]string) {
 	out, merged, err := explore.FinalizeLedger(s, dir, false)
 	var inc *ledger.IncompleteError
 	if errors.As(err, &inc) {
@@ -575,7 +605,6 @@ func finalizeLedger(s *run.Settings, dir, execLabel string, jsonOut, diagram boo
 		// the live registry, and the fleet shape rides in the Run section.
 		reg := obs.NewRegistry()
 		reg.Counter("explore.violations").Add(merged.Violations)
-		meta := run.MetaFromSettings(s)
 		meta["workers"] = strconv.Itoa(out.Workers)
 		meta["ledger_participants"] = strconv.Itoa(len(merged.Participants))
 		meta["ledger_results"] = strconv.Itoa(merged.Results)

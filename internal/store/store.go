@@ -335,22 +335,33 @@ func OpenShared(dir string) (*Store, error) {
 	return open(dir, false)
 }
 
-func open(dir string, lock bool) (*Store, error) {
+// ReadManifest loads and validates only the run directory's manifest: no
+// owner lock is taken and the checkpoint is not read, so it is cheap on a
+// run whose checkpoint holds a large dedup set.
+func ReadManifest(dir string) (Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
-		return nil, fmt.Errorf("store: %s holds no run manifest: %w", dir, err)
+		return Manifest{}, fmt.Errorf("store: %s holds no run manifest: %w", dir, err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("store: corrupt manifest in %s: %w", dir, err)
+		return Manifest{}, fmt.Errorf("store: corrupt manifest in %s: %w", dir, err)
 	}
 	if m.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("store: %s uses checkpoint format %d, this binary writes %d",
+		return Manifest{}, fmt.Errorf("store: %s uses checkpoint format %d, this binary writes %d",
 			dir, m.FormatVersion, FormatVersion)
 	}
 	if got := m.Hash(); got != m.SettingsHash {
-		return nil, fmt.Errorf("store: manifest hash mismatch in %s (recorded %s, computed %s)",
+		return Manifest{}, fmt.Errorf("store: manifest hash mismatch in %s (recorded %s, computed %s)",
 			dir, m.SettingsHash, got)
+	}
+	return m, nil
+}
+
+func open(dir string, lock bool) (*Store, error) {
+	m, err := ReadManifest(dir)
+	if err != nil {
+		return nil, err
 	}
 	s := &Store{dir: dir, manifest: m}
 	if lock {

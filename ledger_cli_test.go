@@ -138,6 +138,37 @@ func TestCLILedgerFinalizeIncomplete(t *testing.T) {
 	}
 }
 
+// TestCLIRepeatedCreationFlagsAreNoContradiction: the manifest records the
+// settings in canonical form (protocol name, resolved faulty count, the f
+// and t the protocol uses), so a joiner or a resume that repeats the
+// creating command line — aliases, -faulty -1, an ignored -f — must be
+// accepted, not refused as contradicting it.
+func TestCLIRepeatedCreationFlagsAreNoContradiction(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	args := []string{"-proto", "staged", "-f", "1", "-t", "1", "-n", "2", "-faulty", "-1", "-ledger", dir}
+	for _, id := range []string{"a", "b"} {
+		out, code := runCLI(t, "modelcheck", append(append([]string{}, args...), "-worker-id", id)...)
+		if code != 0 {
+			t.Fatalf("ledger worker %s: exit %d, want 0:\n%s", id, code, out)
+		}
+	}
+	if out, code := runCLI(t, "modelcheck", "-ledger-finalize", dir, "-proto", "staged", "-faulty", "-1"); code != 0 ||
+		!strings.Contains(out, "VERIFIED") {
+		t.Errorf("finalize: exit %d, want 0 with VERIFIED:\n%s", code, out)
+	}
+
+	dir = filepath.Join(t.TempDir(), "run")
+	args = []string{"-proto", "single", "-f", "3", "-t", "2", "-n", "2", "-unbounded", "-faulty", "-1"}
+	out, code := runCLI(t, "modelcheck", append(append([]string{}, args...), "-max", "2", "-checkpoint", dir)...)
+	if code != 0 {
+		t.Fatalf("capped run: exit %d:\n%s", code, out)
+	}
+	out, code = runCLI(t, "modelcheck", append(append([]string{}, args...), "-resume", dir)...)
+	if code == 2 {
+		t.Errorf("resume repeating the creation flags: exit 2:\n%s", out)
+	}
+}
+
 // TestCLILedgerRefusesContradictionsAndCombos: a ledger run directory joins
 // only with the settings it was created with, and the ledger flags are
 // mutually exclusive with checkpoint/resume/finalize.
