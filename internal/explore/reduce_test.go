@@ -312,7 +312,12 @@ func TestReduceEngineMatchesSequential(t *testing.T) {
 // TestReduceWithDedup composes the two pruning mechanisms. The sleep set is
 // folded into the dedup fingerprint (reducer.salt), so two visits to the
 // same canonical state merge only when they are truly interchangeable; the
-// composition must keep exact verdicts and, on clean sweeps, completeness.
+// composition must keep exact verdicts and, on clean sweeps, completeness,
+// and never explore more than the full sweep. One worker visits leaves in
+// lex order, so its count is fixed and the bound holds even when a violation
+// stops the run; two workers may both replay a leaf before the first
+// violation becomes the bound, so at two workers the bound is checked on
+// complete sweeps only, and a counterexample must match one worker's.
 func TestReduceWithDedup(t *testing.T) {
 	for _, tc := range reduceCases() {
 		tc := tc
@@ -324,26 +329,35 @@ func TestReduceWithDedup(t *testing.T) {
 
 			rcfg := cfg
 			rcfg.Reduce = run.ReduceSafe
-			eng := &Engine{}
-			out, err := eng.Check(context.Background(), with(&rcfg, run.WithWorkers(2), run.WithDedup()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.OK() != full.OK() {
-				t.Fatalf("dedup+reduce verdict: violation=%v, full sweep %v", !out.OK(), !full.OK())
-			}
-			if full.Violation != nil {
-				if out.Violation.Verdict.Violation != full.Violation.Verdict.Violation {
-					t.Fatalf("dedup+reduce violation kind %s, full %s",
-						out.Violation.Verdict.Violation, full.Violation.Verdict.Violation)
+			var first *Outcome
+			for _, workers := range []int{1, 2} {
+				eng := &Engine{}
+				out, err := eng.Check(context.Background(), with(&rcfg, run.WithWorkers(workers), run.WithDedup()))
+				if err != nil {
+					t.Fatal(err)
 				}
-			} else if !out.Complete {
-				t.Fatalf("dedup+reduce incomplete after %d executions on a clean sweep", out.Executions)
-			} else if out.Executions > full.Executions {
-				// Only a complete sweep's count is worker-independent: two
-				// workers may both replay a leaf before the first violation
-				// becomes the bound.
-				t.Errorf("dedup+reduce explored %d executions, full sweep only %d", out.Executions, full.Executions)
+				if out.OK() != full.OK() {
+					t.Fatalf("workers=%d: dedup+reduce verdict: violation=%v, full sweep %v", workers, !out.OK(), !full.OK())
+				}
+				if full.Violation != nil {
+					if out.Violation.Verdict.Violation != full.Violation.Verdict.Violation {
+						t.Fatalf("workers=%d: dedup+reduce violation kind %s, full %s",
+							workers, out.Violation.Verdict.Violation, full.Violation.Verdict.Violation)
+					}
+					if first != nil && !reflect.DeepEqual(out.Violation.Path, first.Violation.Path) {
+						t.Fatalf("workers=%d: dedup+reduce counterexample path %v, one worker %v",
+							workers, out.Violation.Path, first.Violation.Path)
+					}
+				} else if !out.Complete {
+					t.Fatalf("workers=%d: dedup+reduce incomplete after %d executions on a clean sweep", workers, out.Executions)
+				}
+				if (workers == 1 || out.Complete) && out.Executions > full.Executions {
+					t.Errorf("workers=%d: dedup+reduce explored %d executions, full sweep only %d",
+						workers, out.Executions, full.Executions)
+				}
+				if first == nil {
+					first = out
+				}
 			}
 		})
 	}
