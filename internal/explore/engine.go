@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -597,6 +598,11 @@ func (r *engineRun) prime(cp *store.Checkpoint) ([]task, error) {
 	for i, t := range cp.Tasks {
 		tasks[i] = task{path: append([]int(nil), t.Path...), floor: t.Floor}
 	}
+	// A checkpoint lists its tasks in no lexicographic order. The frontier
+	// pops the last task first, so put the lex-least last: the resumed run
+	// continues at the lex-least unfinished leaf, and a violation there is
+	// not left buried under donations carved from a larger subtree.
+	sort.Slice(tasks, func(i, j int) bool { return lexLess(tasks[j].path, tasks[i].path) })
 	r.ev.Emit(obs.Info, "checkpoint.restore", map[string]any{
 		"seq": cp.Seq, "executions": cp.Executions, "tasks": len(tasks),
 		"dedup_entries": len(cp.Dedup), "best_path_len": len(cp.BestPath),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -316,6 +317,69 @@ func TestEngineInterruptedResumeFindsViolation(t *testing.T) {
 	}
 	if resumed.Violation.Verdict.Violation != ref.Violation.Verdict.Violation {
 		t.Errorf("verdict = %v, want %v", resumed.Violation.Verdict.Violation, ref.Violation.Verdict.Violation)
+	}
+}
+
+// TestEngineResumeStartsAtLexLeastTask: a checkpoint lists its tasks in no
+// lexicographic order (queued tasks first, then each worker's claimed one).
+// A resume must still start at the lex-least unfinished leaf: here the
+// tasks are stored lex-greatest last, where a LIFO frontier would take the
+// huge right-hand subtree first and spend the whole cap before reaching the
+// violation the uninterrupted run finds within a few executions.
+func TestEngineResumeStartsAtLexLeastTask(t *testing.T) {
+	cfg := run.Settings{
+		Protocol:        core.NewStaged(1, 1),
+		Inputs:          inputs(3),
+		FaultyObjects:   []int{0, 1, 2},
+		FaultsPerObject: 1,
+		MaxExecutions:   50_000,
+	}
+	ref, err := check(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.OK() {
+		t.Fatal("reference run found no violation")
+	}
+
+	dir := filepath.Join(t.TempDir(), "run")
+	capped := cfg
+	capped.MaxExecutions = 2
+	m, err := ManifestFor(&capped, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Create(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Engine{Store: st}).Check(context.Background(), with(&capped, run.WithWorkers(2))); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st, err = store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cp := st.Checkpoint()
+	if cp == nil || len(cp.Tasks) < 2 {
+		t.Fatalf("capped checkpoint = %+v, want several unfinished tasks", cp)
+	}
+	sort.Slice(cp.Tasks, func(i, j int) bool { return lexLess(cp.Tasks[i].Path, cp.Tasks[j].Path) })
+	resumed, err := (&Engine{Store: st}).Check(context.Background(), with(&cfg, run.WithWorkers(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.OK() {
+		t.Fatalf("resumed run found no violation in %d executions", resumed.Executions)
+	}
+	if !reflect.DeepEqual(resumed.Violation.Path, ref.Violation.Path) {
+		t.Errorf("violation path = %v, want %v", resumed.Violation.Path, ref.Violation.Path)
+	}
+	if resumed.Executions > ref.Executions {
+		t.Errorf("resumed run took %d executions, the uninterrupted one %d", resumed.Executions, ref.Executions)
 	}
 }
 
