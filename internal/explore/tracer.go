@@ -20,18 +20,20 @@ import (
 // sampled 1-in-N, and the engine's wall-clock spans (worker tasks,
 // checkpoint writes) are sealed into a spans file on Close.
 //
-// A Tracer is safe for concurrent use by the engine's workers. File
-// sequence numbers continue past any files already in the directory, so
-// several explorations (an experiment sweep, a resumed run) can share one
-// trace directory without clobbering each other.
+// A Tracer is safe for concurrent use by the engine's workers. Each
+// artifact kind is numbered on its own, so the first violation is always
+// violation-000001 however many samples other workers captured before it.
+// Numbers continue past any files already in the directory, so several
+// explorations (an experiment sweep, a resumed run) can share one trace
+// directory without clobbering each other.
 type Tracer struct {
 	dir     string
 	sampleN int64
 	runMeta map[string]string
 	rec     *trace.Recorder
 
-	seq    atomic.Int64 // file sequence, shared by all artifact kinds
-	passes atomic.Int64 // passing executions seen (sampling clock)
+	seq    map[string]*atomic.Int64 // last file number per artifact kind; keys fixed by NewTracer
+	passes atomic.Int64             // passing executions seen (sampling clock)
 
 	violations atomic.Int64 // violating executions captured
 	samples    atomic.Int64 // passing executions captured
@@ -64,9 +66,9 @@ type captureJob struct {
 // while Summary reports how many captures were skipped.
 const MaxViolationCaptures = 64
 
-// fileSeq matches the numeric sequence in artifact names
+// fileSeq matches the kind and number in artifact names
 // (violation-000003.jsonl, sample-000007.perfetto.json, spans-000009.jsonl).
-var fileSeq = regexp.MustCompile(`-(\d+)\.(?:jsonl|perfetto\.json)$`)
+var fileSeq = regexp.MustCompile(`^(violation|sample|spans)-(\d+)\.(?:jsonl|perfetto\.json)$`)
 
 // NewTracer opens (creating if needed) dir as a trace directory. sampleN
 // picks the passing-execution sampling rate: every sampleN-th passing
@@ -85,6 +87,9 @@ func NewTracer(dir string, sampleN int, runMeta map[string]string) (*Tracer, err
 		rec:     trace.NewRecorder(0),
 		work:    make(chan captureJob, 64),
 		done:    make(chan struct{}),
+		seq: map[string]*atomic.Int64{
+			"violation": new(atomic.Int64), "sample": new(atomic.Int64), "spans": new(atomic.Int64),
+		},
 	}
 	// Continue numbering past whatever is already there.
 	entries, err := os.ReadDir(dir)
@@ -93,8 +98,8 @@ func NewTracer(dir string, sampleN int, runMeta map[string]string) (*Tracer, err
 	}
 	for _, e := range entries {
 		if m := fileSeq.FindStringSubmatch(e.Name()); m != nil {
-			if n, err := strconv.ParseInt(m[1], 10, 64); err == nil && n > t.seq.Load() {
-				t.seq.Store(n)
+			if n, err := strconv.ParseInt(m[2], 10, 64); err == nil && n > t.seq[m[1]].Load() {
+				t.seq[m[1]].Store(n)
 			}
 		}
 	}
@@ -190,7 +195,7 @@ func (t *Tracer) capture(kind string, worker int, path []int, ce *Counterexample
 		},
 		Events: ce.Trace.Events(),
 	}
-	base := fmt.Sprintf("%s-%06d", kind, t.seq.Add(1))
+	base := fmt.Sprintf("%s-%06d", kind, t.seq[kind].Add(1))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -233,7 +238,7 @@ func (t *Tracer) Close() error {
 		Spans:        spans,
 		DroppedSpans: t.rec.Dropped(),
 	}
-	base := fmt.Sprintf("spans-%06d", t.seq.Add(1))
+	base := fmt.Sprintf("spans-%06d", t.seq["spans"].Add(1))
 	if err := export.WriteExecution(filepath.Join(t.dir, base+".jsonl"), x); err != nil {
 		return err
 	}

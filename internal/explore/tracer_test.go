@@ -177,11 +177,14 @@ func TestTracerSampling(t *testing.T) {
 
 // TestTracerSequenceContinues: a tracer opened over a directory with
 // existing artifacts numbers new files past them, so resumed runs and
-// sweeps never clobber earlier captures.
+// sweeps never clobber earlier captures. Each kind has its own sequence:
+// samples numbered higher do not move the next violation's number.
 func TestTracerSequenceContinues(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "violation-000007.jsonl"), nil, 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"violation-000007.jsonl", "sample-000042.jsonl"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out, err := CheckWith(context.Background(),
 		violatingOpts(run.WithTraceDir(dir, 0))...)
