@@ -254,6 +254,15 @@ func Join(runDir, owner string, ttl time.Duration) (*Ledger, bool, error) {
 			l.poll = time.Millisecond
 		}
 	}
+	// The creator links the root task just after the marker. A joiner that
+	// arrives in between would find no task, lease or result and refuse the
+	// ledger as empty, so it gives the creator up to one TTL to finish.
+	empty := func() bool {
+		return countDir(filepath.Join(dir, tasksDir))+countDir(filepath.Join(dir, leasesDir))+countDir(filepath.Join(dir, resultsDir)) == 0
+	}
+	for deadline := time.Now().Add(l.ttl); !created && empty() && time.Now().Before(deadline); {
+		time.Sleep(l.poll)
+	}
 	return l, created, nil
 }
 
@@ -566,12 +575,24 @@ func (l *Ledger) Claim(ctx context.Context) (*Lease, error) {
 			var cur Task
 			if !readJSON(filepath.Join(l.dir, tasksDir, taskName(id)), &cur) || cur.Epoch != t.Epoch {
 				l.dropOwnLease(&ls)
+				l.requeueOrphan(&ls)
 				continue
 			}
 			if err := os.Remove(filepath.Join(l.dir, tasksDir, taskName(id))); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				// The claim stands (lease is linked); a claim-debris task
 				// file is cleaned up by later scans.
 				l.emit(obs.Warn, "ledger.claim", map[string]any{"id": id, "unlink_err": err.Error()})
+			}
+			// A claim that stalled past its TTL since linking its lease may
+			// have lost it to a reaper that saw the task file still there;
+			// it stands only if the lease is still its own.
+			var mine Lease
+			if !readJSON(filepath.Join(l.dir, leasesDir, leaseName(id)), &mine) {
+				l.requeueOrphan(&ls)
+				continue
+			}
+			if mine.Owner != l.owner || mine.Epoch != t.Epoch {
+				continue
 			}
 			inc(l.claims)
 			l.emit(obs.Info, "ledger.claim", map[string]any{
@@ -637,7 +658,12 @@ func (l *Ledger) reap(st *scanState) (int, error) {
 func (l *Ledger) Renew(ls *Lease) error {
 	path := filepath.Join(l.dir, leasesDir, leaseName(ls.ID))
 	var cur Lease
-	if !readJSON(path, &cur) || cur.Owner != l.owner || cur.Epoch != ls.Epoch {
+	if !readJSON(path, &cur) {
+		l.requeueOrphan(ls)
+		inc(l.fenced)
+		return ErrFenced
+	}
+	if cur.Owner != l.owner || cur.Epoch != ls.Epoch {
 		inc(l.fenced)
 		return ErrFenced
 	}
@@ -663,6 +689,36 @@ func (l *Ledger) Renew(ls *Lease) error {
 	}
 	ls.ExpiresUnixNano = cur.ExpiresUnixNano
 	return nil
+}
+
+// requeueOrphan re-enqueues a claim whose lease vanished when nothing else
+// covers its subtree: no task file, no lease, and no result at or above the
+// claim's epoch. That happens when the claimer stalls past its TTL between
+// linking the lease and unlinking the task file: a reaper that still sees
+// the task file drops the lease as a claim never started, and the claimer
+// then unlinks the task file. Without the re-enqueue the subtree is lost
+// and the drained merge silently undercounts. The new task fences the
+// claim's exports like a reclaim would.
+func (l *Ledger) requeueOrphan(ls *Lease) {
+	if _, err := os.Stat(filepath.Join(l.dir, tasksDir, taskName(ls.ID))); !errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	if _, err := os.Stat(filepath.Join(l.dir, leasesDir, leaseName(ls.ID))); !errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	rents, err := os.ReadDir(filepath.Join(l.dir, resultsDir))
+	if err != nil {
+		return
+	}
+	for _, e := range rents {
+		if id, ep, ok := parseResultName(e.Name()); ok && id == ls.ID && ep >= ls.Epoch {
+			return
+		}
+	}
+	bumped := Task{ID: ls.ID, Epoch: ls.Epoch + 1, Path: ls.Path, Floor: ls.Floor, Lineage: ls.Lineage}
+	if l.linkTask(bumped) == nil {
+		l.emit(obs.Warn, "ledger.requeue", map[string]any{"id": ls.ID, "epoch": bumped.Epoch, "owner": l.owner})
+	}
 }
 
 // Release publishes the claim's outcome and drops the lease. The result

@@ -78,6 +78,33 @@ func TestJoinSeedsRootOnce(t *testing.T) {
 	}
 }
 
+// TestJoinWaitsForCreatorsRoot: a joiner that arrives after the creator's
+// marker but before its root task must not see an empty ledger.
+func TestJoinWaitsForCreatorsRoot(t *testing.T) {
+	dir := t.TempDir()
+	ldir := filepath.Join(dir, ledgerDir)
+	for _, sub := range []string{tasksDir, leasesDir, resultsDir} {
+		if err := os.MkdirAll(filepath.Join(ldir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := json.Marshal(&marker{LedgerEpoch: 1, LeaseTTLNS: int64(time.Second), CreatedBy: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ldir, markerFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		(&Ledger{dir: ldir}).linkTask(Task{ID: TaskID(nil, 0), Path: []int{}}) //nolint:errcheck // checked by the claim below
+	}()
+	b := join(t, dir, "b", nil)
+	if _, err := b.Claim(context.Background()); err != nil {
+		t.Fatalf("joiner's first claim: %v", err)
+	}
+}
+
 func TestClaimExclusiveAndDrain(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
@@ -113,6 +140,37 @@ func TestClaimExclusiveAndDrain(t *testing.T) {
 	}
 	if m.Executions != 42 || m.Results != 1 || len(m.Participants) != 1 || m.Participants[0] != "a" {
 		t.Fatalf("merged = %+v", m)
+	}
+}
+
+// TestRenewRequeuesOrphanedClaim: a claimer that stalls past its TTL between
+// linking its lease and unlinking the task file loses the lease to a reaper
+// that still sees the task file (a claim never started: only the lease is
+// dropped); the claimer then unlinks the task file, and no task, lease or
+// result covers the subtree. The claimer's next renew must re-enqueue it.
+func TestRenewRequeuesOrphanedClaim(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	a := join(t, dir, "a", clk)
+	b := join(t, dir, "b", clk)
+
+	ls, err := a.Claim(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The end state of that race: the lease is gone, and so is the task file.
+	if err := os.Remove(filepath.Join(dir, ledgerDir, leasesDir, leaseName(ls.ID))); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Renew(ls); !errors.Is(err, ErrFenced) {
+		t.Fatalf("renew without a lease: err = %v, want ErrFenced", err)
+	}
+	got, err := b.Claim(context.Background())
+	if err != nil {
+		t.Fatalf("orphaned subtree was not re-enqueued: %v", err)
+	}
+	if got.ID != ls.ID || got.Epoch != ls.Epoch+1 {
+		t.Fatalf("claimed %s@%d, want %s@%d", got.ID, got.Epoch, ls.ID, ls.Epoch+1)
 	}
 }
 
