@@ -479,16 +479,17 @@ func (l *Ledger) linkLease(ls Lease) error {
 	return store.CreateExclusive(filepath.Join(l.dir, leasesDir), leaseName(ls.ID), data)
 }
 
-// dropOwnLease removes the caller's lease file, but only after re-verifying
-// the on-disk record still names this owner at this epoch — never delete a
-// successor's lease.
-func (l *Ledger) dropOwnLease(ls *Lease) {
+// dropLease removes the lease file, but only after re-verifying the on-disk
+// record still names ls's owner at ls's epoch — never delete a successor's
+// lease (a claimer may hold a reaped subtree under a fresh lease of the
+// same name before the reaper gets to remove the expired one).
+func (l *Ledger) dropLease(ls *Lease) {
 	path := filepath.Join(l.dir, leasesDir, leaseName(ls.ID))
 	var cur Lease
 	if !readJSON(path, &cur) {
 		return
 	}
-	if cur.Owner == l.owner && cur.Epoch == ls.Epoch {
+	if cur.Owner == ls.Owner && cur.Epoch == ls.Epoch {
 		os.Remove(path)
 	}
 }
@@ -574,7 +575,7 @@ func (l *Ledger) Claim(ctx context.Context) (*Lease, error) {
 			// was made from is still there.
 			var cur Task
 			if !readJSON(filepath.Join(l.dir, tasksDir, taskName(id)), &cur) || cur.Epoch != t.Epoch {
-				l.dropOwnLease(&ls)
+				l.dropLease(&ls)
 				l.requeueOrphan(&ls)
 				continue
 			}
@@ -640,7 +641,7 @@ func (l *Ledger) reap(st *scanState) (int, error) {
 			}
 			st.tasks[id] = bumped
 		}
-		os.Remove(filepath.Join(l.dir, leasesDir, leaseName(id)))
+		l.dropLease(&ls)
 		delete(st.leases, id)
 		n++
 		inc(l.reclaims)
@@ -668,7 +669,7 @@ func (l *Ledger) Renew(ls *Lease) error {
 		return ErrFenced
 	}
 	if l.fencedNow(ls) {
-		l.dropOwnLease(ls)
+		l.dropLease(ls)
 		inc(l.fenced)
 		return ErrFenced
 	}
@@ -683,7 +684,7 @@ func (l *Ledger) Renew(ls *Lease) error {
 	// The rename may have resurrected a lease a reaper deleted between our
 	// read and the rename; if a fence appeared meanwhile, undo and yield.
 	if l.fencedNow(ls) {
-		l.dropOwnLease(ls)
+		l.dropLease(ls)
 		inc(l.fenced)
 		return ErrFenced
 	}
@@ -727,7 +728,7 @@ func (l *Ledger) requeueOrphan(ls *Lease) {
 // caller's work is discarded, keeping merged counts exact.
 func (l *Ledger) Release(ls *Lease, r *Result) error {
 	if l.fencedNow(ls) {
-		l.dropOwnLease(ls)
+		l.dropLease(ls)
 		inc(l.fenced)
 		return ErrFenced
 	}
@@ -739,13 +740,13 @@ func (l *Ledger) Release(ls *Lease, r *Result) error {
 	}
 	if err := store.CreateExclusive(filepath.Join(l.dir, resultsDir), resultName(ls.ID, ls.Epoch), data); err != nil {
 		if errors.Is(err, fs.ErrExist) {
-			l.dropOwnLease(ls)
+			l.dropLease(ls)
 			inc(l.fenced)
 			return ErrFenced
 		}
 		return err
 	}
-	l.dropOwnLease(ls)
+	l.dropLease(ls)
 	inc(l.publishes)
 	l.emit(obs.Info, "ledger.publish", map[string]any{
 		"id": ls.ID, "epoch": ls.Epoch, "owner": l.owner,
@@ -764,7 +765,7 @@ func (l *Ledger) Abandon(ls *Lease) error {
 	if err := l.linkTask(bumped); err != nil && !errors.Is(err, fs.ErrExist) {
 		return err
 	}
-	l.dropOwnLease(ls)
+	l.dropLease(ls)
 	inc(l.abandons)
 	l.emit(obs.Info, "ledger.abandon", map[string]any{"id": ls.ID, "epoch": ls.Epoch, "owner": l.owner})
 	return nil

@@ -174,6 +174,42 @@ func TestRenewRequeuesOrphanedClaim(t *testing.T) {
 	}
 }
 
+// TestReapKeepsSuccessorsLease: a reaper acts on its scan; by the time it
+// removes the expired lease, a claimer may already hold the re-enqueued
+// subtree under a fresh lease of the same name, which must survive.
+func TestReapKeepsSuccessorsLease(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	a := join(t, dir, "a", clk)
+	b := join(t, dir, "b", clk)
+	ls, err := a.Claim(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(2 * time.Second)
+	st, err := b.scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	succ := Lease{Task: Task{ID: ls.ID, Epoch: ls.Epoch + 1, Path: ls.Path}, Owner: "c",
+		ExpiresUnixNano: clk.now().Add(time.Second).UnixNano()}
+	data, err := json.Marshal(&succ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ledgerDir, leasesDir, leaseName(ls.ID))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.reap(st); err != nil {
+		t.Fatal(err)
+	}
+	var cur Lease
+	if !readJSON(path, &cur) || cur.Owner != "c" || cur.Epoch != succ.Epoch {
+		t.Fatalf("reap removed the successor's lease (now %+v)", cur)
+	}
+}
+
 func TestRenewExtendsAndExpiryReclaims(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
