@@ -113,10 +113,13 @@ func (u *Universal) Execute(proc int, cmd int64) int {
 	defer u.announce[proc].CompareAndSwap(cmd, -1)
 
 	for {
+		// Read the prefix before checking whether cmd is applied: every
+		// slot below L is then recorded, so a cmd that helpers decided
+		// there is seen here and is not proposed again for slot L.
+		L := u.length()
 		if i, ok := u.appliedAt(cmd); ok {
 			return i
 		}
-		L := u.length()
 
 		// Helping: slot L belongs to process L mod n. If that process
 		// has announced a not-yet-applied command, everyone proposes

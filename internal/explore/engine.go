@@ -824,9 +824,14 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 		r.mergeMaxima(localSteps, localFaults)
 	}()
 
+	// Poll ctx.Done(), not ctx.Err(): Err locks the context every worker
+	// shares (see sim.Arena.Run).
+	done := ctx.Done()
 	for {
-		if ctx.Err() != nil {
+		select {
+		case <-done:
 			return false
+		default:
 		}
 		if r.pruned(c.path) {
 			// Replay visits leaves in lexicographic order, so once the

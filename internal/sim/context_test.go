@@ -5,72 +5,158 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/word"
 )
+
+// steppedCounter is the stepped form of the counter programs below: each
+// process increments a shared count incrs times, one step per increment,
+// and decides its id in its last step.
+type steppedCounter struct {
+	incrs int
+	left  []int
+	n     int
+}
+
+func (c *steppedCounter) Begin(id int) { c.left[id] = c.incrs }
+
+func (c *steppedCounter) Step(id int, rec *StepRecorder) StepOutcome {
+	c.n++
+	rec.Record(trace.Event{Kind: trace.EventWrite, Proc: id, Value: word.FromValue(int64(c.n))})
+	if c.left[id]--; c.left[id] == 0 {
+		return StepOutcome{Done: true, Decision: word.FromValue(int64(id))}
+	}
+	return StepOutcome{}
+}
+
+// counterRunners run one two-process execution, in which each process takes
+// incrs counter increments and then decides its id, on each runner: the
+// goroutine-gated Arena and the stepped runner. Each returns the result,
+// the number of increments performed, and the error.
+var counterRunners = []struct {
+	name string
+	run  func(ctx context.Context, incrs int, sched Scheduler) (*Result, int, error)
+}{
+	{"arena", func(ctx context.Context, incrs int, sched Scheduler) (*Result, int, error) {
+		c := &counter{}
+		prog := func(p *Proc) word.Word {
+			for i := 0; i < incrs; i++ {
+				c.Incr(p)
+			}
+			return word.FromValue(int64(p.ID()))
+		}
+		res, err := RunContext(ctx, Config{Programs: []Program{prog, prog}, Scheduler: sched})
+		return res, c.n, err
+	}},
+	{"stepped", func(ctx context.Context, incrs int, sched Scheduler) (*Result, int, error) {
+		c := &steppedCounter{incrs: incrs, left: make([]int, 2)}
+		res, err := RunStepped(ctx, SteppedConfig{Procs: 2, Program: c, Scheduler: sched})
+		return res, c.n, err
+	}},
+}
 
 // TestRunContextCancelMidExecution: cancelling the context between steps
 // must abandon the execution and return the partial result, marked Stopped,
 // together with the context error.
 func TestRunContextCancelMidExecution(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		for i := 0; i < 100; i++ {
-			c.Incr(p)
-		}
-		return word.FromValue(int64(p.ID()))
-	}
-	grants := 0
-	sched := SchedulerFunc(func(enabled []int) (int, bool) {
-		grants++
-		if grants == 5 {
-			cancel()
-		}
-		return enabled[0], true
-	})
-	res, err := RunContext(ctx, Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: sched,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want canceled", err)
-	}
-	if res == nil {
-		t.Fatal("no partial result returned")
-	}
-	if !res.Stopped {
-		t.Error("partial result not marked Stopped")
-	}
-	if res.Decided[0] || res.Decided[1] {
-		t.Error("a process decided in an abandoned execution")
-	}
-	if c.n == 0 || c.n >= 200 {
-		t.Errorf("counter = %d, want a partial execution", c.n)
+	for _, r := range counterRunners {
+		t.Run(r.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			grants := 0
+			sched := SchedulerFunc(func(enabled []int) (int, bool) {
+				grants++
+				if grants == 5 {
+					cancel()
+				}
+				return enabled[0], true
+			})
+			res, n, err := r.run(ctx, 100, sched)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want canceled", err)
+			}
+			if res == nil {
+				t.Fatal("no partial result returned")
+			}
+			if !res.Stopped {
+				t.Error("partial result not marked Stopped")
+			}
+			if res.Decided[0] || res.Decided[1] {
+				t.Error("a process decided in an abandoned execution")
+			}
+			// The fifth grant's step completes; the poll before the
+			// sixth sees the cancellation.
+			if n != 5 {
+				t.Errorf("counter = %d, want 5 steps granted", n)
+			}
+		})
 	}
 }
 
 // TestRunContextPreCancelled: an already-cancelled context must stop the
 // execution before any step is granted.
 func TestRunContextPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		return word.FromValue(0)
+	for _, r := range counterRunners {
+		t.Run(r.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			res, n, err := r.run(ctx, 1, NewRoundRobin())
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want canceled", err)
+			}
+			if res == nil || !res.Stopped {
+				t.Fatalf("want stopped partial result, got %+v", res)
+			}
+			if n != 0 {
+				t.Errorf("counter = %d, want 0 steps granted", n)
+			}
+		})
 	}
-	res, err := RunContext(ctx, Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: NewRoundRobin(),
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want canceled", err)
-	}
-	if res == nil || !res.Stopped {
-		t.Fatalf("want stopped partial result, got %+v", res)
-	}
-	if c.n != 0 {
-		t.Errorf("counter = %d, want 0 steps granted", c.n)
+}
+
+// pollCountingCtx counts how often a runner polls it for cancellation.
+// Runners poll from their calling goroutine only, so plain counters do.
+type pollCountingCtx struct {
+	context.Context
+	errs, dones int
+}
+
+func (c *pollCountingCtx) Err() error {
+	c.errs++
+	return c.Context.Err()
+}
+
+func (c *pollCountingCtx) Done() <-chan struct{} {
+	c.dones++
+	return c.Context.Done()
+}
+
+// TestRunPollsDoneOncePerRun pins the cancellation poll off the hot path:
+// an uncancelled run reads ctx.Done() once and never calls ctx.Err(). A
+// cancelCtx's Err takes the context's mutex, and the engine's workers all
+// replay under one context, so a per-step Err serializes them.
+func TestRunPollsDoneOncePerRun(t *testing.T) {
+	const runs = 3
+	for _, r := range counterRunners {
+		t.Run(r.name, func(t *testing.T) {
+			parent, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx := &pollCountingCtx{Context: parent}
+			for i := 0; i < runs; i++ {
+				res, n, err := r.run(ctx, 10, NewRoundRobin())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stopped || !res.Decided[0] || !res.Decided[1] || n != 20 {
+					t.Fatalf("run %d: stopped=%v decided=%v after %d steps, want a completed 20-step execution",
+						i, res.Stopped, res.Decided, n)
+				}
+			}
+			if ctx.errs != 0 || ctx.dones != runs {
+				t.Errorf("%d runs called Err %d times and Done %d times, want 0 and %d",
+					runs, ctx.errs, ctx.dones, runs)
+			}
+		})
 	}
 }
 

@@ -414,10 +414,16 @@ func (a *Arena) Run(ctx context.Context, cfg Config) (*Result, error) {
 		a.record(trace.Event{Kind: trace.EventDecide, Proc: id, Value: a.decisions[id]})
 	}
 
-	// Main loop: grant one step at a time.
+	// Main loop: grant one step at a time. Cancellation is polled with a
+	// non-blocking receive on ctx.Done(), not ctx.Err(): a cancelCtx's Err
+	// takes the context's mutex, and every engine worker replays under the
+	// same context, so a per-step Err would serialize the workers on it.
+	done := ctx.Done()
 	for a.liveCount > 0 {
-		if err := ctx.Err(); err != nil {
-			return a.result(true), err
+		select {
+		case <-done:
+			return a.result(true), ctx.Err()
+		default:
 		}
 		a.enabled = a.enabled[:0]
 		for id := 0; id < a.n; id++ {

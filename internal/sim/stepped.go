@@ -162,12 +162,17 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 	}
 
 	// Main loop: grant one step at a time. Structure and error strings
-	// track Arena.Run exactly — the sequential checker's lex-least
-	// counterexample guarantee rests on both forms consuming scheduler
-	// decisions identically.
+	// track Arena.Run exactly — the engine's verdicts and lex-least
+	// counterexamples are the same in both execution forms only because
+	// both consume scheduler decisions identically (explore.CrossCheck
+	// checks it). Cancellation is polled through ctx.Done(), as in
+	// Arena.Run.
+	done := ctx.Done()
 	for live > 0 {
-		if err := ctx.Err(); err != nil {
-			return s.result(cfg, true), err
+		select {
+		case <-done:
+			return s.result(cfg, true), ctx.Err()
+		default:
 		}
 		s.enabled = s.enabled[:0]
 		for id := 0; id < s.n; id++ {

@@ -8,7 +8,8 @@ cd "$(dirname "$0")/.."
 # gate runs `go test -count=1 -v ARGS` and fails when the tests fail or when
 # the -run regex in ARGS selected no test at all: `go test -run` passes a
 # regex that matches nothing ("no tests to run"), so a renamed or deleted
-# test would otherwise drop out of its gate silently.
+# test would otherwise drop out of its gate silently. A regex of the form
+# '^(A|B|C)$' names its tests, and each of them must run.
 gate() {
 	log="$(mktemp)"
 	status=0
@@ -24,6 +25,13 @@ gate() {
 		rm -f "$log"
 		exit 1
 	fi
+	for name in $(printf '%s\n' "$@" | sed -n 's/^^(\(.*\))[$]$/\1/p' | tr '|' ' '); do
+		if ! grep -qx "=== RUN   $name" "$log"; then
+			echo "gate: go test $* did not run $name" >&2
+			rm -f "$log"
+			exit 1
+		fi
+	done
 	rm -f "$log"
 }
 
@@ -104,6 +112,17 @@ echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =
 # reducer's sleep/symmetry bookkeeping is shared mutable state on the branch
 # path, so this gate runs under the race detector, uncached.
 gate -race -run TestReduceMatchesFull ./internal/explore/
+
+echo "== cancellation gate (between-step exits, fresh, race, 10 runs) =="
+# Both runners and the engine poll cancellation without blocking before
+# every granted step and every leaf. These tests pin what a cancelled run
+# returns (the partial Stopped result or outcome, with ctx.Err()), that a
+# pre-cancelled context grants no step, that an uncancelled run never calls
+# ctx.Err(), and that per-worker counters still sum after a mid-lease
+# cancel. The exits race the workers and the watcher goroutine that aborts
+# the frontier, so they run ten times under the race detector, uncached.
+gate -race -count=10 -run '^(TestRunContextCancelMidExecution|TestRunContextPreCancelled|TestRunPollsDoneOncePerRun|TestEngineImmediateCancel|TestEngineDeadline|TestEngineCancelMidLeaseWorkerSum|TestEngineCancelMidLeaseWorkerSumCompiled|TestConsensusContextCancelPropagates)$' \
+	./internal/sim/ ./internal/explore/ ./internal/run/
 
 echo "== benchmark smoke test (bench/, its own module, fresh) =="
 # bench/ drives explore.CheckWith, harness.RunOne, explore.ExplainFile, and
