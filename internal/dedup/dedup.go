@@ -55,30 +55,36 @@ const numShards = 64
 
 type shard struct {
 	mu sync.Mutex
-	m  map[Fingerprint][]int32
+	m  map[Fingerprint][]uint8
 	// buf is the shard's interning arena: representative paths are carved
 	// out of large chunks instead of one heap object per state, which
 	// removes the per-store allocation from the Visit hot path.
-	buf []int32
+	buf []uint8
 }
+
+// MaxChoice is the largest choice a visited path may hold: representative
+// paths are stored one byte per choice, which keeps the set's footprint
+// (and the GC's work over it) a quarter of 32-bit cells. A choice indexes
+// the enabled processes or a fault's two branches, so the exploration
+// engine refuses dedup above MaxChoice+1 processes; a larger choice would
+// be stored truncated.
+const MaxChoice = 255
 
 // internChunk is the arena chunk size in cells; paths longer than a chunk
 // get an exact allocation.
 const internChunk = 4096
 
 // intern copies path into the shard's arena. Callers hold the shard lock.
-func (sh *shard) intern(path []int) []int32 {
+func (sh *shard) intern(path []int) []uint8 {
 	n := len(path)
 	if n > internChunk {
-		return compact(path)
+		return compact(make([]uint8, 0, n), path)
 	}
 	if len(sh.buf)+n > cap(sh.buf) {
-		sh.buf = make([]int32, 0, internChunk)
+		sh.buf = make([]uint8, 0, internChunk)
 	}
 	start := len(sh.buf)
-	for _, v := range path {
-		sh.buf = append(sh.buf, int32(v))
-	}
+	sh.buf = compact(sh.buf, path)
 	return sh.buf[start : start+n : start+n]
 }
 
@@ -98,10 +104,12 @@ type Set struct {
 	improved atomic.Int64
 
 	// leafLookups is the engine-side effectiveness denominator: Visit runs
-	// once per scheduling decision (so Lookups counts steps, not
-	// executions, and most of them are Revisits of the worker's own
-	// prefix). The engine calls LeafLookup once per replayed leaf — pruned
-	// or completed — making Hits/LeafLookups the honest hit rate.
+	// once per scheduling decision a replay executes (so Lookups counts
+	// steps, not executions; a replay that resumes from a saved state
+	// skips the decisions of its shared prefix, while one replayed from
+	// the root repeats them as Revisits). The engine calls LeafLookup once
+	// per replayed leaf — pruned or completed — making Hits/LeafLookups
+	// the honest hit rate.
 	leafLookups atomic.Int64
 }
 
@@ -109,7 +117,7 @@ type Set struct {
 func NewSet(limit int) *Set {
 	s := &Set{limit: int64(limit)}
 	for i := range s.shards {
-		s.shards[i].m = make(map[Fingerprint][]int32)
+		s.shards[i].m = make(map[Fingerprint][]uint8)
 	}
 	return s
 }
@@ -117,7 +125,8 @@ func NewSet(limit int) *Set {
 // Visit records or consults the state reached by the given choice path and
 // decides whether the subtree rooted at that path should be explored or
 // pruned. path is borrowed for the duration of the call; the set copies it
-// when it becomes a representative.
+// when it becomes a representative. Every choice must lie in
+// [0, MaxChoice].
 func (s *Set) Visit(fp Fingerprint, path []int) Decision {
 	s.lookups.Add(1)
 	sh := &s.shards[fp.Lo&(numShards-1)]
@@ -150,19 +159,18 @@ func (s *Set) Visit(fp Fingerprint, path []int) Decision {
 // exploration engine) invoke it once per completed or pruned replay.
 func (s *Set) LeafLookup() { s.leafLookups.Add(1) }
 
-// compact stores a choice path in 32-bit cells (arities are tiny).
-func compact(path []int) []int32 {
-	c := make([]int32, len(path))
-	for i, v := range path {
-		c[i] = int32(v)
+// compact appends a choice path to dst in byte cells (see MaxChoice).
+func compact(dst []uint8, path []int) []uint8 {
+	for _, v := range path {
+		dst = append(dst, uint8(v))
 	}
-	return c
+	return dst
 }
 
 // comparePaths orders a stored representative against a candidate path:
 // -1 if stored is lexicographically less, 0 if equal, +1 if greater. A
 // shorter path that is a prefix of the longer orders first.
-func comparePaths(stored []int32, path []int) int {
+func comparePaths(stored []uint8, path []int) int {
 	for i := 0; i < len(stored) && i < len(path); i++ {
 		if int(stored[i]) != path[i] {
 			if int(stored[i]) < path[i] {
@@ -206,10 +214,11 @@ type Stats struct {
 }
 
 // HitRate is the fraction of replayed leaves that were pruned: Hits over
-// LeafLookups. Dividing by all Visit calls instead (one per step, nearly
-// all of them Revisits of the worker's own prefix) once underreported a
-// 60%-savings run as a 1% hit rate. When the engine-side leaf counter is
-// absent (bare Set users), it falls back to the per-step ratio.
+// LeafLookups. Dividing by all Visit calls instead (one per step — when
+// every replay started from the root, nearly all of them Revisits of the
+// worker's own prefix) once underreported a 60%-savings run as a 1% hit
+// rate. When the engine-side leaf counter is absent (bare Set users), it
+// falls back to the per-step ratio.
 func (s Stats) HitRate() float64 {
 	if s.LeafLookups > 0 {
 		return float64(s.Hits) / float64(s.LeafLookups)

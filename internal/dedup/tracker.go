@@ -131,6 +131,34 @@ func (t *Tracker) Reset() {
 	}
 }
 
+// TrackerState is a saved canonical state of a Tracker: the register,
+// digest and charge slots and the accumulators. Save and Restore reuse its
+// buffers, so a replay loop that keeps its states allocates nothing after
+// warm-up.
+type TrackerState struct {
+	regs    []word.Word
+	procs   []uint64
+	charges []uint32
+	hi, lo  uint64
+}
+
+// Save copies the tracker's current state into dst.
+func (t *Tracker) Save(dst *TrackerState) {
+	dst.regs = append(dst.regs[:0], t.regs...)
+	dst.procs = append(dst.procs[:0], t.procs...)
+	dst.charges = append(dst.charges[:0], t.charges...)
+	dst.hi, dst.lo = t.hi, t.lo
+}
+
+// Restore rewinds the tracker to a state Save took from it, as when a
+// replay resumes from an earlier step of the same execution.
+func (t *Tracker) Restore(src *TrackerState) {
+	copy(t.regs, src.regs)
+	copy(t.procs, src.procs)
+	copy(t.charges, src.charges)
+	t.hi, t.lo = src.hi, src.lo
+}
+
 // Observe folds one simulator event into the state. It is installed as the
 // simulator's Observer, so it runs inside the granted atomic step — no
 // synchronization is needed.

@@ -28,10 +28,13 @@ type CrossReport struct {
 // compiled step machines — and compares every observable of every leaf:
 // the extended choice path, the schedule, the verdict (violation, detail,
 // decisions), the per-process step counts, the fault tally, and the full
-// trace event log. The enumeration is driven by the interpreted form (the
-// reference), in its depth-first order, so the first divergence reported is
-// the lexicographically least one; on a clean sweep both forms necessarily
-// agree on the lex-least counterexample and on completeness.
+// trace event log. The reference replays every leaf from the root; the
+// compiled form resumes each from its snapshots, as the engine does, so
+// the sweep also certifies incremental replay. The enumeration is driven
+// by the interpreted form (the reference), in its depth-first order, so
+// the first divergence reported is the lexicographically least one; on a
+// clean sweep both forms necessarily agree on the lex-least counterexample
+// and on completeness.
 //
 // The protocol must provide a Stepper (run.ExecCompiled would refuse it
 // otherwise); dedup and fixed policies are outside CrossCheck's scope —
@@ -61,21 +64,22 @@ func CrossCheck(s *run.Settings) (*CrossReport, error) {
 
 	rep := &CrossReport{}
 	for rep.Executions < cap {
-		ic.arity = ic.arity[:0]
-		ic.pos = 0
 		iv, istats, _, err := ies.runLeaf(context.Background())
 		if err != nil {
 			return nil, fmt.Errorf("explore: crosscheck: interpreted leaf %v: %w", ic.path, err)
 		}
 
 		// Replay the same leaf through the compiled form: seed its chooser
-		// with the reference's full extended path. An equivalent compiled
-		// run consumes exactly those choices; a structural divergence
-		// (different arity on the same prefix) surfaces as the chooser's
-		// stale-choice panic, which is caught and reported.
+		// with the reference's full extended path, rewinding it to the
+		// first position where that path departs from the compiled form's
+		// previous leaf, so every compiled leaf after the first is a
+		// resumed one checked against a reference replayed from the root.
+		// An equivalent compiled run consumes exactly those choices; a
+		// structural divergence (different arity on the same prefix)
+		// surfaces as the chooser's stale-choice panic, which is caught
+		// and reported.
+		cc.changed = min(cc.changed, commonPrefix(cc.path, ic.path))
 		cc.path = append(cc.path[:0], ic.path...)
-		cc.arity = cc.arity[:0]
-		cc.pos = 0
 		cv, cstats, err := crossLeaf(ces)
 		rep.Executions++
 		if err != nil {
@@ -96,6 +100,15 @@ func CrossCheck(s *run.Settings) (*CrossReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b []int) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // crossLeaf replays one leaf on the compiled execState, converting a

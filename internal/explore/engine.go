@@ -18,13 +18,14 @@ import (
 )
 
 // Engine is the exploration engine: a frontier of choice-path prefixes
-// sharded across workers, each worker running independent stateless replays
-// (an execution is a pure function of protocol, inputs, and choice path, so
-// subtrees explore with no shared state beyond the frontier and the
-// aggregated outcome). What to explore and how — protocol, inputs, fault
-// budget, cap, worker count, dedup, metrics, events — comes from the
-// run.Settings passed to Check; the Engine holds only what settings cannot
-// express.
+// sharded across workers, each worker replaying the leaves of its subtrees
+// independently (an execution is a pure function of protocol, inputs, and
+// choice path, so subtrees explore with no shared state beyond the frontier
+// and the aggregated outcome; a worker's replay resumes from states it
+// saved along its own previous path). What to explore and how — protocol,
+// inputs, fault budget, cap, worker count, dedup, metrics, events — comes
+// from the run.Settings passed to Check; the Engine holds only what
+// settings cannot express.
 //
 // Determinism guarantees, independent of worker count and scheduling:
 //
@@ -796,11 +797,13 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 	}
 }
 
-// runSubtree enumerates the subtree task by stateless replay, donating
-// sub-subtrees to the frontier whenever it runs low. It reports whether the
-// task was finished: fully enumerated, or abandoned because no leaf below it
-// can improve the canonical counterexample (bound pruning) or because its
-// root state was already covered by a smaller path (dedup).
+// runSubtree enumerates the subtree task by replaying its leaves in
+// depth-first order (each resumes from the deepest state it shares with
+// the previous one, see execState.runLeaf), donating sub-subtrees to the
+// frontier whenever it runs low. It reports whether the task was finished:
+// fully enumerated, or abandoned because no leaf below it can improve the
+// canonical counterexample (bound pruning) or because its root state was
+// already covered by a smaller path (dedup).
 //
 // Shared state is touched once per lease, not once per leaf: the cap pool,
 // the metric counters, the frontier slot publish, and the maxima merge all
@@ -811,9 +814,8 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState, l *workerLease) bool {
 	c := es.c
 	c.path = append(c.path[:0], t.path...)
-	c.arity = c.arity[:0]
-	c.pos = 0
 	c.lb = t.floor
+	c.changed = 0
 	var localSteps, localFaults int
 	var taskExecs int64
 	spanStart := r.tr.Recorder().Begin()
@@ -857,8 +859,6 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			}
 			l.avail = n
 		}
-		c.arity = c.arity[:0]
-		c.pos = 0
 		verdict, stats, pruned, err := es.runLeaf(ctx)
 		if err != nil {
 			if ctx.Err() == nil {
@@ -877,20 +877,15 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			// replays, and the pruned replay's unit stays in the lease.
 			if es.pruneSleep {
 				r.m.reducePrunes.Inc()
-				r.ev.Emit(obs.Debug, "reduce.prune", map[string]any{
-					"worker": w, "pos": es.prunedAt,
-				})
+				r.debugEvent("reduce.prune", w, "pos", es.prunedAt)
 			} else {
 				r.m.prunes.Inc()
-				r.ev.Emit(obs.Debug, "dedup.prune", map[string]any{
-					"worker": w, "pos": es.prunedAt,
-				})
+				r.debugEvent("dedup.prune", w, "pos", es.prunedAt)
 			}
 			if es.prunedAt <= c.lb {
 				return true // the whole task is covered elsewhere
 			}
-			c.path = c.path[:es.prunedAt]
-			c.arity = c.arity[:es.prunedAt]
+			c.truncate(es.prunedAt)
 			if !c.next() {
 				return true
 			}
@@ -929,9 +924,7 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 				// times.
 				r.m.depth.Observe(float64(len(p)))
 				r.m.donations.Inc()
-				r.ev.Emit(obs.Debug, "frontier.donate", map[string]any{
-					"worker": w, "tasks": 1, "depth": len(p),
-				})
+				r.debugEvent("frontier.donate", w, "depth", len(p))
 				r.fr.push([]task{{path: p, floor: floor}})
 				r.fr.publish(w, c.path, c.lb)
 			}
@@ -940,6 +933,17 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			return true
 		}
 	}
+}
+
+// debugEvent emits a Debug event from worker w with one integer field. The
+// field map is built only when the log keeps Debug events: the prune and
+// donation sites run once per leaf, and a map literal handed to Emit is
+// built before Emit can check the level.
+func (r *engineRun) debugEvent(typ string, w int, key string, v int) {
+	if !r.ev.Enabled(obs.Debug) {
+		return
+	}
+	r.ev.Emit(obs.Debug, typ, map[string]any{"worker": w, key: v})
 }
 
 // pruned reports that every leaf below the path is lexicographically at or

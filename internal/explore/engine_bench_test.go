@@ -35,7 +35,7 @@ func benchConfig() run.Settings {
 // BenchmarkEngineCoveringSweep measures exploration throughput of the
 // parallel engine across worker counts. On a multicore machine the
 // paths/sec metric scales near-linearly up to the core count, because
-// replays are stateless and share only the frontier and the atomic
+// workers replay independently and share only the frontier and the atomic
 // execution counter.
 func BenchmarkEngineCoveringSweep(b *testing.B) {
 	cfg := benchConfig()

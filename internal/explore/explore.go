@@ -5,13 +5,16 @@
 // inputs, the scheduler's choices, and the fault choices (Definition 1
 // faults fire only at operation boundaries, so a binary choice per
 // admissible, observable CAS captures the entire adversary). The checker
-// therefore enumerates the execution tree by stateless replay: each run is
-// driven by a choice path; after the run, the deepest branch point with an
-// untaken alternative is advanced (depth-first, odometer style) and the
-// execution is replayed from scratch. Wait-freedom of the protocols makes
-// every path finite, so for small configurations the enumeration is
-// complete — an empirical proof of the paper's possibility theorems, and a
-// counterexample finder for its impossibility theorems.
+// therefore enumerates the execution tree by replay: each run is driven by
+// a choice path; after the run, the deepest branch point with an untaken
+// alternative is advanced (depth-first, odometer style) and the execution
+// is replayed from the deepest state it shares with the previous one. The
+// compiled form resumes from a between-steps snapshot saved along the
+// previous path; the goroutine-gated reference form replays from the
+// initial state. Wait-freedom of the protocols makes every path finite, so
+// for small configurations the enumeration is complete — an empirical
+// proof of the paper's possibility theorems, and a counterexample finder
+// for its impossibility theorems.
 package explore
 
 import (
@@ -121,6 +124,11 @@ type chooser struct {
 	// engine worker owns the subtree rooted at its task's prefix and sets
 	// lb = len(prefix).
 	lb int
+	// changed is the first position whose choice may differ from the
+	// previous replay's: the compiled form resumes the next replay from
+	// its deepest snapshot at or before it. Zero (the zero value, and a
+	// task start) replays from the root.
+	changed int
 }
 
 func (c *chooser) choose(n int) int {
@@ -155,7 +163,16 @@ func (c *chooser) next() bool {
 	}
 	c.path = c.path[:i+1]
 	c.path[i]++
+	c.changed = min(c.changed, i)
 	return true
+}
+
+// truncate cuts the path to its first n choices, as at a pruned replay's
+// halt position.
+func (c *chooser) truncate(n int) {
+	c.path = c.path[:n]
+	c.arity = c.arity[:n]
+	c.changed = min(c.changed, n)
 }
 
 // donate carves off every untaken alternative at the shallowest branch point
@@ -201,6 +218,18 @@ func observable(kind fault.Kind, op fault.Op) bool {
 	default:
 		return false
 	}
+}
+
+// ProcessLimitError is prepare's refusal of a mechanism whose encoding
+// bounds the number of processes it can explore.
+type ProcessLimitError struct {
+	Mechanism string // "partial-order reduction" or "dedup"
+	Max       int
+	Procs     int
+}
+
+func (e *ProcessLimitError) Error() string {
+	return fmt.Sprintf("explore: %s supports at most %d processes, got %d", e.Mechanism, e.Max, e.Procs)
 }
 
 // prepare validates the settings and resolves the effective fault kind,
@@ -249,8 +278,13 @@ func prepare(s *run.Settings, st *store.Store, l *ledger.Ledger) (kind fault.Kin
 		}
 		if len(s.Inputs) > 64 {
 			// The reducer's sleep and persistent sets are process bitmasks.
-			return 0, 0, false, fmt.Errorf("explore: partial-order reduction supports at most 64 processes, got %d", len(s.Inputs))
+			return 0, 0, false, &ProcessLimitError{Mechanism: "partial-order reduction", Max: 64, Procs: len(s.Inputs)}
 		}
+	}
+	if s.Dedup && len(s.Inputs) > dedup.MaxChoice+1 {
+		// The dedup set stores one byte per choice, and a scheduling
+		// choice indexes the enabled processes.
+		return 0, 0, false, &ProcessLimitError{Mechanism: "dedup", Max: dedup.MaxChoice + 1, Procs: len(s.Inputs)}
 	}
 	cap = s.MaxExecutions
 	if cap <= 0 {
@@ -296,6 +330,10 @@ type runStats struct {
 // channels, goroutines, slices); at millions of leaves the allocator and
 // scheduler churn dominated the engine's profile and made worker scaling
 // negative.
+//
+// The compiled form also keeps a stack of between-steps snapshots along the
+// current path (snaps), so a leaf resumes from the deepest state it shares
+// with the previous leaf instead of replaying its whole prefix.
 type execState struct {
 	s    *run.Settings
 	kind fault.Kind
@@ -323,10 +361,30 @@ type execState struct {
 	simCfg sim.Config
 
 	// Compiled form (compiled == true): the protocol's step machines on
-	// the single-goroutine stepped runner.
+	// the single-goroutine stepped runner, and the snapshot stack, one
+	// entry per chooser position the current path advanced through.
 	compiled   bool
+	prog       *run.SteppedExec
 	stepped    *sim.Stepped
 	steppedCfg sim.SteppedConfig
+	snaps      []snapshot
+}
+
+// snapshot is one between-steps state of a compiled replay: exactly what a
+// step can change. It is saved at the first scheduling decision after the
+// chooser's position advanced, so it is a function of the choice prefix
+// path[:pos] alone, and any later replay sharing that prefix may resume
+// from it. Its buffers are reused from push to push.
+type snapshot struct {
+	pos      int // chooser position: the choices consumed to reach it
+	logLen   int
+	schedLen int
+	sim      sim.SteppedSnapshot
+	states   []core.State
+	regs     []word.Word
+	charges  []fault.Charge
+	tracker  dedup.TrackerState // with dedup or reduction
+	red      descent            // with reduction
 }
 
 // newExecState builds the replay machinery for one enumeration loop driven
@@ -375,15 +433,15 @@ func newExecState(s *run.Settings, kind fault.Kind, compiled bool, c *chooser, d
 		if !ok {
 			panic(fmt.Sprintf("explore: compiled execution of %s, which has no Stepper", s.Protocol.Name()))
 		}
-		prog := run.NewSteppedExec(stepper, es.bank, s.Inputs)
+		es.prog = run.NewSteppedExec(stepper, es.bank, s.Inputs)
 		if es.red != nil {
-			es.red.pendingOf = prog.Pending
-			es.red.footprintOf = prog.Footprint
+			es.red.pendingOf = es.prog.Pending
+			es.red.footprintOf = es.prog.Footprint
 		}
 		es.stepped = sim.NewStepped(len(s.Inputs))
 		es.steppedCfg = sim.SteppedConfig{
 			Procs:     len(s.Inputs),
-			Program:   prog,
+			Program:   es.prog,
 			Scheduler: sim.SchedulerFunc(es.schedNext),
 			StepLimit: limit,
 			Log:       es.log,
@@ -405,13 +463,17 @@ func newExecState(s *run.Settings, kind fault.Kind, compiled bool, c *chooser, d
 	return es
 }
 
-// schedNext is the replay scheduler: it folds the previous step into the
-// reducer (when on), consults the dedup set (when on) before consuming each
-// scheduling decision, then follows the choice path through the branch
-// alternatives this node exposes — the enabled set, or the reducer's
-// filtered candidate set.
+// schedNext is the replay scheduler: on the compiled form it first saves a
+// snapshot when the chooser advanced since the last one; it folds the
+// previous step into the reducer (when on), consults the dedup set (when
+// on) before consuming each scheduling decision, then follows the choice
+// path through the branch alternatives this node exposes — the enabled
+// set, or the reducer's filtered candidate set.
 func (es *execState) schedNext(enabled []int) (int, bool) {
 	c := es.c
+	if es.compiled && (len(es.snaps) == 0 || c.pos > es.snaps[len(es.snaps)-1].pos) {
+		es.push()
+	}
 	if es.red != nil {
 		es.red.advance()
 	}
@@ -454,6 +516,80 @@ func (es *execState) schedNext(enabled []int) (int, bool) {
 	return pick, true
 }
 
+// push saves the current between-steps state on top of the snapshot
+// stack, reusing a discarded entry's buffers when there is one.
+func (es *execState) push() {
+	if len(es.snaps) < cap(es.snaps) {
+		es.snaps = es.snaps[:len(es.snaps)+1]
+	} else {
+		es.snaps = append(es.snaps, snapshot{})
+	}
+	sn := &es.snaps[len(es.snaps)-1]
+	sn.pos = es.c.pos
+	sn.logLen = es.log.Len()
+	sn.schedLen = len(es.schedule)
+	es.stepped.Save(&sn.sim)
+	sn.states = es.prog.AppendStates(sn.states[:0])
+	sn.regs = es.bank.AppendContents(sn.regs[:0])
+	sn.charges = es.budget.AppendCharges(sn.charges[:0])
+	if es.tracker != nil {
+		es.tracker.Save(&sn.tracker)
+	}
+	if es.red != nil {
+		es.red.save(&sn.red)
+	}
+}
+
+// rewind restores the deepest snapshot taken at or before chooser position
+// changed and discards the deeper ones. Every choice before changed is the
+// one the snapshot's replay made, so the state is the one a replay from the
+// root would reach there. It reports false when the stack is empty (no
+// replay has reached a scheduling decision yet).
+func (es *execState) rewind(changed int) bool {
+	k := len(es.snaps) - 1
+	for k >= 0 && es.snaps[k].pos > changed {
+		k--
+	}
+	if k < 0 {
+		return false
+	}
+	es.snaps = es.snaps[:k+1]
+	sn := &es.snaps[k]
+	es.c.pos = sn.pos
+	es.c.arity = es.c.arity[:sn.pos]
+	es.log.Truncate(sn.logLen)
+	es.schedule = es.schedule[:sn.schedLen]
+	es.stepped.Restore(&sn.sim)
+	es.prog.RestoreStates(sn.states)
+	es.bank.RestoreContents(sn.regs)
+	es.budget.RestoreCharges(sn.charges)
+	if es.tracker != nil {
+		es.tracker.Restore(&sn.tracker)
+	}
+	if es.red != nil {
+		es.red.restore(&sn.red)
+	}
+	return true
+}
+
+// restart resets the replay machinery to the initial state (a replay from
+// the root) and drops every snapshot.
+func (es *execState) restart() {
+	es.c.pos = 0
+	es.c.arity = es.c.arity[:0]
+	es.budget.Reset()
+	es.bank.Reset()
+	es.log.Reset()
+	es.schedule = es.schedule[:0]
+	es.snaps = es.snaps[:0]
+	if es.tracker != nil {
+		es.tracker.Reset()
+	}
+	if es.red != nil {
+		es.red.reset()
+	}
+}
+
 // close releases the arena's process goroutines (no-op on the compiled
 // path, which runs on the calling goroutine).
 func (es *execState) close() {
@@ -463,36 +599,42 @@ func (es *execState) close() {
 }
 
 // runLeaf replays one execution along the chooser's path, reusing the
-// execState's machinery. When dedup or reduction is on and the replay
-// reaches a state already claimed by a lexicographically smaller path (or a
+// execState's machinery. The compiled form resumes from its deepest
+// snapshot at or before the chooser's first changed position (restoring
+// the root snapshot is a replay from scratch); the goroutine form replays
+// from the root. When dedup or reduction is on and the replay reaches a
+// state already claimed by a lexicographically smaller path (or a
 // sleep-blocked node), it halts early and reports pruned=true (es.prunedAt
 // records where, es.pruneSleep which mechanism); the replay is then neither
 // evaluated nor counted — any violation visible in the halted prefix also
 // appears below a smaller path.
 //
+// A resumed replay skips the dedup probes before its snapshot. The previous
+// replay made them with the same prefix and was not pruned there, so with
+// one worker the set would answer Revisit to each; with more, the only
+// difference is a prune another worker made possible in between, which
+// costs work, not soundness or the lex-least counterexample.
+//
 // The returned verdict borrows slices owned by the arena and the execState;
 // callers retaining a leaf (violations, trace samples) must go through
 // counterexample, which clones everything.
 func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, error) {
-	es.budget.Reset()
-	es.bank.Reset()
-	es.log.Reset()
-	es.schedule = es.schedule[:0]
 	es.prunedAt = -1
-	if es.tracker != nil {
-		es.tracker.Reset()
-	}
-	if es.red != nil {
-		es.red.reset()
-	}
-
 	var res *sim.Result
 	var err error
 	if es.compiled {
-		res, err = es.stepped.Run(ctx, es.steppedCfg)
+		if !es.rewind(es.c.changed) {
+			es.restart()
+			err = es.stepped.Start(es.steppedCfg)
+		}
+		if err == nil {
+			res, err = es.stepped.Resume(ctx)
+		}
 	} else {
+		es.restart()
 		res, err = es.arena.Run(ctx, es.simCfg)
 	}
+	es.c.changed = len(es.c.path)
 	if err != nil && res == nil {
 		return run.Verdict{}, runStats{}, false, err
 	}

@@ -52,17 +52,22 @@ type reducer struct {
 	pendingOf   func(id int) sim.PendingOp
 	footprintOf func(id int) (lo, hi int) // nil on the interpreted form
 
-	// Per-replay descent state. sleep is the current sleep set (bit per
-	// process); the last* fields describe the step granted at the previous
-	// decision, folded into sleep lazily at the next decision (advance).
+	descent
+	cand []int // candidate scratch, reused across decisions
+}
+
+// descent is the reducer's per-replay state, a function of the choice-path
+// prefix: sleep is the current sleep set (bit per process); the last*
+// fields describe the step granted at the previous decision, folded into
+// sleep lazily at the next decision (advance). It is the reducer's share
+// of a between-steps snapshot (save, restore).
+type descent struct {
 	sleep     uint64
 	lastValid bool
 	lastOp    sim.PendingOp
 	preReg    word.Word
 	preTotal  int
 	earlier   []int // kept candidates preceding the chosen one
-
-	cand []int // candidate scratch, reused across decisions
 }
 
 // newReducer builds the reduction state for one enumeration loop. The
@@ -74,9 +79,21 @@ func newReducer(mode run.ReduceMode, kind fault.Kind, n int, tracker *dedup.Trac
 
 // reset clears the descent state (fresh replay from the root).
 func (r *reducer) reset() {
-	r.sleep = 0
-	r.lastValid = false
-	r.earlier = r.earlier[:0]
+	r.descent = descent{earlier: r.earlier[:0]}
+}
+
+// save copies the descent state into dst, reusing dst's buffer.
+func (r *reducer) save(dst *descent) {
+	earlier := append(dst.earlier[:0], r.earlier...)
+	*dst = r.descent
+	dst.earlier = earlier
+}
+
+// restore rewinds the descent state to one save took.
+func (r *reducer) restore(src *descent) {
+	earlier := append(r.earlier[:0], src.earlier...)
+	r.descent = *src
+	r.earlier = earlier
 }
 
 // pure reports that executing op in the current state can neither change

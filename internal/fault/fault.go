@@ -80,8 +80,14 @@ type Budget struct {
 	f int // max faulty objects
 	t int // max faults per faulty object, or Unbounded
 
-	faulty map[int]int // object id -> faults charged
-	fixed  bool        // faulty set fixed up front
+	// slot maps each tracked object — a member of the fixed faulty set, or
+	// one a lazy set has discovered — to its index in ids and used. The
+	// slices keep the per-execution work (totals, resets, snapshots) off
+	// map iteration.
+	slot  map[int]int
+	ids   []int // tracked objects, in the order they joined
+	used  []int // faults charged per tracked object
+	fixed bool  // faulty set fixed up front
 }
 
 // NewBudget returns a budget admitting at most maxFaultyObjects faulty
@@ -95,9 +101,9 @@ func NewBudget(maxFaultyObjects, faultsPerObject int) *Budget {
 		panic("fault: negative per-object fault bound")
 	}
 	return &Budget{
-		f:      maxFaultyObjects,
-		t:      faultsPerObject,
-		faulty: make(map[int]int),
+		f:    maxFaultyObjects,
+		t:    faultsPerObject,
+		slot: make(map[int]int),
 	}
 }
 
@@ -108,23 +114,34 @@ func NewFixedBudget(objects []int, faultsPerObject int) *Budget {
 	b := NewBudget(len(objects), faultsPerObject)
 	b.fixed = true
 	for _, id := range objects {
-		b.faulty[id] = 0
+		b.track(id)
 	}
 	return b
+}
+
+// track returns the object's slot, adding it to the tracked set first when
+// it is not there yet.
+func (b *Budget) track(object int) int {
+	i, ok := b.slot[object]
+	if !ok {
+		i = len(b.ids)
+		b.slot[object] = i
+		b.ids = append(b.ids, object)
+		b.used = append(b.used, 0)
+	}
+	return i
 }
 
 // Admits reports whether one more fault on the given object would stay
 // within the budget. It does not charge the budget.
 func (b *Budget) Admits(object int) bool {
-	used, known := b.faulty[object]
-	if !known {
-		if b.fixed {
-			return false // object is outside the fixed faulty set
-		}
-		if len(b.faulty) >= b.f {
-			return false // would exceed f faulty objects
-		}
-		used = 0
+	used := 0
+	if i, known := b.slot[object]; known {
+		used = b.used[i]
+	} else if b.fixed {
+		return false // object is outside the fixed faulty set
+	} else if len(b.ids) >= b.f {
+		return false // would exceed f faulty objects
 	}
 	return b.t == Unbounded || used < b.t
 }
@@ -136,26 +153,25 @@ func (b *Budget) Charge(object int) {
 	if !b.Admits(object) {
 		panic(fmt.Sprintf("fault: budget violated charging object %d", object))
 	}
-	b.faulty[object]++
+	b.used[b.track(object)]++
 }
 
 // FaultyObjects returns the ids of objects that are designated faulty (fixed
 // set) or have faulted at least once (lazy set), in unspecified order.
-func (b *Budget) FaultyObjects() []int {
-	ids := make([]int, 0, len(b.faulty))
-	for id := range b.faulty {
-		ids = append(ids, id)
-	}
-	return ids
-}
+func (b *Budget) FaultyObjects() []int { return append([]int(nil), b.ids...) }
 
 // Faults returns the number of faults charged to the object so far.
-func (b *Budget) Faults(object int) int { return b.faulty[object] }
+func (b *Budget) Faults(object int) int {
+	if i, ok := b.slot[object]; ok {
+		return b.used[i]
+	}
+	return 0
+}
 
 // TotalFaults returns the number of faults charged across all objects.
 func (b *Budget) TotalFaults() int {
 	total := 0
-	for _, n := range b.faulty {
+	for _, n := range b.used {
 		total += n
 	}
 	return total
@@ -173,20 +189,49 @@ func (b *Budget) FaultsPerObject() int { return b.t }
 // instead of cloning per execution.
 func (b *Budget) Reset() {
 	if b.fixed {
-		for id := range b.faulty {
-			b.faulty[id] = 0
-		}
+		clear(b.used)
 		return
 	}
-	clear(b.faulty)
+	clear(b.slot)
+	b.ids = b.ids[:0]
+	b.used = b.used[:0]
+}
+
+// Charge is one object's fault charge, as AppendCharges saves it.
+type Charge struct {
+	Object, Faults int
+}
+
+// AppendCharges appends the charge of every object the budget tracks (the
+// fixed faulty set, or the objects a lazy set has discovered) to dst and
+// returns the extended slice.
+func (b *Budget) AppendCharges(dst []Charge) []Charge {
+	for i, id := range b.ids {
+		dst = append(dst, Charge{Object: id, Faults: b.used[i]})
+	}
+	return dst
+}
+
+// RestoreCharges returns the budget to the charges AppendCharges saved from
+// it, rewinding a replay to an earlier step without allocating.
+func (b *Budget) RestoreCharges(src []Charge) {
+	b.Reset()
+	for _, c := range src {
+		b.used[b.track(c.Object)] = c.Faults
+	}
 }
 
 // Clone returns an independent copy of the budget, used by the model checker
 // to replay executions from a pristine state.
 func (b *Budget) Clone() *Budget {
-	c := &Budget{f: b.f, t: b.t, fixed: b.fixed, faulty: make(map[int]int, len(b.faulty))}
-	for id, n := range b.faulty {
-		c.faulty[id] = n
+	c := &Budget{
+		f: b.f, t: b.t, fixed: b.fixed,
+		slot: make(map[int]int, len(b.slot)),
+		ids:  append([]int(nil), b.ids...),
+		used: append([]int(nil), b.used...),
+	}
+	for id, i := range b.slot {
+		c.slot[id] = i
 	}
 	return c
 }

@@ -67,6 +67,35 @@ func TestE8(t *testing.T) {
 	testExperiment(t, "E8")
 }
 
+// TestCostOrderingCheck pins E8's shape check on the CAS/decide column:
+// the measured order passes with a summary naming the f=1 rows, and a
+// figure3 row that costs no more than figure2 fails it.
+func TestCostOrderingCheck(t *testing.T) {
+	rows := []costRow{
+		{name: "baseline single CAS", procs: 2, substrate: "atomics", cas: 1},
+		{name: "figure2 f=1", procs: 2, substrate: "atomics", cas: 2},
+		{name: "figure3 f=1,t=1", procs: 2, substrate: "atomics", cas: 3.5},
+		{name: "figure3 f=1,t=1", procs: 2, substrate: "simulator", cas: 1},
+		{name: "figure3 f=3,t=1", procs: 4, substrate: "atomics", cas: 0.5},
+	}
+	summary, err := checkCostOrdering(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "cost ordering holds: baseline single CAS (1.00 CAS/decide) < figure2 f=1 (2.00) < figure3 f=1,t=1 (3.50)"
+	if summary != want {
+		t.Errorf("summary = %q, want %q", summary, want)
+	}
+
+	rows[2].cas = 2
+	if _, err := checkCostOrdering(rows); err == nil || !strings.Contains(err.Error(), "inverted") {
+		t.Errorf("figure3 at figure2's cost: err = %v, want an inverted-ordering error", err)
+	}
+	if _, err := checkCostOrdering(rows[:2]); err == nil {
+		t.Error("a missing figure3 row must fail the check")
+	}
+}
+
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")

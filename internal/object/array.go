@@ -34,11 +34,24 @@ func (b *Bank) Len() int { return len(b.objs) }
 
 // Contents returns a snapshot of all register contents (monitor-side).
 func (b *Bank) Contents() []word.Word {
-	out := make([]word.Word, len(b.objs))
-	for i, o := range b.objs {
-		out[i] = o.Content()
+	return b.AppendContents(make([]word.Word, 0, len(b.objs)))
+}
+
+// AppendContents appends every register's content to dst and returns the
+// extended slice (monitor-side, like Contents, but into a reused buffer).
+func (b *Bank) AppendContents(dst []word.Word) []word.Word {
+	for _, o := range b.objs {
+		dst = append(dst, o.content)
 	}
-	return out
+	return dst
+}
+
+// RestoreContents sets every register to the content AppendContents saved,
+// rewinding a replay to an earlier step. Fault budgets are not touched.
+func (b *Bank) RestoreContents(src []word.Word) {
+	for i, o := range b.objs {
+		o.content = src[i]
+	}
 }
 
 // Reset restores every object to ⊥.

@@ -10,8 +10,10 @@ import (
 )
 
 // Level grades event severity. The log drops events below its minimum
-// level, so hot-path instrumentation (per-prune, per-donation) can emit at
-// Debug unconditionally and cost one branch when the level filters it out.
+// level before doing any work of its own, but a caller's arguments are
+// built before Emit runs: a fields map literal allocates whatever the
+// level. Hot-path instrumentation (per-prune, per-donation) therefore
+// checks Enabled first and builds its fields only when the event is kept.
 type Level int8
 
 const (
@@ -94,7 +96,8 @@ func (l *Log) Enabled(level Level) bool { return l != nil && level >= l.min }
 
 // Emit writes one event. fields may be nil; values must be JSON-encodable
 // (the standard scalar/slice/map types the callers use). Events below the
-// log's minimum level are dropped without allocation beyond the call.
+// log's minimum level are dropped without allocation beyond the call —
+// building fields is the caller's, see Level.
 func (l *Log) Emit(level Level, typ string, fields map[string]any) {
 	if !l.Enabled(level) {
 		return

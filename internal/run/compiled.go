@@ -110,6 +110,16 @@ func NewSteppedExec(stepper core.Stepper, bank *object.Bank, inputs []int64) *St
 // Begin implements sim.SteppedProgram.
 func (x *SteppedExec) Begin(id int) { x.states[id] = x.stepper.Begin(x.inputs[id]) }
 
+// AppendStates appends every process's machine state to dst and returns
+// the extended slice: the program's share of a between-steps snapshot.
+func (x *SteppedExec) AppendStates(dst []core.State) []core.State {
+	return append(dst, x.states...)
+}
+
+// RestoreStates rewinds every process's machine to the states AppendStates
+// saved.
+func (x *SteppedExec) RestoreStates(src []core.State) { copy(x.states, src) }
+
 // Pending reports process id's next CAS as a sim.PendingOp — the same
 // metadata the goroutine form publishes via Proc.ExecCAS, recomputed from
 // the machine state. Always Known: every compiled step is a declared CAS.

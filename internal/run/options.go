@@ -35,7 +35,10 @@ type Settings struct {
 	// Kind is the functional fault to inject (default Overriding).
 	Kind fault.Kind
 	// Policy, when non-nil, fixes the fault decisions (an adversary);
-	// exploration then enumerates scheduling only.
+	// exploration then enumerates scheduling only. Exploration needs a
+	// policy whose decision is a function of the operation alone: its
+	// replays share prefixes, and a resumed replay does not call the
+	// policy again for the shared part.
 	Policy fault.Policy
 	// Budget, when non-nil, overrides the (FaultyObjects,
 	// FaultsPerObject) budget for single runs.

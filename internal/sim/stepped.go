@@ -97,9 +97,25 @@ type Stepped struct {
 	steps     []int
 	stalled   []bool
 	runnable  []bool
+	live      int
 	enabled   []int
+	cfg       SteppedConfig
+	limit     int
 	rec       StepRecorder
 	res       Result
+}
+
+// SteppedSnapshot is the runner's share of a between-steps state: the
+// per-process arrays and the live count, which is everything a granted
+// step changes in the runner. Save and Restore reuse its buffers, so a
+// replay loop that keeps its snapshots allocates nothing after warm-up.
+type SteppedSnapshot struct {
+	decided   []bool
+	decisions []word.Word
+	steps     []int
+	stalled   []bool
+	runnable  []bool
+	live      int
 }
 
 // NewStepped returns a reusable stepped runner for n processes.
@@ -118,28 +134,38 @@ func NewStepped(n int) *Stepped {
 	}
 }
 
-// Run executes one stepped simulation and returns its result. The returned
-// Result's slices are owned by the runner and are invalidated by the next
-// Run, exactly like Arena.Run. The termination conditions and error
-// behaviour match Arena.Run: the execution ends when every process has
-// decided (or stalled), when the scheduler stops it, when ctx is cancelled
-// between steps (partial result plus ctx.Err(), marked Stopped), or on a
-// wait-freedom violation or program panic. Run never returns both a nil
-// Result and a nil error.
+// Run executes one stepped simulation and returns its result: Start
+// followed by Resume. The returned Result's slices are owned by the runner
+// and are invalidated by the next Run, exactly like Arena.Run. The
+// termination conditions and error behaviour match Arena.Run: the
+// execution ends when every process has decided (or stalled), when the
+// scheduler stops it, when ctx is cancelled between steps (partial result
+// plus ctx.Err(), marked Stopped), or on a wait-freedom violation or
+// program panic. Run never returns both a nil Result and a nil error.
 func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
+	if err := s.Start(cfg); err != nil {
+		return nil, err
+	}
+	return s.Resume(ctx)
+}
+
+// Start sets up one execution of cfg: every process is reset and begun, so
+// each sits at its first step. Resume then runs the step loop.
+func (s *Stepped) Start(cfg SteppedConfig) error {
 	if cfg.Procs != s.n {
-		return nil, fmt.Errorf("sim: %d processes for a %d-process stepped runner", cfg.Procs, s.n)
+		return fmt.Errorf("sim: %d processes for a %d-process stepped runner", cfg.Procs, s.n)
 	}
 	if cfg.Program == nil {
-		return nil, errors.New("sim: no program")
+		return errors.New("sim: no program")
 	}
 	if cfg.Scheduler == nil {
-		return nil, errors.New("sim: no scheduler")
+		return errors.New("sim: no scheduler")
 	}
-	limit := cfg.StepLimit
-	if limit <= 0 {
-		limit = DefaultStepLimit
+	s.limit = cfg.StepLimit
+	if s.limit <= 0 {
+		s.limit = DefaultStepLimit
 	}
+	s.cfg = cfg
 
 	for i := 0; i < s.n; i++ {
 		s.decided[i] = false
@@ -149,7 +175,7 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 		s.runnable[i] = true
 	}
 	s.rec = StepRecorder{log: cfg.Log, observer: cfg.Observer}
-	live := s.n
+	s.live = s.n
 
 	// Initialization phase: the counterpart of the Arena's collection
 	// phase. Begin performs no shared-memory step, so afterwards every
@@ -157,10 +183,16 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 	// goroutine.
 	for id := 0; id < s.n; id++ {
 		if err := beginProc(cfg.Program, id); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	return nil
+}
 
+// Resume runs the step loop of the execution set up by Start, from
+// whatever between-steps state the runner holds: the initial one, or one
+// Restore rewound to. See Run for the result and errors.
+func (s *Stepped) Resume(ctx context.Context) (*Result, error) {
 	// Main loop: grant one step at a time. Structure and error strings
 	// track Arena.Run exactly — the engine's verdicts and lex-least
 	// counterexamples are the same in both execution forms only because
@@ -168,10 +200,10 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 	// checks it). Cancellation is polled through ctx.Done(), as in
 	// Arena.Run.
 	done := ctx.Done()
-	for live > 0 {
+	for s.live > 0 {
 		select {
 		case <-done:
-			return s.result(cfg, true), ctx.Err()
+			return s.result(true), ctx.Err()
 		default:
 		}
 		s.enabled = s.enabled[:0]
@@ -184,18 +216,18 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 			// All live processes are stalled: nothing can ever step.
 			break
 		}
-		pick, ok := cfg.Scheduler.Next(s.enabled)
+		pick, ok := s.cfg.Scheduler.Next(s.enabled)
 		if !ok {
-			return s.result(cfg, true), nil
+			return s.result(true), nil
 		}
 		if pick < 0 || pick >= s.n || !s.runnable[pick] {
 			return nil, fmt.Errorf("sim: scheduler picked process %d which is not enabled", pick)
 		}
 		s.steps[pick]++
-		if s.steps[pick] > limit {
-			return s.result(cfg, false), fmt.Errorf("%w: process %d exceeded %d steps", ErrWaitFreedom, pick, limit)
+		if s.steps[pick] > s.limit {
+			return s.result(false), fmt.Errorf("%w: process %d exceeded %d steps", ErrWaitFreedom, pick, s.limit)
 		}
-		out, err := stepProc(cfg.Program, pick, &s.rec)
+		out, err := stepProc(s.cfg.Program, pick, &s.rec)
 		if err != nil {
 			return nil, err
 		}
@@ -203,18 +235,55 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 		case out.Stalled:
 			s.stalled[pick] = true
 			s.runnable[pick] = false
-			live--
+			s.live--
 		case out.Done:
 			s.decided[pick] = true
 			s.decisions[pick] = out.Decision
 			s.runnable[pick] = false
-			live--
+			s.live--
 			// The decide event follows the step's own events, as in the
 			// goroutine path (the program returns after its final CAS).
 			s.rec.Record(trace.Event{Kind: trace.EventDecide, Proc: pick, Value: out.Decision})
 		}
 	}
-	return s.result(cfg, false), nil
+	return s.result(false), nil
+}
+
+// Save copies the runner's between-steps state into snap. It is meant to
+// be called from the scheduler, which runs between steps.
+func (s *Stepped) Save(snap *SteppedSnapshot) {
+	if len(snap.steps) != s.n {
+		*snap = SteppedSnapshot{
+			decided:   make([]bool, s.n),
+			decisions: make([]word.Word, s.n),
+			steps:     make([]int, s.n),
+			stalled:   make([]bool, s.n),
+			runnable:  make([]bool, s.n),
+		}
+	}
+	// One loop over the handful of processes, not five copy calls.
+	for i := 0; i < s.n; i++ {
+		snap.decided[i] = s.decided[i]
+		snap.decisions[i] = s.decisions[i]
+		snap.steps[i] = s.steps[i]
+		snap.stalled[i] = s.stalled[i]
+		snap.runnable[i] = s.runnable[i]
+	}
+	snap.live = s.live
+}
+
+// Restore rewinds the runner to a state Save took during an execution of
+// the current Start's configuration; Resume continues from it. The
+// program's own state (SteppedProgram) is the caller's to rewind.
+func (s *Stepped) Restore(snap *SteppedSnapshot) {
+	for i := 0; i < s.n; i++ {
+		s.decided[i] = snap.decided[i]
+		s.decisions[i] = snap.decisions[i]
+		s.steps[i] = snap.steps[i]
+		s.stalled[i] = snap.stalled[i]
+		s.runnable[i] = snap.runnable[i]
+	}
+	s.live = snap.live
 }
 
 // beginProc initializes one process, converting a panic into the same
@@ -241,14 +310,14 @@ func stepProc(prog SteppedProgram, id int, rec *StepRecorder) (out StepOutcome, 
 	return prog.Step(id, rec), nil
 }
 
-func (s *Stepped) result(cfg SteppedConfig, stopped bool) *Result {
+func (s *Stepped) result(stopped bool) *Result {
 	s.res = Result{
 		Decided:   s.decided,
 		Decisions: s.decisions,
 		Steps:     s.steps,
 		Stalled:   s.stalled,
 		Stopped:   stopped,
-		Log:       cfg.Log,
+		Log:       s.cfg.Log,
 	}
 	return &s.res
 }

@@ -107,6 +107,10 @@ func (l *Log) Events() []Event { return l.events }
 // one allocation across executions.
 func (l *Log) Reset() { l.events = l.events[:0] }
 
+// Truncate drops every event after the first n, retaining capacity: a
+// replay rewound to an earlier step keeps the events recorded before it.
+func (l *Log) Truncate(n int) { l.events = l.events[:n] }
+
 // Clone returns an independent copy of the log. Counterexamples retain it,
 // while the original keeps being reset and reused by the replay loop.
 func (l *Log) Clone() *Log {

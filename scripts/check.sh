@@ -101,8 +101,12 @@ echo "== exec-form equivalence gate (compiled vs interpreted covering sweeps) ==
 # the goroutine-gated reference simulator, leaf for leaf: every protocol
 # with a compiled form is swept (n=2, f=1, unbounded faults) through both
 # forms and any divergence in verdicts, schedules, decisions, step counts,
-# or trace logs fails the gate. Uncached, so the gate re-runs every time.
-gate -run TestCompiledMatchesInterpreted ./internal/explore/
+# or trace logs fails the gate. The compiled form resumes each leaf from
+# its saved states while the reference replays from the root, so the sweep
+# and the engine-level comparison (dedup x reduction x workers, clean and
+# violating) also certify incremental replay. Uncached, so the gate re-runs
+# every time.
+gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted)$' ./internal/explore/
 
 echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =="
 # Partial-order reduction must not change what the checker reports: every
