@@ -254,51 +254,3 @@ func (s *Set) Register(reg *obs.Registry) {
 	reg.Func("dedup.improved", s.improved.Load)
 	reg.Func("dedup.leaf_lookups", s.leafLookups.Load)
 }
-
-// Entry is one persisted state: its fingerprint and representative path.
-type Entry struct {
-	Hi   uint64 `json:"hi"`
-	Lo   uint64 `json:"lo"`
-	Path []int  `json:"path"`
-}
-
-// Snapshot returns every recorded state, for checkpointing. The snapshot is
-// consistent per shard; entries added concurrently may or may not appear,
-// which is safe — dedup entries are advisory, and every entry's subtree is
-// covered by the checkpoint's task set.
-func (s *Set) Snapshot() []Entry {
-	var out []Entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for fp, p := range sh.m {
-			path := make([]int, len(p))
-			for j, v := range p {
-				path[j] = int(v)
-			}
-			out = append(out, Entry{Hi: fp.Hi, Lo: fp.Lo, Path: path})
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// Restore loads persisted entries into the set (resume). Existing entries
-// are kept when lexicographically smaller.
-func (s *Set) Restore(entries []Entry) {
-	for _, e := range entries {
-		fp := Fingerprint{Hi: e.Hi, Lo: e.Lo}
-		sh := &s.shards[fp.Lo&(numShards-1)]
-		sh.mu.Lock()
-		stored, ok := sh.m[fp]
-		if !ok {
-			if s.limit <= 0 || s.size.Load() < s.limit {
-				sh.m[fp] = sh.intern(e.Path)
-				s.size.Add(1)
-			}
-		} else if comparePaths(stored, e.Path) > 0 {
-			sh.m[fp] = sh.intern(e.Path)
-		}
-		sh.mu.Unlock()
-	}
-}

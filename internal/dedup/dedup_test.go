@@ -75,29 +75,6 @@ func TestSetLimit(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	s := NewSet(0)
-	s.Visit(Fingerprint{Hi: 1, Lo: 1}, []int{0, 1})
-	s.Visit(Fingerprint{Hi: 2, Lo: 2}, []int{1})
-	snap := s.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d entries", len(snap))
-	}
-
-	r := NewSet(0)
-	r.Restore(snap)
-	if d := r.Visit(Fingerprint{Hi: 1, Lo: 1}, []int{0, 2}); d != Prune {
-		t.Fatalf("restored entry must prune, got %v", d)
-	}
-	// Restore keeps the smaller representative on conflict.
-	r2 := NewSet(0)
-	r2.Visit(Fingerprint{Hi: 2, Lo: 2}, []int{0})
-	r2.Restore(snap)
-	if d := r2.Visit(Fingerprint{Hi: 2, Lo: 2}, []int{0}); d != Revisit {
-		t.Fatalf("smaller pre-existing representative must survive restore, got %v", d)
-	}
-}
-
 func TestConcurrentVisits(t *testing.T) {
 	s := NewSet(0)
 	var wg sync.WaitGroup

@@ -54,11 +54,14 @@ import (
 // which of two racing paths reaches a shared state first is
 // nondeterministic.
 //
-// With Store set, the engine periodically persists the frontier, the dedup
-// set, and the aggregated outcome to the run directory, and primes itself
-// from the stored checkpoint on start — an interrupted exploration resumed
-// from its checkpoint reports the same verdict and counterexample as an
-// uninterrupted one.
+// With Store set, the engine periodically persists the frontier and the
+// aggregated outcome to the run directory, and primes itself from the stored
+// checkpoint on start — an interrupted exploration resumed from its
+// checkpoint reports the same verdict and counterexample as an uninterrupted
+// one. The dedup set is not persisted: a resumed run starts with an empty
+// set, which costs pruning but cannot change the verdict or the
+// counterexample, since a dedup entry only ever lets a subtree be skipped
+// that a strictly smaller path of the same run covers.
 type Engine struct {
 	// Exhaustive keeps enumerating after a violation (no pruning), so the
 	// complete tree is visited and the minimal counterexample (shortest
@@ -564,8 +567,8 @@ func (e *Engine) Check(ctx context.Context, s *run.Settings) (*Outcome, error) {
 }
 
 // prime seeds the run from a stored checkpoint: counters, the best
-// counterexample (reconstructed by replaying its path), the dedup set, and
-// the task list that covers all unfinished work.
+// counterexample (reconstructed by replaying its path), and the task list
+// that covers all unfinished work. The dedup set starts empty.
 func (r *engineRun) prime(cp *store.Checkpoint) ([]task, error) {
 	// The counters come from a fresh registry entry (or a run-scoped one),
 	// so priming by Add keeps them exact; restored records how many of the
@@ -592,9 +595,6 @@ func (r *engineRun) prime(cp *store.Checkpoint) ([]task, error) {
 			r.bound.Store(&p)
 		}
 	}
-	if r.set != nil {
-		r.set.Restore(cp.Dedup)
-	}
 	tasks := make([]task, len(cp.Tasks))
 	for i, t := range cp.Tasks {
 		tasks[i] = task{path: append([]int(nil), t.Path...), floor: t.Floor}
@@ -606,7 +606,7 @@ func (r *engineRun) prime(cp *store.Checkpoint) ([]task, error) {
 	sort.Slice(tasks, func(i, j int) bool { return lexLess(tasks[j].path, tasks[i].path) })
 	r.ev.Emit(obs.Info, "checkpoint.restore", map[string]any{
 		"seq": cp.Seq, "executions": cp.Executions, "tasks": len(tasks),
-		"dedup_entries": len(cp.Dedup), "best_path_len": len(cp.BestPath),
+		"best_path_len": len(cp.BestPath),
 	})
 	return tasks, nil
 }
@@ -1014,12 +1014,12 @@ func (r *engineRun) fail(err error) {
 }
 
 // saveCheckpoint persists one snapshot of the run. The task snapshot is
-// taken first: every counter, violation, and dedup entry read afterwards
-// describes work that is either complete (and thus reflected in the
-// snapshot's counters) or still covered by a snapshotted task — so a resume
-// from any checkpoint re-explores a superset of the unfinished work and
-// reaches the same verdict. final marks the run finished when no task
-// survives (a cancelled or capped run keeps its tasks and stays resumable).
+// taken first: every counter and violation read afterwards describes work
+// that is either complete (and thus reflected in the snapshot's counters)
+// or still covered by a snapshotted task — so a resume from any checkpoint
+// re-explores a superset of the unfinished work and reaches the same
+// verdict. final marks the run finished when no task survives (a cancelled
+// or capped run keeps its tasks and stays resumable).
 func (r *engineRun) saveCheckpoint(final bool) error {
 	start := time.Now()
 	tasks := r.fr.snapshot()
@@ -1043,9 +1043,6 @@ func (r *engineRun) saveCheckpoint(final bool) error {
 		cp.BestLen = len(r.best.Schedule)
 	}
 	r.mu.Unlock()
-	if r.set != nil {
-		cp.Dedup = r.set.Snapshot()
-	}
 	spanStart := r.tr.Recorder().Begin()
 	if err := r.st.Save(cp); err != nil {
 		return err

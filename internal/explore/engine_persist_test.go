@@ -2,7 +2,10 @@ package explore
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -167,8 +170,8 @@ func TestEngineDedupRejectsFixedPolicy(t *testing.T) {
 // the identical verdict as an uninterrupted run. The workload enumerates
 // ~59k executions completely (no violation), so the resumed runs must stitch
 // the checkpointed frontier back together without losing a single subtree —
-// any lost task would surface as a premature "complete". Exercised with and
-// without deduplication.
+// any lost task would surface as a premature "complete". Exercised plain,
+// with deduplication, and with deduplication and reduction.
 func TestEngineInterruptedResume(t *testing.T) {
 	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
@@ -185,10 +188,19 @@ func TestEngineInterruptedResume(t *testing.T) {
 		t.Fatalf("reference run: complete=%v violation=%v", ref.Complete, ref.Violation)
 	}
 
-	for name, dedupOn := range map[string]bool{"plain": false, "dedup": true} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		dedup  bool
+		reduce run.ReduceMode
+	}{
+		{"plain", false, run.ReduceOff},
+		{"dedup", true, run.ReduceOff},
+		{"dedup+reduce", true, run.ReduceSafe},
+	} {
+		settings := with(&cfg, run.WithWorkers(4), dedupIf(tc.dedup), run.WithReduce(tc.reduce))
+		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "run")
-			m, err := ManifestFor(with(&cfg, dedupIf(dedupOn)), false)
+			m, err := ManifestFor(settings, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +222,7 @@ func TestEngineInterruptedResume(t *testing.T) {
 					// First attempts: die young, mid-enumeration.
 					runCtx, cancel = context.WithTimeout(runCtx, 30*time.Millisecond)
 				}
-				out, err = eng.Check(runCtx, with(&cfg, run.WithWorkers(4), dedupIf(dedupOn), checkpointEvery(5*time.Millisecond)))
+				out, err = eng.Check(runCtx, with(settings, checkpointEvery(5*time.Millisecond)))
 				if cancel != nil {
 					cancel()
 				}
@@ -245,7 +257,7 @@ func TestEngineInterruptedResume(t *testing.T) {
 			if cp == nil || !cp.Done {
 				t.Fatalf("final checkpoint = %+v, want done", cp)
 			}
-			again, err := (&Engine{Store: st}).Check(context.Background(), with(&cfg, run.WithWorkers(4), dedupIf(dedupOn)))
+			again, err := (&Engine{Store: st}).Check(context.Background(), settings)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +274,14 @@ func TestEngineInterruptedResume(t *testing.T) {
 // TestEngineInterruptedResumeFindsViolation: an exploration interrupted
 // before it reaches the violating region of the tree (deterministically, via
 // an execution cap below the violation's position) must, once resumed, report
-// the identical lex-least counterexample as an uninterrupted run.
+// the identical lex-least counterexample as an uninterrupted run with the
+// same settings, and the plain reference's schedule, decisions and trace —
+// under every combination of dedup, reduction and worker count. A resume
+// starts with an empty dedup set, so the dedup cells pin that losing the set
+// costs pruning only. The exhaustive cell is cut just past its first
+// violation, so the resume must replay a stored best path under reduction;
+// its tree is too large to finish, so both of its runs end at the cap, which
+// at one worker without dedup covers the same leaves.
 func TestEngineInterruptedResumeFindsViolation(t *testing.T) {
 	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
@@ -278,45 +297,100 @@ func TestEngineInterruptedResumeFindsViolation(t *testing.T) {
 	if ref.OK() {
 		t.Fatal("reference run found no violation")
 	}
-
-	dir := filepath.Join(t.TempDir(), "run")
-	interruptedCfg := cfg
-	interruptedCfg.MaxExecutions = 2 // dies before the violating execution
-	m, err := ManifestFor(&interruptedCfg, false)
+	_, refMin, err := findMinimal(&cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	st, err := store.Create(dir, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := (&Engine{Store: st}).Check(context.Background(), with(&interruptedCfg, run.WithWorkers(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.OK() {
-		t.Fatal("interrupted run already found the violation; lower the cap")
 	}
 
-	st, err = store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	type cell struct {
+		name       string
+		dedup      bool
+		reduce     run.ReduceMode
+		workers    int
+		exhaustive bool
+		cut        int // executions of the interrupted run
 	}
-	resumed, err := (&Engine{Store: st}).Check(context.Background(), with(&cfg, run.WithWorkers(1)))
-	if err != nil {
-		t.Fatal(err)
+	var cells []cell
+	for _, dedup := range []bool{false, true} {
+		for _, reduce := range []run.ReduceMode{run.ReduceOff, run.ReduceSafe} {
+			for _, workers := range []int{1, 2} {
+				cells = append(cells, cell{
+					name:  fmt.Sprintf("dedup=%v/reduce=%s/workers=%d", dedup, reduce, workers),
+					dedup: dedup, reduce: reduce, workers: workers, cut: 2,
+				})
+			}
+		}
 	}
-	if resumed.OK() {
-		t.Fatal("resumed run found no violation")
-	}
-	if !reflect.DeepEqual(resumed.Violation.Path, ref.Violation.Path) {
-		t.Errorf("violation path = %v, want %v", resumed.Violation.Path, ref.Violation.Path)
-	}
-	if !reflect.DeepEqual(resumed.Violation.Schedule, ref.Violation.Schedule) {
-		t.Errorf("schedule = %v, want %v", resumed.Violation.Schedule, ref.Violation.Schedule)
-	}
-	if resumed.Violation.Verdict.Violation != ref.Violation.Verdict.Violation {
-		t.Errorf("verdict = %v, want %v", resumed.Violation.Verdict.Violation, ref.Violation.Verdict.Violation)
+	cells = append(cells, cell{name: "exhaustive/reduce=on/workers=1",
+		reduce: run.ReduceSafe, workers: 1, exhaustive: true, cut: 4})
+
+	for _, c := range cells {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			s := cfg
+			s.Dedup, s.Reduce, s.Workers = c.dedup, c.reduce, c.workers
+			eng := &Engine{Exhaustive: c.exhaustive}
+			direct, err := eng.Check(context.Background(), &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			dir := filepath.Join(t.TempDir(), "run")
+			cut := s
+			cut.MaxExecutions = c.cut
+			m, err := ManifestFor(&cut, c.exhaustive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := store.Create(dir, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := (&Engine{Store: st, Exhaustive: c.exhaustive}).Check(context.Background(), &cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			if out.Complete {
+				t.Fatal("the interrupted run completed")
+			}
+			if !c.exhaustive && !out.OK() {
+				t.Fatal("interrupted run already found the violation; lower the cut")
+			}
+			if c.exhaustive && out.OK() {
+				t.Fatal("interrupted run stored no best path; raise the cut")
+			}
+
+			st, err = store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			resumed, err := (&Engine{Store: st, Exhaustive: c.exhaustive}).Check(context.Background(), &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.OK() {
+				t.Fatal("resumed run found no violation")
+			}
+			if !reflect.DeepEqual(resumed.Violation.Path, direct.Violation.Path) {
+				t.Errorf("violation path = %v, uninterrupted run %v", resumed.Violation.Path, direct.Violation.Path)
+			}
+			plain := *ref
+			if c.exhaustive {
+				plain = *refMin
+			}
+			if c.workers > 1 {
+				// Two workers may both replay leaves before the first
+				// violation becomes the bound, so diffReduced's execution
+				// bound holds at one worker only.
+				plain.Executions = resumed.Executions
+			}
+			if d := diffReduced(&plain, resumed, true); d != "" {
+				t.Error(d)
+			}
+		})
 	}
 }
 
@@ -441,6 +515,88 @@ func TestEngineResumeCappedRun(t *testing.T) {
 	}
 	if !resumed.Complete || !resumed.OK() {
 		t.Fatalf("resumed run: complete=%v violation=%v", resumed.Complete, resumed.Violation)
+	}
+}
+
+// TestEngineResumesRunWithStoredDedupSet: a checkpoint written by an older
+// build holds the dedup set as a "dedup" array of fingerprints and paths.
+// Such a capped run directory must still resume, with an empty set, to the
+// reference verdict.
+func TestEngineResumesRunWithStoredDedupSet(t *testing.T) {
+	cfg := run.Settings{
+		Protocol:        core.NewStaged(1, 1),
+		Inputs:          inputs(2),
+		FaultyObjects:   []int{0, 1, 2},
+		FaultsPerObject: 1,
+		Workers:         2,
+		Dedup:           true,
+	}
+	ref, err := (&Engine{}).Check(context.Background(), with(&cfg, dedupIf(false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.Complete || !ref.OK() {
+		t.Fatalf("reference run: complete=%v violation=%v", ref.Complete, ref.Violation)
+	}
+
+	dir := filepath.Join(t.TempDir(), "run")
+	capped := cfg
+	capped.MaxExecutions = ref.Executions / 3
+	m, err := ManifestFor(&capped, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Create(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Engine{Store: st}).Check(context.Background(), &capped); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	// Rewrite the checkpoint in the older layout, with a dedup section.
+	st, err = store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := st.Checkpoint()
+	st.Close()
+	if cp == nil || cp.Done || len(cp.Tasks) == 0 {
+		t.Fatalf("capped checkpoint = %+v, want unfinished tasks", cp)
+	}
+	type entry struct {
+		Hi   uint64 `json:"hi"`
+		Lo   uint64 `json:"lo"`
+		Path []int  `json:"path"`
+	}
+	older := struct {
+		*store.Checkpoint
+		Dedup []entry `json:"dedup"`
+	}{Checkpoint: cp}
+	for i := 0; i < 100; i++ {
+		older.Dedup = append(older.Dedup, entry{Hi: uint64(i) * 0x9e3779b97f4a7c15, Lo: uint64(i), Path: []int{i % 2, i % 3}})
+	}
+	data, err := json.Marshal(&older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := CheckWith(context.Background(),
+		run.WithProtocol(cfg.Protocol), run.WithInputs(cfg.Inputs...),
+		run.WithFaultyObjects(cfg.FaultyObjects, cfg.FaultsPerObject),
+		run.WithWorkers(2), run.WithDedup(), run.WithResume(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Complete || !out.OK() {
+		t.Fatalf("resumed run: complete=%v violation=%v", out.Complete, out.Violation)
+	}
+	if out.Executions < capped.MaxExecutions {
+		t.Errorf("resumed run reports %d executions, fewer than the %d it restored", out.Executions, capped.MaxExecutions)
 	}
 }
 

@@ -102,7 +102,9 @@ type Outcome struct {
 	// Steals is the number of tasks claimed from the shared frontier.
 	Steals int64
 	// Dedup holds the state-cache counters of a deduplicated run (nil when
-	// deduplication was off).
+	// deduplication was off). A checkpoint does not carry the set, so after
+	// a resume they count only the states and probes of this process, while
+	// Executions also counts the executions restored from the checkpoint.
 	Dedup *dedup.Stats
 	// ReducePrunes is the number of sleep-blocked subtrees the partial-order
 	// reducer cut (zero with reduction off).

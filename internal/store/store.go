@@ -1,8 +1,8 @@
 // Package store persists exploration runs so they survive deadlines,
 // crashes, and redeployments: a run directory holds an immutable manifest
 // (what is being explored, hashed so a resumed run refuses mismatched
-// settings) and a sequence of atomic checkpoints (the work-stealing frontier,
-// the dedup shards, and the aggregated outcome so far).
+// settings) and a sequence of atomic checkpoints (the work-stealing frontier
+// and the aggregated outcome so far).
 //
 // Every write is crash-safe: the file is written to a temporary name in the
 // run directory, fsync'd, renamed over the target, and the directory is
@@ -22,7 +22,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dedup"
 	"repro/internal/obs"
 )
 
@@ -111,7 +110,12 @@ type Task struct {
 	Floor int   `json:"floor"`
 }
 
-// Checkpoint is one atomic snapshot of an exploration in flight.
+// Checkpoint is one atomic snapshot of an exploration in flight: what a
+// restart needs to cover the unfinished work and report the same verdict —
+// the tasks, the counters, and the best counterexample. The dedup visited
+// set is not persisted: it is a cache the resumed run rebuilds. Older run
+// directories may hold a "dedup" array in their checkpoint; decoding skips
+// unknown keys, so they still resume.
 type Checkpoint struct {
 	Seq  int  `json:"seq"`
 	Done bool `json:"done"` // the exploration finished; Tasks is empty
@@ -133,8 +137,7 @@ type Checkpoint struct {
 	// ElapsedNS accumulates exploration wall-clock across resumes.
 	ElapsedNS int64 `json:"elapsed_ns"`
 
-	Tasks []Task        `json:"tasks"`
-	Dedup []dedup.Entry `json:"dedup,omitempty"`
+	Tasks []Task `json:"tasks"`
 }
 
 // Store is an open run directory.
@@ -336,8 +339,8 @@ func OpenShared(dir string) (*Store, error) {
 }
 
 // ReadManifest loads and validates only the run directory's manifest: no
-// owner lock is taken and the checkpoint is not read, so it is cheap on a
-// run whose checkpoint holds a large dedup set.
+// owner lock is taken and the checkpoint is not read, so it costs the same
+// however large the checkpointed frontier is.
 func ReadManifest(dir string) (Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -432,7 +435,7 @@ func (s *Store) Save(cp *Checkpoint) error {
 	}
 	s.events.Emit(obs.Info, "checkpoint.write", map[string]any{
 		"seq": cp.Seq, "bytes": len(data), "tasks": len(cp.Tasks),
-		"dedup_entries": len(cp.Dedup), "ms": ms, "done": cp.Done,
+		"ms": ms, "done": cp.Done,
 	})
 	return nil
 }

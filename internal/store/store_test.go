@@ -5,10 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/dedup"
 )
 
 func testManifest() Manifest {
@@ -36,7 +35,6 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	cp := &Checkpoint{
 		Executions: 42,
 		Tasks:      []Task{{Path: []int{1, 0}, Floor: 1}, {Path: nil, Floor: 0}},
-		Dedup:      []dedup.Entry{{Hi: 1, Lo: 2, Path: []int{0}}},
 		BestPath:   []int{0, 1, 1},
 	}
 	if err := s.Save(cp); err != nil {
@@ -60,9 +58,6 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	if len(got.Tasks) != 2 || got.Tasks[0].Floor != 1 {
 		t.Fatalf("tasks = %+v", got.Tasks)
 	}
-	if len(got.Dedup) != 1 || got.Dedup[0].Hi != 1 {
-		t.Fatalf("dedup = %+v", got.Dedup)
-	}
 	if o.Manifest().SettingsHash == "" {
 		t.Fatal("manifest hash not recorded")
 	}
@@ -76,6 +71,53 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	}
 	if o2.Checkpoint().Seq != 3 {
 		t.Fatalf("seq = %d, want 3", o2.Checkpoint().Seq)
+	}
+}
+
+// TestOpenSkipsStoredDedupSet: a checkpoint does not carry the dedup
+// visited set, but older run directories hold it as a "dedup" array of
+// fingerprints and paths. Open must accept such a checkpoint with every
+// other field intact, and the next Save must drop the array.
+func TestOpenSkipsStoredDedupSet(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	s, err := Create(dir, testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	old := `{"seq":3,"done":false,"executions":42,"violations":1,"max_proc_steps":9,` +
+		`"max_faults":2,"capped":true,"best_path":[0,1,1],"best_len":7,` +
+		`"first_violation_ns":1234,"elapsed_ns":5678,` +
+		`"tasks":[{"path":[1,0],"floor":1},{"path":null,"floor":0}],` +
+		`"dedup":[{"hi":1,"lo":2,"path":[0]},{"hi":18446744073709551615,"lo":3,"path":[1,0,2]}]}`
+	if err := os.WriteFile(filepath.Join(dir, checkpointFile), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	o, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	want := &Checkpoint{
+		Seq: 3, Executions: 42, Violations: 1, MaxProcSteps: 9, MaxFaults: 2,
+		Capped: true, BestPath: []int{0, 1, 1}, BestLen: 7,
+		FirstViolationNS: 1234, ElapsedNS: 5678,
+		Tasks: []Task{{Path: []int{1, 0}, Floor: 1}, {Path: nil, Floor: 0}},
+	}
+	if got := o.Checkpoint(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("checkpoint = %+v, want %+v", got, want)
+	}
+
+	if err := o.Save(o.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"dedup"`) {
+		t.Errorf("saved checkpoint still holds a dedup section: %s", data)
 	}
 }
 

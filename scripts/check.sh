@@ -117,6 +117,18 @@ echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =
 # path, so this gate runs under the race detector, uncached.
 gate -race -run TestReduceMatchesFull ./internal/explore/
 
+echo "== resume gate (interrupted vs uninterrupted runs, fresh, race) =="
+# A checkpoint carries the frontier, the counters and the best path, not
+# the dedup set, so a resumed run starts with an empty set. These tests cut
+# runs short by deadline or cap under dedup, reduction and several worker
+# counts, resume them from the run directory, and require the verdict and
+# the lex-least counterexample of an uninterrupted run. One resumes a run
+# directory whose checkpoint still holds a "dedup" section, as older ones
+# do. Uncached, under the race detector, because checkpoints are cut while
+# the workers run.
+gate -race -run '^(TestEngineInterruptedResume|TestEngineInterruptedResumeFindsViolation|TestEngineResumeStartsAtLexLeastTask|TestEngineResumeCappedRun|TestEngineCheckWithPersistence|TestEngineResumesRunWithStoredDedupSet|TestOpenSkipsStoredDedupSet)$' \
+	./internal/explore/ ./internal/store/
+
 echo "== cancellation gate (between-step exits, fresh, race, 10 runs) =="
 # Both runners and the engine poll cancellation without blocking before
 # every granted step and every leaf. These tests pin what a cancelled run
