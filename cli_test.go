@@ -5,6 +5,7 @@ package repro_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -169,36 +171,59 @@ func cliExecutions(t *testing.T, out string) int {
 	return n
 }
 
+// slowArgs is the one run the CLI tests that interrupt a running process
+// share: figure2 f=1 n=5 with one faulty object and unbounded faults,
+// 1,814,400 executions to VERIFIED, about 0.7 s at two workers on a 2-vCPU
+// host, so a kill or a freeze lands mid-run. Every other tree under the
+// default cap finishes in under 0.2 s at one worker. No manifest records
+// the cap, so every ledger participant and every -resume passes slowMax.
+var slowArgs = []string{"-proto", "figure2", "-f", "1", "-n", "5", "-faulty", "1", "-unbounded", "-max", slowMax}
+
+const slowMax = "2000000"
+
+// killMidRun SIGKILLs a running child and reaps it, failing the test unless
+// the child died of the signal: Process.Kill returns nil on a child that
+// already exited but was not yet waited for, so only Wait tells whether
+// the interruption landed.
+func killMidRun(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	err := cmd.Wait()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
+		t.Fatalf("wait after the kill = %v: the process finished before it", err)
+	}
+	if ws, ok := ee.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() {
+		t.Fatalf("wait after the kill = %v: the process did not die of the signal", err)
+	}
+}
+
 // TestCLIModelcheckKilledResume: a modelcheck enumeration killed
 // mid-exploration (SIGKILL — no graceful shutdown) must be continuable with
 // -resume alone, reaching the same verdict as an uninterrupted run. The
 // resume reconstructs the protocol flags from the run directory's manifest.
 func TestCLIModelcheckKilledResume(t *testing.T) {
-	ref, code := runCLI(t, "modelcheck",
-		"-proto", "figure3", "-f", "1", "-t", "1", "-n", "2", "-unbounded")
+	ref, code := runCLI(t, "modelcheck", slowArgs...)
 	if code != 0 || !strings.Contains(ref, "VERIFIED") {
 		t.Fatalf("reference run: exit %d:\n%s", code, ref)
 	}
 
 	dir := filepath.Join(t.TempDir(), "run")
 	bin := filepath.Join(buildCLIs(t), "modelcheck")
-	cmd := exec.Command(bin,
-		"-proto", "figure3", "-f", "1", "-t", "1", "-n", "2", "-unbounded",
-		"-workers", "1", "-checkpoint", dir, "-checkpoint-every", "20ms")
+	cmd := exec.Command(bin, append(append([]string{}, slowArgs...),
+		"-workers", "1", "-checkpoint", dir, "-checkpoint-every", "20ms")...)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	killed := cmd.Process.Kill() == nil
-	cmd.Wait()
-	if !killed {
-		t.Log("run finished before the kill; resuming a done store instead")
-	}
+	killMidRun(t, cmd)
 	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json")); err != nil {
 		t.Fatalf("no checkpoint written before the kill: %v", err)
 	}
 
-	out, code := runCLI(t, "modelcheck", "-resume", dir)
+	out, code := runCLI(t, "modelcheck", "-resume", dir, "-max", slowMax)
 	if code != 0 {
 		t.Fatalf("resume: exit %d:\n%s", code, out)
 	}
@@ -207,6 +232,9 @@ func TestCLIModelcheckKilledResume(t *testing.T) {
 	}
 	if !strings.Contains(out, "(complete: true)") {
 		t.Errorf("resumed run did not complete the enumeration:\n%s", out)
+	}
+	if got, want := cliExecutions(t, out), cliExecutions(t, ref); got != want {
+		t.Errorf("resumed executions = %d, uninterrupted run = %d", got, want)
 	}
 }
 

@@ -27,8 +27,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "smaller sweeps and sample counts")
 		seed     = flag.Int64("seed", 1, "seed for randomized components")
 		workers  = flag.Int("workers", 0, "exploration parallelism (0 = GOMAXPROCS); tables are identical for any value")
-		engine   = flag.String("engine", "auto", "execution form: auto | compiled | interpreted (goroutine reference); tables are identical for any form")
-		reduce   = flag.String("reduce", "off", "partial-order reduction for exhaustive explorations: off | on | aggressive; verdicts and counterexamples are unchanged (on), execution counts shrink; fixed-policy rows always run unreduced")
+		reduce   = flag.String("reduce", "off", "partial-order reduction for exhaustive explorations: off | on; verdicts and counterexamples are unchanged, execution counts shrink; fixed-policy rows always run unreduced")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /pprof/) on this address while experiments run, e.g. :6060")
 		events   = flag.String("events", "", "write the structured event log (JSONL) to this file, or '-' for stderr")
@@ -73,11 +72,6 @@ func main() {
 		defer shutdown() //nolint:errcheck // exiting anyway
 	}
 
-	execMode, err := run.ParseExecMode(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
 	reduceMode, err := run.ParseReduceMode(*reduce)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -85,8 +79,7 @@ func main() {
 	}
 	opts := harness.NewOptions(run.WithQuick(*quick), run.WithSeed(*seed),
 		run.WithWorkers(*workers), run.WithMetrics(reg), run.WithEvents(evLog),
-		run.WithTraceDir(*traceDir, *traceN), run.WithExecMode(execMode),
-		run.WithReduce(reduceMode))
+		run.WithTraceDir(*traceDir, *traceN), run.WithReduce(reduceMode))
 	if *runID != "" {
 		e, ok := harness.ByID(*runID)
 		if !ok {

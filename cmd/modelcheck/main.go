@@ -97,8 +97,7 @@ func main() {
 		_         = flag.Int("t", 1, "per-object fault bound t")
 		_         = flag.Int("n", 2, "number of processes")
 		_         = flag.String("fault", "overriding", "fault kind: overriding | silent")
-		engine    = flag.String("engine", "auto", "execution form: auto | compiled | interpreted (goroutine reference)")
-		_         = flag.String("reduce", "off", "partial-order reduction: off | on (sleep sets + symmetry; keeps verdict and lex-least counterexample) | aggressive (adds footprint persistent sets; verdict only, compiled form required)")
+		_         = flag.String("reduce", "off", "partial-order reduction: off | on (sleep sets + symmetry; keeps verdict and lex-least counterexample)")
 		_         = flag.Bool("unbounded", false, "unbounded faults per faulty object")
 		_         = flag.Int("faulty", -1, "number of faulty objects (default: all of the protocol's objects)")
 		maxExecs  = flag.Int("max", explore.DefaultMaxExecutions, "execution cap")
@@ -129,14 +128,7 @@ func main() {
 	flag.Parse()
 
 	if *explainF != "" {
-		// The capture replays through the form that produced it; an explicit
-		// -engine must match the recording or the replay is refused — it
-		// would be evidence about an engine that never ran this execution.
-		mode, err := run.ParseExecMode(strings.ToLower(*engine))
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := explore.ExplainFileAs(os.Stdout, *explainF, mode); err != nil {
+		if err := explore.ExplainFile(os.Stdout, *explainF); err != nil {
 			fail("%v", err)
 		}
 		return
@@ -182,15 +174,9 @@ func main() {
 	// At most one run directory is named (checked above); its manifest
 	// supplies every setting the flags leave out.
 	s, flagMeta := settingsFromFlags(*resume+*ledgerF+*finalizeF, *ledgerF != "")
-	compiled, err := run.ResolveExec(s.Exec, s.Protocol)
-	if err != nil {
-		fail("%v", err)
-	}
-	execLabel := run.ExecLabel(compiled)
 
 	if *finalizeF != "" {
-		finalizeLedger(s, *finalizeF, execLabel, *jsonOut, *diagram, *reportOut,
-			reportMeta(flagMeta, s, execLabel))
+		finalizeLedger(s, *finalizeF, *jsonOut, *diagram, *reportOut, reportMeta(flagMeta, s))
 		return
 	}
 
@@ -299,7 +285,7 @@ func main() {
 		fail("event log: %v", err)
 	}
 	if *reportOut != "" {
-		meta := reportMeta(flagMeta, s, execLabel)
+		meta := reportMeta(flagMeta, s)
 		meta["workers"] = strconv.Itoa(out.Workers)
 		meta["max"] = strconv.Itoa(*maxExecs)
 		if err := obs.WriteReport(*reportOut, buildReport(out, reg, events, meta)); err != nil {
@@ -313,7 +299,7 @@ func main() {
 	// ordinary way.
 	stopSignals()
 
-	fmt.Printf("protocol    : %s (%s form)\n", s.Protocol.Name(), execLabel)
+	fmt.Printf("protocol    : %s\n", s.Protocol.Name())
 	fmt.Printf("processes   : %d, faulty objects: %v, faults/object: %s\n",
 		len(s.Inputs), s.FaultyObjects, tString(s.FaultsPerObject))
 	fmt.Printf("executions  : %d (complete: %v)\n", out.Executions, out.Complete)
@@ -493,9 +479,9 @@ func (r *progressReporter) ledgerLine(cache *fleet.StatusCache) {
 func (r *progressReporter) flush() { r.w.Flush() } //nolint:errcheck // stderr
 
 // settingsFlags are the flags that describe the explored configuration.
-// They map onto the keys of run.MetaFromSettings ("engine" onto the sealed
-// "exec"), so a run directory's manifest restores them.
-var settingsFlags = []string{"proto", "f", "t", "n", "fault", "unbounded", "faulty", "dedup", "engine", "reduce"}
+// They map onto the keys of run.MetaFromSettings, so a run directory's
+// manifest restores them.
+var settingsFlags = []string{"proto", "f", "t", "n", "fault", "unbounded", "faulty", "dedup", "reduce"}
 
 // settingsFromFlags builds the explored configuration from the flags, and
 // returns the flag values it was built from (keyed by flag name). dir, when
@@ -523,13 +509,10 @@ func settingsFromFlags(dir string, mayCreate bool) (*run.Settings, map[string]st
 }
 
 // settingsFromMeta builds settings from flag values keyed by flag name:
-// run.SettingsFromMeta, plus the -engine and -dedup flags it does not read.
+// run.SettingsFromMeta, plus the -dedup flag it does not read.
 func settingsFromMeta(meta map[string]string) *run.Settings {
 	s, err := run.SettingsFromMeta(meta, nil)
 	if err != nil {
-		fail("%v", err)
-	}
-	if s.Exec, err = run.ParseExecMode(meta["engine"]); err != nil {
 		fail("%v", err)
 	}
 	s.Dedup = meta["dedup"] == "true"
@@ -547,18 +530,13 @@ func restoreFlags(meta, extra map[string]string) {
 	flag.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 	given := maps.Clone(meta)
 	for _, name := range settingsFlags {
-		v, ok := extra[name]
-		if !ok && name == "engine" {
-			v, ok = extra["exec"]
-		}
-		if ok {
+		if v, ok := extra[name]; ok {
 			meta[name] = strings.ToLower(v)
 		}
 	}
 	recorded := run.MetaFromSettings(settingsFromMeta(meta))
 	for _, name := range settingsFlags {
-		// -engine auto accepts whichever form the manifest recorded.
-		if !explicit[name] || given[name] == meta[name] || (name == "engine" && given[name] == "auto") {
+		if !explicit[name] || given[name] == meta[name] {
 			continue
 		}
 		trial := maps.Clone(meta)
@@ -571,11 +549,11 @@ func restoreFlags(meta, extra map[string]string) {
 }
 
 // reportMeta renders the -report Run section: the settings flags as given
-// or restored from the run manifest, the resolved execution form, and the
-// reduction mode.
-func reportMeta(flags map[string]string, s *run.Settings, execLabel string) map[string]string {
+// or restored from the run manifest, the execution form, and the reduction
+// mode.
+func reportMeta(flags map[string]string, s *run.Settings) map[string]string {
 	meta := maps.Clone(flags)
-	meta["exec"] = execLabel
+	meta["exec"] = run.ExecForm
 	meta["reduce"] = s.Reduce.String()
 	return meta
 }
@@ -585,7 +563,7 @@ func reportMeta(flags map[string]string, s *run.Settings, execLabel string) map[
 // exits 0, a violation prints the replayed counterexample and exits 1, and
 // an incomplete ledger (pending tasks or leases) reports who is still
 // working and exits 2.
-func finalizeLedger(s *run.Settings, dir, execLabel string, jsonOut, diagram bool, reportOut string, meta map[string]string) {
+func finalizeLedger(s *run.Settings, dir string, jsonOut, diagram bool, reportOut string, meta map[string]string) {
 	out, merged, err := explore.FinalizeLedger(s, dir, false)
 	var inc *ledger.IncompleteError
 	if errors.As(err, &inc) {
@@ -623,7 +601,7 @@ func finalizeLedger(s *run.Settings, dir, execLabel string, jsonOut, diagram boo
 		}
 	}
 
-	fmt.Printf("protocol    : %s (%s form)\n", s.Protocol.Name(), execLabel)
+	fmt.Printf("protocol    : %s\n", s.Protocol.Name())
 	fmt.Printf("processes   : %d, faulty objects: %v, faults/object: %s\n",
 		len(s.Inputs), s.FaultyObjects, tString(s.FaultsPerObject))
 	fmt.Printf("executions  : %d (complete: %v)\n", out.Executions, out.Complete)

@@ -49,8 +49,7 @@ func readEvents(t *testing.T, path string) []cliEvent {
 // of the same subtree id at the bumped epoch in the survivors' event logs —
 // and the drained fleet's merged count must equal the finalize merge's.
 func TestCLIFleetStatusStaleWorkerAndCorrelatedReclaim(t *testing.T) {
-	args := []string{"-proto", "figure3", "-f", "1", "-t", "1", "-n", "2", "-unbounded"}
-	ref, code := runCLI(t, "modelcheck", args...)
+	ref, code := runCLI(t, "modelcheck", slowArgs...)
 	if code != 0 || !strings.Contains(ref, "VERIFIED") {
 		t.Fatalf("reference run: exit %d:\n%s", code, ref)
 	}
@@ -59,12 +58,10 @@ func TestCLIFleetStatusStaleWorkerAndCorrelatedReclaim(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	evDir := t.TempDir()
 	const ttl = 500 * time.Millisecond
-	// The victim creates the ledger on the slow interpreted engine (sealed
-	// into the manifest for every joiner), so the freeze lands while its
-	// root claim is live and mostly unexplored.
-	victim := startWorker(t, append(append([]string{}, args...),
-		"-engine", "interpreted", "-ledger", dir, "-worker-id", "victim",
-		"-lease-ttl", "500ms")...)
+	// The victim creates the ledger on the slow tree, so the freeze lands
+	// while its root claim is live and mostly unexplored.
+	victim := startWorker(t, append(append([]string{}, slowArgs...),
+		"-ledger", dir, "-worker-id", "victim", "-lease-ttl", "500ms")...)
 	time.Sleep(200 * time.Millisecond)
 	if err := victim.Process.Signal(syscall.SIGSTOP); err != nil {
 		t.Fatalf("SIGSTOP: %v", err)
@@ -86,8 +83,8 @@ func TestCLIFleetStatusStaleWorkerAndCorrelatedReclaim(t *testing.T) {
 
 	evA := filepath.Join(evDir, "a.jsonl")
 	evB := filepath.Join(evDir, "b.jsonl")
-	a := startWorker(t, "-ledger", dir, "-worker-id", "survivor-a", "-events", evA)
-	b := startWorker(t, "-ledger", dir, "-worker-id", "survivor-b", "-events", evB)
+	a := startWorker(t, "-ledger", dir, "-worker-id", "survivor-a", "-events", evA, "-max", slowMax)
+	b := startWorker(t, "-ledger", dir, "-worker-id", "survivor-b", "-events", evB, "-max", slowMax)
 	waitWorker(t, "survivor-a", a)
 	waitWorker(t, "survivor-b", b)
 
@@ -126,8 +123,9 @@ func TestCLIFleetStatusStaleWorkerAndCorrelatedReclaim(t *testing.T) {
 		t.Errorf("view ledger = %+v, want drained with %d merged executions", view.Ledger, refExecs)
 	}
 
-	syscall.Kill(victim.Process.Pid, syscall.SIGKILL) //nolint:errcheck // frozen on purpose
-	victim.Wait()                                     //nolint:errcheck // killed on purpose
+	// The victim was frozen mid-run, so it dies of the kill, not of a
+	// finished sweep.
+	killMidRun(t, victim)
 
 	// Correlated lifecycle across processes: some survivor reaped the
 	// victim's claim (ledger.reclaim names the dead owner, id, epoch) and

@@ -2,23 +2,29 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/object"
 	"repro/internal/run"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // FuzzCompiledVsInterpreted drives random (protocol, schedule, fault) triples
-// through both execution forms — the goroutine-gated reference simulator and
-// the compiled Stepper machines — and fails on any divergence in decisions,
+// through both execution forms — the protocol's Decide on the goroutine-gated
+// reference simulator (sim.RunContext) and the compiled Stepper machines that
+// run.ConsensusContext drives — and fails on any divergence in decisions,
 // per-process step counts, stall/stop status, verdicts, or the full trace
-// event log. It is the randomized complement of the exhaustive
-// explore.CrossCheck sweep: the sweep certifies small configurations
-// completely, the fuzzer hunts for divergence in corners the sweep's fixed
-// configurations never reach (adversarial halts, byte-shaped interleavings,
-// every fault kind including nonresponsive stalls).
+// event log. It is the randomized complement of the exhaustive sweep in the
+// explore package's TestCompiledMatchesInterpreted: the sweep certifies
+// small configurations completely, the fuzzer hunts for divergence in
+// corners the sweep's fixed configurations never reach (adversarial halts,
+// byte-shaped interleavings, every fault kind including nonresponsive
+// stalls).
 func FuzzCompiledVsInterpreted(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(0), []byte{0, 1, 0, 1}, []byte{1, 0})
 	f.Add(uint8(3), uint8(1), uint8(0), []byte{1, 1, 0, 0, 2}, []byte{1, 1, 1})
@@ -34,8 +40,8 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 			inputs[i] = int64(10 + i)
 		}
 
-		ires, ierr := fuzzRun(proto, inputs, kind, sched, faults, run.ExecInterpreted)
-		cres, cerr := fuzzRun(proto, inputs, kind, sched, faults, run.ExecCompiled)
+		ires, ierr := fuzzReference(proto, inputs, kind, sched, faults)
+		cres, cerr := fuzzRun(proto, inputs, kind, sched, faults)
 		if (ierr == nil) != (cerr == nil) || (ierr != nil && ierr.Error() != cerr.Error()) {
 			t.Fatalf("errors diverge: interpreted %v, compiled %v", ierr, cerr)
 		}
@@ -72,22 +78,49 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 	})
 }
 
-// fuzzRun executes one form. The scheduler and policy are rebuilt from the
-// same bytes for each form, so both consume identical decision streams.
-func fuzzRun(proto core.Protocol, inputs []int64, kind fault.Kind, sched, faults []byte, mode run.ExecMode) (*run.Result, error) {
-	ids := make([]int, proto.Objects())
-	for i := range ids {
-		ids[i] = i
-	}
+// fuzzRun executes the compiled form. The scheduler and policy are rebuilt
+// from the same bytes for each form, so both consume identical decision
+// streams.
+func fuzzRun(proto core.Protocol, inputs []int64, kind fault.Kind, sched, faults []byte) (*run.Result, error) {
 	return run.ConsensusContext(context.Background(), &run.Settings{
 		Protocol:  proto,
 		Inputs:    inputs,
 		Scheduler: &byteSched{bytes: sched},
-		Budget:    fault.NewFixedBudget(ids, 2),
+		Budget:    fuzzBudget(proto),
 		Policy:    bytePolicy(kind, faults),
 		Trace:     true,
-		Exec:      mode,
 	})
+}
+
+// fuzzReference executes the reference form: Decide on the goroutine-gated
+// simulator, evaluated the way run.ConsensusContext evaluates a compiled
+// run (a wait-freedom violation is part of the verdict, any other error is
+// returned).
+func fuzzReference(proto core.Protocol, inputs []int64, kind fault.Kind, sched, faults []byte) (*run.Result, error) {
+	bank := object.NewBank(proto.Objects(), fuzzBudget(proto), bytePolicy(kind, faults))
+	res, err := sim.RunContext(context.Background(), sim.Config{
+		Programs:  run.Programs(proto, bank, inputs),
+		Scheduler: &byteSched{bytes: sched},
+		StepLimit: proto.StepBound(len(inputs)),
+		Log:       trace.New(),
+	})
+	if err != nil && res == nil {
+		return nil, err
+	}
+	result := &run.Result{Sim: res, Verdict: run.Evaluate(inputs, res, err), Bank: bank}
+	if err != nil && !errors.Is(err, sim.ErrWaitFreedom) {
+		return result, err
+	}
+	return result, nil
+}
+
+// fuzzBudget admits two faults on every object of the protocol.
+func fuzzBudget(proto core.Protocol) *fault.Budget {
+	ids := make([]int, proto.Objects())
+	for i := range ids {
+		ids[i] = i
+	}
+	return fault.NewFixedBudget(ids, 2)
 }
 
 func fuzzProtocol(sel uint8) core.Protocol {

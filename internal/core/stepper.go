@@ -5,10 +5,12 @@ import "repro/internal/word"
 // This file is the compiled execution form of the protocols: each Decide
 // loop is lowered to an explicitly resumable state machine (a Stepper) that
 // a driver advances one shared-memory step at a time on its own goroutine.
-// The goroutine-gated simulator remains the reference semantics; a Stepper
-// must be step-for-step equivalent to its protocol's Decide (same CAS
-// arguments in the same order, same decision), which the differential
-// checker (explore.CrossCheck) and FuzzCompiledVsInterpreted enforce.
+// Every driver that enumerates or replays executions runs this form. Decide
+// on the goroutine-gated simulator remains the reference semantics: a
+// Stepper must be step-for-step equivalent to its protocol's Decide (same
+// CAS arguments in the same order, same decision), which the explore
+// package's differential test (TestCompiledMatchesInterpreted) and
+// FuzzCompiledVsInterpreted enforce.
 //
 // The Stepper contract mirrors the simulator's step model exactly:
 //
@@ -67,12 +69,6 @@ type Stepper interface {
 	// independence relation for partial-order reduction, so it must return
 	// exactly the arguments the next Step passes to env.CAS.
 	Pending(st *State) (obj int, exp, new word.Word)
-	// Footprint reports the inclusive object-index interval [lo, hi] the
-	// machine may still touch from st, over its whole remaining execution.
-	// A sound over-approximation is required (the persistent-set pruner
-	// treats disjoint footprints as permanently independent); the four
-	// paper machines return exact intervals.
-	Footprint(st *State) (lo, hi int)
 }
 
 // Steppable is implemented by protocols that provide a compiled form.
@@ -81,8 +77,7 @@ type Steppable interface {
 }
 
 // Compile returns the compiled form of the protocol, or ok=false when the
-// protocol provides none (drivers then fall back to the goroutine-gated
-// reference path).
+// protocol provides none (drivers that need one refuse it).
 func Compile(p Protocol) (Stepper, bool) {
 	s, ok := p.(Steppable)
 	if !ok {
@@ -116,9 +111,6 @@ func (singleStepper) Step(st *State, env Env) (bool, int64) {
 func (singleStepper) Pending(st *State) (int, word.Word, word.Word) {
 	return 0, word.Bottom, st.Val
 }
-
-// Footprint implements Stepper: the single object.
-func (singleStepper) Footprint(*State) (int, int) { return 0, 0 }
 
 // fPlusOneStepper is the Figure 2 machine: one CAS per object in order,
 // adopting any non-⊥ content seen; the pass over object f decides.
@@ -154,9 +146,6 @@ func (fPlusOneStepper) Pending(st *State) (int, word.Word, word.Word) {
 	return st.I, word.Bottom, st.Val
 }
 
-// Footprint implements Stepper: objects I..f remain to be visited.
-func (m fPlusOneStepper) Footprint(st *State) (int, int) { return st.I, m.f }
-
 // silentStepper is the Section 3.4 retry machine: CAS(O, ⊥, val) until a
 // non-⊥ old value appears.
 type silentStepper struct{}
@@ -183,9 +172,6 @@ func (silentStepper) Step(st *State, env Env) (bool, int64) {
 func (silentStepper) Pending(st *State) (int, word.Word, word.Word) {
 	return 0, word.Bottom, st.Val
 }
-
-// Footprint implements Stepper: the single object.
-func (silentStepper) Footprint(*State) (int, int) { return 0, 0 }
 
 // stagedStepper is the Figure 3 machine. Its two program counters cover the
 // protocol's two CAS sites: pcStage is line 6 (the per-object install loop
@@ -276,14 +262,4 @@ func (m stagedStepper) Pending(st *State) (int, word.Word, word.Word) {
 		return 0, st.Exp, word.Pack(st.Out, m.maxStage)
 	}
 	return st.I, st.Exp, word.Pack(st.Out, st.S)
-}
-
-// Footprint implements Stepper: the stage loop sweeps O_0..O_{f-1} and the
-// final stage lands on O_0, so the whole remaining execution stays inside
-// [0, f-1] (pcFinal narrows to O_0 alone).
-func (m stagedStepper) Footprint(st *State) (int, int) {
-	if st.PC == pcFinal {
-		return 0, 0
-	}
-	return 0, m.f - 1
 }

@@ -13,9 +13,10 @@ import (
 // execution form (scripts/check.sh runs it by name): for every protocol
 // with a Stepper, a full covering sweep — n = 2 processes, f = 1 faulty
 // object, unbounded faults per object — is enumerated leaf for leaf through
-// both forms, comparing verdicts, schedules, decisions, step counts, fault
-// tallies, and complete trace logs. Any divergence fails with the
-// lexicographically least diverging leaf.
+// the engine's compiled form and the goroutine-gated reference (CrossCheck),
+// comparing verdicts, schedules, decisions, step counts, fault tallies, and
+// complete trace logs. Any divergence fails with the lexicographically
+// least diverging leaf.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	cases := []struct {
 		name string
@@ -114,5 +115,3 @@ func (brokenStepper) Step(st *core.State, env core.Env) (bool, int64) {
 }
 
 func (brokenStepper) Pending(*core.State) (int, word.Word, word.Word) { return 0, 0, 0 }
-
-func (brokenStepper) Footprint(*core.State) (int, int) { return 0, 0 }

@@ -42,7 +42,7 @@ import (
 // outright; instead it becomes a pruning bound: subtrees lexicographically
 // at or above the best violation are abandoned, so only the work needed to
 // certify the canonical counterexample remains. Combined with
-// context.Context cancellation threaded through sim.Run, workers stop
+// context.Context cancellation threaded through every replay, workers stop
 // promptly once nothing below the bound is left.
 //
 // With Settings.Dedup, workers additionally fingerprint the canonical
@@ -225,7 +225,6 @@ type runEnv struct {
 	s         *run.Settings
 	kind      fault.Kind
 	cap       int
-	compiled  bool
 	workers   int
 	leaseSize int64
 	reg       *obs.Registry
@@ -239,7 +238,7 @@ type runEnv struct {
 // the engine is always registry-backed, so Outcome and Progress are views of
 // the same counters a live /metrics endpoint reads.
 func (e *Engine) setup(s *run.Settings) (*runEnv, error) {
-	kind, cap, compiled, err := prepare(s, e.Store, e.Ledger)
+	kind, cap, err := prepare(s, e.Store, e.Ledger)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +255,7 @@ func (e *Engine) setup(s *run.Settings) (*runEnv, error) {
 		leaseSize = DefaultLeaseSize
 	}
 	env := &runEnv{
-		s: s, kind: kind, cap: cap, compiled: compiled,
+		s: s, kind: kind, cap: cap,
 		workers: workers, leaseSize: leaseSize,
 		reg: reg, m: newRunMetrics(reg, workers), ev: s.Events,
 	}
@@ -762,7 +761,7 @@ func (r *engineRun) mergeMaxima(localSteps, localFaults int) {
 // stays in the worker's frontier slot so the final checkpoint preserves it;
 // the worker then exits rather than claim further tasks it cannot finish.
 //
-// The replay machinery (chooser, execState with its arena, dedup tracker)
+// The replay machinery (chooser, execState with its runner, dedup tracker)
 // is per-worker and lives for the worker's whole run — replays allocate
 // nothing on their hot path.
 func (r *engineRun) worker(ctx context.Context, w int) {
@@ -774,8 +773,7 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 		}
 	}
 	c := &chooser{}
-	es := newExecState(r.s, r.kind, r.compiled, c, dh)
-	defer es.close()
+	es := newExecState(r.s, r.kind, c, dh)
 	var l workerLease
 	for {
 		idleStart := time.Now()

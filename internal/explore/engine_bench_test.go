@@ -150,42 +150,67 @@ func BenchmarkEngineReduceSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkExecFormCoveringSweep compares the two execution forms on the
-// 4096-execution covering-sweep slab with a single worker, so the ratio
-// isolates per-execution cost: form=compiled drives the core.Stepper
-// machines through the stepped runner's tight loop (zero goroutine hops),
-// form=goroutine the goroutine-gated reference simulator (two channel
-// handshakes per step). scripts/bench.sh records the min-of-5 ratio as
-// compiled_speedup in BENCH_explore.json; scripts/check.sh gates it at ≥ 2×.
+// BenchmarkExecFormCoveringSweep compares the engine's compiled form with
+// the test-only reference form on the 4096-execution covering-sweep slab
+// with a single worker, so the ratio isolates per-execution cost:
+// form=compiled runs the engine, whose core.Stepper machines resume each
+// leaf from a saved state in the stepped runner's tight loop (zero
+// goroutine hops); form=goroutine replays the same first 4096 leaves in
+// lexicographic order through refReplay, Decide on the goroutine-gated
+// simulator from the root (two channel handshakes per step).
+// scripts/bench.sh records the min-of-5 ratio as compiled_speedup in
+// BENCH_explore.json; scripts/check.sh gates it at ≥ 2×.
 func BenchmarkExecFormCoveringSweep(b *testing.B) {
-	for _, form := range []struct {
-		name string
-		mode run.ExecMode
-	}{
-		{"form=compiled", run.ExecCompiled},
-		{"form=goroutine", run.ExecInterpreted},
-	} {
-		b.Run(form.name, func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Exec = form.mode
-			eng := &Engine{}
-			var execs int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(1)))
-				if err != nil {
+	cfg := benchConfig()
+	b.Run("form=compiled", func(b *testing.B) {
+		eng := &Engine{}
+		var execs int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out.Executions != cfg.MaxExecutions {
+				b.Fatalf("executions = %d, want %d", out.Executions, cfg.MaxExecutions)
+			}
+			execs += int64(out.Executions)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(execs)/b.Elapsed().Seconds(), "paths/sec")
+	})
+	b.Run("form=goroutine", func(b *testing.B) {
+		kind, _, err := prepare(&cfg, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := &chooser{}
+		ref := newRefReplay(&cfg, kind, c)
+		defer ref.close()
+		var execs int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.path = c.path[:0]
+			n := 0
+			for n < cfg.MaxExecutions {
+				if _, _, err := ref.runLeaf(); err != nil {
 					b.Fatal(err)
 				}
-				if out.Executions != cfg.MaxExecutions {
-					b.Fatalf("executions = %d, want %d", out.Executions, cfg.MaxExecutions)
+				n++
+				if !c.next() {
+					break
 				}
-				execs += int64(out.Executions)
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(execs)/b.Elapsed().Seconds(), "paths/sec")
-		})
-	}
+			if n != cfg.MaxExecutions {
+				b.Fatalf("executions = %d, want %d", n, cfg.MaxExecutions)
+			}
+			execs += int64(n)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(execs)/b.Elapsed().Seconds(), "paths/sec")
+	})
 }
 
 // BenchmarkEngineTracedCoveringSweep is the covering-sweep workload with

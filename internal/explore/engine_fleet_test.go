@@ -43,11 +43,7 @@ func TestEngineFleetSnapshotsMergeMatchesSingleProcess(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {
-		owner := string(rune('a' + i))
-		l, _, err := ledger.Join(runDir, "worker-"+owner, ttl)
-		if err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
+		l := joinLedger(t, cfg, runDir, "worker-"+string(rune('a'+i)), ttl)
 		regs[i] = obs.NewRegistry()
 		wg.Add(1)
 		go func(i int, l *ledger.Ledger) {

@@ -14,6 +14,18 @@ import (
 	"repro/internal/store"
 )
 
+// joinLedger joins the run directory's ledger as the named participant the
+// way every process does, through JoinLedger, which binds the directory to
+// the settings' manifest.
+func joinLedger(t *testing.T, cfg run.Settings, runDir, owner string, ttl time.Duration) *ledger.Ledger {
+	t.Helper()
+	l, err := JoinLedger(with(&cfg, run.WithLedger(runDir), run.WithWorkerID(owner), run.WithLeaseTTL(ttl)), false)
+	if err != nil {
+		t.Fatalf("join %s: %v", owner, err)
+	}
+	return l
+}
+
 // ledgerParticipants runs n engines over one shared run-directory ledger,
 // each as if it were a separate OS process, and finalizes the merge.
 func ledgerParticipants(t *testing.T, cfg run.Settings, runDir string, n int, ttl time.Duration) (*Outcome, *ledger.Merged) {
@@ -21,11 +33,7 @@ func ledgerParticipants(t *testing.T, cfg run.Settings, runDir string, n int, tt
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
-		owner := string(rune('a' + i))
-		l, _, err := ledger.Join(runDir, "worker-"+owner, ttl)
-		if err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
+		l := joinLedger(t, cfg, runDir, "worker-"+string(rune('a'+i)), ttl)
 		wg.Add(1)
 		go func(i int, l *ledger.Ledger) {
 			defer wg.Done()
@@ -64,9 +72,10 @@ func TestEngineLedgerMatchesSingleProcessCovering(t *testing.T) {
 		t.Fatalf("reference run: complete=%v violation=%v", seq.Complete, seq.Violation)
 	}
 	// The merge must be exact on every attempt. Whether BOTH participants
-	// got to publish before the tree drained is a race against the tree
-	// size, so retry a few times for the two-participant shape; the
-	// equality assertions hold unconditionally each time.
+	// got to publish, and whether the tree was split into at least two
+	// results before it drained inside one participant's first claim, are
+	// the same race against the tree size, so retry a few times for that
+	// shape; the equality assertions hold unconditionally each time.
 	for attempt := 0; ; attempt++ {
 		// A tight TTL keeps the export pump and claim polling fast enough
 		// to hand work off within this small tree's ~50ms runtime. Tight
@@ -83,14 +92,12 @@ func TestEngineLedgerMatchesSingleProcessCovering(t *testing.T) {
 			t.Errorf("merged maxima = (%d,%d), want (%d,%d)",
 				out.MaxProcSteps, out.MaxFaults, seq.MaxProcSteps, seq.MaxFaults)
 		}
-		if m.Results < 2 {
-			t.Errorf("merged results = %d, want a multi-subtree merge", m.Results)
-		}
-		if t.Failed() || len(m.Participants) == 2 {
+		if t.Failed() || (len(m.Participants) == 2 && m.Results >= 2) {
 			break
 		}
 		if attempt == 4 {
-			t.Fatalf("participants = %v after %d attempts, want 2", m.Participants, attempt+1)
+			t.Fatalf("participants = %v with %d merged results after %d attempts, want 2 participants and a multi-subtree merge",
+				m.Participants, m.Results, attempt+1)
 		}
 	}
 }
@@ -145,20 +152,14 @@ func TestEngineLedgerSurvivesDeadClaimHolder(t *testing.T) {
 	}
 	runDir := t.TempDir()
 	const ttl = 300 * time.Millisecond
-	dead, _, err := ledger.Join(runDir, "doomed", ttl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dead := joinLedger(t, cfg, runDir, "doomed", ttl)
 	// Claim the root and walk away: no renewals, no result, simulating a
 	// SIGKILLed process mid-lease.
 	if _, err := dead.Claim(context.Background()); err != nil {
 		t.Fatalf("doomed claim: %v", err)
 	}
 
-	live, _, err := ledger.Join(runDir, "survivor", ttl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := joinLedger(t, cfg, runDir, "survivor", ttl)
 	eng := &Engine{Ledger: live}
 	if _, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(2))); err != nil {
 		t.Fatalf("survivor: %v", err)

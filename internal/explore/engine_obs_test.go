@@ -252,15 +252,7 @@ func TestEngineMetricsResumeRestored(t *testing.T) {
 // may legitimately be zero early in a run — the invariant is ordering and
 // non-negativity, plus that reports flow at all.
 func TestEngineProgressDepthQuantiles(t *testing.T) {
-	cfg := run.Settings{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          inputs(2),
-		FaultyObjects:   []int{0, 1, 2},
-		FaultsPerObject: 1,
-		// The goroutine form keeps this sweep slow enough for the 1ms
-		// progress ticker to fire before the run completes.
-		Exec: run.ExecInterpreted,
-	}
+	cfg := slowConfig()
 	var (
 		mu      sync.Mutex
 		reports []Progress

@@ -333,6 +333,21 @@ func TestEngineImmediateCancel(t *testing.T) {
 	}
 }
 
+// slowConfig is the one run the tests that need a run to outlast a timer
+// share: figure2 f=1 n=5 with one faulty object and unbounded faults,
+// 1,814,400 executions to VERIFIED, about 0.7 s at two workers on a 2-vCPU
+// host. Every other tree under the default cap finishes in under 0.2 s at
+// one worker.
+func slowConfig() run.Settings {
+	return run.Settings{
+		Protocol:        core.NewFPlusOne(1),
+		Inputs:          inputs(5),
+		FaultyObjects:   []int{0},
+		FaultsPerObject: fault.Unbounded,
+		MaxExecutions:   2_000_000,
+	}
+}
+
 // TestEngineProgressReports: the throughput reporter must deliver reports
 // with monotone execution counts while a long run is in flight.
 func TestEngineProgressReports(t *testing.T) {
@@ -341,13 +356,8 @@ func TestEngineProgressReports(t *testing.T) {
 		ProgressEvery: 10 * time.Millisecond,
 		Progress:      func(p Progress) { reports = append(reports, p) },
 	}
-	out, err := eng.Check(context.Background(), &run.Settings{
-		Workers:         2,
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          inputs(2),
-		FaultyObjects:   []int{0, 1, 2},
-		FaultsPerObject: 1,
-	})
+	cfg := slowConfig()
+	out, err := eng.Check(context.Background(), with(&cfg, run.WithWorkers(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +365,7 @@ func TestEngineProgressReports(t *testing.T) {
 		t.Fatal("enumeration must complete")
 	}
 	if len(reports) == 0 {
-		t.Skip("run finished before the first report tick")
+		t.Fatalf("no progress report in a %v run", out.Elapsed)
 	}
 	last := int64(0)
 	for _, p := range reports {

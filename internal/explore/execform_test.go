@@ -5,204 +5,179 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/store"
 	"repro/internal/trace/export"
 )
 
-// TestCheckpointRefusesExecFormMismatch: a checkpoint is a claim about what
-// a specific engine explored, so a run directory created under one execution
-// form refuses to resume under the other (store.ErrMismatch) — in both
-// directions.
-func TestCheckpointRefusesExecFormMismatch(t *testing.T) {
+// TestManifestHashesUnchanged pins the settings hash of three run
+// directories to the values earlier versions wrote, so run directories they
+// created still resume and join: the manifest keeps recording the compiled
+// execution form, and reduction only when it is on.
+func TestManifestHashesUnchanged(t *testing.T) {
 	for _, tc := range []struct {
-		name            string
-		created, resume run.ExecMode
+		name string
+		meta map[string]string
+		want string
 	}{
-		{"compiled-refuses-interpreted", run.ExecCompiled, run.ExecInterpreted},
-		{"interpreted-refuses-compiled", run.ExecInterpreted, run.ExecCompiled},
+		{"figure3-f1-t1-n2-unbounded",
+			map[string]string{"proto": "figure3", "f": "1", "t": "1", "n": "2", "unbounded": "true"},
+			"05f5aa99835b228a"},
+		{"figure2-f1-n5-one-faulty-unbounded-dedup-reduce",
+			map[string]string{"proto": "figure2", "f": "1", "n": "5", "faulty": "1", "unbounded": "true", "reduce": "on"},
+			"b88c79c3ceae626e"},
+		{"figure3-f3-t1-n5-dedup-reduce",
+			map[string]string{"proto": "figure3", "f": "3", "t": "1", "n": "5", "reduce": "on"},
+			"ad180dccde979860"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := benchConfig()
-			cfg.Exec = tc.created
-			m, err := ManifestFor(&cfg, false)
+			s, err := run.SettingsFromMeta(tc.meta, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := store.Create(filepath.Join(t.TempDir(), "run"), m)
+			s.Dedup = true // advisory: must not move the hash
+			m, err := ManifestFor(s, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			same, err := ManifestFor(&cfg, false)
-			if err != nil {
-				t.Fatal(err)
+			m.FormatVersion = store.FormatVersion // as store.Create stamps it
+			if got := m.Hash(); got != tc.want {
+				t.Errorf("settings hash = %s, want %s", got, tc.want)
 			}
-			if err := st.Verify(same); err != nil {
-				t.Fatalf("same form must verify: %v", err)
-			}
-
-			cfg.Exec = tc.resume
-			other, err := ManifestFor(&cfg, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Verify(other); !errors.Is(err, store.ErrMismatch) {
-				t.Fatalf("Verify under the other form = %v, want store.ErrMismatch", err)
+			if m.Exec != run.ExecForm {
+				t.Errorf("manifest exec = %q, want %q", m.Exec, run.ExecForm)
 			}
 		})
 	}
 }
 
-// TestExplainRefusesExecFormMismatch (the -explain bugfix): a capture must
-// be replayed through the execution form that produced it — verifying a
-// compiled capture on the goroutine path would silently prove the wrong
-// thing. Captures without an exec entry (predating the compiled form) are
-// replayed under whatever the configuration resolves.
-func TestExplainRefusesExecFormMismatch(t *testing.T) {
-	cfg := benchConfig()
-	cfg.Exec = run.ExecInterpreted
-	x := &export.Execution{Meta: export.Meta{Kind: "execution", Run: map[string]string{"exec": "compiled"}}}
-	err := checkExecForm(&cfg, x.Meta.Run)
-	if err == nil {
-		t.Fatal("compiled capture replayed on the interpreted path without refusal")
-	}
-	if !strings.Contains(err.Error(), "captured by the compiled engine") ||
-		!strings.Contains(err.Error(), "-engine compiled") {
-		t.Errorf("refusal must name both forms and the fix, got: %v", err)
-	}
+// removedModes are the two settings earlier versions could record and this
+// one no longer runs, as they appear in a manifest and in its meta.
+var removedModes = []struct {
+	key, value string
+	apply      func(m *store.Manifest)
+}{
+	{"exec", "interpreted", func(m *store.Manifest) { m.Exec, m.Extra["exec"] = "interpreted", "interpreted" }},
+	{"reduce", "aggressive", func(m *store.Manifest) { m.Reduce, m.Extra["reduce"] = "aggressive", "aggressive" }},
+}
 
-	cfg.Exec = run.ExecCompiled
-	if err := checkExecForm(&cfg, map[string]string{"exec": "interpreted"}); err == nil {
-		t.Error("interpreted capture replayed on the compiled path without refusal")
+// wantRemovedMismatch checks the refusal of an artifact recorded under a
+// removed mode: a store.ErrMismatch that is also run.ErrRemovedMode and
+// names the mode.
+func wantRemovedMismatch(t *testing.T, op string, err error, mode string) {
+	t.Helper()
+	if !errors.Is(err, store.ErrMismatch) || !errors.Is(err, run.ErrRemovedMode) {
+		t.Errorf("%s: err = %v, want store.ErrMismatch and run.ErrRemovedMode", op, err)
+		return
 	}
-	if err := checkExecForm(&cfg, map[string]string{"exec": "compiled"}); err != nil {
-		t.Errorf("matching form refused: %v", err)
-	}
-	if err := checkExecForm(&cfg, map[string]string{}); err != nil {
-		t.Errorf("legacy capture without exec entry refused: %v", err)
+	if !strings.Contains(err.Error(), mode) {
+		t.Errorf("%s: refusal %q does not name %s", op, err, mode)
 	}
 }
 
-// TestExplainFileAsFormOverride drives the refusal end to end through a real
-// capture file, the way `modelcheck -engine X -explain` reaches it: an
-// explicit override contradicting the recorded form is refused, the matching
-// override and the auto default both replay.
-func TestExplainFileAsFormOverride(t *testing.T) {
+// TestRemovedModesRefused: a run directory whose manifest records the
+// removed interpreted engine form or aggressive reduction is refused by a
+// resume, a ledger join and a ledger finalize, each with the typed
+// mismatch that names the mode. The manifests are written the way earlier
+// versions wrote them, with a valid settings hash, so only the mode check
+// can refuse them.
+func TestRemovedModesRefused(t *testing.T) {
+	for _, mode := range removedModes {
+		name := mode.key + "=" + mode.value
+		t.Run(name, func(t *testing.T) {
+			cfg := benchConfig()
+			m, err := ManifestFor(&cfg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mode.apply(&m)
+
+			runDir := filepath.Join(t.TempDir(), "run")
+			st, err := store.Create(runDir, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			eng := &Engine{}
+			wantRemovedMismatch(t, "resume", eng.Attach(with(&cfg, run.WithResume(runDir))), name)
+			eng.Close()
+
+			ledgerDir := filepath.Join(t.TempDir(), "ledger")
+			st, err = store.CreateShared(ledgerDir, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			_, err = JoinLedger(with(&cfg, run.WithLedger(ledgerDir), run.WithWorkerID("w")), false)
+			wantRemovedMismatch(t, "ledger join", err, name)
+			_, _, err = FinalizeLedger(&cfg, ledgerDir, false)
+			wantRemovedMismatch(t, "ledger finalize", err, name)
+		})
+	}
+}
+
+// TestExplainRefusesExecFormMismatch: -explain replays a capture on the
+// compiled form only. A capture whose header records the removed
+// interpreted form or aggressive reduction is refused with
+// run.ErrRemovedMode; one recording the compiled form, or predating the
+// exec entry, replays.
+func TestExplainRefusesExecFormMismatch(t *testing.T) {
 	dir := t.TempDir()
-	out, err := CheckWith(context.Background(),
-		violatingOpts(run.WithTraceDir(dir, 0))...)
+	out, err := CheckWith(context.Background(), violatingOpts(run.WithTraceDir(dir, 0))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Violation == nil {
 		t.Fatal("expected a violation")
 	}
-	cap := globOne(t, dir, "violation-*.jsonl")
-
-	x, err := export.ReadFile(cap)
+	capture := globOne(t, dir, "violation-*.jsonl")
+	x, err := export.ReadFile(capture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded := x.Meta.Run["exec"]
-	if recorded != "compiled" && recorded != "interpreted" {
-		t.Fatalf("capture records exec=%q, want compiled or interpreted", recorded)
+	if got := x.Meta.Run["exec"]; got != run.ExecForm {
+		t.Fatalf("capture records exec=%q, want %q", got, run.ExecForm)
 	}
-	other := run.ExecCompiled
-	same := run.ExecInterpreted
-	if recorded == "compiled" {
-		other, same = same, other
+	if err := ExplainFile(io.Discard, capture); err != nil {
+		t.Errorf("compiled capture refused: %v", err)
 	}
 
-	if err := ExplainFileAs(io.Discard, cap, other); err == nil {
-		t.Errorf("replaying a %s capture under the other form must be refused", recorded)
-	} else if !strings.Contains(err.Error(), recorded) {
-		t.Errorf("refusal must name the recorded form %q, got: %v", recorded, err)
+	rewrite := func(name string, edit func(meta map[string]string)) string {
+		y := *x
+		y.Meta.Run = map[string]string{}
+		for k, v := range x.Meta.Run {
+			y.Meta.Run[k] = v
+		}
+		edit(y.Meta.Run)
+		path := filepath.Join(dir, name)
+		if err := export.WriteExecution(path, &y); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if err := ExplainFileAs(io.Discard, cap, same); err != nil {
-		t.Errorf("matching override refused: %v", err)
+	legacy := rewrite("legacy.jsonl", func(meta map[string]string) { delete(meta, "exec") })
+	if err := ExplainFile(io.Discard, legacy); err != nil {
+		t.Errorf("capture without an exec entry refused: %v", err)
 	}
-	if err := ExplainFileAs(io.Discard, cap, run.ExecAuto); err != nil {
-		t.Errorf("auto (defer to the recording) refused: %v", err)
-	}
-}
-
-// TestEngineCancelMidLeaseWorkerSumCompiled is the stepped-runner variant of
-// TestEngineCancelMidLeaseWorkerSum: cancellation strikes workers mid-lease
-// while every leaf runs through the compiled stepped runner (pinned
-// explicitly so a future default change cannot silently downgrade the
-// coverage), and the per-worker counters plus the restored count must still
-// sum to the reported total. Run under -race via scripts/check.sh.
-func TestEngineCancelMidLeaseWorkerSumCompiled(t *testing.T) {
-	cfg := benchConfig()
-	cfg.Exec = run.ExecCompiled
-	cfg.MaxExecutions = 1_000_000
-	reg := obs.NewRegistry()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	out, err := (&Engine{LeaseSize: 16}).Check(ctx, with(&cfg, run.WithWorkers(4), run.WithMetrics(reg)))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if out.Complete {
-		t.Error("cancelled run reported complete")
-	}
-	s := reg.Snapshot()
-	if got := s.Counters["explore.executions"]; got != int64(out.Executions) {
-		t.Errorf("explore.executions = %d, Outcome.Executions = %d", got, out.Executions)
-	}
-	sum := sumWorkerCounters(s, ".executions") + s.Counters["explore.executions.restored"]
-	if sum != int64(out.Executions) {
-		t.Errorf("worker sum + restored = %d, want %d — a lease was lost or double-counted on cancellation", sum, out.Executions)
-	}
-}
-
-// TestEngineFormsAgreeOnCoveringSlab pins that the two forms agree through
-// the full engine (workers, leases, frontier), not just the leaf-level
-// CrossCheck, on the capped covering slab the benchmarks use — to exactly
-// what Outcome promises for a capped run. With one worker the slab is the
-// first MaxExecutions leaves in lexicographic order, so every field agrees;
-// with two, which leaves ran depends on interleaving, so only the exact cap
-// and the incomplete verdict do.
-func TestEngineFormsAgreeOnCoveringSlab(t *testing.T) {
-	cfg := benchConfig()
-	for _, w := range []int{1, 2} {
-		ref, err := (&Engine{}).Check(context.Background(),
-			with(&cfg, run.WithWorkers(w), run.WithExecMode(run.ExecInterpreted)))
+	for _, mode := range removedModes {
+		path := rewrite(mode.value+".jsonl", func(meta map[string]string) { meta[mode.key] = mode.value })
+		err := ExplainFile(io.Discard, path)
+		if !errors.Is(err, run.ErrRemovedMode) || !strings.Contains(err.Error(), mode.key+"="+mode.value) {
+			t.Errorf("%s=%s capture: err = %v, want run.ErrRemovedMode naming the mode", mode.key, mode.value, err)
+		}
+		y, err := export.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := (&Engine{}).Check(context.Background(),
-			with(&cfg, run.WithWorkers(w), run.WithExecMode(run.ExecCompiled)))
+		s, err := run.SettingsFromMeta(x.Meta.Run, x.Meta.Inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for form, out := range map[string]*Outcome{"interpreted": ref, "compiled": got} {
-			if out.Executions != cfg.MaxExecutions || out.Complete {
-				t.Errorf("workers=%d %s: executions=%d complete=%v, want exactly %d and incomplete",
-					w, form, out.Executions, out.Complete, cfg.MaxExecutions)
-			}
-		}
-		if w > 1 {
-			continue
-		}
-		if got.MaxProcSteps != ref.MaxProcSteps || got.MaxFaults != ref.MaxFaults {
-			t.Errorf("one worker: compiled maxima (%d,%d), interpreted (%d,%d)",
-				got.MaxProcSteps, got.MaxFaults, ref.MaxProcSteps, ref.MaxFaults)
-		}
-		if (got.Violation == nil) != (ref.Violation == nil) ||
-			(got.Violation != nil && !reflect.DeepEqual(got.Violation.Path, ref.Violation.Path)) {
-			t.Errorf("one worker: compiled violation %v, interpreted %v", got.Violation, ref.Violation)
+		if err := Explain(io.Discard, s, y); !errors.Is(err, run.ErrRemovedMode) {
+			t.Errorf("Explain of a %s=%s capture: err = %v, want run.ErrRemovedMode", mode.key, mode.value, err)
 		}
 	}
 }

@@ -33,8 +33,8 @@ func Explain(w io.Writer, s *run.Settings, x *export.Execution) error {
 	if len(x.Events) == 0 {
 		return fmt.Errorf("explore: trace holds no events")
 	}
-	if err := checkExecForm(s, x.Meta.Run); err != nil {
-		return err
+	if err := run.CheckModes(x.Meta.Run["exec"], x.Meta.Run["reduce"]); err != nil {
+		return fmt.Errorf("explore: explain: %w", err)
 	}
 	if err := checkReduceMode(s, x.Meta.Run); err != nil {
 		return err
@@ -86,18 +86,9 @@ func Explain(w io.Writer, s *run.Settings, x *export.Execution) error {
 }
 
 // ExplainFile explains the trace/v1 file at path, reconstructing the
-// configuration from the trace's own sealed run meta; the capture replays
-// through the execution form that produced it.
+// configuration from the trace's own sealed run meta. A capture recorded
+// under a removed mode is refused (run.ErrRemovedMode).
 func ExplainFile(w io.Writer, path string) error {
-	return ExplainFileAs(w, path, run.ExecAuto)
-}
-
-// ExplainFileAs is ExplainFile with an explicit execution-form override:
-// run.ExecAuto defers to the form recorded in the capture, while any other
-// mode replaces it — and Explain refuses the replay if the override
-// contradicts the recording, because a replay is only evidence about the
-// engine that actually ran.
-func ExplainFileAs(w io.Writer, path string, mode run.ExecMode) error {
 	x, err := export.ReadFile(path)
 	if err != nil {
 		return err
@@ -106,34 +97,8 @@ func ExplainFileAs(w io.Writer, path string, mode run.ExecMode) error {
 	if err != nil {
 		return fmt.Errorf("%w (trace %s)", err, path)
 	}
-	if mode != run.ExecAuto {
-		s.Exec = mode
-	}
 	fmt.Fprintf(w, "trace         : %s (%s, captured by worker %d)\n", path, x.Meta.Schema, x.Meta.Worker)
 	return Explain(w, s, x)
-}
-
-// checkExecForm refuses to verify a capture under a different execution
-// form than the one that produced it. The two forms are equivalent by
-// construction (explore.CrossCheck certifies them), but a replay is only
-// evidence about the engine that actually ran — verifying a compiled
-// capture on the goroutine path (or vice versa) would silently prove the
-// wrong thing. Captures that predate the compiled form carry no exec entry
-// and replay under whatever form the configuration resolves to.
-func checkExecForm(s *run.Settings, meta map[string]string) error {
-	recorded := meta["exec"]
-	if recorded == "" {
-		return nil
-	}
-	compiled, err := run.ResolveExec(s.Exec, s.Protocol)
-	if err != nil {
-		return fmt.Errorf("explore: explain: %w", err)
-	}
-	if resolved := run.ExecLabel(compiled); resolved != recorded {
-		return fmt.Errorf("explore: explain: trace was captured by the %s engine but this configuration replays %s; rerun with the matching execution form (-engine %s)",
-			recorded, resolved, recorded)
-	}
-	return nil
 }
 
 // checkReduceMode refuses to verify a capture under a different

@@ -8,13 +8,12 @@
 // therefore enumerates the execution tree by replay: each run is driven by
 // a choice path; after the run, the deepest branch point with an untaken
 // alternative is advanced (depth-first, odometer style) and the execution
-// is replayed from the deepest state it shares with the previous one. The
-// compiled form resumes from a between-steps snapshot saved along the
-// previous path; the goroutine-gated reference form replays from the
-// initial state. Wait-freedom of the protocols makes every path finite, so
-// for small configurations the enumeration is complete — an empirical
-// proof of the paper's possibility theorems, and a counterexample finder
-// for its impossibility theorems.
+// is replayed from the deepest state it shares with the previous one: the
+// protocols' compiled step machines resume from a between-steps snapshot
+// saved along the previous path. Wait-freedom of the protocols makes every
+// path finite, so for small configurations the enumeration is complete — an
+// empirical proof of the paper's possibility theorems, and a counterexample
+// finder for its impossibility theorems.
 package explore
 
 import (
@@ -122,14 +121,14 @@ type chooser struct {
 	arity []int
 	pos   int
 	// lb is the backtracking floor: next never retracts a choice at a
-	// position below lb. A whole-tree walk (CrossCheck) uses lb = 0; an
-	// engine worker owns the subtree rooted at its task's prefix and sets
+	// position below lb. A whole-tree walk uses lb = 0; an engine worker
+	// owns the subtree rooted at its task's prefix and sets
 	// lb = len(prefix).
 	lb int
 	// changed is the first position whose choice may differ from the
-	// previous replay's: the compiled form resumes the next replay from
-	// its deepest snapshot at or before it. Zero (the zero value, and a
-	// task start) replays from the root.
+	// previous replay's: the next replay resumes from its deepest snapshot
+	// at or before it. Zero (the zero value, and a task start) replays
+	// from the root.
 	changed int
 }
 
@@ -234,38 +233,37 @@ func (e *ProcessLimitError) Error() string {
 	return fmt.Sprintf("explore: %s supports at most %d processes, got %d", e.Mechanism, e.Max, e.Procs)
 }
 
-// prepare validates the settings and resolves the effective fault kind,
-// execution cap, and execution form. st and l are the run store and work
-// ledger the engine is attached to (both nil for a single replay), so every
-// combination the engine cannot honour is refused in one place.
-func prepare(s *run.Settings, st *store.Store, l *ledger.Ledger) (kind fault.Kind, cap int, compiled bool, err error) {
+// prepare validates the settings and resolves the effective fault kind and
+// execution cap. st and l are the run store and work ledger the engine is
+// attached to (both nil for a single replay), so every combination the
+// engine cannot honour is refused in one place.
+func prepare(s *run.Settings, st *store.Store, l *ledger.Ledger) (kind fault.Kind, cap int, err error) {
 	if s.Protocol == nil {
-		return 0, 0, false, fmt.Errorf("explore: no protocol")
+		return 0, 0, fmt.Errorf("explore: no protocol")
 	}
 	if len(s.Inputs) == 0 {
-		return 0, 0, false, fmt.Errorf("explore: no inputs")
+		return 0, 0, fmt.Errorf("explore: no inputs")
+	}
+	if _, ok := core.Compile(s.Protocol); !ok {
+		return 0, 0, fmt.Errorf("explore: protocol %s has no compiled form (core.Stepper)", s.Protocol.Name())
 	}
 	kind = s.Kind
 	if kind == fault.None {
 		kind = fault.Overriding
 	}
 	if s.Policy == nil && kind != fault.Overriding && kind != fault.Silent {
-		return 0, 0, false, fmt.Errorf("explore: unsupported fault kind %v", kind)
+		return 0, 0, fmt.Errorf("explore: unsupported fault kind %v", kind)
 	}
 	switch {
 	case l != nil && st != nil:
-		return 0, 0, false, fmt.Errorf("explore: Ledger and Store are mutually exclusive — published results are the ledger's durable state")
+		return 0, 0, fmt.Errorf("explore: Ledger and Store are mutually exclusive — published results are the ledger's durable state")
 	case s.Policy != nil && l != nil:
-		return 0, 0, false, fmt.Errorf("explore: the ledger requires the checker's own fault policy, not a fixed Policy")
+		return 0, 0, fmt.Errorf("explore: the ledger requires the checker's own fault policy, not a fixed Policy")
 	case s.Policy != nil && (s.Dedup || st != nil):
 		// A fixed policy is an opaque closure that may carry state across
 		// invocations; neither the state fingerprint nor a checkpointed
 		// replay can reproduce it.
-		return 0, 0, false, fmt.Errorf("explore: dedup and checkpointing require the checker's own fault policy, not a fixed Policy")
-	}
-	compiled, err = run.ResolveExec(s.Exec, s.Protocol)
-	if err != nil {
-		return 0, 0, false, err
+		return 0, 0, fmt.Errorf("explore: dedup and checkpointing require the checker's own fault policy, not a fixed Policy")
 	}
 	if s.Reduce != run.ReduceOff {
 		if s.Policy != nil {
@@ -273,26 +271,23 @@ func prepare(s *run.Settings, st *store.Store, l *ledger.Ledger) (kind fault.Kin
 			// checker's own fault branches (observable ∧ admitted); an
 			// opaque policy could fire faults the purity predicate does
 			// not see.
-			return 0, 0, false, fmt.Errorf("explore: partial-order reduction requires the checker's own fault policy, not a fixed Policy")
-		}
-		if s.Reduce == run.ReduceAggressive && !compiled {
-			return 0, 0, false, fmt.Errorf("explore: aggressive reduction needs object footprints from the compiled step machines; %s has no Stepper or the interpreted form was forced", s.Protocol.Name())
+			return 0, 0, fmt.Errorf("explore: partial-order reduction requires the checker's own fault policy, not a fixed Policy")
 		}
 		if len(s.Inputs) > 64 {
-			// The reducer's sleep and persistent sets are process bitmasks.
-			return 0, 0, false, &ProcessLimitError{Mechanism: "partial-order reduction", Max: 64, Procs: len(s.Inputs)}
+			// The reducer's sleep sets are process bitmasks.
+			return 0, 0, &ProcessLimitError{Mechanism: "partial-order reduction", Max: 64, Procs: len(s.Inputs)}
 		}
 	}
 	if s.Dedup && len(s.Inputs) > dedup.MaxChoice+1 {
 		// The dedup set stores one byte per choice, and a scheduling
 		// choice indexes the enabled processes.
-		return 0, 0, false, &ProcessLimitError{Mechanism: "dedup", Max: dedup.MaxChoice + 1, Procs: len(s.Inputs)}
+		return 0, 0, &ProcessLimitError{Mechanism: "dedup", Max: dedup.MaxChoice + 1, Procs: len(s.Inputs)}
 	}
 	cap = s.MaxExecutions
 	if cap <= 0 {
 		cap = DefaultMaxExecutions
 	}
-	return kind, cap, compiled, nil
+	return kind, cap, nil
 }
 
 // CheckWith explores the execution space described by the unified run.With...
@@ -326,16 +321,13 @@ type runStats struct {
 
 // execState is the reusable replay machinery of one enumeration loop (one
 // engine worker, or one replay): the fault budget, the object bank, the
-// simulator arena with its pre-bound programs, the trace log, the schedule
-// buffer, and the verdict evaluator. All of it is allocated once and reset
-// per leaf — replaying a leaf used to allocate ~84 objects (closures, bank,
-// channels, goroutines, slices); at millions of leaves the allocator and
-// scheduler churn dominated the engine's profile and made worker scaling
-// negative.
+// protocol's step machines on the stepped runner, the trace log, the
+// schedule buffer, and the verdict evaluator. All of it is allocated once
+// and reset per leaf, so replays allocate nothing on their hot path.
 //
-// The compiled form also keeps a stack of between-steps snapshots along the
-// current path (snaps), so a leaf resumes from the deepest state it shares
-// with the previous leaf instead of replaying its whole prefix.
+// It also keeps a stack of between-steps snapshots along the current path
+// (snaps), so a leaf resumes from the deepest state it shares with the
+// previous leaf instead of replaying its whole prefix.
 type execState struct {
 	s    *run.Settings
 	kind fault.Kind
@@ -358,21 +350,16 @@ type execState struct {
 	schedule []int
 	eval     *run.Evaluator
 
-	// Goroutine-gated reference form (compiled == false).
-	arena  *sim.Arena
-	simCfg sim.Config
-
-	// Compiled form (compiled == true): the protocol's step machines on
-	// the single-goroutine stepped runner, and the snapshot stack, one
-	// entry per chooser position the current path advanced through.
-	compiled   bool
+	// The protocol's step machines on the single-goroutine stepped runner,
+	// and the snapshot stack, one entry per chooser position the current
+	// path advanced through.
 	prog       *run.SteppedExec
 	stepped    *sim.Stepped
 	steppedCfg sim.SteppedConfig
 	snaps      []snapshot
 }
 
-// snapshot is one between-steps state of a compiled replay: exactly what a
+// snapshot is one between-steps state of a replay: exactly what a
 // step can change. It is saved at the first scheduling decision after the
 // chooser's position advanced, so it is a function of the choice prefix
 // path[:pos] alone, and any later replay sharing that prefix may resume
@@ -390,12 +377,10 @@ type snapshot struct {
 }
 
 // newExecState builds the replay machinery for one enumeration loop driven
-// by the given chooser. compiled must come from prepare (callers may not
-// request a compiled form the protocol does not provide). Callers must
-// close the state to release the arena's goroutines (a no-op on the
-// compiled path, which holds none).
-func newExecState(s *run.Settings, kind fault.Kind, compiled bool, c *chooser, dh *dedupHandle) *execState {
-	es := &execState{s: s, kind: kind, compiled: compiled, c: c, dh: dh}
+// by the given chooser. The settings must have passed prepare, which
+// refuses protocols without a compiled form.
+func newExecState(s *run.Settings, kind fault.Kind, c *chooser, dh *dedupHandle) *execState {
+	es := &execState{s: s, kind: kind, c: c, dh: dh}
 	es.budget = fault.NewFixedBudget(s.FaultyObjects, s.FaultsPerObject)
 	policy := s.Policy
 	if policy == nil {
@@ -417,6 +402,11 @@ func newExecState(s *run.Settings, kind fault.Kind, compiled bool, c *chooser, d
 	if limit <= 0 {
 		limit = s.Protocol.StepBound(len(s.Inputs))
 	}
+	stepper, ok := core.Compile(s.Protocol)
+	if !ok {
+		panic(fmt.Sprintf("explore: %s has no Stepper; prepare refuses it", s.Protocol.Name()))
+	}
+	es.prog = run.NewSteppedExec(stepper, es.bank, s.Inputs)
 	if dh != nil {
 		es.tracker = dh.tracker
 	}
@@ -424,39 +414,16 @@ func newExecState(s *run.Settings, kind fault.Kind, compiled bool, c *chooser, d
 		if es.tracker == nil {
 			es.tracker = dedup.NewTracker(s.Protocol.Objects(), s.Inputs, true)
 		}
-		es.red = newReducer(s.Reduce, kind, len(s.Inputs), es.tracker, es.budget)
+		es.red = newReducer(kind, len(s.Inputs), es.tracker, es.budget, es.prog.Pending)
 	}
 	var observer func(trace.Event)
 	if es.tracker != nil {
 		observer = es.tracker.Observe
 	}
-	if compiled {
-		stepper, ok := core.Compile(s.Protocol)
-		if !ok {
-			panic(fmt.Sprintf("explore: compiled execution of %s, which has no Stepper", s.Protocol.Name()))
-		}
-		es.prog = run.NewSteppedExec(stepper, es.bank, s.Inputs)
-		if es.red != nil {
-			es.red.pendingOf = es.prog.Pending
-			es.red.footprintOf = es.prog.Footprint
-		}
-		es.stepped = sim.NewStepped(len(s.Inputs))
-		es.steppedCfg = sim.SteppedConfig{
-			Procs:     len(s.Inputs),
-			Program:   es.prog,
-			Scheduler: sim.SchedulerFunc(es.schedNext),
-			StepLimit: limit,
-			Log:       es.log,
-			Observer:  observer,
-		}
-		return es
-	}
-	es.arena = sim.NewArena(len(s.Inputs))
-	if es.red != nil {
-		es.red.pendingOf = es.arena.Pending
-	}
-	es.simCfg = sim.Config{
-		Programs:  run.BoundPrograms(s.Protocol, es.bank, s.Inputs, es.arena.Procs()),
+	es.stepped = sim.NewStepped(len(s.Inputs))
+	es.steppedCfg = sim.SteppedConfig{
+		Procs:     len(s.Inputs),
+		Program:   es.prog,
 		Scheduler: sim.SchedulerFunc(es.schedNext),
 		StepLimit: limit,
 		Log:       es.log,
@@ -465,15 +432,15 @@ func newExecState(s *run.Settings, kind fault.Kind, compiled bool, c *chooser, d
 	return es
 }
 
-// schedNext is the replay scheduler: on the compiled form it first saves a
-// snapshot when the chooser advanced since the last one; it folds the
+// schedNext is the replay scheduler: it first saves a snapshot when the
+// chooser advanced since the last one; it folds the
 // previous step into the reducer (when on), consults the dedup set (when
 // on) before consuming each scheduling decision, then follows the choice
 // path through the branch alternatives this node exposes — the enabled
 // set, or the reducer's filtered candidate set.
 func (es *execState) schedNext(enabled []int) (int, bool) {
 	c := es.c
-	if es.compiled && (len(es.snaps) == 0 || c.pos > es.snaps[len(es.snaps)-1].pos) {
+	if len(es.snaps) == 0 || c.pos > es.snaps[len(es.snaps)-1].pos {
 		es.push()
 	}
 	if es.red != nil {
@@ -592,20 +559,11 @@ func (es *execState) restart() {
 	}
 }
 
-// close releases the arena's process goroutines (no-op on the compiled
-// path, which runs on the calling goroutine).
-func (es *execState) close() {
-	if es.arena != nil {
-		es.arena.Close()
-	}
-}
-
 // runLeaf replays one execution along the chooser's path, reusing the
-// execState's machinery. The compiled form resumes from its deepest
-// snapshot at or before the chooser's first changed position (restoring
-// the root snapshot is a replay from scratch); the goroutine form replays
-// from the root. When dedup or reduction is on and the replay reaches a
-// state already claimed by a lexicographically smaller path (or a
+// execState's machinery. It resumes from the deepest snapshot at or before
+// the chooser's first changed position (restoring the root snapshot is a
+// replay from scratch). When dedup or reduction is on and the replay
+// reaches a state already claimed by a lexicographically smaller path (or a
 // sleep-blocked node), it halts early and reports pruned=true (es.prunedAt
 // records where, es.pruneSleep which mechanism); the replay is then neither
 // evaluated nor counted — any violation visible in the halted prefix also
@@ -617,24 +575,19 @@ func (es *execState) close() {
 // difference is a prune another worker made possible in between, which
 // costs work, not soundness or the lex-least counterexample.
 //
-// The returned verdict borrows slices owned by the arena and the execState;
+// The returned verdict borrows slices owned by the runner and the execState;
 // callers retaining a leaf (violations, trace samples) must go through
 // counterexample, which clones everything.
 func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, error) {
 	es.prunedAt = -1
 	var res *sim.Result
 	var err error
-	if es.compiled {
-		if !es.rewind(es.c.changed) {
-			es.restart()
-			err = es.stepped.Start(es.steppedCfg)
-		}
-		if err == nil {
-			res, err = es.stepped.Resume(ctx)
-		}
-	} else {
+	if !es.rewind(es.c.changed) {
 		es.restart()
-		res, err = es.arena.Run(ctx, es.simCfg)
+		err = es.stepped.Start(es.steppedCfg)
+	}
+	if err == nil {
+		res, err = es.stepped.Resume(ctx)
 	}
 	es.c.changed = len(es.c.path)
 	if err != nil && res == nil {

@@ -14,19 +14,33 @@ import (
 	"repro/internal/run"
 )
 
+// replayCounters are the one-worker counters of one engine cell: the
+// enumeration is deterministic there, so each is pinned.
+type replayCounters struct {
+	executions, reducePrunes                int64
+	hits, leafLookups, states, dedupLookups int64
+}
+
 // TestIncrementalReplayMatchesInterpreted is the engine-level equivalence
-// gate of incremental replay (scripts/check.sh runs it by name): the
-// compiled form resumes every leaf from its deepest saved state, the
-// interpreted form replays every leaf from the root, and the two must report
-// the same thing under every combination of dedup, reduction and worker
-// count, on a clean and on a violating configuration. With one worker the
-// enumeration is deterministic, so the leaf-level counters must match
-// exactly too; only the dedup probe count may fall, because a resumed
-// replay skips the probes of the prefix it shares with the previous leaf.
+// gate of incremental replay (scripts/check.sh runs it by name), on a clean
+// and on a violating configuration. The plain reference — one worker, no
+// dedup, no reduction — is first swept by CrossCheck over exactly the
+// leaves it visited, leaf for leaf against the goroutine-gated reference
+// form, which replays every leaf from the root. Every combination of dedup,
+// reduction and worker count, each resuming its leaves from saved states,
+// must then report the reference's verdict and completeness, its lex-least
+// counterexample (diffVerdicts; the choice path too when reduction is off,
+// since a reduced path is a coordinate in the reduced tree), and at one
+// worker the pinned counters.
 func TestIncrementalReplayMatchesInterpreted(t *testing.T) {
+	type cell struct {
+		dedup  bool
+		reduce run.ReduceMode
+	}
 	cases := []struct {
 		name string
 		cfg  run.Settings
+		pins map[cell]replayCounters
 	}{
 		{"clean", run.Settings{
 			Protocol:        core.NewStaged(1, 1),
@@ -34,6 +48,11 @@ func TestIncrementalReplayMatchesInterpreted(t *testing.T) {
 			FaultyObjects:   []int{0, 1, 2},
 			FaultsPerObject: fault.Unbounded,
 			MaxExecutions:   1_000_000,
+		}, map[cell]replayCounters{
+			{false, run.ReduceOff}:  {executions: 59_004},
+			{false, run.ReduceSafe}: {executions: 43_616, reducePrunes: 6_112},
+			{true, run.ReduceOff}:   {executions: 20_144, hits: 3_196, leafLookups: 23_340, states: 31_361, dedupLookups: 58_102},
+			{true, run.ReduceSafe}:  {executions: 18_318, reducePrunes: 1_826, hits: 2_684, leafLookups: 22_828, states: 31_361, dedupLookups: 57_727},
 		}},
 		{"violating", run.Settings{
 			Protocol:        core.NewStaged(2, 1),
@@ -41,76 +60,66 @@ func TestIncrementalReplayMatchesInterpreted(t *testing.T) {
 			FaultyObjects:   []int{0, 1},
 			FaultsPerObject: 1,
 			MaxExecutions:   1_000_000,
+		}, map[cell]replayCounters{
+			{false, run.ReduceOff}:  {executions: 61},
+			{false, run.ReduceSafe}: {executions: 30},
+			{true, run.ReduceOff}:   {executions: 30, hits: 18, leafLookups: 48, states: 126, dedupLookups: 193},
+			{true, run.ReduceSafe}:  {executions: 30, leafLookups: 30, states: 126, dedupLookups: 159},
 		}},
 	}
 	for _, tc := range cases {
-		for _, dedup := range []bool{false, true} {
-			for _, reduce := range []run.ReduceMode{run.ReduceOff, run.ReduceSafe} {
-				for _, workers := range []int{1, 2} {
-					cfg := tc.cfg
-					cfg.Dedup, cfg.Reduce, cfg.Workers = dedup, reduce, workers
-					name := fmt.Sprintf("%s/dedup=%v/reduce=%s/workers=%d", tc.name, dedup, reduce, workers)
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						compareForms(t, cfg)
-					})
-				}
+		plain, err := (&Engine{}).Check(context.Background(), with(&tc.cfg, run.WithWorkers(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep := tc.cfg
+		sweep.MaxExecutions = plain.Executions
+		rep, err := CrossCheck(&sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Diverged || rep.Executions != plain.Executions || rep.Complete != plain.Complete {
+			t.Fatalf("%s: reference sweep of the engine's %d leaves: %+v", tc.name, plain.Executions, rep)
+		}
+		for c, pin := range tc.pins {
+			for _, workers := range []int{1, 2} {
+				cfg := tc.cfg
+				cfg.Dedup, cfg.Reduce, cfg.Workers = c.dedup, c.reduce, workers
+				name := fmt.Sprintf("%s/dedup=%v/reduce=%s/workers=%d", tc.name, c.dedup, c.reduce, workers)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					compareWithReference(t, cfg, plain, pin)
+				})
 			}
 		}
 	}
 }
 
-// compareForms runs cfg through both execution forms and compares their
-// outcomes.
-func compareForms(t *testing.T, cfg run.Settings) {
+// compareWithReference runs cfg on the engine and compares its outcome with
+// the plain reference's, and at one worker with the pinned counters.
+func compareWithReference(t *testing.T, cfg run.Settings, ref *Outcome, pin replayCounters) {
 	t.Helper()
-	comp, interp := cfg, cfg
-	comp.Exec, interp.Exec = run.ExecCompiled, run.ExecInterpreted
-	c, err := (&Engine{}).Check(context.Background(), &comp)
+	out, err := (&Engine{}).Check(context.Background(), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i, err := (&Engine{}).Check(context.Background(), &interp)
-	if err != nil {
-		t.Fatal(err)
+	if d := diffVerdicts(ref, out, true); d != "" {
+		t.Error(d)
 	}
-	if c.OK() != i.OK() || c.Complete != i.Complete {
-		t.Fatalf("compiled ok=%v complete=%v, interpreted ok=%v complete=%v", c.OK(), c.Complete, i.OK(), i.Complete)
-	}
-	if !c.OK() {
-		cv, iv := c.Violation, i.Violation
-		if !reflect.DeepEqual(cv.Path, iv.Path) {
-			t.Errorf("lex-least path: compiled %v, interpreted %v", cv.Path, iv.Path)
-		}
-		if !reflect.DeepEqual(cv.Schedule, iv.Schedule) {
-			t.Errorf("schedule: compiled %v, interpreted %v", cv.Schedule, iv.Schedule)
-		}
-		if cv.Verdict.Violation != iv.Verdict.Violation || cv.Verdict.Detail != iv.Verdict.Detail {
-			t.Errorf("verdict: compiled %s, interpreted %s", cv.Verdict.String(), iv.Verdict.String())
-		}
-		if diff := diffEvents(iv.Trace.Events(), cv.Trace.Events()); diff != "" {
-			t.Errorf("trace: %s", diff)
-		}
+	if !ref.OK() && out.Violation != nil && cfg.Reduce == run.ReduceOff &&
+		!reflect.DeepEqual(ref.Violation.Path, out.Violation.Path) {
+		t.Errorf("lex-least path: reference %v, got %v", ref.Violation.Path, out.Violation.Path)
 	}
 	if cfg.Workers != 1 {
 		return
 	}
-	if c.Executions != i.Executions || c.ReducePrunes != i.ReducePrunes {
-		t.Errorf("compiled executions/reduce-prunes = %d/%d, interpreted %d/%d",
-			c.Executions, c.ReducePrunes, i.Executions, i.ReducePrunes)
+	got := replayCounters{executions: int64(out.Executions), reducePrunes: out.ReducePrunes}
+	if d := out.Dedup; d != nil {
+		got.hits, got.leafLookups, got.states, got.dedupLookups = d.Hits, d.LeafLookups, d.States, d.Lookups
 	}
-	if !cfg.Dedup {
-		return
+	if got != pin {
+		t.Errorf("counters = %+v, want %+v", got, pin)
 	}
-	cs, is := c.Dedup, i.Dedup
-	if cs.Hits != is.Hits || cs.LeafLookups != is.LeafLookups || cs.States != is.States {
-		t.Errorf("compiled hits/leaf-lookups/states = %d/%d/%d, interpreted %d/%d/%d",
-			cs.Hits, cs.LeafLookups, cs.States, is.Hits, is.LeafLookups, is.States)
-	}
-	if 3*cs.Lookups > is.Lookups {
-		t.Errorf("compiled Lookups = %d, want at most a third of the interpreted %d", cs.Lookups, is.Lookups)
-	}
-	t.Logf("executions %d, lookups compiled %d / interpreted %d", c.Executions, cs.Lookups, is.Lookups)
 }
 
 // TestIncrementalReplayAllocatesNothing pins that saving and restoring
@@ -125,15 +134,12 @@ func TestIncrementalReplayAllocatesNothing(t *testing.T) {
 		FaultsPerObject: fault.Unbounded,
 		Reduce:          run.ReduceSafe,
 	}
-	kind, _, compiled, err := prepare(&cfg, nil, nil)
+	kind, _, err := prepare(&cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compiled {
-		t.Fatal("staged has a compiled form")
-	}
 	c := &chooser{}
-	es := newExecState(&cfg, kind, true, c, nil)
+	es := newExecState(&cfg, kind, c, nil)
 	sweep := func() {
 		c.path, c.changed = c.path[:0], 0
 		for {
@@ -184,7 +190,7 @@ func TestPrepareRefusesProcessLimits(t *testing.T) {
 	} {
 		for _, n := range []int{tc.max, tc.max + 1} {
 			s := run.NewSettings(run.WithProtocol(core.SingleCAS{}), run.WithDistinctInputs(n), tc.opt)
-			_, _, _, err := prepare(s, nil, nil)
+			_, _, err := prepare(s, nil, nil)
 			var limit *ProcessLimitError
 			switch {
 			case n == tc.max && err != nil:

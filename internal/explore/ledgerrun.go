@@ -380,10 +380,24 @@ func (pr *ledgerProcess) startSnapshots(ctx context.Context) func() {
 // single-process run's verdict: summed executions (exact for covering
 // sweeps with dedup off, "modulo dedup" otherwise), maxima folded by max,
 // and the canonical counterexample reconstructed by replaying the merged
-// mode-least violating path. It refuses (*ledger.IncompleteError) while
-// unclaimed tasks or leases remain. Outcome.Workers reports the number of
-// participant processes.
+// mode-least violating path. It refuses a run directory whose manifest
+// does not match the settings (store.ErrMismatch, also for a removed mode)
+// and, with *ledger.IncompleteError, one where unclaimed tasks or leases
+// remain. Outcome.Workers reports the number of participant processes.
 func FinalizeLedger(s *run.Settings, runDir string, exhaustive bool) (*Outcome, *ledger.Merged, error) {
+	want, err := ManifestFor(s, exhaustive)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := store.OpenShared(runDir)
+	if err != nil {
+		return nil, nil, err
+	}
+	err = verifyManifest(st, want)
+	st.Close()
+	if err != nil {
+		return nil, nil, err
+	}
 	m, err := ledger.Merge(runDir, exhaustive)
 	if err != nil {
 		return nil, nil, err

@@ -27,17 +27,13 @@ func ManifestFor(s *run.Settings, exhaustive bool) (store.Manifest, error) {
 	if kind == fault.None {
 		kind = fault.Overriding
 	}
-	compiled, err := run.ResolveExec(s.Exec, s.Protocol)
-	if err != nil {
-		return store.Manifest{}, err
-	}
 	reduce := ""
 	if s.Reduce != run.ReduceOff {
 		reduce = s.Reduce.String()
 	}
 	return store.Manifest{
 		Engine:          "explore.Engine",
-		Exec:            run.ExecLabel(compiled),
+		Exec:            run.ExecForm,
 		Reduce:          reduce,
 		Protocol:        s.Protocol.Name(),
 		Objects:         s.Protocol.Objects(),
@@ -80,7 +76,7 @@ func (e *Engine) Attach(s *run.Settings) error {
 		if err != nil {
 			return err
 		}
-		if err := st.Verify(m); err != nil {
+		if err := verifyManifest(st, m); err != nil {
 			st.Close()
 			return err
 		}
@@ -119,6 +115,18 @@ func (e *Engine) Close() error {
 	return err
 }
 
+// verifyManifest checks that the run directory's stored manifest describes
+// the exploration m does (store.ErrMismatch otherwise). A manifest recording
+// a removed mode is refused as a mismatch that names the mode
+// (run.ErrRemovedMode), not as two differing hashes.
+func verifyManifest(st *store.Store, m store.Manifest) error {
+	stored := st.Manifest()
+	if err := run.CheckModes(stored.Exec, stored.Reduce); err != nil {
+		return fmt.Errorf("%w in %s: %w", store.ErrMismatch, st.Dir(), err)
+	}
+	return st.Verify(m)
+}
+
 // WorkerIDFor returns the effective ledger participant id for the settings:
 // the configured WorkerID, or the canonical "host:pid" default.
 func WorkerIDFor(s *run.Settings) string {
@@ -153,7 +161,7 @@ func JoinLedger(s *run.Settings, exhaustive bool) (*ledger.Ledger, error) {
 		if st, err = store.OpenShared(s.LedgerDir); err != nil {
 			return nil, err
 		}
-		if verr := st.Verify(m); verr != nil {
+		if verr := verifyManifest(st, m); verr != nil {
 			st.Close()
 			return nil, verr
 		}

@@ -3,19 +3,17 @@ package explore
 import (
 	"repro/internal/dedup"
 	"repro/internal/fault"
-	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/word"
 )
 
 // reducer implements dynamic partial-order reduction over the replay tree:
-// sleep sets over the choice-path frontier, process-symmetry
-// canonicalization at branch points, and (in aggressive mode) persistent
-// sets computed from the step machines' object footprints.
+// sleep sets over the choice-path frontier and process-symmetry
+// canonicalization at branch points.
 //
 // The model makes the classical theory unusually concrete. A transition is
-// one granted step of a parked process, and every parked process publishes
-// the CAS it is about to issue (sim.PendingOp) before it parks. Two pending
+// one granted step of a process, and every process's step machine declares
+// the CAS it will issue next (sim.PendingOp) without taking it. Two pending
 // operations are independent iff they touch disjoint objects, or they touch
 // the same object and both are pure reads — a CAS that can neither change
 // the register nor consume fault budget in the current state:
@@ -35,22 +33,20 @@ import (
 // checkpoints, and ledger participants: the chooser's stale-choice panic
 // and the manifest's reduce field enforce exactly this.
 //
-// Soundness (verdict preservation) is the classical argument; the default
-// mode additionally preserves the lexicographically least counterexample:
-// every cut branch has, by independence, a permuted twin below an earlier
+// Soundness (verdict preservation) is the classical argument; reduction
+// additionally preserves the lexicographically least counterexample: every
+// cut branch has, by independence, a permuted twin below an earlier
 // (lex-smaller) sibling with the same verdict, so by well-founded induction
 // the lex-least violator is never cut. Symmetry skips keep the verdict and
 // the lex-least path but may rename processes inside the counterexample's
-// schedule when two processes share an input. Aggressive mode keeps only
-// the verdict. See docs/MODEL.md, "Partial-order reduction".
+// schedule when two processes share an input. See docs/MODEL.md,
+// "Partial-order reduction".
 type reducer struct {
-	mode        run.ReduceMode
-	kind        fault.Kind
-	n           int
-	tracker     *dedup.Tracker
-	budget      *fault.Budget
-	pendingOf   func(id int) sim.PendingOp
-	footprintOf func(id int) (lo, hi int) // nil on the interpreted form
+	kind      fault.Kind
+	n         int
+	tracker   *dedup.Tracker
+	budget    *fault.Budget
+	pendingOf func(id int) sim.PendingOp
 
 	descent
 	cand []int // candidate scratch, reused across decisions
@@ -73,8 +69,8 @@ type descent struct {
 // newReducer builds the reduction state for one enumeration loop. The
 // tracker is shared with deduplication when both are on — it is the single
 // canonical-state observer of the replay.
-func newReducer(mode run.ReduceMode, kind fault.Kind, n int, tracker *dedup.Tracker, budget *fault.Budget) *reducer {
-	return &reducer{mode: mode, kind: kind, n: n, tracker: tracker, budget: budget}
+func newReducer(kind fault.Kind, n int, tracker *dedup.Tracker, budget *fault.Budget, pendingOf func(id int) sim.PendingOp) *reducer {
+	return &reducer{kind: kind, n: n, tracker: tracker, budget: budget, pendingOf: pendingOf}
 }
 
 // reset clears the descent state (fresh replay from the root).
@@ -100,9 +96,6 @@ func (r *reducer) restore(src *descent) {
 // its object's register nor consume fault budget — the operation is
 // invisible to every other process.
 func (r *reducer) pure(op sim.PendingOp) bool {
-	if !op.Known {
-		return false
-	}
 	reg := r.tracker.Register(op.Obj)
 	if op.New == reg {
 		// Whether it succeeds or fails, the register keeps its value, and
@@ -129,18 +122,11 @@ func (r *reducer) advance() {
 	if !r.lastValid {
 		return
 	}
-	lastPure := r.lastOp.Known &&
-		r.tracker.Register(r.lastOp.Obj) == r.preReg &&
+	lastPure := r.tracker.Register(r.lastOp.Obj) == r.preReg &&
 		r.budget.TotalFaults() == r.preTotal
 	var next uint64
 	consider := func(q int) {
-		if !r.lastOp.Known {
-			return
-		}
 		qOp := r.pendingOf(q)
-		if !qOp.Known {
-			return
-		}
 		if qOp.Obj != r.lastOp.Obj || (lastPure && r.pure(qOp)) {
 			next |= 1 << uint(q)
 		}
@@ -160,10 +146,8 @@ func (r *reducer) advance() {
 
 // candidates filters the enabled set down to the branch alternatives this
 // node explores: sleeping processes are cut, a process whose local-state
-// digest equals an earlier kept candidate's is cut as a renaming of it, and
-// in aggressive mode the survivors are intersected with a persistent set
-// grown from object footprints. enabled is ascending; the result preserves
-// that order. An empty result means the whole node is redundant
+// digest equals an earlier kept candidate's is cut as a renaming of it.
+// enabled is ascending; the result preserves that order. An empty result means the whole node is redundant
 // (sleep-blocked): every continuation is covered below an earlier sibling.
 func (r *reducer) candidates(enabled []int) []int {
 	cand := r.cand[:0]
@@ -183,50 +167,8 @@ func (r *reducer) candidates(enabled []int) []int {
 		}
 		cand = append(cand, p)
 	}
-	if r.mode == run.ReduceAggressive && len(cand) > 1 {
-		cand = r.persist(cand)
-	}
 	r.cand = cand
 	return cand
-}
-
-// persist intersects the candidates with a persistent set: starting from
-// the lex-least candidate, any candidate whose whole-future object
-// footprint intersects a member's footprint joins, to a fixpoint. A
-// candidate left outside can only ever touch objects disjoint from every
-// member's future, so all its steps commute with the member subtrees and
-// exploring it separately proves nothing new about the verdict. Requires
-// the compiled form (prepare refuses otherwise): footprints come from the
-// step machines' states.
-func (r *reducer) persist(cand []int) []int {
-	in := uint64(1) << uint(cand[0])
-	for changed := true; changed; {
-		changed = false
-		for _, q := range cand[1:] {
-			if in&(1<<uint(q)) != 0 {
-				continue
-			}
-			qlo, qhi := r.footprintOf(q)
-			for _, p := range cand {
-				if in&(1<<uint(p)) == 0 {
-					continue
-				}
-				plo, phi := r.footprintOf(p)
-				if qlo <= phi && plo <= qhi {
-					in |= 1 << uint(q)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	out := cand[:0]
-	for _, p := range cand {
-		if in&(1<<uint(p)) != 0 {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // chose records the decision taken at this node: the passed-over earlier
@@ -237,9 +179,7 @@ func (r *reducer) chose(cand []int, idx int) {
 	r.earlier = append(r.earlier[:0], cand[:idx]...)
 	pick := cand[idx]
 	r.lastOp = r.pendingOf(pick)
-	if r.lastOp.Known {
-		r.preReg = r.tracker.Register(r.lastOp.Obj)
-	}
+	r.preReg = r.tracker.Register(r.lastOp.Obj)
 	r.preTotal = r.budget.TotalFaults()
 	r.lastValid = true
 }

@@ -21,8 +21,7 @@ type reduceCase struct {
 }
 
 // reduceCases covers every protocol family, clean and violating, with the
-// checker's own fault policy (the only policy reduction supports) — the
-// same matrix the compiled-vs-interpreted differential sweeps.
+// checker's own fault policy (the only policy reduction supports).
 func reduceCases() []reduceCase {
 	return []reduceCase{
 		{"single-cas-clean", run.Settings{
@@ -89,18 +88,27 @@ func mustCheck(t *testing.T, cfg run.Settings) *Outcome {
 // diffReduced compares a reduced outcome against the full reference and
 // describes the first difference ("" when the reduction kept its promises).
 // exact additionally requires the lex-least counterexample to be preserved
-// verbatim — schedule, decisions, detail, and trace — which holds in default
-// mode; verdict-only comparisons (aggressive mode, equal inputs where
-// symmetry may rename processes) pass exact=false.
+// verbatim — schedule, decisions, detail, and trace — which holds with
+// distinct inputs; verdict-only comparisons (equal inputs, where symmetry
+// may rename processes) pass exact=false.
 func diffReduced(full, red *Outcome, exact bool) string {
+	if d := diffVerdicts(full, red, exact); d != "" {
+		return d
+	}
+	if red.Executions > full.Executions {
+		return fmt.Sprintf("executions: reduced %d > full %d (reduction added leaves)", red.Executions, full.Executions)
+	}
+	return ""
+}
+
+// diffVerdicts is diffReduced without the execution count: completeness,
+// verdict, and (exact) the lex-least counterexample.
+func diffVerdicts(full, red *Outcome, exact bool) string {
 	if full.Complete != red.Complete {
 		return fmt.Sprintf("completeness: full %v, reduced %v", full.Complete, red.Complete)
 	}
 	if full.OK() != red.OK() {
 		return fmt.Sprintf("verdict: full violation=%v, reduced violation=%v", !full.OK(), !red.OK())
-	}
-	if red.Executions > full.Executions {
-		return fmt.Sprintf("executions: reduced %d > full %d (reduction added leaves)", red.Executions, full.Executions)
 	}
 	if full.Violation == nil {
 		return ""
@@ -129,83 +137,34 @@ func diffReduced(full, red *Outcome, exact bool) string {
 }
 
 // TestReduceMatchesFull is the reduction-equivalence gate (scripts/check.sh
-// runs it by name): for every protocol family, clean and violating, on both
-// execution forms, the reduced exploration must report the same verdict,
-// the same completeness, and — in default mode with distinct inputs, where
-// symmetry skipping cannot fire — the exact same lex-least counterexample
-// (schedule, decisions, trace) as the full exploration, with no more
-// executions than the full one.
+// runs it by name): for every protocol family, clean and violating, the
+// reduced exploration must report the same verdict, the same completeness,
+// and — with distinct inputs, where symmetry skipping cannot fire — the
+// exact same lex-least counterexample (schedule, decisions, trace) as the
+// full exploration, with no more executions than the full one.
 func TestReduceMatchesFull(t *testing.T) {
 	for _, tc := range reduceCases() {
 		tc := tc
-		for _, exec := range []run.ExecMode{run.ExecInterpreted, run.ExecCompiled} {
-			exec := exec
-			t.Run(fmt.Sprintf("%s/%s", tc.name, exec), func(t *testing.T) {
-				t.Parallel()
-				base := tc.cfg
-				base.Exec = exec
-				base.MaxExecutions = 2_000_000
-
-				full := mustCheck(t, base)
-				reduced := base
-				reduced.Reduce = run.ReduceSafe
-				red := mustCheck(t, reduced)
-
-				if tc.violate == full.OK() {
-					t.Fatalf("reference sweep: violation=%v, want %v", !full.OK(), tc.violate)
-				}
-				if d := diffReduced(full, red, true); d != "" {
-					t.Fatal(d)
-				}
-				t.Logf("%d executions full, %d reduced (%.2fx)",
-					full.Executions, red.Executions,
-					float64(full.Executions)/float64(red.Executions))
-			})
-		}
-	}
-}
-
-// TestReduceAggressiveKeepsVerdict pins aggressive mode's weaker contract:
-// same verdict and completeness as the full sweep, never more executions
-// than safe mode, on the compiled form it requires.
-func TestReduceAggressiveKeepsVerdict(t *testing.T) {
-	for _, tc := range reduceCases() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.name+"/compiled", func(t *testing.T) {
 			t.Parallel()
 			base := tc.cfg
-			base.Exec = run.ExecCompiled
 			base.MaxExecutions = 2_000_000
 
 			full := mustCheck(t, base)
-			safe := base
-			safe.Reduce = run.ReduceSafe
-			son := mustCheck(t, safe)
-			agg := base
-			agg.Reduce = run.ReduceAggressive
-			aon := mustCheck(t, agg)
+			reduced := base
+			reduced.Reduce = run.ReduceSafe
+			red := mustCheck(t, reduced)
 
-			if d := diffReduced(full, aon, false); d != "" {
+			if tc.violate == full.OK() {
+				t.Fatalf("reference sweep: violation=%v, want %v", !full.OK(), tc.violate)
+			}
+			if d := diffReduced(full, red, true); d != "" {
 				t.Fatal(d)
 			}
-			if aon.Executions > son.Executions {
-				t.Errorf("aggressive explored %d executions, safe only %d", aon.Executions, son.Executions)
-			}
+			t.Logf("%d executions full, %d reduced (%.2fx)",
+				full.Executions, red.Executions,
+				float64(full.Executions)/float64(red.Executions))
 		})
-	}
-}
-
-// TestReduceAggressiveRefusesInterpreted pins prepare's gate: persistent
-// sets need the step machines' footprints.
-func TestReduceAggressiveRefusesInterpreted(t *testing.T) {
-	_, err := check(&run.Settings{
-		Protocol: core.SingleCAS{},
-		Inputs:   inputs(2),
-		Exec:     run.ExecInterpreted,
-		Reduce:   run.ReduceAggressive,
-	})
-	if err == nil {
-		t.Fatal("aggressive reduction on the interpreted form must be refused")
 	}
 }
 

@@ -1,0 +1,231 @@
+package explore
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+
+	"repro/internal/fault"
+	"repro/internal/object"
+	"repro/internal/run"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// refReplay is the reference form of one whole-tree enumeration: each
+// protocol's Decide, the literal transcription of the paper's figures, on
+// the goroutine-gated simulator, replayed from the initial state for every
+// leaf along the chooser's path. It drives the same choice-driven fault
+// policy and scheduler as the engine's execState, without dedup or
+// reduction. The programs are bound once to one reused sim.Arena, so a
+// replay costs two channel handshakes per step and no allocation of
+// goroutines or closures.
+type refReplay struct {
+	c        *chooser
+	budget   *fault.Budget
+	bank     *object.Bank
+	log      *trace.Log
+	schedule []int
+	eval     *run.Evaluator
+	arena    *sim.Arena
+	cfg      sim.Config
+}
+
+// newRefReplay builds the reference replay machinery for settings that
+// passed prepare; close releases the arena's goroutines.
+func newRefReplay(s *run.Settings, kind fault.Kind, c *chooser) *refReplay {
+	r := &refReplay{c: c}
+	r.budget = fault.NewFixedBudget(s.FaultyObjects, s.FaultsPerObject)
+	policy := fault.PolicyFunc(func(op fault.Op) fault.Proposal {
+		if !r.budget.Admits(op.Object) || !observable(kind, op) {
+			return fault.NoFault
+		}
+		if r.c.choose(2) == 1 {
+			return fault.Proposal{Kind: kind}
+		}
+		return fault.NoFault
+	})
+	r.bank = object.NewBank(s.Protocol.Objects(), r.budget, policy)
+	r.log = trace.New()
+	r.eval = run.NewEvaluator(s.Inputs)
+	r.arena = sim.NewArena(len(s.Inputs))
+	limit := s.StepLimit
+	if limit <= 0 {
+		limit = s.Protocol.StepBound(len(s.Inputs))
+	}
+	r.cfg = sim.Config{
+		Programs: run.BoundPrograms(s.Protocol, r.bank, s.Inputs, r.arena.Procs()),
+		Scheduler: sim.SchedulerFunc(func(enabled []int) (int, bool) {
+			pick := enabled[0]
+			if len(enabled) > 1 {
+				pick = enabled[r.c.choose(len(enabled))]
+			}
+			r.schedule = append(r.schedule, pick)
+			return pick, true
+		}),
+		StepLimit: limit,
+		Log:       r.log,
+	}
+	return r
+}
+
+func (r *refReplay) close() { r.arena.Close() }
+
+// runLeaf replays the chooser's path from the root and evaluates it.
+func (r *refReplay) runLeaf() (run.Verdict, runStats, error) {
+	r.c.pos = 0
+	r.c.arity = r.c.arity[:0]
+	r.budget.Reset()
+	r.bank.Reset()
+	r.log.Reset()
+	r.schedule = r.schedule[:0]
+	res, err := r.arena.Run(context.Background(), r.cfg)
+	if err != nil && (res == nil || !errors.Is(err, sim.ErrWaitFreedom)) {
+		return run.Verdict{}, runStats{}, err
+	}
+	stats := runStats{faults: r.budget.TotalFaults()}
+	for _, s := range res.Steps {
+		stats.maxSteps = max(stats.maxSteps, s)
+	}
+	return r.eval.Evaluate(res, err), stats, nil
+}
+
+// CrossReport is the outcome of a compiled-vs-reference differential sweep.
+type CrossReport struct {
+	// Executions is the number of leaves both forms replayed.
+	Executions int
+	// Complete reports the full tree was enumerated (no divergence and the
+	// cap was not hit).
+	Complete bool
+	// Diverged reports the forms disagreed; Path and Detail then identify
+	// the lexicographically first diverging leaf and what differed.
+	Diverged bool
+	Path     []int
+	Detail   string
+}
+
+// CrossCheck enumerates the execution tree leaf for leaf through BOTH
+// execution forms — the reference (refReplay: Decide on the goroutine-gated
+// simulator) and the engine's compiled step machines (execState) — and
+// compares every observable of every leaf: the extended choice path, the
+// schedule, the verdict (violation, detail, decisions), the per-process
+// step counts, the fault tally, and the full trace event log. The
+// reference replays every leaf from the root; the compiled form resumes
+// each from its snapshots, as the engine does, so the sweep also certifies
+// incremental replay. The enumeration is driven by the reference, in its
+// depth-first order, so the first divergence reported is the
+// lexicographically least one; on a clean sweep both forms necessarily
+// agree on the lex-least counterexample and on completeness.
+//
+// The sweep covers the checker's own choice-driven fault policy without
+// dedup or reduction: it certifies the compiled form against the
+// reference, and the engine-level tests compare every dedup, reduction and
+// worker setting against that certified plain enumeration.
+func CrossCheck(s *run.Settings) (*CrossReport, error) {
+	if s.Policy != nil || s.Dedup || s.Reduce != run.ReduceOff {
+		return nil, fmt.Errorf("explore: CrossCheck sweeps the plain tree of the checker's own fault policy: no fixed Policy, dedup or reduction")
+	}
+	kind, cap, err := prepare(s, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+
+	ic := &chooser{}
+	ref := newRefReplay(s, kind, ic)
+	defer ref.close()
+	cc := &chooser{}
+	ces := newExecState(s, kind, cc, nil)
+
+	rep := &CrossReport{}
+	for rep.Executions < cap {
+		iv, istats, err := ref.runLeaf()
+		if err != nil {
+			return nil, fmt.Errorf("explore: crosscheck: reference leaf %v: %w", ic.path, err)
+		}
+
+		// Replay the same leaf through the compiled form: seed its chooser
+		// with the reference's full extended path, rewinding it to the
+		// first position where that path departs from the compiled form's
+		// previous leaf, so every compiled leaf after the first is a
+		// resumed one checked against a reference replayed from the root.
+		// An equivalent compiled run consumes exactly those choices; a
+		// structural divergence (different arity on the same prefix)
+		// surfaces as the chooser's stale-choice panic, which is caught
+		// and reported.
+		cc.changed = min(cc.changed, commonPrefix(cc.path, ic.path))
+		cc.path = append(cc.path[:0], ic.path...)
+		cv, cstats, err := crossLeaf(ces)
+		rep.Executions++
+		if err != nil {
+			rep.Diverged = true
+			rep.Path = append([]int(nil), ic.path...)
+			rep.Detail = err.Error()
+			return rep, nil
+		}
+		if diff := diffLeaf(ref, ces, iv, cv, istats, cstats, ic, cc); diff != "" {
+			rep.Diverged = true
+			rep.Path = append([]int(nil), ic.path...)
+			rep.Detail = diff
+			return rep, nil
+		}
+		if !ic.next() {
+			rep.Complete = true
+			return rep, nil
+		}
+	}
+	return rep, nil
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b []int) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// crossLeaf replays one leaf on the compiled execState, converting a
+// chooser stale-choice panic (the compiled form branching where the
+// reference did not) into a divergence error instead of crashing the sweep.
+func crossLeaf(es *execState) (v run.Verdict, stats runStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("compiled form diverged structurally: %v", r)
+		}
+	}()
+	v, stats, _, err = es.runLeaf(context.Background())
+	if err != nil {
+		err = fmt.Errorf("compiled leaf failed: %w", err)
+	}
+	return v, stats, err
+}
+
+// diffLeaf compares every observable of one leaf across the two forms and
+// describes the first difference ("" when identical).
+func diffLeaf(ref *refReplay, ces *execState, iv, cv run.Verdict, istats, cstats runStats, ic, cc *chooser) string {
+	if cc.pos != len(ic.path) || len(cc.path) != len(ic.path) {
+		return fmt.Sprintf("choice path: reference used %v, compiled consumed %d of %v",
+			ic.path, cc.pos, cc.path)
+	}
+	if !reflect.DeepEqual(ref.schedule, ces.schedule) {
+		return fmt.Sprintf("schedule: reference %v, compiled %v", ref.schedule, ces.schedule)
+	}
+	if iv.Violation != cv.Violation || iv.Detail != cv.Detail {
+		return fmt.Sprintf("verdict: reference %s, compiled %s", iv.String(), cv.String())
+	}
+	if iv.Agreed != cv.Agreed || iv.Stopped != cv.Stopped ||
+		!reflect.DeepEqual(iv.Decided, cv.Decided) || !reflect.DeepEqual(iv.Decisions, cv.Decisions) {
+		return fmt.Sprintf("decisions: reference %s (stopped=%v), compiled %s (stopped=%v)",
+			iv.String(), iv.Stopped, cv.String(), cv.Stopped)
+	}
+	if istats != cstats {
+		return fmt.Sprintf("stats: reference maxSteps=%d faults=%d, compiled maxSteps=%d faults=%d",
+			istats.maxSteps, istats.faults, cstats.maxSteps, cstats.faults)
+	}
+	if diff := diffEvents(ref.log.Events(), ces.log.Events()); diff != "" {
+		return "trace: " + diff
+	}
+	return ""
+}

@@ -12,13 +12,12 @@ import (
 // replay reproduces the original execution event for event — the standard
 // way to inspect, shrink, or export a violation found during exploration.
 func Replay(s *run.Settings, path []int) (*Counterexample, error) {
-	kind, _, compiled, err := prepare(s, nil, nil)
+	kind, _, err := prepare(s, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	c := &chooser{path: append([]int(nil), path...)}
-	es := newExecState(s, kind, compiled, c, nil)
-	defer es.close()
+	es := newExecState(s, kind, c, nil)
 	verdict, _, _, err := es.runLeaf(context.Background())
 	if err != nil {
 		return nil, err

@@ -43,28 +43,23 @@ type Options struct {
 	TraceDir string
 	// TraceSample is the passing-execution sampling rate for TraceDir.
 	TraceSample int
-	// Exec selects the execution form of every exploration the experiments
-	// drive: compiled step machines, the goroutine-gated reference
-	// simulator, or auto (compiled when the protocol provides a Stepper).
-	// Tables are identical across forms; only throughput changes.
-	Exec run.ExecMode
 	// Reduce applies partial-order reduction to every exhaustive
 	// exploration driven by the checker's own fault policy (fixed-policy
 	// rows run unreduced — the reducer reasons about the checker's fault
-	// branches). Verdicts and counterexamples are unchanged in the default
-	// safe mode; printed execution counts shrink.
+	// branches). Verdicts and counterexamples are unchanged; printed
+	// execution counts shrink.
 	Reduce run.ReduceMode
 }
 
 // NewOptions derives experiment options from the unified run.With... options
 // (run.WithQuick, run.WithSeed, run.WithWorkers, run.WithMetrics,
-// run.WithEvents, run.WithTraceDir, run.WithExecMode).
+// run.WithEvents, run.WithTraceDir, run.WithReduce).
 func NewOptions(opts ...run.Option) Options {
 	s := run.NewSettings(opts...)
 	return Options{Quick: s.Quick, Seed: s.Seed, Workers: s.Workers,
 		Metrics: s.Metrics, Events: s.Events,
 		TraceDir: s.TraceDir, TraceSample: s.TraceSample,
-		Exec: s.Exec, Reduce: s.Reduce}
+		Reduce: s.Reduce}
 }
 
 // engine bundles the options every engine-driven exploration inside an
@@ -78,7 +73,6 @@ func (o Options) engine() run.Option {
 		s.Events = o.Events
 		s.TraceDir = o.TraceDir
 		s.TraceSample = o.TraceSample
-		s.Exec = o.Exec
 		s.Reduce = o.Reduce
 	}
 }

@@ -181,7 +181,7 @@ func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
 // fault stalls the process forever.
 func (o *CAS) Invoke(p *sim.Proc, exp, new word.Word) word.Word {
 	var old word.Word
-	p.ExecCAS(o.id, exp, new, func() {
+	p.Exec(func() {
 		var ev trace.Event
 		old, ev = o.Apply(p.ID(), exp, new)
 		p.Record(ev)

@@ -1,85 +1,12 @@
 package run
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/object"
 	"repro/internal/sim"
 	"repro/internal/word"
 )
-
-// ExecMode selects which execution form drives the protocol: the compiled
-// step machines (core.Stepper on the sim stepped runner) or the
-// goroutine-gated reference simulator. The two forms are observationally
-// identical — same verdicts, traces, and counterexamples — so the mode only
-// changes speed; it still participates in manifests and trace meta so that
-// replays and resumes run under the form that produced an artifact.
-type ExecMode int
-
-const (
-	// ExecAuto (the default) uses the compiled form when the protocol
-	// provides a Stepper and falls back to the goroutine path otherwise.
-	ExecAuto ExecMode = iota
-	// ExecInterpreted forces the goroutine-gated reference simulator.
-	ExecInterpreted
-	// ExecCompiled requires the compiled form; drivers refuse protocols
-	// without a Stepper.
-	ExecCompiled
-)
-
-// String renders the mode as its meta/flag spelling.
-func (m ExecMode) String() string {
-	switch m {
-	case ExecInterpreted:
-		return "interpreted"
-	case ExecCompiled:
-		return "compiled"
-	default:
-		return "auto"
-	}
-}
-
-// ParseExecMode is the inverse of ExecMode.String (CLI flags, trace meta).
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "", "auto":
-		return ExecAuto, nil
-	case "interpreted", "goroutine":
-		return ExecInterpreted, nil
-	case "compiled":
-		return ExecCompiled, nil
-	default:
-		return ExecAuto, fmt.Errorf("run: unknown execution form %q (want auto, compiled, or interpreted)", s)
-	}
-}
-
-// ResolveExec resolves the mode against a protocol: whether the compiled
-// form runs. ExecCompiled fails when the protocol has no Stepper.
-func ResolveExec(mode ExecMode, p core.Protocol) (compiled bool, err error) {
-	switch mode {
-	case ExecInterpreted:
-		return false, nil
-	case ExecCompiled:
-		if _, ok := core.Compile(p); !ok {
-			return false, fmt.Errorf("run: protocol %s has no compiled form (core.Stepper)", p.Name())
-		}
-		return true, nil
-	default:
-		_, ok := core.Compile(p)
-		return ok, nil
-	}
-}
-
-// ExecLabel renders the resolved execution form for manifests and trace
-// meta ("compiled" or "interpreted").
-func ExecLabel(compiled bool) string {
-	if compiled {
-		return "compiled"
-	}
-	return "interpreted"
-}
 
 // SteppedExec adapts a compiled protocol to the sim stepped runner: one
 // core.Stepper shared by all processes, one State and one bank-bound
@@ -120,18 +47,11 @@ func (x *SteppedExec) AppendStates(dst []core.State) []core.State {
 // saved.
 func (x *SteppedExec) RestoreStates(src []core.State) { copy(x.states, src) }
 
-// Pending reports process id's next CAS as a sim.PendingOp — the same
-// metadata the goroutine form publishes via Proc.ExecCAS, recomputed from
-// the machine state. Always Known: every compiled step is a declared CAS.
+// Pending reports process id's next CAS as a sim.PendingOp, computed from
+// the machine state: every compiled step is a declared CAS.
 func (x *SteppedExec) Pending(id int) sim.PendingOp {
 	obj, exp, new := x.stepper.Pending(&x.states[id])
-	return sim.PendingOp{Known: true, Obj: obj, Exp: exp, New: new}
-}
-
-// Footprint reports the object interval process id's remaining execution
-// may touch (core.Stepper.Footprint on its current state).
-func (x *SteppedExec) Footprint(id int) (lo, hi int) {
-	return x.stepper.Footprint(&x.states[id])
+	return sim.PendingOp{Obj: obj, Exp: exp, New: new}
 }
 
 // Step implements sim.SteppedProgram: one Stepper step against the bank.

@@ -42,11 +42,7 @@ func MetaFromSettings(s *Settings) map[string]string {
 		m["t"] = "0"
 	}
 	if s.Protocol != nil {
-		// The resolved execution form, so a replay of this artifact runs
-		// under the same engine that produced it.
-		if compiled, err := ResolveExec(s.Exec, s.Protocol); err == nil {
-			m["exec"] = ExecLabel(compiled)
-		}
+		m["exec"] = ExecForm
 	}
 	switch p := s.Protocol.(type) {
 	case core.SingleCAS:
@@ -72,7 +68,8 @@ func MetaFromSettings(s *Settings) map[string]string {
 // protocol (from proto/f/t), the canonical inputs (from n, unless explicit
 // inputs are given), the faulty-object set (from faulty/unbounded/t), and
 // the fault kind. It is the inverse of MetaFromSettings and of the
-// modelcheck CLI's flag rendering.
+// modelcheck CLI's flag rendering. Meta recording a removed mode is refused
+// (CheckModes).
 func SettingsFromMeta(meta map[string]string, inputs []int64) (*Settings, error) {
 	get := func(key string, def int) (int, error) {
 		v, ok := meta[key]
@@ -154,25 +151,10 @@ func SettingsFromMeta(meta map[string]string, inputs []int64) (*Settings, error)
 		WithFaultyObjects(ids, perObject),
 		WithFaultKind(kind),
 	}
-	if v := meta["exec"]; v != "" {
-		// Replay the artifact under the form that produced it. Meta
-		// without an exec entry predates the compiled form and keeps the
-		// default (auto).
-		mode, err := ParseExecMode(v)
-		if err != nil {
-			return nil, err
-		}
-		if mode == ExecAuto {
-			mode = ExecInterpreted // "auto" is never recorded; be strict
-		}
-		opts = append(opts, WithExecMode(mode))
+	if err := CheckModes(meta["exec"], meta["reduce"]); err != nil {
+		return nil, err
 	}
-	if v := meta["reduce"]; v != "" {
-		mode, err := ParseReduceMode(v)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, WithReduce(mode))
-	}
+	mode, _ := ParseReduceMode(meta["reduce"]) // CheckModes accepted it
+	opts = append(opts, WithReduce(mode))
 	return NewSettings(opts...), nil
 }

@@ -1,6 +1,8 @@
 package run
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -63,61 +65,46 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetaRoundTripExec: the resolved execution form survives the meta
-// round trip, so an artifact replays under the engine that produced it —
-// and a meta without an exec entry (predating the compiled form) keeps the
-// default auto resolution.
+// TestMetaRoundTripExec: every artifact records the compiled execution
+// form, and reading one back accepts it, accepts a meta without an exec
+// entry (predating the compiled form), and refuses the removed interpreted
+// form and aggressive reduction with the typed ErrRemovedMode.
 func TestMetaRoundTripExec(t *testing.T) {
-	base := []Option{
-		WithProtocol(core.NewStaged(1, 1)), WithDistinctInputs(2),
-		WithAllObjectsFaulty(1),
-	}
-	cases := []struct {
-		name string
-		mode ExecMode
-		want ExecMode // reconstructed mode
-	}{
-		// Auto on a steppered protocol resolves (and records) compiled.
-		{"auto-resolves-compiled", ExecAuto, ExecCompiled},
-		{"compiled", ExecCompiled, ExecCompiled},
-		{"interpreted", ExecInterpreted, ExecInterpreted},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := NewSettings(append(base, WithExecMode(tc.mode))...)
-			meta := MetaFromSettings(s)
-			wantCompiled, err := ResolveExec(tc.mode, s.Protocol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := meta["exec"], ExecLabel(wantCompiled); got != want {
-				t.Fatalf("meta exec = %q, want %q", got, want)
-			}
-			got, err := SettingsFromMeta(meta, s.Inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Exec != tc.want {
-				t.Errorf("reconstructed Exec = %v, want %v", got.Exec, tc.want)
-			}
-		})
-	}
-
-	t.Run("legacy-meta-keeps-auto", func(t *testing.T) {
-		s, err := SettingsFromMeta(map[string]string{"proto": "figure1", "n": "2"}, nil)
-		if err != nil {
+	t.Run("compiled", func(t *testing.T) {
+		s := NewSettings(WithProtocol(core.NewStaged(1, 1)), WithDistinctInputs(2), WithAllObjectsFaulty(1))
+		meta := MetaFromSettings(s)
+		if got := meta["exec"]; got != ExecForm {
+			t.Fatalf("meta exec = %q, want %q", got, ExecForm)
+		}
+		if _, err := SettingsFromMeta(meta, s.Inputs); err != nil {
 			t.Fatal(err)
 		}
-		if s.Exec != ExecAuto {
-			t.Errorf("Exec = %v, want ExecAuto for meta without an exec entry", s.Exec)
+	})
+
+	t.Run("legacy-meta-replays-compiled", func(t *testing.T) {
+		if _, err := SettingsFromMeta(map[string]string{"proto": "figure1", "n": "2"}, nil); err != nil {
+			t.Errorf("meta without an exec entry refused: %v", err)
 		}
 	})
 
 	t.Run("corrupt-exec-refused", func(t *testing.T) {
-		if _, err := SettingsFromMeta(map[string]string{"proto": "figure1", "n": "2", "exec": "jit"}, nil); err == nil {
-			t.Error("unknown exec form in meta must be refused")
+		_, err := SettingsFromMeta(map[string]string{"proto": "figure1", "n": "2", "exec": "jit"}, nil)
+		if err == nil || errors.Is(err, ErrRemovedMode) {
+			t.Errorf("unknown exec form in meta: err = %v, want a refusal that is not ErrRemovedMode", err)
 		}
 	})
+
+	for _, tc := range []struct{ name, key, value string }{
+		{"interpreted", "exec", "interpreted"},
+		{"aggressive", "reduce", "aggressive"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := SettingsFromMeta(map[string]string{"proto": "figure1", "n": "2", tc.key: tc.value}, nil)
+			if !errors.Is(err, ErrRemovedMode) || !strings.Contains(err.Error(), tc.key+"="+tc.value) {
+				t.Errorf("err = %v, want ErrRemovedMode naming %s=%s", err, tc.key, tc.value)
+			}
+		})
+	}
 }
 
 // TestSettingsFromMetaCanonicalInputs: without explicit inputs, the meta's

@@ -49,10 +49,6 @@ type Settings struct {
 	Observer func(trace.Event)
 	// StepLimit overrides the protocol's per-process step bound.
 	StepLimit int
-	// Exec selects the execution form: compiled step machines or the
-	// goroutine-gated reference simulator (default ExecAuto — compiled
-	// whenever the protocol provides a core.Stepper).
-	Exec ExecMode
 	// Reduce selects the partial-order reduction mode for exploration
 	// drivers (default ReduceOff).
 	Reduce ReduceMode
@@ -182,23 +178,6 @@ func WithObserver(fn func(trace.Event)) Option { return func(s *Settings) { s.Ob
 
 // WithStepLimit overrides the protocol's per-process step bound.
 func WithStepLimit(n int) Option { return func(s *Settings) { s.StepLimit = n } }
-
-// WithCompiled selects the execution form explicitly: true requires the
-// compiled step machines (refusing protocols without a core.Stepper),
-// false forces the goroutine-gated reference simulator. Without this
-// option the compiled form is used whenever the protocol provides one.
-func WithCompiled(compiled bool) Option {
-	return func(s *Settings) {
-		if compiled {
-			s.Exec = ExecCompiled
-		} else {
-			s.Exec = ExecInterpreted
-		}
-	}
-}
-
-// WithExecMode sets the execution form directly (flag plumbing).
-func WithExecMode(m ExecMode) Option { return func(s *Settings) { s.Exec = m } }
 
 // WithReduce sets the exploration engine's partial-order reduction mode.
 func WithReduce(m ReduceMode) Option { return func(s *Settings) { s.Reduce = m } }

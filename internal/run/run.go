@@ -70,13 +70,13 @@ func ConsensusContext(ctx context.Context, s *Settings) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	stepper, ok := core.Compile(s.Protocol)
+	if !ok {
+		return nil, fmt.Errorf("run: protocol %s has no compiled form (core.Stepper)", s.Protocol.Name())
+	}
 	sched := s.Scheduler
 	if sched == nil {
 		sched = sim.NewRoundRobin()
-	}
-	compiled, err := ResolveExec(s.Exec, s.Protocol)
-	if err != nil {
-		return nil, err
 	}
 	budget := s.Budget
 	if budget == nil && len(s.FaultyObjects) > 0 {
@@ -88,33 +88,17 @@ func ConsensusContext(ctx context.Context, s *Settings) (*Result, error) {
 	if limit <= 0 {
 		limit = s.Protocol.StepBound(len(s.Inputs))
 	}
-
-	var res *sim.Result
-	if compiled {
-		stepper, _ := core.Compile(s.Protocol)
-		steppedCfg := sim.SteppedConfig{
-			Procs:     len(s.Inputs),
-			Program:   NewSteppedExec(stepper, bank, s.Inputs),
-			Scheduler: sched,
-			StepLimit: limit,
-			Observer:  s.Observer,
-		}
-		if s.Trace {
-			steppedCfg.Log = trace.New()
-		}
-		res, err = sim.RunStepped(ctx, steppedCfg)
-	} else {
-		simCfg := sim.Config{
-			Programs:  Programs(s.Protocol, bank, s.Inputs),
-			Scheduler: sched,
-			StepLimit: limit,
-			Observer:  s.Observer,
-		}
-		if s.Trace {
-			simCfg.Log = trace.New()
-		}
-		res, err = sim.RunContext(ctx, simCfg)
+	cfg := sim.SteppedConfig{
+		Procs:     len(s.Inputs),
+		Program:   NewSteppedExec(stepper, bank, s.Inputs),
+		Scheduler: sched,
+		StepLimit: limit,
+		Observer:  s.Observer,
 	}
+	if s.Trace {
+		cfg.Log = trace.New()
+	}
+	res, err := sim.RunStepped(ctx, cfg)
 	if err != nil && res == nil {
 		return nil, err
 	}

@@ -16,13 +16,15 @@
 // consistent and race-free by construction even though programs are written
 // as ordinary straight-line Go code.
 //
-// The process goroutines live in an Arena, which is reusable: the model
-// checker replays millions of executions, and respawning goroutines and
-// channels per replay used to dominate its profile. Run starts each slot's
-// current program over the arena's long-lived goroutines; when an execution
-// ends early, parked processes are unwound back to their slots with an
-// abort grant, so the next Run starts from a clean arena. One-shot callers
-// use Run/RunContext, which wrap a single-use Arena.
+// The process goroutines live in an Arena, which is reusable: a reference
+// sweep replays thousands of executions, and respawning goroutines and
+// channels per replay would dominate its profile. (The model checker itself
+// runs the compiled step machines on the stepped runner, see Stepped.) Run
+// starts each slot's current program over the arena's long-lived
+// goroutines; when an execution ends early, parked processes are unwound
+// back to their slots with an abort grant, so the next Run starts from a
+// clean arena. One-shot callers use Run/RunContext, which wrap a
+// single-use Arena.
 package sim
 
 import (
@@ -161,16 +163,15 @@ type Proc struct {
 // ID returns the process id (its index in Config.Programs).
 func (p *Proc) ID() int { return p.id }
 
-// PendingOp describes the shared-memory operation a parked process will
-// perform on its next grant. Known is false for operations that did not
-// declare themselves (plain Exec callers: registers, test programs) — the
-// partial-order reducer must then treat the step as potentially conflicting
-// with everything.
+// PendingOp describes the CAS a process will perform on its next granted
+// step: the object index and the exp/new arguments. A compiled program
+// computes it from its machine state without taking the step
+// (run.SteppedExec.Pending); the exploration engine's partial-order reducer
+// reads it to decide which steps are independent.
 type PendingOp struct {
-	Known bool
-	Obj   int
-	Exp   word.Word
-	New   word.Word
+	Obj int
+	Exp word.Word
+	New word.Word
 }
 
 // Exec performs one atomic step: it parks until the scheduler grants this
@@ -178,21 +179,6 @@ type PendingOp struct {
 // exclusively holds the step token, so it may freely touch shared objects.
 func (p *Proc) Exec(op func()) {
 	a := p.a
-	a.pending[p.id] = PendingOp{}
-	a.events <- procEvent{id: p.id, kind: evParked}
-	if g := <-a.grant[p.id]; g.abort {
-		panic(abortSignal{})
-	}
-	op()
-}
-
-// ExecCAS is Exec for a CAS step: identical gating, but the object index and
-// CAS arguments are published as the process's PendingOp before it parks
-// (the park event's channel send orders the write before any runner read),
-// so the scheduler can compute step independence without granting the step.
-func (p *Proc) ExecCAS(obj int, exp, new word.Word, op func()) {
-	a := p.a
-	a.pending[p.id] = PendingOp{Known: true, Obj: obj, Exp: exp, New: new}
 	a.events <- procEvent{id: p.id, kind: evParked}
 	if g := <-a.grant[p.id]; g.abort {
 		panic(abortSignal{})
@@ -214,8 +200,8 @@ func (p *Proc) Stall() {
 // Arena is a reusable pool of gated process goroutines plus the runner state
 // of one execution. An Arena is built for a fixed process count; Run
 // executes one configuration over it, and the same arena can run any number
-// of executions in sequence. An Arena is not safe for concurrent Runs; the
-// parallel exploration engine gives each worker its own.
+// of executions in sequence. An Arena is not safe for concurrent Runs; give
+// each goroutine its own.
 type Arena struct {
 	n      int
 	procs  []*Proc
@@ -232,7 +218,6 @@ type Arena struct {
 	steps     []int
 	stalled   []bool
 	parked    []bool
-	pending   []PendingOp
 	enabled   []int
 	early     []int
 	liveCount int // processes neither finished nor stalled nor panicked
@@ -258,7 +243,6 @@ func NewArena(n int) *Arena {
 		steps:     make([]int, n),
 		stalled:   make([]bool, n),
 		parked:    make([]bool, n),
-		pending:   make([]PendingOp, n),
 		enabled:   make([]int, 0, n),
 		early:     make([]int, 0, n),
 	}
@@ -275,12 +259,6 @@ func NewArena(n int) *Arena {
 // They are the handles every Run passes to its programs, so environments
 // bound to them (run.BoundPrograms) stay valid across runs.
 func (a *Arena) Procs() []*Proc { return a.procs }
-
-// Pending returns the declared next operation of process id. It is
-// meaningful only while the process is parked (the ids a Scheduler.Next call
-// received as enabled); at any other moment it may describe a step already
-// taken.
-func (a *Arena) Pending(id int) PendingOp { return a.pending[id] }
 
 // Close releases the arena's process goroutines. The arena must be idle (no
 // Run in progress). Close is idempotent.
@@ -364,7 +342,6 @@ func (a *Arena) Run(ctx context.Context, cfg Config) (*Result, error) {
 		a.steps[i] = 0
 		a.stalled[i] = false
 		a.parked[i] = false
-		a.pending[i] = PendingOp{}
 	}
 	a.liveCount = a.n
 	a.early = a.early[:0]
@@ -520,8 +497,8 @@ func Run(cfg Config) (*Result, error) {
 // abandoned rather than left behind by the protocol.
 //
 // RunContext is the one-shot form: it builds a single-use Arena and closes
-// it before returning. Repeated replays (the model checker's hot path)
-// should hold an Arena and call its Run directly.
+// it before returning. Repeated replays should hold an Arena and call its
+// Run directly.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if len(cfg.Programs) == 0 {
 		return nil, errors.New("sim: no programs")

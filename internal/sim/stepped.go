@@ -7,8 +7,9 @@
 // plain function call. The Arena remains the reference semantics; the
 // stepped runner reproduces its observable behaviour exactly — same
 // scheduling decisions, same step accounting, same trace events in the same
-// order, same errors byte for byte — which explore.CrossCheck and the
-// differential fuzz tests enforce.
+// order, same errors byte for byte — which the explore package's
+// differential test (TestCompiledMatchesInterpreted) and the differential
+// fuzz tests enforce.
 package sim
 
 import (
@@ -195,10 +196,10 @@ func (s *Stepped) Start(cfg SteppedConfig) error {
 func (s *Stepped) Resume(ctx context.Context) (*Result, error) {
 	// Main loop: grant one step at a time. Structure and error strings
 	// track Arena.Run exactly — the engine's verdicts and lex-least
-	// counterexamples are the same in both execution forms only because
-	// both consume scheduler decisions identically (explore.CrossCheck
-	// checks it). Cancellation is polled through ctx.Done(), as in
-	// Arena.Run.
+	// counterexamples match the reference simulator's only because both
+	// consume scheduler decisions identically (the explore package's
+	// differential test checks it). Cancellation is polled through
+	// ctx.Done(), as in Arena.Run.
 	done := ctx.Done()
 	for s.live > 0 {
 		select {

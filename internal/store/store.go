@@ -54,17 +54,18 @@ type Manifest struct {
 	Kind            string  `json:"kind"`
 	StepLimit       int     `json:"step_limit"`
 	Exhaustive      bool    `json:"exhaustive"`
-	// Exec is the resolved execution form ("compiled" or "interpreted").
-	// It is hashed: the forms are equivalent by construction, but a
-	// checkpoint is a claim about what a specific engine explored, so a
-	// resume must re-run the engine that made the claim.
+	// Exec is the execution form the run explored under. It is hashed, and
+	// the engine always records "compiled", its one form, so run
+	// directories written while a goroutine form also existed keep their
+	// hash. One recording the removed "interpreted" form is refused by the
+	// engine (run.CheckModes).
 	Exec string `json:"exec,omitempty"`
-	// Reduce is the partial-order reduction mode ("on" or "aggressive";
-	// empty means off). It is hashed when set: reduced choice paths are
-	// coordinates in a reduced tree, so a checkpointed frontier or a ledger
-	// task is only meaningful to an engine running the same reduction. The
-	// empty/off value contributes nothing to the hash, so run directories
-	// from before reduction existed still verify.
+	// Reduce is the partial-order reduction mode ("on"; empty means off;
+	// the removed "aggressive" is refused). It is hashed when set: reduced
+	// choice paths are coordinates in a reduced tree, so a checkpointed
+	// frontier or a ledger task is only meaningful to an engine running the
+	// same reduction. The empty/off value contributes nothing to the hash,
+	// so run directories from before reduction existed still verify.
 	Reduce string `json:"reduce,omitempty"`
 
 	// Advisory (not hashed): tuning that does not change the verdict.

@@ -44,28 +44,22 @@ func waitWorker(t *testing.T, name string, cmd *exec.Cmd) {
 // forfeited subtree after TTL expiry and drive the sweep to the exact
 // single-process verdict: VERIFIED with an identical execution count.
 func TestCLILedgerKilledWorkerVerifiedMatchesSingle(t *testing.T) {
-	args := []string{"-proto", "figure3", "-f", "1", "-t", "1", "-n", "2", "-unbounded"}
-	ref, code := runCLI(t, "modelcheck", args...)
+	ref, code := runCLI(t, "modelcheck", slowArgs...)
 	if code != 0 || !strings.Contains(ref, "VERIFIED") {
 		t.Fatalf("reference run: exit %d:\n%s", code, ref)
 	}
 	refExecs := cliExecutions(t, ref)
 
 	dir := filepath.Join(t.TempDir(), "run")
-	// The victim creates the ledger on the slow interpreted engine (the
-	// manifest seals that choice for every joiner), so the kill lands while
-	// its lease is live and most of the tree is still unexplored.
-	victim := startWorker(t, append(append([]string{}, args...),
-		"-engine", "interpreted", "-ledger", dir, "-worker-id", "victim",
-		"-lease-ttl", "400ms")...)
+	// The victim creates the ledger on the slow tree, so the kill lands
+	// while its lease is live and most of the tree is still unexplored.
+	victim := startWorker(t, append(append([]string{}, slowArgs...),
+		"-ledger", dir, "-worker-id", "victim", "-lease-ttl", "400ms")...)
 	time.Sleep(150 * time.Millisecond)
-	if victim.Process.Kill() != nil {
-		t.Log("victim finished before the kill; survivors merge a drained ledger instead")
-	}
-	victim.Wait() //nolint:errcheck // killed on purpose
+	killMidRun(t, victim)
 
-	a := startWorker(t, "-ledger", dir, "-worker-id", "survivor-a")
-	b := startWorker(t, "-ledger", dir, "-worker-id", "survivor-b")
+	a := startWorker(t, "-ledger", dir, "-worker-id", "survivor-a", "-max", slowMax)
+	b := startWorker(t, "-ledger", dir, "-worker-id", "survivor-b", "-max", slowMax)
 	waitWorker(t, "survivor-a", a)
 	waitWorker(t, "survivor-b", b)
 

@@ -22,10 +22,13 @@
 # under "trace_overhead" with its 15% budget; exceeding the budget prints a
 # warning but does not fail the script (scripts/check.sh is the hard gate).
 #
-# A third pass measures the compiled execution form against the goroutine
-# reference on the single-worker covering slab (min of FORM_COUNT, same
-# noise discipline) and records the ratio under "compiled_speedup" together
-# with the host's core count — the slab is single-worker, so the ratio is
+# A third pass measures the compiled engine against the test-only goroutine
+# reference replay (Decide on the goroutine-gated simulator, from the root,
+# over the same first 4096 leaves) on the single-worker covering slab (min
+# of FORM_COUNT, same noise discipline) and records the ratio under
+# "compiled_speedup" together with the host's core count. The engine no
+# longer offers the goroutine form; the ratio is what the compiled form
+# buys over its reference semantics. The slab is single-worker, so the ratio is
 # honest on a single-core host (annotated single_core_host: true), unlike
 # the worker-scaling block whose efficiency ceiling depends on cores.
 #

@@ -96,23 +96,28 @@ go test -count=1 ./internal/obs/fleet/
 gate -run 'TestEngineFleet' ./internal/explore/
 gate -run 'TestCLIFleet' .
 
-echo "== exec-form equivalence gate (compiled vs interpreted covering sweeps) =="
-# The compiled Stepper machines must enumerate the SAME execution tree as
-# the goroutine-gated reference simulator, leaf for leaf: every protocol
-# with a compiled form is swept (n=2, f=1, unbounded faults) through both
-# forms and any divergence in verdicts, schedules, decisions, step counts,
-# or trace logs fails the gate. The compiled form resumes each leaf from
-# its saved states while the reference replays from the root, so the sweep
-# and the engine-level comparison (dedup x reduction x workers, clean and
-# violating) also certify incremental replay. Uncached, so the gate re-runs
-# every time.
+echo "== exec-form equivalence gate (compiled engine vs goroutine reference sweeps) =="
+# The engine runs only the compiled Stepper machines. They must enumerate
+# the SAME execution tree as the protocols' Decide code on the
+# goroutine-gated simulator, the literal transcription of Figures 1-3, which
+# survives as a test-only reference replay: every protocol is swept (n=2,
+# f=1, unbounded faults) leaf for leaf through both, and any divergence in
+# verdicts, schedules, decisions, step counts, or trace logs fails the
+# gate. The engine resumes each leaf from its saved states while the
+# reference replays from the root, so the sweep also certifies incremental
+# replay. The engine-level test sweeps the plain enumeration (one worker,
+# no dedup, no reduction) against the reference the same way, then holds
+# every dedup x reduction x workers cell, clean and violating, to that
+# plain enumeration's verdict and lex-least counterexample and, at one
+# worker, to pinned counters. Uncached, so the gate re-runs every time.
 gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted)$' ./internal/explore/
 
 echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =="
 # Partial-order reduction must not change what the checker reports: every
-# differential case (clean and violating sweeps, both execution forms) is
-# re-explored with reduce=on and any divergence in verdict, completeness,
-# counterexample schedule, decisions, or trace log fails the gate. The
+# differential case (clean and violating sweeps; the engine has one
+# execution form, so each case has one cell) is re-explored with reduce=on
+# and any divergence in verdict, completeness, counterexample schedule,
+# decisions, or trace log fails the gate. The
 # reducer's sleep/symmetry bookkeeping is shared mutable state on the branch
 # path, so this gate runs under the race detector, uncached.
 gate -race -run TestReduceMatchesFull ./internal/explore/
@@ -137,7 +142,7 @@ echo "== cancellation gate (between-step exits, fresh, race, 10 runs) =="
 # ctx.Err(), and that per-worker counters still sum after a mid-lease
 # cancel. The exits race the workers and the watcher goroutine that aborts
 # the frontier, so they run ten times under the race detector, uncached.
-gate -race -count=10 -run '^(TestRunContextCancelMidExecution|TestRunContextPreCancelled|TestRunPollsDoneOncePerRun|TestEngineImmediateCancel|TestEngineDeadline|TestEngineCancelMidLeaseWorkerSum|TestEngineCancelMidLeaseWorkerSumCompiled|TestConsensusContextCancelPropagates)$' \
+gate -race -count=10 -run '^(TestRunContextCancelMidExecution|TestRunContextPreCancelled|TestRunPollsDoneOncePerRun|TestEngineImmediateCancel|TestEngineDeadline|TestEngineCancelMidLeaseWorkerSum|TestConsensusContextCancelPropagates)$' \
 	./internal/sim/ ./internal/explore/ ./internal/run/
 
 echo "== benchmark smoke test (bench/, its own module, fresh) =="
@@ -180,10 +185,14 @@ END {
 }
 ' "$RAW_SCALE"
 
-echo "== compiled-speedup gate (compiled vs goroutine form, min of $SCALE_COUNT) =="
-# The compiled form's reason to exist is speed: the single-worker
-# 4096-execution covering slab must run at least 2x faster through the
-# stepped runner than through the goroutine-gated reference simulator.
+echo "== compiled-speedup gate (compiled engine vs goroutine reference, min of $SCALE_COUNT) =="
+# The compiled form's reason to exist is speed: the single-worker engine
+# must explore the 4096-execution covering slab at least 2x faster than the
+# test-only reference replays the same 4096 leaves (Decide on the
+# goroutine-gated simulator, from the root, pre-bound programs on one
+# reused arena — the cost the removed goroutine engine form had). Users can
+# no longer pick the goroutine form, so the gate measures what the compiled
+# engine buys over the reference semantics it is certified against.
 # Per-benchmark MINIMUM of SCALE_COUNT runs, same as the scaling gate —
 # single samples on a loaded box misread the ratio. The slab is
 # single-worker, so the floor holds on single-core hosts too.
