@@ -765,15 +765,7 @@ func (r *engineRun) mergeMaxima(localSteps, localFaults int) {
 // is per-worker and lives for the worker's whole run — replays allocate
 // nothing on their hot path.
 func (r *engineRun) worker(ctx context.Context, w int) {
-	var dh *dedupHandle
-	if r.set != nil {
-		dh = &dedupHandle{
-			set:     r.set,
-			tracker: dedup.NewTracker(r.s.Protocol.Objects(), r.s.Inputs, true),
-		}
-	}
-	c := &chooser{}
-	es := newExecState(r.s, r.kind, c, dh)
+	es := r.newWorkerState()
 	var l workerLease
 	for {
 		idleStart := time.Now()
@@ -793,6 +785,20 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 			return
 		}
 	}
+}
+
+// newWorkerState builds one worker's replay machinery. Its leaf replays
+// record nothing: no trace log, no schedule, and no trace event unless the
+// dedup tracker or the reducer observes them.
+func (r *engineRun) newWorkerState() *execState {
+	var dh *dedupHandle
+	if r.set != nil {
+		dh = &dedupHandle{
+			set:     r.set,
+			tracker: dedup.NewTracker(r.s.Protocol.Objects(), r.s.Inputs, true),
+		}
+	}
+	return newExecState(r.s, r.kind, &chooser{}, dh, false)
 }
 
 // runSubtree enumerates the subtree task by replaying its leaves in
@@ -857,7 +863,7 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			}
 			l.avail = n
 		}
-		verdict, stats, pruned, err := es.runLeaf(ctx)
+		stats, pruned, err := es.runLeaf(ctx)
 		if err != nil {
 			if ctx.Err() == nil {
 				r.fail(err)
@@ -898,8 +904,13 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 		if stats.faults > localFaults {
 			localFaults = stats.faults
 		}
-		if !verdict.OK() {
-			ce := es.counterexample(verdict)
+		// Not es.verdict.OK(): its value receiver copies the verdict.
+		if es.verdict.Violation != run.ViolationNone {
+			ce, err := es.keep(stats)
+			if err != nil {
+				r.fail(err)
+				return false
+			}
 			r.recordViolation(w, ce)
 			if r.tr != nil {
 				if err := r.tr.captureViolation(w, ce.Path, ce); err != nil {
@@ -908,8 +919,11 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 				}
 			}
 		} else if r.tr.sampleHit() {
-			ce := es.counterexample(verdict)
-			if err := r.tr.captureSample(w, ce.Path, ce); err != nil {
+			ce, err := es.keep(stats)
+			if err == nil {
+				err = r.tr.captureSample(w, ce.Path, ce)
+			}
+			if err != nil {
 				r.fail(fmt.Errorf("explore: trace capture: %w", err))
 				return false
 			}
@@ -968,7 +982,7 @@ func lexGE(path, leaf []int) bool {
 
 // recordViolation merges one violating execution into the shared outcome,
 // keeping the canonical counterexample and tightening the pruning bound.
-// ce must be self-contained (execState.counterexample): it is retained
+// ce must be self-contained (execState.keep): it is retained
 // beyond the replay that produced it.
 func (r *engineRun) recordViolation(w int, ce *Counterexample) {
 	p := ce.Path

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -321,9 +322,15 @@ type runStats struct {
 
 // execState is the reusable replay machinery of one enumeration loop (one
 // engine worker, or one replay): the fault budget, the object bank, the
-// protocol's step machines on the stepped runner, the trace log, the
-// schedule buffer, and the verdict evaluator. All of it is allocated once
-// and reset per leaf, so replays allocate nothing on their hot path.
+// protocol's step machines on the stepped runner, and the verdict each leaf
+// is evaluated into. All of it is allocated once and reset per leaf, so
+// replays allocate nothing on their hot path.
+//
+// A recording state also keeps the trace log and the schedule buffer. An
+// engine worker's state records nothing: it builds no trace event unless the
+// dedup tracker or the reducer observes them. A leaf the worker keeps (a
+// violation or a trace sample) is replayed once more on the worker's
+// recording state (keep).
 //
 // It also keeps a stack of between-steps snapshots along the current path
 // (snaps), so a leaf resumes from the deepest state it shares with the
@@ -344,11 +351,16 @@ type execState struct {
 	prunedAt   int
 	pruneSleep bool
 
-	budget   *fault.Budget
-	bank     *object.Bank
+	budget  *fault.Budget
+	bank    *object.Bank
+	verdict run.Verdict // the last evaluated leaf's, overwritten per leaf
+
+	// log and schedule record the trace events and scheduling picks of a
+	// recording state; both are nil on a worker's leaf replays. rec is a
+	// worker's recording state for the leaves it keeps, built on first use.
 	log      *trace.Log
 	schedule []int
-	eval     *run.Evaluator
+	rec      *execState
 
 	// The protocol's step machines on the single-goroutine stepped runner,
 	// and the snapshot stack, one entry per chooser position the current
@@ -366,8 +378,8 @@ type execState struct {
 // from it. Its buffers are reused from push to push.
 type snapshot struct {
 	pos      int // chooser position: the choices consumed to reach it
-	logLen   int
-	schedLen int
+	logLen   int // when recording
+	schedLen int // when recording
 	sim      sim.SteppedSnapshot
 	states   []core.State
 	regs     []word.Word
@@ -377,9 +389,10 @@ type snapshot struct {
 }
 
 // newExecState builds the replay machinery for one enumeration loop driven
-// by the given chooser. The settings must have passed prepare, which
-// refuses protocols without a compiled form.
-func newExecState(s *run.Settings, kind fault.Kind, c *chooser, dh *dedupHandle) *execState {
+// by the given chooser; record gives it a trace log and a schedule buffer.
+// The settings must have passed prepare, which refuses protocols without a
+// compiled form.
+func newExecState(s *run.Settings, kind fault.Kind, c *chooser, dh *dedupHandle, record bool) *execState {
 	es := &execState{s: s, kind: kind, c: c, dh: dh}
 	es.budget = fault.NewFixedBudget(s.FaultyObjects, s.FaultsPerObject)
 	policy := s.Policy
@@ -395,8 +408,9 @@ func newExecState(s *run.Settings, kind fault.Kind, c *chooser, dh *dedupHandle)
 		})
 	}
 	es.bank = object.NewBank(s.Protocol.Objects(), es.budget, policy)
-	es.log = trace.New()
-	es.eval = run.NewEvaluator(s.Inputs)
+	if record {
+		es.log = trace.New()
+	}
 
 	limit := s.StepLimit
 	if limit <= 0 {
@@ -464,7 +478,9 @@ func (es *execState) schedNext(enabled []int) (int, bool) {
 		if len(enabled) > 1 {
 			pick = enabled[c.choose(len(enabled))]
 		}
-		es.schedule = append(es.schedule, pick)
+		if es.log != nil {
+			es.schedule = append(es.schedule, pick)
+		}
 		return pick, true
 	}
 	cand := es.red.candidates(enabled)
@@ -481,7 +497,9 @@ func (es *execState) schedNext(enabled []int) (int, bool) {
 	}
 	pick := cand[idx]
 	es.red.chose(cand, idx)
-	es.schedule = append(es.schedule, pick)
+	if es.log != nil {
+		es.schedule = append(es.schedule, pick)
+	}
 	return pick, true
 }
 
@@ -495,8 +513,10 @@ func (es *execState) push() {
 	}
 	sn := &es.snaps[len(es.snaps)-1]
 	sn.pos = es.c.pos
-	sn.logLen = es.log.Len()
-	sn.schedLen = len(es.schedule)
+	if es.log != nil {
+		sn.logLen = es.log.Len()
+		sn.schedLen = len(es.schedule)
+	}
 	es.stepped.Save(&sn.sim)
 	sn.states = es.prog.AppendStates(sn.states[:0])
 	sn.regs = es.bank.AppendContents(sn.regs[:0])
@@ -526,8 +546,10 @@ func (es *execState) rewind(changed int) bool {
 	sn := &es.snaps[k]
 	es.c.pos = sn.pos
 	es.c.arity = es.c.arity[:sn.pos]
-	es.log.Truncate(sn.logLen)
-	es.schedule = es.schedule[:sn.schedLen]
+	if es.log != nil {
+		es.log.Truncate(sn.logLen)
+		es.schedule = es.schedule[:sn.schedLen]
+	}
 	es.stepped.Restore(&sn.sim)
 	es.prog.RestoreStates(sn.states)
 	es.bank.RestoreContents(sn.regs)
@@ -548,8 +570,10 @@ func (es *execState) restart() {
 	es.c.arity = es.c.arity[:0]
 	es.budget.Reset()
 	es.bank.Reset()
-	es.log.Reset()
-	es.schedule = es.schedule[:0]
+	if es.log != nil {
+		es.log.Reset()
+		es.schedule = es.schedule[:0]
+	}
 	es.snaps = es.snaps[:0]
 	if es.tracker != nil {
 		es.tracker.Reset()
@@ -560,14 +584,14 @@ func (es *execState) restart() {
 }
 
 // runLeaf replays one execution along the chooser's path, reusing the
-// execState's machinery. It resumes from the deepest snapshot at or before
-// the chooser's first changed position (restoring the root snapshot is a
-// replay from scratch). When dedup or reduction is on and the replay
-// reaches a state already claimed by a lexicographically smaller path (or a
-// sleep-blocked node), it halts early and reports pruned=true (es.prunedAt
-// records where, es.pruneSleep which mechanism); the replay is then neither
-// evaluated nor counted — any violation visible in the halted prefix also
-// appears below a smaller path.
+// execState's machinery, and evaluates it into es.verdict. It resumes from
+// the deepest snapshot at or before the chooser's first changed position
+// (restoring the root snapshot is a replay from scratch). When dedup or
+// reduction is on and the replay reaches a state already claimed by a
+// lexicographically smaller path (or a sleep-blocked node), it halts early
+// and reports pruned=true (es.prunedAt records where, es.pruneSleep which
+// mechanism); the replay is then neither evaluated nor counted — any
+// violation visible in the halted prefix also appears below a smaller path.
 //
 // A resumed replay skips the dedup probes before its snapshot. The previous
 // replay made them with the same prefix and was not pruned there, so with
@@ -575,10 +599,10 @@ func (es *execState) restart() {
 // difference is a prune another worker made possible in between, which
 // costs work, not soundness or the lex-least counterexample.
 //
-// The returned verdict borrows slices owned by the runner and the execState;
-// callers retaining a leaf (violations, trace samples) must go through
-// counterexample, which clones everything.
-func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, error) {
+// es.verdict borrows slices owned by the runner and is overwritten by the
+// next leaf; callers retaining a leaf (violations, trace samples) must go
+// through keep, which clones everything.
+func (es *execState) runLeaf(ctx context.Context) (runStats, bool, error) {
 	es.prunedAt = -1
 	var res *sim.Result
 	var err error
@@ -591,15 +615,15 @@ func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, 
 	}
 	es.c.changed = len(es.c.path)
 	if err != nil && res == nil {
-		return run.Verdict{}, runStats{}, false, err
+		return runStats{}, false, err
 	}
 	if err != nil && !errors.Is(err, sim.ErrWaitFreedom) {
 		// Cancellation (or any future partial-result condition): the
 		// truncated execution must not be evaluated as if it completed.
-		return run.Verdict{}, runStats{}, false, err
+		return runStats{}, false, err
 	}
 	if es.prunedAt >= 0 {
-		return run.Verdict{}, runStats{}, true, nil
+		return runStats{}, true, nil
 	}
 
 	stats := runStats{faults: es.budget.TotalFaults()}
@@ -608,13 +632,61 @@ func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, 
 			stats.maxSteps = s
 		}
 	}
-	return es.eval.Evaluate(res, err), stats, false, nil
+	run.EvaluateInto(&es.verdict, es.s.Inputs, res, err)
+	return stats, false, nil
 }
 
-// counterexample snapshots the most recent runLeaf as a self-contained
-// Counterexample: the path, schedule, trace, and verdict slices are cloned,
-// so the record stays valid while the execState keeps replaying.
-func (es *execState) counterexample(verdict run.Verdict) *Counterexample {
+// keep returns the leaf the last runLeaf of a worker's state evaluated
+// (with the given stats) as a self-contained Counterexample that stays valid
+// while the worker keeps replaying. The leaf replay recorded nothing, so
+// keep replays its path once more, from the root, on the worker's recording
+// state. That replay runs the reducer when reduction is on, because a
+// reduced path indexes the reducer's candidates, but never consults the
+// dedup set: another worker may since have claimed a state on the path for
+// a smaller one. It must reproduce the leaf's verdict and counts. A fixed
+// Policy is opaque and may keep state across invocations, so a replay that
+// differs is an error; keep never attaches the trace of a different
+// execution.
+func (es *execState) keep(stats runStats) (*Counterexample, error) {
+	if es.rec == nil {
+		es.rec = newExecState(es.s, es.kind, &chooser{}, nil, true)
+	}
+	rc := es.rec
+	rc.c.path = append(rc.c.path[:0], es.c.path...)
+	rc.c.changed = 0
+	got, pruned, err := replayLeaf(rc)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("explore: recording replay of leaf %v: %w", es.c.path, err)
+	case pruned || rc.c.pos != len(es.c.path) || len(rc.c.path) != len(es.c.path) ||
+		got != stats || !sameVerdict(&rc.verdict, &es.verdict):
+		return nil, fmt.Errorf("explore: recording replay of leaf %v does not reproduce it (leaf %s, replay %s): the fault policy is not a function of the choice path",
+			es.c.path, es.verdict.String(), rc.verdict.String())
+	}
+	return rc.counterexample(), nil
+}
+
+// replayLeaf runs one leaf, converting the chooser's stale-choice panic (a
+// replay whose tree differs from the one its path came from) into an error.
+func replayLeaf(es *execState) (stats runStats, pruned bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("replay diverged from its path: %v", r)
+		}
+	}()
+	return es.runLeaf(context.Background())
+}
+
+// sameVerdict reports whether two verdicts judge the same outcome.
+func sameVerdict(a, b *run.Verdict) bool {
+	return a.Violation == b.Violation && a.Detail == b.Detail && a.Agreed == b.Agreed &&
+		a.Stopped == b.Stopped && slices.Equal(a.Decided, b.Decided) && slices.Equal(a.Decisions, b.Decisions)
+}
+
+// counterexample clones a recording state's last leaf: its path, schedule,
+// trace and verdict.
+func (es *execState) counterexample() *Counterexample {
+	verdict := es.verdict
 	verdict.Decisions = append([]word.Word(nil), verdict.Decisions...)
 	verdict.Decided = append([]bool(nil), verdict.Decided...)
 	return &Counterexample{

@@ -124,38 +124,59 @@ func compareWithReference(t *testing.T, cfg run.Settings, ref *Outcome, pin repl
 
 // TestIncrementalReplayAllocatesNothing pins that saving and restoring
 // snapshots reuses their buffers: once a sweep has grown the snapshot stack,
-// a second sweep of the same tree, with the reducer's descent state and the
-// tracker in every snapshot, allocates nothing.
+// a second sweep of the same tree allocates nothing. It runs an engine
+// worker's replay state on the plain tree (the prove-replay path) and with
+// reduction, whose descent state and tracker sit in every snapshot, and
+// pins that the worker records nothing: no trace log and no schedule, and
+// on the plain tree no event observer either.
 func TestIncrementalReplayAllocatesNothing(t *testing.T) {
-	cfg := run.Settings{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          inputs(2),
-		FaultyObjects:   []int{0},
-		FaultsPerObject: fault.Unbounded,
-		Reduce:          run.ReduceSafe,
-	}
-	kind, _, err := prepare(&cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &chooser{}
-	es := newExecState(&cfg, kind, c, nil)
-	sweep := func() {
-		c.path, c.changed = c.path[:0], 0
-		for {
-			if _, _, pruned, err := es.runLeaf(context.Background()); err != nil {
+	for _, reduce := range []run.ReduceMode{run.ReduceOff, run.ReduceSafe} {
+		t.Run("reduce="+reduce.String(), func(t *testing.T) {
+			cfg := run.Settings{
+				Protocol:        core.NewStaged(1, 1),
+				Inputs:          inputs(2),
+				FaultyObjects:   []int{0},
+				FaultsPerObject: fault.Unbounded,
+				Reduce:          reduce,
+				Workers:         1,
+			}
+			env, err := (&Engine{}).setup(&cfg)
+			if err != nil {
 				t.Fatal(err)
-			} else if pruned {
-				c.truncate(es.prunedAt)
 			}
-			if !c.next() {
-				return
+			es := (&Engine{}).newRun(env, 0, func() {}).newWorkerState()
+			c := es.c
+			var leaves int
+			sweep := func() {
+				c.path, c.changed = c.path[:0], 0
+				for {
+					if _, pruned, err := es.runLeaf(context.Background()); err != nil {
+						t.Fatal(err)
+					} else if pruned {
+						c.truncate(es.prunedAt)
+					} else {
+						leaves++
+					}
+					if !c.next() {
+						return
+					}
+				}
 			}
-		}
-	}
-	sweep() // warm-up: grows the path, the stack and the snapshot buffers
-	if allocs := testing.AllocsPerRun(2, sweep); allocs != 0 {
-		t.Errorf("a sweep allocates %.0f objects after warm-up, want 0", allocs)
+			sweep() // warm-up: grows the path, the stack and the snapshot buffers
+			if allocs := testing.AllocsPerRun(2, sweep); allocs != 0 {
+				t.Errorf("a sweep allocates %.0f objects after warm-up, want 0", allocs)
+			}
+			if leaves == 0 {
+				t.Fatal("the sweep replayed no leaf")
+			}
+			if es.log != nil || len(es.schedule) != 0 || es.rec != nil {
+				t.Errorf("the worker recorded its leaves: log %v, schedule %v, recording state %v",
+					es.log != nil, es.schedule, es.rec != nil)
+			}
+			if observed := es.steppedCfg.Observer != nil; observed != (reduce != run.ReduceOff) {
+				t.Errorf("event observer present = %v with reduction %s", observed, reduce)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/object"
@@ -23,11 +24,11 @@ import (
 // goroutines or closures.
 type refReplay struct {
 	c        *chooser
+	inputs   []int64
 	budget   *fault.Budget
 	bank     *object.Bank
 	log      *trace.Log
 	schedule []int
-	eval     *run.Evaluator
 	arena    *sim.Arena
 	cfg      sim.Config
 }
@@ -35,7 +36,7 @@ type refReplay struct {
 // newRefReplay builds the reference replay machinery for settings that
 // passed prepare; close releases the arena's goroutines.
 func newRefReplay(s *run.Settings, kind fault.Kind, c *chooser) *refReplay {
-	r := &refReplay{c: c}
+	r := &refReplay{c: c, inputs: s.Inputs}
 	r.budget = fault.NewFixedBudget(s.FaultyObjects, s.FaultsPerObject)
 	policy := fault.PolicyFunc(func(op fault.Op) fault.Proposal {
 		if !r.budget.Admits(op.Object) || !observable(kind, op) {
@@ -48,7 +49,6 @@ func newRefReplay(s *run.Settings, kind fault.Kind, c *chooser) *refReplay {
 	})
 	r.bank = object.NewBank(s.Protocol.Objects(), r.budget, policy)
 	r.log = trace.New()
-	r.eval = run.NewEvaluator(s.Inputs)
 	r.arena = sim.NewArena(len(s.Inputs))
 	limit := s.StepLimit
 	if limit <= 0 {
@@ -88,7 +88,7 @@ func (r *refReplay) runLeaf() (run.Verdict, runStats, error) {
 	for _, s := range res.Steps {
 		stats.maxSteps = max(stats.maxSteps, s)
 	}
-	return r.eval.Evaluate(res, err), stats, nil
+	return run.Evaluate(r.inputs, res, err), stats, nil
 }
 
 // CrossReport is the outcome of a compiled-vs-reference differential sweep.
@@ -108,15 +108,19 @@ type CrossReport struct {
 // CrossCheck enumerates the execution tree leaf for leaf through BOTH
 // execution forms — the reference (refReplay: Decide on the goroutine-gated
 // simulator) and the engine's compiled step machines (execState) — and
-// compares every observable of every leaf: the extended choice path, the
-// schedule, the verdict (violation, detail, decisions), the per-process
-// step counts, the fault tally, and the full trace event log. The
-// reference replays every leaf from the root; the compiled form resumes
-// each from its snapshots, as the engine does, so the sweep also certifies
-// incremental replay. The enumeration is driven by the reference, in its
-// depth-first order, so the first divergence reported is the
-// lexicographically least one; on a clean sweep both forms necessarily
-// agree on the lex-least counterexample and on completeness.
+// compares every observable of every leaf. The compiled leaf is replayed as
+// an engine worker replays it, recording nothing; it must match the
+// reference's extended choice path, verdict (violation, detail, decisions),
+// step counts and fault tally. The leaf is then kept as the worker keeps a
+// violation or a trace sample (execState.keep: one more replay of its path,
+// with recording on), and that capture's schedule and full trace event log
+// must match the reference's. The reference replays every leaf from the
+// root; the compiled form resumes each from its snapshots, as the engine
+// does, so the sweep also certifies incremental replay. The enumeration is
+// driven by the reference, in its depth-first order, so the first
+// divergence reported is the lexicographically least one; on a clean sweep
+// both forms necessarily agree on the lex-least counterexample and on
+// completeness.
 //
 // The sweep covers the checker's own choice-driven fault policy without
 // dedup or reduction: it certifies the compiled form against the
@@ -135,7 +139,7 @@ func CrossCheck(s *run.Settings) (*CrossReport, error) {
 	ref := newRefReplay(s, kind, ic)
 	defer ref.close()
 	cc := &chooser{}
-	ces := newExecState(s, kind, cc, nil)
+	ces := newExecState(s, kind, cc, nil, false)
 
 	rep := &CrossReport{}
 	for rep.Executions < cap {
@@ -155,15 +159,8 @@ func CrossCheck(s *run.Settings) (*CrossReport, error) {
 		// and reported.
 		cc.changed = min(cc.changed, commonPrefix(cc.path, ic.path))
 		cc.path = append(cc.path[:0], ic.path...)
-		cv, cstats, err := crossLeaf(ces)
 		rep.Executions++
-		if err != nil {
-			rep.Diverged = true
-			rep.Path = append([]int(nil), ic.path...)
-			rep.Detail = err.Error()
-			return rep, nil
-		}
-		if diff := diffLeaf(ref, ces, iv, cv, istats, cstats, ic, cc); diff != "" {
+		if diff := diffLeaf(ref, ces, iv, istats, ic); diff != "" {
 			rep.Diverged = true
 			rep.Path = append([]int(nil), ic.path...)
 			rep.Detail = diff
@@ -186,32 +183,23 @@ func commonPrefix(a, b []int) int {
 	return i
 }
 
-// crossLeaf replays one leaf on the compiled execState, converting a
-// chooser stale-choice panic (the compiled form branching where the
-// reference did not) into a divergence error instead of crashing the sweep.
-func crossLeaf(es *execState) (v run.Verdict, stats runStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("compiled form diverged structurally: %v", r)
-		}
-	}()
-	v, stats, _, err = es.runLeaf(context.Background())
+// diffLeaf replays the reference's current leaf on the compiled execState
+// and describes the first difference from the reference ("" when none):
+// first between the event-free leaf and the reference, then between the
+// leaf's recording replay and the reference. A chooser stale-choice panic
+// (the compiled form branching where the reference did not) is reported as
+// a difference instead of crashing the sweep.
+func diffLeaf(ref *refReplay, ces *execState, iv run.Verdict, istats runStats, ic *chooser) string {
+	cc := ces.c
+	cstats, _, err := replayLeaf(ces)
 	if err != nil {
-		err = fmt.Errorf("compiled leaf failed: %w", err)
+		return fmt.Sprintf("compiled leaf failed: %v", err)
 	}
-	return v, stats, err
-}
-
-// diffLeaf compares every observable of one leaf across the two forms and
-// describes the first difference ("" when identical).
-func diffLeaf(ref *refReplay, ces *execState, iv, cv run.Verdict, istats, cstats runStats, ic, cc *chooser) string {
 	if cc.pos != len(ic.path) || len(cc.path) != len(ic.path) {
 		return fmt.Sprintf("choice path: reference used %v, compiled consumed %d of %v",
 			ic.path, cc.pos, cc.path)
 	}
-	if !reflect.DeepEqual(ref.schedule, ces.schedule) {
-		return fmt.Sprintf("schedule: reference %v, compiled %v", ref.schedule, ces.schedule)
-	}
+	cv := &ces.verdict
 	if iv.Violation != cv.Violation || iv.Detail != cv.Detail {
 		return fmt.Sprintf("verdict: reference %s, compiled %s", iv.String(), cv.String())
 	}
@@ -224,7 +212,14 @@ func diffLeaf(ref *refReplay, ces *execState, iv, cv run.Verdict, istats, cstats
 		return fmt.Sprintf("stats: reference maxSteps=%d faults=%d, compiled maxSteps=%d faults=%d",
 			istats.maxSteps, istats.faults, cstats.maxSteps, cstats.faults)
 	}
-	if diff := diffEvents(ref.log.Events(), ces.log.Events()); diff != "" {
+	ce, err := ces.keep(cstats)
+	if err != nil {
+		return fmt.Sprintf("capture: %v", err)
+	}
+	if !slices.Equal(ref.schedule, ce.Schedule) {
+		return fmt.Sprintf("schedule: reference %v, compiled %v", ref.schedule, ce.Schedule)
+	}
+	if diff := diffEvents(ref.log.Events(), ce.Trace.Events()); diff != "" {
 		return "trace: " + diff
 	}
 	return ""

@@ -17,10 +17,9 @@ func Replay(s *run.Settings, path []int) (*Counterexample, error) {
 		return nil, err
 	}
 	c := &chooser{path: append([]int(nil), path...)}
-	es := newExecState(s, kind, c, nil)
-	verdict, _, _, err := es.runLeaf(context.Background())
-	if err != nil {
+	es := newExecState(s, kind, c, nil, true)
+	if _, _, err := es.runLeaf(context.Background()); err != nil {
 		return nil, err
 	}
-	return es.counterexample(verdict), nil
+	return es.counterexample(), nil
 }

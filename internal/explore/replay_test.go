@@ -1,6 +1,10 @@
 package explore
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -100,5 +104,87 @@ func TestReplayIsDeterministic(t *testing.T) {
 		if e != b.Trace.Events()[i] {
 			t.Fatalf("replays diverged at event %d", i)
 		}
+	}
+}
+
+// TestCaptureMatchesReference holds the engine's counterexample to the
+// goroutine reference rather than to another engine run: an engine worker's
+// leaves record nothing, and a violating leaf gets its schedule and trace
+// from one more replay of its path (execState.keep), so only an independent
+// replay catches a capture that drifts from the leaf. For every violating
+// case of reduceCases, with reduction off, at dedup {off, on} × workers
+// {1, 2}, the violation's path is replayed from the root on refReplay, and
+// the engine's Schedule, Verdict and Trace must match it event for event.
+func TestCaptureMatchesReference(t *testing.T) {
+	for _, tc := range reduceCases() {
+		if !tc.violate {
+			continue
+		}
+		for _, dedup := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				cfg := tc.cfg
+				cfg.Dedup, cfg.Workers = dedup, workers
+				t.Run(fmt.Sprintf("%s/dedup=%v/workers=%d", tc.name, dedup, workers), func(t *testing.T) {
+					out, err := check(&cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ce := out.Violation
+					if ce == nil {
+						t.Fatal("no violation found")
+					}
+					kind, _, err := prepare(&cfg, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := &chooser{path: append([]int(nil), ce.Path...)}
+					ref := newRefReplay(&cfg, kind, c)
+					defer ref.close()
+					v, _, err := ref.runLeaf()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c.pos != len(ce.Path) || len(c.path) != len(ce.Path) {
+						t.Fatalf("reference consumed %d choices of %v for the path %v", c.pos, c.path, ce.Path)
+					}
+					if !reflect.DeepEqual(v, ce.Verdict) {
+						t.Errorf("verdict: reference %+v, engine %+v", v, ce.Verdict)
+					}
+					if !slices.Equal(ref.schedule, ce.Schedule) {
+						t.Errorf("schedule: reference %v, engine %v", ref.schedule, ce.Schedule)
+					}
+					if diff := diffEvents(ref.log.Events(), ce.Trace.Events()); diff != "" {
+						t.Errorf("trace: %s", diff)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestKeepRefusesIrreproducibleLeaf: a fixed Policy is opaque and may keep
+// state across invocations, so the recording replay of a kept leaf can
+// differ from the leaf the worker replayed. The run must then fail with an
+// error instead of reporting a counterexample whose trace belongs to a
+// different execution. The policy here fires one overriding fault, on the
+// second CAS of the run: the first leaf violates, its replay does not.
+func TestKeepRefusesIrreproducibleLeaf(t *testing.T) {
+	calls := 0
+	cfg := run.Settings{
+		Protocol:        core.SingleCAS{},
+		Inputs:          inputs(3),
+		FaultyObjects:   []int{0},
+		FaultsPerObject: fault.Unbounded,
+		Policy: fault.PolicyFunc(func(fault.Op) fault.Proposal {
+			calls++
+			if calls == 2 {
+				return fault.Proposal{Kind: fault.Overriding}
+			}
+			return fault.NoFault
+		}),
+	}
+	out, err := check(&cfg)
+	if err == nil || !strings.Contains(err.Error(), "does not reproduce") {
+		t.Fatalf("outcome %+v, err %v; want the irreproducible leaf refused", out, err)
 	}
 }

@@ -40,8 +40,8 @@ type Tracer struct {
 	skipped    atomic.Int64 // violating executions beyond the capture cap
 
 	// Captures are written by one background goroutine: the exploration
-	// workers only clone the execution (which counterexample already did)
-	// and enqueue it, so file creation and JSON encoding overlap with
+	// workers only build the execution (execState.keep, one recording
+	// replay) and enqueue it, so file creation and JSON encoding overlap with
 	// replays instead of stalling them. Close drains the queue before
 	// sealing the spans, so every enqueued capture is durable when Close
 	// returns. The first write error is sticky: later captures and Close

@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -235,5 +236,63 @@ func TestTracerSummaryAndClose(t *testing.T) {
 	}
 	if s := nilTr.Summary(); s.Violations != 0 {
 		t.Errorf("nil summary = %+v", s)
+	}
+}
+
+// TestTraceCapturesExplainVerified: every violation and sample an engine
+// run writes must explain as verified, since each is the recording replay
+// of a leaf its worker replayed without recording. The configuration (the
+// staged protocol at f=2, t=1 beyond its bound, n=4) replays dozens of
+// leaves before its violation. The cells cover the plain tree, dedup and
+// reduction (a reduced path indexes the reducer's candidates, so its
+// capture must replay under reduction) at one and two workers.
+func TestTraceCapturesExplainVerified(t *testing.T) {
+	for _, dedup := range []bool{false, true} {
+		for _, reduce := range []run.ReduceMode{run.ReduceOff, run.ReduceSafe} {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("dedup=%v/reduce=%s/workers=%d", dedup, reduce, workers)
+				t.Run(name, func(t *testing.T) {
+					dir := t.TempDir()
+					opts := []run.Option{
+						run.WithProtocol(core.NewStaged(2, 1)),
+						run.WithDistinctInputs(4),
+						run.WithFaultyObjects([]int{0, 1}, 1),
+						run.WithTraceDir(dir, 3),
+						run.WithWorkers(workers),
+						run.WithReduce(reduce),
+					}
+					if dedup {
+						opts = append(opts, run.WithDedup())
+					}
+					out, err := CheckWith(context.Background(), opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out.Violation == nil {
+						t.Fatal("expected a violation")
+					}
+					counts := map[string]int{}
+					for _, kind := range []string{"violation", "sample"} {
+						files, err := filepath.Glob(filepath.Join(dir, kind+"-*.jsonl"))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, f := range files {
+							var buf bytes.Buffer
+							if err := ExplainFile(&buf, f); err != nil {
+								t.Fatalf("explain %s: %v", filepath.Base(f), err)
+							}
+							if !strings.Contains(buf.String(), "replay        : verified") {
+								t.Errorf("explain %s did not verify:\n%s", filepath.Base(f), buf.String())
+							}
+							counts[kind]++
+						}
+					}
+					if counts["violation"] == 0 || counts["sample"] == 0 {
+						t.Errorf("captured %v, want at least one violation and one sample", counts)
+					}
+				})
+			}
+		}
 	}
 }

@@ -80,11 +80,14 @@ type Budget struct {
 	f int // max faulty objects
 	t int // max faults per faulty object, or Unbounded
 
-	// slot maps each tracked object — a member of the fixed faulty set, or
-	// one a lazy set has discovered — to its index in ids and used. The
-	// slices keep the per-execution work (totals, resets, snapshots) off
-	// map iteration.
-	slot  map[int]int
+	// slot is indexed by object id: slot[id] is one more than the index in
+	// ids and used of a tracked object — a member of the fixed faulty set,
+	// or one a lazy set has discovered — and 0 for an untracked one (ids
+	// beyond its length are untracked too). Object ids are small and dense
+	// (a Bank numbers its objects from 0), so the per-step Admits is two
+	// slice reads, and the per-execution work (totals, resets, snapshots)
+	// walks ids.
+	slot  []int
 	ids   []int // tracked objects, in the order they joined
 	used  []int // faults charged per tracked object
 	fixed bool  // faulty set fixed up front
@@ -100,11 +103,7 @@ func NewBudget(maxFaultyObjects, faultsPerObject int) *Budget {
 	if faultsPerObject < 0 && faultsPerObject != Unbounded {
 		panic("fault: negative per-object fault bound")
 	}
-	return &Budget{
-		f:    maxFaultyObjects,
-		t:    faultsPerObject,
-		slot: make(map[int]int),
-	}
+	return &Budget{f: maxFaultyObjects, t: faultsPerObject}
 }
 
 // NewFixedBudget returns a budget whose faulty-object set is exactly the
@@ -119,16 +118,28 @@ func NewFixedBudget(objects []int, faultsPerObject int) *Budget {
 	return b
 }
 
-// track returns the object's slot, adding it to the tracked set first when
-// it is not there yet.
-func (b *Budget) track(object int) int {
-	i, ok := b.slot[object]
-	if !ok {
-		i = len(b.ids)
-		b.slot[object] = i
-		b.ids = append(b.ids, object)
-		b.used = append(b.used, 0)
+// index returns the object's index in ids and used, or -1 when the object
+// is not tracked.
+func (b *Budget) index(object int) int {
+	if uint(object) < uint(len(b.slot)) {
+		return b.slot[object] - 1
 	}
+	return -1
+}
+
+// track returns the object's index in ids and used, adding it to the
+// tracked set first when it is not there yet.
+func (b *Budget) track(object int) int {
+	if i := b.index(object); i >= 0 {
+		return i
+	}
+	for len(b.slot) <= object {
+		b.slot = append(b.slot, 0)
+	}
+	i := len(b.ids)
+	b.slot[object] = i + 1
+	b.ids = append(b.ids, object)
+	b.used = append(b.used, 0)
 	return i
 }
 
@@ -136,7 +147,7 @@ func (b *Budget) track(object int) int {
 // within the budget. It does not charge the budget.
 func (b *Budget) Admits(object int) bool {
 	used := 0
-	if i, known := b.slot[object]; known {
+	if i := b.index(object); i >= 0 {
 		used = b.used[i]
 	} else if b.fixed {
 		return false // object is outside the fixed faulty set
@@ -162,7 +173,7 @@ func (b *Budget) FaultyObjects() []int { return append([]int(nil), b.ids...) }
 
 // Faults returns the number of faults charged to the object so far.
 func (b *Budget) Faults(object int) int {
-	if i, ok := b.slot[object]; ok {
+	if i := b.index(object); i >= 0 {
 		return b.used[i]
 	}
 	return 0
@@ -192,7 +203,9 @@ func (b *Budget) Reset() {
 		clear(b.used)
 		return
 	}
-	clear(b.slot)
+	for _, id := range b.ids {
+		b.slot[id] = 0
+	}
 	b.ids = b.ids[:0]
 	b.used = b.used[:0]
 }
@@ -219,19 +232,4 @@ func (b *Budget) RestoreCharges(src []Charge) {
 	for _, c := range src {
 		b.used[b.track(c.Object)] = c.Faults
 	}
-}
-
-// Clone returns an independent copy of the budget, used by the model checker
-// to replay executions from a pristine state.
-func (b *Budget) Clone() *Budget {
-	c := &Budget{
-		f: b.f, t: b.t, fixed: b.fixed,
-		slot: make(map[int]int, len(b.slot)),
-		ids:  append([]int(nil), b.ids...),
-		used: append([]int(nil), b.used...),
-	}
-	for id, i := range b.slot {
-		c.slot[id] = i
-	}
-	return c
 }

@@ -84,22 +84,6 @@ func TestFixedBudgetRestrictsSet(t *testing.T) {
 	}
 }
 
-func TestBudgetClone(t *testing.T) {
-	b := NewBudget(2, 1)
-	b.Charge(4)
-	c := b.Clone()
-	c.Charge(9)
-	if b.Faults(9) != 0 {
-		t.Error("charging clone must not affect original")
-	}
-	if c.Faults(4) != 1 {
-		t.Error("clone must carry existing charges")
-	}
-	if c.MaxFaultyObjects() != 2 || c.FaultsPerObject() != 1 {
-		t.Error("clone must carry parameters")
-	}
-}
-
 func TestBudgetInvariantProperty(t *testing.T) {
 	// Property: however faults are charged (always via Admits-then-Charge),
 	// the number of faulty objects never exceeds f and no object exceeds t.

@@ -27,11 +27,12 @@ type costConfig struct {
 // substrate runs one consensus instance on a run.Bank. Both substrates are
 // driven through the unified Bank interface, so the measurement loop —
 // construction, decide, op accounting, agreement check — is one code path
-// with no type switches.
+// with no type switches. setup builds one round's bank and everything the
+// round is seeded with (fault stream, scheduler); the decide it returns is
+// the consensus run itself, the only part measureCost times.
 type substrate struct {
-	name    string
-	newBank func(cfg costConfig, round int, seed int64) run.Bank
-	decide  func(bank run.Bank, cfg costConfig, round int, seed int64) ([]int64, error)
+	name  string
+	setup func(cfg costConfig, round int, seed int64) (run.Bank, func() ([]int64, error))
 }
 
 // realAtomics races native goroutines on the lock-free environment: the
@@ -39,29 +40,31 @@ type substrate struct {
 func realAtomics() substrate {
 	return substrate{
 		name: "atomics",
-		newBank: func(cfg costConfig, round int, seed int64) run.Bank {
+		setup: func(cfg costConfig, round int, seed int64) (run.Bank, func() ([]int64, error)) {
+			var bank run.Bank
 			if cfg.faulty > 0 {
-				return atomicx.NewFaultyBank(cfg.proto.Objects(),
+				bank = atomicx.NewFaultyBank(cfg.proto.Objects(),
 					fault.NewFixedBudget(objectIDs(cfg.faulty), cfg.boundedT),
 					cfg.faultRate, seed+int64(round))
+			} else {
+				bank = atomicx.NewBank(cfg.proto.Objects())
 			}
-			return atomicx.NewBank(cfg.proto.Objects())
-		},
-		decide: func(bank run.Bank, cfg costConfig, round int, seed int64) ([]int64, error) {
-			// Real atomics need no per-process binding: Bind returns the
-			// shared lock-free environment.
-			env := bank.Bind(nil)
-			results := make([]int64, cfg.procs)
-			var wg sync.WaitGroup
-			for g := 0; g < cfg.procs; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					results[g] = cfg.proto.Decide(env, int64(100+g))
-				}(g)
+			return bank, func() ([]int64, error) {
+				// Real atomics need no per-process binding: Bind returns
+				// the shared lock-free environment.
+				env := bank.Bind(nil)
+				results := make([]int64, cfg.procs)
+				var wg sync.WaitGroup
+				for g := 0; g < cfg.procs; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						results[g] = cfg.proto.Decide(env, int64(100+g))
+					}(g)
+				}
+				wg.Wait()
+				return results, nil
 			}
-			wg.Wait()
-			return results, nil
 		},
 	}
 }
@@ -72,48 +75,54 @@ func realAtomics() substrate {
 func simulated() substrate {
 	return substrate{
 		name: "simulator",
-		newBank: func(cfg costConfig, round int, seed int64) run.Bank {
+		setup: func(cfg costConfig, round int, seed int64) (run.Bank, func() ([]int64, error)) {
 			policy := fault.Never()
 			if cfg.faulty > 0 {
 				policy = fault.Rate(fault.Overriding, cfg.faultRate, seed+int64(round))
 			}
-			return object.NewBank(cfg.proto.Objects(),
+			bank := object.NewBank(cfg.proto.Objects(),
 				fault.NewFixedBudget(objectIDs(cfg.faulty), cfg.boundedT), policy)
-		},
-		decide: func(bank run.Bank, cfg costConfig, round int, seed int64) ([]int64, error) {
 			inputs := make([]int64, cfg.procs)
 			for g := range inputs {
 				inputs[g] = int64(100 + g)
 			}
-			res, err := sim.Run(sim.Config{
+			simCfg := sim.Config{
 				Programs:  run.Programs(cfg.proto, bank, inputs),
 				Scheduler: sim.NewRandom(seed + int64(round)),
 				StepLimit: cfg.proto.StepBound(cfg.procs),
-			})
-			if err != nil {
-				return nil, err
 			}
-			results := make([]int64, cfg.procs)
-			for g := range results {
-				if !res.Decided[g] {
-					return nil, fmt.Errorf("process %d did not decide", g)
+			return bank, func() ([]int64, error) {
+				res, err := sim.Run(simCfg)
+				if err != nil {
+					return nil, err
 				}
-				results[g] = res.Decisions[g].Value()
+				results := make([]int64, cfg.procs)
+				for g := range results {
+					if !res.Decided[g] {
+						return nil, fmt.Errorf("process %d did not decide", g)
+					}
+					results[g] = res.Decisions[g].Value()
+				}
+				return results, nil
 			}
-			return results, nil
 		},
 	}
 }
 
 // measureCost times `rounds` one-shot consensus instances on the given
 // substrate, returning ns per decide call and the mean CAS invocations per
-// decide call (counted by the bank, uniformly across substrates).
+// decide call (counted by the bank, uniformly across substrates). Only the
+// consensus runs are timed: each round's bank, fault stream and scheduler
+// are built before its timer starts, since seeding a math/rand source costs
+// more than a two-process decide.
 func measureCost(cfg costConfig, sub substrate, rounds int, seed int64) (nsPerDecide float64, casPerDecide float64, err error) {
 	var totalOps int64
-	start := time.Now()
+	var elapsed time.Duration
 	for r := 0; r < rounds; r++ {
-		bank := sub.newBank(cfg, r, seed)
-		results, err := sub.decide(bank, cfg, r, seed)
+		bank, decide := sub.setup(cfg, r, seed)
+		start := time.Now()
+		results, err := decide()
+		elapsed += time.Since(start)
 		if err != nil {
 			return 0, 0, fmt.Errorf("round %d (%s/%s): %w", r, cfg.name, sub.name, err)
 		}
@@ -125,7 +134,6 @@ func measureCost(cfg costConfig, sub substrate, rounds int, seed int64) (nsPerDe
 			}
 		}
 	}
-	elapsed := time.Since(start)
 	decides := float64(rounds * cfg.procs)
 	nsPerDecide = float64(elapsed.Nanoseconds()) / decides
 	casPerDecide = float64(totalOps) / decides

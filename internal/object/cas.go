@@ -27,7 +27,7 @@ type CAS struct {
 	budget  *fault.Budget
 	policy  fault.Policy
 	// ops, when non-nil, is the bank-wide invocation counter, bumped
-	// inside Apply — i.e. inside the granted atomic step, where the
+	// inside Do — i.e. inside the granted atomic step, where the
 	// simulator's grant protocol orders all object accesses.
 	ops *int64
 }
@@ -61,11 +61,12 @@ func (o *CAS) Corrupt(v word.Word) word.Word {
 	return old
 }
 
-// Apply executes one atomic CAS action directly, without scheduling: it
-// consults the fault policy and budget, updates the register, and returns
-// the old value along with the trace event describing what happened. The
-// simulator wraps Apply in a scheduled step via Invoke.
-func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
+// Do executes one atomic CAS action directly, without scheduling and
+// without building a trace event: it consults the fault policy and budget,
+// updates the register, and returns the old value along with the fault kind
+// that manifested (fault.None when the specification Φ held). Replay loops
+// that record nothing call Do; Apply wraps it with the event.
+func (o *CAS) Do(proc int, exp, new word.Word) (word.Word, fault.Kind) {
 	if o.ops != nil {
 		*o.ops++
 	}
@@ -78,16 +79,8 @@ func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
 		Current: pre,
 	})
 
-	kind := prop.Kind
-	admit := func() bool {
-		if o.budget == nil || !o.budget.Admits(o.id) {
-			return false
-		}
-		o.budget.Charge(o.id)
-		return true
-	}
-
 	// Specification behaviour (Φ): write iff pre == exp; return pre.
+	kind := prop.Kind
 	write := pre == exp
 	stored := new
 	old := pre
@@ -100,7 +93,7 @@ func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
 		// would have failed AND the written value actually differs
 		// from the current content (overriding with the same word
 		// leaves a state satisfying Φ — no fault per Definition 1).
-		if pre == exp || new == pre || !admit() {
+		if pre == exp || new == pre || !o.admit() {
 			kind = fault.None
 		} else {
 			write = true
@@ -109,7 +102,7 @@ func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
 		// The new value is not written even though the comparison
 		// succeeds. Observable only when it would have succeeded and
 		// the write would have changed the content.
-		if pre != exp || new == pre || !admit() {
+		if pre != exp || new == pre || !o.admit() {
 			kind = fault.None
 		} else {
 			write = false
@@ -128,7 +121,7 @@ func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
 				ret = exp
 			}
 		}
-		if ret == pre || !admit() {
+		if ret == pre || !o.admit() {
 			kind = fault.None
 		} else {
 			old = ret
@@ -140,40 +133,54 @@ func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
 		if pre == exp {
 			correct = new
 		}
-		if target == correct || !admit() {
+		if target == correct || !o.admit() {
 			kind = fault.None
 		} else {
 			write = true
 			stored = target
 		}
 	case fault.Nonresponsive:
-		if !admit() {
+		if !o.admit() {
 			kind = fault.None
 		}
-		// The event is recorded; the caller is responsible for never
-		// returning (Invoke stalls the process).
+		// The caller is responsible for never returning (Invoke stalls
+		// the process).
 	default:
 		panic(fmt.Sprintf("object: unknown fault kind %v", kind))
 	}
 
-	post := pre
 	if write && kind != fault.Nonresponsive {
 		o.content = stored
-		post = stored
 	}
+	return old, kind
+}
 
-	ev := trace.Event{
+// admit charges one fault to the object when the budget admits it.
+func (o *CAS) admit() bool {
+	if o.budget == nil || !o.budget.Admits(o.id) {
+		return false
+	}
+	o.budget.Charge(o.id)
+	return true
+}
+
+// Apply executes one atomic CAS action directly, as Do does, and also
+// returns the trace event describing what happened. The simulator wraps
+// Apply in a scheduled step via Invoke.
+func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
+	pre := o.content
+	old, kind := o.Do(proc, exp, new)
+	return old, trace.Event{
 		Kind:   trace.EventCAS,
 		Proc:   proc,
 		Object: o.id,
 		Exp:    exp,
 		New:    new,
 		Pre:    pre,
-		Post:   post,
+		Post:   o.content,
 		Old:    old,
 		Fault:  kind,
 	}
-	return old, ev
 }
 
 // Invoke executes the CAS operation as one atomic step of the simulated

@@ -5,6 +5,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/object"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/word"
 )
 
@@ -76,7 +77,8 @@ func (x *SteppedExec) Step(id int, rec *sim.StepRecorder) sim.StepOutcome {
 // steppedEnv is the core.Env one process sees on the compiled path: each
 // CAS applies the object's full fault pipeline directly (the stepped runner
 // granted this step, so no scheduling handshake is needed) and records the
-// event, mirroring object.CAS.Invoke minus the park.
+// event, mirroring object.CAS.Invoke minus the park. When the recorder has
+// neither a log nor an observer, no event is built at all.
 type steppedEnv struct {
 	bank    *object.Bank
 	proc    int
@@ -86,9 +88,17 @@ type steppedEnv struct {
 
 // CAS implements core.Env.
 func (e *steppedEnv) CAS(i int, exp, new word.Word) word.Word {
-	old, ev := e.bank.Object(i).Apply(e.proc, exp, new)
-	e.rec.Record(ev)
-	if ev.Fault == fault.Nonresponsive {
+	var old word.Word
+	var kind fault.Kind
+	if e.rec.Recording() {
+		var ev trace.Event
+		old, ev = e.bank.Object(i).Apply(e.proc, exp, new)
+		e.rec.Record(ev)
+		kind = ev.Fault
+	} else {
+		old, kind = e.bank.Object(i).Do(e.proc, exp, new)
+	}
+	if kind == fault.Nonresponsive {
 		e.stalled = true
 	}
 	return old

@@ -63,22 +63,6 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("VIOLATION(%s): %s", v.Violation, v.Detail)
 }
 
-// An Evaluator judges executions of one fixed input vector. It precomputes
-// the input set once, so replay loops evaluating millions of executions do
-// not rebuild the map per leaf.
-type Evaluator struct {
-	inputSet map[int64]bool
-}
-
-// NewEvaluator returns an evaluator for the given inputs.
-func NewEvaluator(inputs []int64) *Evaluator {
-	set := make(map[int64]bool, len(inputs))
-	for _, in := range inputs {
-		set[in] = true
-	}
-	return &Evaluator{inputSet: set}
-}
-
 // Evaluate checks the consensus requirements over a completed simulation.
 //
 // Validity and consistency are judged over the processes that decided; an
@@ -91,18 +75,19 @@ func NewEvaluator(inputs []int64) *Evaluator {
 // The returned Verdict aliases res.Decisions and res.Decided. When res is a
 // reused arena result, callers retaining the verdict must clone those slices.
 func Evaluate(inputs []int64, res *sim.Result, runErr error) Verdict {
-	return NewEvaluator(inputs).Evaluate(res, runErr)
+	var v Verdict
+	EvaluateInto(&v, inputs, res, runErr)
+	return v
 }
 
-// Evaluate judges one execution; see the package-level Evaluate for the
-// semantics and the aliasing caveat.
-func (ev *Evaluator) Evaluate(res *sim.Result, runErr error) Verdict {
-	v := Verdict{
-		Decisions: res.Decisions,
-		Decided:   res.Decided,
-		Stopped:   res.Stopped,
-	}
-	inputSet := ev.inputSet
+// EvaluateInto judges one execution into v, overwriting all of it; see
+// Evaluate for the semantics and the aliasing caveat. A replay loop passes
+// the same v for every leaf, so no Verdict is copied per leaf.
+func EvaluateInto(v *Verdict, inputs []int64, res *sim.Result, runErr error) {
+	// Field by field: a composite literal would be built aside and copied.
+	v.Violation, v.Detail = ViolationNone, ""
+	v.Decisions, v.Decided = res.Decisions, res.Decided
+	v.Agreed, v.Stopped = word.Bottom, res.Stopped
 
 	first := true
 	for i, ok := range res.Decided {
@@ -110,10 +95,10 @@ func (ev *Evaluator) Evaluate(res *sim.Result, runErr error) Verdict {
 			continue
 		}
 		d := res.Decisions[i]
-		if d.IsBottom() || !inputSet[d.Value()] {
+		if !valid(d, inputs) {
 			v.Violation = ViolationValidity
 			v.Detail = fmt.Sprintf("process %d decided %s, which is no process's input", i, d)
-			return v
+			return
 		}
 		if first {
 			v.Agreed = d
@@ -121,23 +106,36 @@ func (ev *Evaluator) Evaluate(res *sim.Result, runErr error) Verdict {
 		} else if d != v.Agreed {
 			v.Violation = ViolationConsistency
 			v.Detail = fmt.Sprintf("process %d decided %s but an earlier process decided %s", i, d, v.Agreed)
-			return v
+			return
 		}
 	}
 
 	if errors.Is(runErr, sim.ErrWaitFreedom) {
 		v.Violation = ViolationWaitFreedom
 		v.Detail = runErr.Error()
-		return v
+		return
 	}
 	if !res.Stopped {
 		for i, ok := range res.Decided {
 			if !ok {
 				v.Violation = ViolationWaitFreedom
 				v.Detail = fmt.Sprintf("process %d never decided", i)
-				return v
+				return
 			}
 		}
 	}
-	return v
+}
+
+// valid reports whether a decision is some process's input. A handful of
+// processes makes scanning the input slice cheaper than any set lookup.
+func valid(d word.Word, inputs []int64) bool {
+	if d.IsBottom() {
+		return false
+	}
+	for _, in := range inputs {
+		if in == d.Value() {
+			return true
+		}
+	}
+	return false
 }

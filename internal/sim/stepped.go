@@ -25,7 +25,8 @@ import (
 // resumable form. Begin initializes process id's machine (local computation
 // only — no shared-memory operation and no recording); each Step call
 // performs process id's next atomic step, records its trace events through
-// rec, and reports how the process left the step. One Step call must
+// rec (when rec.Recording() reports a receiver; otherwise it need not build
+// them), and reports how the process left the step. One Step call must
 // perform exactly one shared-object operation: it is the unit the scheduler
 // granted, and the step accounting (wait-freedom bounds) counts Step calls.
 type SteppedProgram interface {
@@ -50,6 +51,10 @@ type StepRecorder struct {
 	log      *trace.Log
 	observer func(trace.Event)
 }
+
+// Recording reports whether anything receives the events (a log or an
+// observer). When nothing does, a program may skip building them.
+func (r *StepRecorder) Recording() bool { return r.log != nil || r.observer != nil }
 
 // Record appends an event to the trace and notifies the observer, exactly
 // as Arena.record does: the observer sees the event with its log index.
@@ -82,7 +87,8 @@ type SteppedConfig struct {
 	// Log, when non-nil, records every step.
 	Log *trace.Log
 	// Observer, when non-nil, is called synchronously after each recorded
-	// event.
+	// event. With neither Log nor Observer the execution records nothing,
+	// and no trace event is built.
 	Observer func(trace.Event)
 }
 
@@ -244,7 +250,9 @@ func (s *Stepped) Resume(ctx context.Context) (*Result, error) {
 			s.live--
 			// The decide event follows the step's own events, as in the
 			// goroutine path (the program returns after its final CAS).
-			s.rec.Record(trace.Event{Kind: trace.EventDecide, Proc: pick, Value: out.Decision})
+			if s.rec.Recording() {
+				s.rec.Record(trace.Event{Kind: trace.EventDecide, Proc: pick, Value: out.Decision})
+			}
 		}
 	}
 	return s.result(false), nil
@@ -312,15 +320,11 @@ func stepProc(prog SteppedProgram, id int, rec *StepRecorder) (out StepOutcome, 
 }
 
 func (s *Stepped) result(stopped bool) *Result {
-	s.res = Result{
-		Decided:   s.decided,
-		Decisions: s.decisions,
-		Steps:     s.steps,
-		Stalled:   s.stalled,
-		Stopped:   stopped,
-		Log:       s.cfg.Log,
-	}
-	return &s.res
+	// Field by field: a composite literal would be built aside and copied.
+	r := &s.res
+	r.Decided, r.Decisions, r.Steps, r.Stalled = s.decided, s.decisions, s.steps, s.stalled
+	r.Stopped, r.Log = stopped, s.cfg.Log
+	return r
 }
 
 // RunStepped executes one stepped simulation to completion — the one-shot

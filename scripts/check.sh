@@ -101,16 +101,22 @@ echo "== exec-form equivalence gate (compiled engine vs goroutine reference swee
 # the SAME execution tree as the protocols' Decide code on the
 # goroutine-gated simulator, the literal transcription of Figures 1-3, which
 # survives as a test-only reference replay: every protocol is swept (n=2,
-# f=1, unbounded faults) leaf for leaf through both, and any divergence in
-# verdicts, schedules, decisions, step counts, or trace logs fails the
-# gate. The engine resumes each leaf from its saved states while the
-# reference replays from the root, so the sweep also certifies incremental
-# replay. The engine-level test sweeps the plain enumeration (one worker,
-# no dedup, no reduction) against the reference the same way, then holds
-# every dedup x reduction x workers cell, clean and violating, to that
-# plain enumeration's verdict and lex-least counterexample and, at one
-# worker, to pinned counters. Uncached, so the gate re-runs every time.
-gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted)$' ./internal/explore/
+# f=1, unbounded faults) leaf for leaf through both. The engine's leaves
+# record nothing, so each is compared on verdict, decisions, step counts
+# and fault tally, and then kept as a worker keeps a violation (one more
+# replay of its path, with recording on), whose schedule and trace log are
+# compared too; any divergence fails the gate. The engine resumes each leaf
+# from its saved states while the reference replays from the root, so the
+# sweep also certifies incremental replay. The engine-level test sweeps the
+# plain enumeration (one worker, no dedup, no reduction) against the
+# reference the same way, then holds every dedup x reduction x workers
+# cell, clean and violating, to that plain enumeration's verdict and
+# lex-least counterexample and, at one worker, to pinned counters. The
+# capture test replays each violating case's counterexample (dedup on and
+# off, one and two workers) on the reference and requires the engine's
+# schedule, verdict and trace event for event. Uncached, so the gate
+# re-runs every time.
+gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted|TestCaptureMatchesReference)$' ./internal/explore/
 
 echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =="
 # Partial-order reduction must not change what the checker reports: every
