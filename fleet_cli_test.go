@@ -7,8 +7,11 @@ package repro_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -63,9 +66,7 @@ func TestCLIFleetStatusStaleWorkerAndCorrelatedReclaim(t *testing.T) {
 	victim := startWorker(t, append(append([]string{}, slowArgs...),
 		"-ledger", dir, "-worker-id", "victim", "-lease-ttl", "500ms")...)
 	time.Sleep(200 * time.Millisecond)
-	if err := victim.Process.Signal(syscall.SIGSTOP); err != nil {
-		t.Fatalf("SIGSTOP: %v", err)
-	}
+	freezeMidClaim(t, victim, dir, "victim")
 	// One TTL (plus scheduling slack) after the freeze the victim's last
 	// published heartbeat is stale.
 	time.Sleep(ttl + 200*time.Millisecond)
@@ -176,6 +177,93 @@ func TestCLIFleetStatusStaleWorkerAndCorrelatedReclaim(t *testing.T) {
 	if !strings.Contains(string(rep), "modelcheck-fleet-report/v1") {
 		t.Errorf("finalize report embeds no fleet section:\n%.400s", rep)
 	}
+}
+
+// freezeMidClaim SIGSTOPs a ledger worker while it holds live claims only:
+// at least one lease, and no lease of its whose work was published (a
+// result at the lease's epoch or above) or handed back (a task at that
+// epoch or above). Survivors reap such a lease and re-enqueue its subtree at
+// epoch+1, which is what the test asserts on. A freeze between two claims
+// (no lease to reap) or between a publish and the lease's removal (reaped
+// but never re-enqueued) misses that state; the worker then runs on for a
+// moment and is frozen again, a bounded number of times.
+func freezeMidClaim(t *testing.T, worker *exec.Cmd, dir, owner string) {
+	t.Helper()
+	const tries = 20
+	var state string
+	for try := 0; try < tries; try++ {
+		if try > 0 {
+			if err := worker.Process.Signal(syscall.SIGCONT); err != nil {
+				t.Fatalf("SIGCONT: %v", err)
+			}
+			time.Sleep(time.Duration(10+5*try) * time.Millisecond)
+		}
+		if err := worker.Process.Signal(syscall.SIGSTOP); err != nil {
+			t.Fatalf("SIGSTOP: %v", err)
+		}
+		// The stop is delivered asynchronously; let it land before the
+		// run directory is read.
+		time.Sleep(20 * time.Millisecond)
+		var ok bool
+		if ok, state = liveClaimsOnly(t, dir, owner); ok {
+			if try > 0 {
+				t.Logf("froze %s holding only live claims after %d retries", owner, try)
+			}
+			return
+		}
+	}
+	t.Fatalf("precondition: %s never froze holding only live, unpublished claims in %d tries (last: %s)", owner, tries, state)
+}
+
+// liveClaimsOnly reports whether owner holds at least one lease in the
+// ledger under dir and every lease it holds is live and unpublished, with a
+// description of what it found.
+func liveClaimsOnly(t *testing.T, dir, owner string) (bool, string) {
+	t.Helper()
+	led := filepath.Join(dir, "ledger")
+	type record struct {
+		ID    string `json:"id"`
+		Epoch int64  `json:"epoch"`
+		Owner string `json:"owner"`
+	}
+	read := func(path string) (record, bool) {
+		var r record
+		data, err := os.ReadFile(path)
+		if err != nil || json.Unmarshal(data, &r) != nil {
+			return record{}, false
+		}
+		return r, true
+	}
+	leases, err := os.ReadDir(filepath.Join(led, "leases"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := os.ReadDir(filepath.Join(led, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for _, e := range leases {
+		ls, ok := read(filepath.Join(led, "leases", e.Name()))
+		if !ok || ls.Owner != owner || e.Name() != "lease-"+ls.ID+".json" {
+			continue
+		}
+		held++
+		for _, r := range results {
+			rest, ok := strings.CutPrefix(r.Name(), "result-"+ls.ID+"-e")
+			ep, err := strconv.ParseInt(strings.TrimSuffix(rest, ".json"), 10, 64)
+			if ok && err == nil && ep >= ls.Epoch {
+				return false, fmt.Sprintf("lease %s@e%d already published as %s", ls.ID, ls.Epoch, r.Name())
+			}
+		}
+		if task, ok := read(filepath.Join(led, "tasks", "task-"+ls.ID+".json")); ok && task.Epoch >= ls.Epoch {
+			return false, fmt.Sprintf("lease %s@e%d handed back as a task at epoch %d", ls.ID, ls.Epoch, task.Epoch)
+		}
+	}
+	if held == 0 {
+		return false, fmt.Sprintf("%s holds no lease", owner)
+	}
+	return true, fmt.Sprintf("%s holds %d live leases", owner, held)
 }
 
 // TestCLIFleetStatusRefusesNonLedgerDir: pointing -fleet-status at a

@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"context"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/object"
 	"repro/internal/run"
 	"repro/internal/sim"
@@ -21,7 +23,7 @@ func StressPCTWith(runs int, seed int64, depth, stepEstimate int, opts ...run.Op
 }
 
 func stressPCT(s *run.Settings, runs int, seed int64, depth, stepEstimate int) (*StressOutcome, error) {
-	kind, err := sampleKind(s)
+	sp, err := newSampler(s)
 	if err != nil {
 		return nil, err
 	}
@@ -32,16 +34,19 @@ func stressPCT(s *run.Settings, runs int, seed int64, depth, stepEstimate int) (
 		stepEstimate = max(soloSteps(s)*len(s.Inputs), 8)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	return sampleBatch(s, kind, runs, rng, func() sim.Scheduler {
+	return sp.batch(runs, rng, func() sim.Scheduler {
 		return sim.NewPCT(rng.Int63(), stepEstimate, depth)
 	})
 }
 
-// soloSteps measures the fault-free solo execution length of the protocol.
+// soloSteps measures the fault-free solo execution length of the protocol,
+// which newSampler has checked compiles.
 func soloSteps(s *run.Settings) int {
+	stepper, _ := core.Compile(s.Protocol)
 	bank := object.NewBank(s.Protocol.Objects(), nil, nil)
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(s.Protocol, bank, s.Inputs[:1]),
+	res, err := sim.RunStepped(context.Background(), sim.SteppedConfig{
+		Procs:     1,
+		Program:   run.NewSteppedExec(stepper, bank, s.Inputs[:1]),
 		Scheduler: sim.NewRoundRobin(),
 		StepLimit: s.Protocol.StepBound(1),
 	})

@@ -55,7 +55,9 @@ func runE10(w io.Writer, opts Options) error {
 			}
 			switch {
 			case out.Violation != nil:
-				t.Add(c.f, c.t, paperBound, stages, "exhaustive", out.Executions,
+				// A run stopped at a violation fixes its counterexample,
+				// not its execution count, above one worker.
+				t.Add(c.f, c.t, paperBound, stages, "exhaustive", "-",
 					"violation: "+string(out.Violation.Verdict.Violation))
 			case out.Complete:
 				t.Add(c.f, c.t, paperBound, stages, "exhaustive", out.Executions, "safe (proved)")

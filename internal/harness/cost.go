@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -69,9 +70,10 @@ func realAtomics() substrate {
 	}
 }
 
-// simulated runs the same instance on the step-granting simulator under a
+// simulated runs the same instance on the simulator's stepped runner under a
 // seeded random schedule — the model-checking-shaped measurement, for
-// calibrating simulated against native op counts.
+// calibrating simulated against native op counts. It runs the protocol's
+// compiled step machines, as the model checker and the samplers do.
 func simulated() substrate {
 	return substrate{
 		name: "simulator",
@@ -82,17 +84,25 @@ func simulated() substrate {
 			}
 			bank := object.NewBank(cfg.proto.Objects(),
 				fault.NewFixedBudget(objectIDs(cfg.faulty), cfg.boundedT), policy)
+			stepper, ok := core.Compile(cfg.proto)
+			if !ok {
+				return bank, func() ([]int64, error) {
+					return nil, fmt.Errorf("protocol %s has no compiled form (core.Stepper)", cfg.proto.Name())
+				}
+			}
 			inputs := make([]int64, cfg.procs)
 			for g := range inputs {
 				inputs[g] = int64(100 + g)
 			}
-			simCfg := sim.Config{
-				Programs:  run.Programs(cfg.proto, bank, inputs),
+			stepped := sim.NewStepped(cfg.procs)
+			simCfg := sim.SteppedConfig{
+				Procs:     cfg.procs,
+				Program:   run.NewSteppedExec(stepper, bank, inputs),
 				Scheduler: sim.NewRandom(seed + int64(round)),
 				StepLimit: cfg.proto.StepBound(cfg.procs),
 			}
 			return bank, func() ([]int64, error) {
-				res, err := sim.Run(simCfg)
+				res, err := stepped.Run(context.Background(), simCfg)
 				if err != nil {
 					return nil, err
 				}

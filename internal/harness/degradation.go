@@ -131,22 +131,12 @@ func runE9(w io.Writer, opts Options) error {
 	return nil
 }
 
-// tallyViolations samples the configuration's execution space and counts
-// violations by kind.
+// tallyViolations samples the configuration's execution space, one run per
+// seed from seed on, and counts violations by kind.
 func tallyViolations(cfgOpts []run.Option, runs int, seed int64) (consistency, validity, waitFreedom int, err error) {
-	for i := 0; i < runs; i++ {
-		ce, err2 := explore.SampleWith(seed+int64(i), cfgOpts...)
-		if err2 != nil {
-			return 0, 0, 0, err2
-		}
-		switch ce.Verdict.Violation {
-		case run.ViolationConsistency:
-			consistency++
-		case run.ViolationValidity:
-			validity++
-		case run.ViolationWaitFreedom:
-			waitFreedom++
-		}
+	tally, err := explore.TallyWith(runs, seed, cfgOpts...)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	return
+	return tally[run.ViolationConsistency], tally[run.ViolationValidity], tally[run.ViolationWaitFreedom], nil
 }

@@ -27,7 +27,10 @@ type Options struct {
 	Seed int64
 	// Workers is the parallelism of exploration-driven experiments
 	// (0 means GOMAXPROCS). Tables stay identical across worker counts:
-	// the engine's results are deterministic.
+	// every execution count they print is one the explore.Outcome
+	// contract fixes for any worker count (a complete or a capped run),
+	// and the rows that stop at their first violation run on one worker
+	// (stopOnFirst).
 	Workers int
 	// Metrics, when non-nil, receives the counters of every exploration
 	// an experiment drives, plus the harness's own per-experiment
@@ -76,6 +79,14 @@ func (o Options) engine() run.Option {
 		s.Reduce = o.Reduce
 	}
 }
+
+// stopOnFirst runs an exploration that stops at its first violation on one
+// worker. Its counterexample is the lexicographically least one for any
+// worker count, but above one worker its execution count only says how far
+// the workers got before the violation stopped them; on one worker it is
+// the counterexample's rank in lexicographic order. Such rows are small, so
+// a table prints that rank and stays the same for any Options.Workers.
+var stopOnFirst = run.WithWorkers(1)
 
 // Experiment is one reproduction experiment.
 type Experiment struct {

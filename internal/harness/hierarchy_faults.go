@@ -87,6 +87,7 @@ func runE7(w io.Writer, opts Options) error {
 		run.WithFaultKind(fault.Silent),
 		run.WithStepLimit(16),
 		opts.engine(),
+		stopOnFirst,
 	)
 	if err != nil {
 		return err
@@ -175,6 +176,9 @@ func runE7(w io.Writer, opts Options) error {
 	return nil
 }
 
+// describeExploreOutcome summarizes an exploration for a table cell. Its
+// execution count is fixed for any worker count only when the run was
+// complete or capped, or ran on one worker (stopOnFirst).
 func describeExploreOutcome(out *explore.Outcome) string {
 	if out.Violation != nil {
 		return fmt.Sprintf("violation: %s (%d execs)", out.Violation.Verdict.Violation, out.Executions)

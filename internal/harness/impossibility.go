@@ -49,12 +49,12 @@ func runE4(w io.Writer, opts Options) error {
 
 	t := NewTable("configuration", "n", "executions", "outcome", "schedule len")
 	for _, r := range rows {
-		// The whole sweep runs on the parallel engine through the unified
-		// options API; the reported counterexamples are canonical
-		// (lexicographically least), so the table is identical for any
-		// worker count. The reduced-model rows drive a fixed fault policy,
-		// which the partial-order reducer cannot reason about, so they run
-		// unreduced whatever Options.Reduce says.
+		// Every row stops at its first violation, so it runs on one worker
+		// (stopOnFirst): the reported counterexample is canonical
+		// (lexicographically least) for any worker count, but only one
+		// worker fixes the execution count. The reduced-model rows drive a
+		// fixed fault policy, which the partial-order reducer cannot reason
+		// about, so they run unreduced whatever Options.Reduce says.
 		reduce := opts.Reduce
 		if r.policy != nil {
 			reduce = run.ReduceOff
@@ -66,6 +66,7 @@ func runE4(w io.Writer, opts Options) error {
 			run.WithPolicy(r.policy),
 			run.WithMaxExecutions(cap),
 			opts.engine(),
+			stopOnFirst,
 			run.WithReduce(reduce),
 		)
 		if err != nil {

@@ -96,7 +96,7 @@ go test -count=1 ./internal/obs/fleet/
 gate -run 'TestEngineFleet' ./internal/explore/
 gate -run 'TestCLIFleet' .
 
-echo "== exec-form equivalence gate (compiled engine vs goroutine reference sweeps) =="
+echo "== exec-form equivalence gate (compiled engine and sampler vs goroutine reference) =="
 # The engine runs only the compiled Stepper machines. They must enumerate
 # the SAME execution tree as the protocols' Decide code on the
 # goroutine-gated simulator, the literal transcription of Figures 1-3, which
@@ -114,9 +114,22 @@ echo "== exec-form equivalence gate (compiled engine vs goroutine reference swee
 # lex-least counterexample and, at one worker, to pinned counters. The
 # capture test replays each violating case's counterexample (dedup on and
 # off, one and two workers) on the reference and requires the engine's
-# schedule, verdict and trace event for event. Uncached, so the gate
-# re-runs every time.
-gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted|TestCaptureMatchesReference)$' ./internal/explore/
+# schedule, verdict and trace event for event. The sampler test holds the
+# compiled sampler behind StressWith, StressPCTWith, SampleWith and
+# TallyWith to the goroutine reference run for run (uniform and PCT, 200
+# seeds per case): schedule, verdict, step and fault counts, and every kept
+# record's trace event for event, then whole batch outcomes. Uncached, so
+# the gate re-runs every time.
+gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted|TestCaptureMatchesReference|TestSamplerMatchesReference)$' ./internal/explore/
+
+echo "== experiments golden gate (quick tables at 1 and 2 workers, fresh) =="
+# The quick experiments output is committed as a golden file. Regenerated
+# through RunAll at one and at two workers, it must equal the file byte for
+# byte, except E8's timings and its atomics rows' CAS counts, which depend on
+# how real goroutines interleave. Every sampled and enumerated cell is
+# checked, so the tables EXPERIMENTS.md quotes are reproducible at any
+# worker count. Uncached.
+gate -run '^(TestExperimentsGolden)$' ./internal/harness/
 
 echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =="
 # Partial-order reduction must not change what the checker reports: every
