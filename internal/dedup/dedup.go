@@ -38,8 +38,11 @@ const (
 	// Stored means the state was new and the path was recorded as its
 	// representative: keep exploring.
 	Stored Decision = iota
-	// Revisit means the state was already claimed by this very path (a
-	// shared prefix of the worker's own enumeration): keep exploring.
+	// Revisit means the state was already claimed by this very path: keep
+	// exploring. The exploration engine does not re-probe the prefix a
+	// resumed replay shares with the previous one, so it meets a Revisit
+	// only at a donated task's prefix, or when two workers race to the
+	// same path.
 	Revisit
 	// Improved means the path is strictly smaller than the recorded
 	// representative and replaced it: keep exploring.
@@ -104,12 +107,13 @@ type Set struct {
 	improved atomic.Int64
 
 	// leafLookups is the engine-side effectiveness denominator: Visit runs
-	// once per scheduling decision a replay executes (so Lookups counts
-	// steps, not executions; a replay that resumes from a saved state
-	// skips the decisions of its shared prefix, while one replayed from
-	// the root repeats them as Revisits). The engine calls LeafLookup once
-	// per replayed leaf — pruned or completed — making Hits/LeafLookups
-	// the honest hit rate.
+	// at most once per scheduling decision a replay executes (so Lookups
+	// counts decisions, not executions; a replay that resumes from a saved
+	// state makes no probe at the decisions of the prefix it shares with
+	// the previous one, and none at a node the partial-order reducer cuts).
+	// The engine counts every replayed leaf — pruned or completed — in its
+	// workers' leases and adds them through LeafLookup, making
+	// Hits/LeafLookups the honest hit rate.
 	leafLookups atomic.Int64
 }
 
@@ -155,9 +159,10 @@ func (s *Set) Visit(fp Fingerprint, path []int) Decision {
 	}
 }
 
-// LeafLookup counts one replayed leaf that consulted the set. Callers (the
-// exploration engine) invoke it once per completed or pruned replay.
-func (s *Set) LeafLookup() { s.leafLookups.Add(1) }
+// LeafLookup counts n replayed leaves that consulted the set. The
+// exploration engine tallies its completed and pruned replays per worker
+// and adds them once per lease.
+func (s *Set) LeafLookup(n int64) { s.leafLookups.Add(n) }
 
 // compact appends a choice path to dst in byte cells (see MaxChoice).
 func compact(dst []uint8, path []int) []uint8 {
@@ -193,7 +198,10 @@ func comparePaths(stored []uint8, path []int) int {
 type Stats struct {
 	// States is the number of distinct states recorded.
 	States int64
-	// Lookups is the total number of Visit calls.
+	// Lookups is the total number of Visit calls: in the exploration
+	// engine, one per scheduling decision a replay takes past the prefix
+	// it shares with the previous replay, plus a donated task's prefix at
+	// its start.
 	Lookups int64
 	// Hits is the number of Prune decisions (subtrees eliminated).
 	Hits int64
@@ -217,8 +225,10 @@ type Stats struct {
 // LeafLookups. Dividing by all Visit calls instead (one per step — when
 // every replay started from the root, nearly all of them Revisits of the
 // worker's own prefix) once underreported a 60%-savings run as a 1% hit
-// rate. When the engine-side leaf counter is absent (bare Set users), it
-// falls back to the per-step ratio.
+// rate. Under partial-order reduction the engine cuts a sleep-blocked node
+// before probing the set, so such a leaf counts in LeafLookups as a reduce
+// prune, never as a hit. When the engine-side leaf counter is absent (bare
+// Set users), it falls back to the per-step ratio.
 func (s Stats) HitRate() float64 {
 	if s.LeafLookups > 0 {
 		return float64(s.Hits) / float64(s.LeafLookups)

@@ -46,9 +46,11 @@ import (
 // promptly once nothing below the bound is left.
 //
 // With Settings.Dedup, workers additionally fingerprint the canonical
-// execution state before every scheduling decision and abandon subtrees
-// rooted at a state already reached by a lexicographically smaller path (see
-// package dedup for the canonicalization and the soundness argument).
+// execution state before each scheduling decision their previous replay did
+// not already probe, and abandon subtrees rooted at a state already reached
+// by a lexicographically smaller path (see package dedup for the
+// canonicalization and the soundness argument, and execState.runLeaf for
+// which decisions are probed).
 // Deduplication preserves the verdict and the canonical counterexample
 // exactly — only Executions becomes dependent on worker interleaving, since
 // which of two racing paths reaches a shared state first is
@@ -139,10 +141,10 @@ type Progress struct {
 const DefaultLeaseSize = 64
 
 // runMetrics is the registry-backed counter set of one engine run. The
-// execution counter is advanced in per-lease batches from each worker's
-// local tally (the cap itself is enforced by the capPool ledger), so the
-// registry sees exact totals at every lease boundary without a shared
-// counter bounce on every replay.
+// execution and prune counters are advanced in per-lease batches from each
+// worker's local tally (the cap itself is enforced by the capPool ledger),
+// so the registry sees exact totals at every lease boundary without a
+// shared counter bounce on every replay.
 type runMetrics struct {
 	execs        *obs.Counter // completed replays (flushed per lease)
 	restored     *obs.Counter // executions primed from a resumed checkpoint
@@ -711,33 +713,46 @@ func (p *capPool) abort() {
 
 // workerLease is one worker's current slice of the execution cap: avail
 // units may still be spent, used units are spent but not yet flushed to the
-// shared counters.
+// shared counters. The replays pruned since the last flush, by the dedup set
+// (prunes) or the reducer (reducePrunes), ride along: they spend no unit.
 type workerLease struct {
-	avail int64
-	used  int64
+	avail        int64
+	used         int64
+	prunes       int64
+	reducePrunes int64
 }
 
-// flush publishes a worker's locally tallied executions to the shared
-// metric counters and settles them with the cap pool. releaseUnused
-// additionally returns the lease's unspent units (task exit: the worker is
-// about to block on the frontier and must not sit on capacity other workers
-// could spend). Flushing per lease instead of per leaf is what keeps the
-// shared counters off the replay hot path; per-worker counters and the
-// total advance in the same batch, so the report schema's worker-sum
-// invariant (Σ worker executions + restored == total) holds at every flush
-// boundary — in particular in every final report, even after cancellation
-// mid-lease.
+// flush publishes a worker's locally tallied executions and prunes to the
+// shared metric counters (with dedup, every one of those replays is a leaf
+// lookup of the set) and settles the executions with the cap pool.
+// releaseUnused additionally returns the lease's unspent units (task exit:
+// the worker is about to block on the frontier and must not sit on capacity
+// other workers could spend). Flushing per lease instead of per leaf is
+// what keeps the shared counters off the replay hot path; per-worker
+// counters and the total advance in the same batch, so the report schema's
+// worker-sum invariant (Σ worker executions + restored == total) holds at
+// every flush boundary — in particular in every final report, even after
+// cancellation mid-lease.
 func (r *engineRun) flush(w int, l *workerLease, releaseUnused bool) {
 	if l.used > 0 {
 		r.m.execs.Add(l.used)
 		r.m.workerExecs[w].Add(l.used)
+	}
+	if l.prunes > 0 {
+		r.m.prunes.Add(l.prunes)
+	}
+	if l.reducePrunes > 0 {
+		r.m.reducePrunes.Add(l.reducePrunes)
+	}
+	if leaves := l.used + l.prunes + l.reducePrunes; r.set != nil && leaves > 0 {
+		r.set.LeafLookup(leaves)
 	}
 	var unused int64
 	if releaseUnused {
 		unused, l.avail = l.avail, 0
 	}
 	r.pool.settle(l.used, unused)
-	l.used = 0
+	l.used, l.prunes, l.reducePrunes = 0, 0, 0
 }
 
 // mergeMaxima folds a worker's local step/fault maxima into the shared
@@ -810,8 +825,9 @@ func (r *engineRun) newWorkerState() *execState {
 // already covered by a smaller path (dedup).
 //
 // Shared state is touched once per lease, not once per leaf: the cap pool,
-// the metric counters, the frontier slot publish, and the maxima merge all
-// amortize over LeaseSize replays. The slot path is therefore up to a lease
+// the metric counters (executions, prunes, and the dedup set's leaf
+// lookups), the frontier slot publish, and the maxima merge all amortize
+// over LeaseSize replays. The slot path is therefore up to a lease
 // stale, which is safe — a stale path lexicographically precedes the true
 // position, so a checkpoint taken between publishes covers a superset of
 // the remaining work (see docs/MODEL.md, "Performance model").
@@ -870,9 +886,6 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			}
 			return false
 		}
-		if r.set != nil {
-			r.set.LeafLookup()
-		}
 		if pruned {
 			// The replay halted at a redundant prefix — a state some
 			// lex-smaller path already covers (dedup), or a sleep-blocked
@@ -880,10 +893,10 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			// No cap unit was spent — Executions counts completed
 			// replays, and the pruned replay's unit stays in the lease.
 			if es.pruneSleep {
-				r.m.reducePrunes.Inc()
+				l.reducePrunes++
 				r.debugEvent("reduce.prune", w, "pos", es.prunedAt)
 			} else {
-				r.m.prunes.Inc()
+				l.prunes++
 				r.debugEvent("dedup.prune", w, "pos", es.prunedAt)
 			}
 			if es.prunedAt <= c.lb {

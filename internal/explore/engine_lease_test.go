@@ -17,8 +17,9 @@ import (
 
 // TestDedupStatsLeafAccounting pins the dedup effectiveness accounting on a
 // known sweep (the fully enumerable staged f=1 workload): LeafLookups counts
-// replays (one per completed or pruned execution, not one per step), Hits
-// counts pruned replays, and HitRate is Hits/LeafLookups — the one
+// replays (one per completed or pruned execution, not one per step, tallied
+// in the worker's lease and flushed with its executions), Hits counts
+// pruned replays, and HitRate is Hits/LeafLookups — the one
 // replay-level pair every surface (CLI, gauges, bench) reports. The old
 // formula divided prunes by per-step Visit calls — nearly all of them
 // Revisits of the worker's own prefix — and reported a 60%-savings run as a
@@ -63,10 +64,12 @@ func TestDedupStatsLeafAccounting(t *testing.T) {
 	}
 	// With one worker the sweep is deterministic, so every counter is
 	// pinned. Lookups counts probes, not leaves: each replay resumes from
-	// its deepest saved state and skips the probes of the prefix it shares
-	// with the previous leaf (a from-root replay made 307,372 here).
-	if out.Executions != 20_144 || st.Hits != 3_196 || st.LeafLookups != 23_340 || st.States != 31_361 || st.Lookups != 58_102 {
-		t.Errorf("executions/hits/leaf-lookups/states/lookups = %d/%d/%d/%d/%d, want 20144/3196/23340/31361/58102",
+	// its deepest saved state and probes only the decisions past the first
+	// position that changed since the previous leaf, plus a donated task's
+	// prefix at its start (a from-root replay made 307,372 here, and one
+	// probing every decision from its snapshot on made 58,102).
+	if out.Executions != 20_144 || st.Hits != 3_196 || st.LeafLookups != 23_340 || st.States != 31_361 || st.Lookups != 34_763 {
+		t.Errorf("executions/hits/leaf-lookups/states/lookups = %d/%d/%d/%d/%d, want 20144/3196/23340/31361/34763",
 			out.Executions, st.Hits, st.LeafLookups, st.States, st.Lookups)
 	}
 	// The engine's prune site and the set's counters agree, and the gauges
@@ -128,31 +131,55 @@ func TestEngineCapExactUnderDedup(t *testing.T) {
 // on partially spent leases; the flush on the abandon path must still settle
 // every locally tallied execution, so the per-worker counters plus the
 // restored count sum to the reported total — the invariant the
-// modelcheck-report/v1 validator checks. Run under -race via scripts/check.sh.
+// modelcheck-report/v1 validator checks. With dedup and reduction the lease
+// also carries the worker's prunes and leaf lookups, so after the cancel the
+// engine's dedup prunes equal the set's hits, and every leaf lookup is a
+// completed execution or a prune. Run under -race via scripts/check.sh.
 func TestEngineCancelMidLeaseWorkerSum(t *testing.T) {
-	cfg := benchConfig()
-	cfg.MaxExecutions = 1_000_000
-	reg := obs.NewRegistry()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	out, err := (&Engine{LeaseSize: 16}).Check(ctx, with(&cfg, run.WithWorkers(4), run.WithMetrics(reg)))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if out.Complete {
-		t.Error("cancelled run reported complete")
-	}
-	s := reg.Snapshot()
-	if got := s.Counters["explore.executions"]; got != int64(out.Executions) {
-		t.Errorf("explore.executions = %d, Outcome.Executions = %d", got, out.Executions)
-	}
-	sum := sumWorkerCounters(s, ".executions") + s.Counters["explore.executions.restored"]
-	if sum != int64(out.Executions) {
-		t.Errorf("worker sum + restored = %d, want %d — a lease was lost or double-counted on cancellation", sum, out.Executions)
+	for _, tc := range []struct {
+		name string
+		opts []run.Option
+	}{
+		{"plain", nil},
+		{"dedup+reduce", []run.Option{run.WithDedup(), run.WithReduce(run.ReduceSafe)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := benchConfig()
+			cfg.MaxExecutions = 1_000_000
+			reg := obs.NewRegistry()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				time.Sleep(50 * time.Millisecond)
+				cancel()
+			}()
+			opts := append([]run.Option{run.WithWorkers(4), run.WithMetrics(reg)}, tc.opts...)
+			out, err := (&Engine{LeaseSize: 16}).Check(ctx, with(&cfg, opts...))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if out.Complete {
+				t.Error("cancelled run reported complete")
+			}
+			s := reg.Snapshot()
+			if got := s.Counters["explore.executions"]; got != int64(out.Executions) {
+				t.Errorf("explore.executions = %d, Outcome.Executions = %d", got, out.Executions)
+			}
+			sum := sumWorkerCounters(s, ".executions") + s.Counters["explore.executions.restored"]
+			if sum != int64(out.Executions) {
+				t.Errorf("worker sum + restored = %d, want %d — a lease was lost or double-counted on cancellation", sum, out.Executions)
+			}
+			if out.Dedup == nil {
+				return
+			}
+			prunes, reducePrunes := s.Counters["explore.dedup.prunes"], s.Counters["explore.reduce.prunes"]
+			if hits := s.Gauges["dedup.hits"]; prunes != hits {
+				t.Errorf("explore.dedup.prunes = %d, dedup.hits = %d — a lease's prunes were lost on cancellation", prunes, hits)
+			}
+			if got, want := s.Gauges["dedup.leaf_lookups"], int64(out.Executions)+prunes+reducePrunes; got != want || reducePrunes == 0 {
+				t.Errorf("dedup.leaf_lookups = %d, want executions + dedup prunes + reduce prunes = %d (reduce prunes %d)", got, want, reducePrunes)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -54,84 +55,112 @@ func ledgerParticipants(t *testing.T, cfg run.Settings, runDir string, n int, tt
 	return out, m
 }
 
+// leverCells are the dedup × reduction settings the ledger equivalence
+// tests run under: each cell's merge is held to the single-process run with
+// the same settings.
+var leverCells = []struct {
+	dedup  bool
+	reduce run.ReduceMode
+}{{false, run.ReduceOff}, {false, run.ReduceSafe}, {true, run.ReduceOff}, {true, run.ReduceSafe}}
+
 // TestEngineLedgerMatchesSingleProcessCovering: a covering sweep split
 // across two ledger participants must merge to the exact single-process
-// outcome — same execution count (dedup off), completeness, and maxima.
+// outcome under every dedup × reduction cell — same completeness, maxima,
+// and, with dedup off, execution count (with dedup on, which of two racing
+// paths claims a state first depends on the interleaving).
 func TestEngineLedgerMatchesSingleProcessCovering(t *testing.T) {
-	cfg := run.Settings{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          inputs(2),
-		FaultyObjects:   []int{0, 1, 2},
-		FaultsPerObject: fault.Unbounded,
-	}
-	seq, err := check(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Complete || !seq.OK() {
-		t.Fatalf("reference run: complete=%v violation=%v", seq.Complete, seq.Violation)
-	}
-	// The merge must be exact on every attempt. Whether BOTH participants
-	// got to publish, and whether the tree was split into at least two
-	// results before it drained inside one participant's first claim, are
-	// the same race against the tree size, so retry a few times for that
-	// shape; the equality assertions hold unconditionally each time.
-	for attempt := 0; ; attempt++ {
-		// A tight TTL keeps the export pump and claim polling fast enough
-		// to hand work off within this small tree's ~50ms runtime. Tight
-		// TTLs are safe: a stalled heartbeat only fences the claim, whose
-		// discarded work is redone at the next epoch.
-		out, m := ledgerParticipants(t, cfg, t.TempDir(), 2, 100*time.Millisecond)
-		if out.Executions != seq.Executions {
-			t.Errorf("merged executions = %d, want %d", out.Executions, seq.Executions)
-		}
-		if !out.Complete || !out.OK() {
-			t.Errorf("merged: complete=%v violation=%v", out.Complete, out.Violation)
-		}
-		if out.MaxProcSteps != seq.MaxProcSteps || out.MaxFaults != seq.MaxFaults {
-			t.Errorf("merged maxima = (%d,%d), want (%d,%d)",
-				out.MaxProcSteps, out.MaxFaults, seq.MaxProcSteps, seq.MaxFaults)
-		}
-		if t.Failed() || (len(m.Participants) == 2 && m.Results >= 2) {
-			break
-		}
-		if attempt == 4 {
-			t.Fatalf("participants = %v with %d merged results after %d attempts, want 2 participants and a multi-subtree merge",
-				m.Participants, m.Results, attempt+1)
-		}
+	for _, lc := range leverCells {
+		t.Run(fmt.Sprintf("dedup=%v/reduce=%s", lc.dedup, lc.reduce), func(t *testing.T) {
+			cfg := run.Settings{
+				Protocol:        core.NewStaged(1, 1),
+				Inputs:          inputs(2),
+				FaultyObjects:   []int{0, 1, 2},
+				FaultsPerObject: fault.Unbounded,
+				Dedup:           lc.dedup,
+				Reduce:          lc.reduce,
+			}
+			seq, err := check(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !seq.Complete || !seq.OK() {
+				t.Fatalf("reference run: complete=%v violation=%v", seq.Complete, seq.Violation)
+			}
+			// The merge must be exact on every attempt. Whether BOTH
+			// participants got to publish, and whether the tree was split
+			// into at least two results before it drained inside one
+			// participant's first claim, are the same race against the tree
+			// size, so retry a few times for that shape; the equality
+			// assertions hold unconditionally each time.
+			for attempt := 0; ; attempt++ {
+				// A tight TTL keeps the export pump and claim polling fast
+				// enough to hand work off within this small tree's ~50ms
+				// runtime. Tight TTLs are safe: a stalled heartbeat only
+				// fences the claim, whose discarded work is redone at the
+				// next epoch.
+				out, m := ledgerParticipants(t, cfg, t.TempDir(), 2, 100*time.Millisecond)
+				if !lc.dedup && out.Executions != seq.Executions {
+					t.Errorf("merged executions = %d, want %d", out.Executions, seq.Executions)
+				}
+				if !out.Complete || !out.OK() {
+					t.Errorf("merged: complete=%v violation=%v", out.Complete, out.Violation)
+				}
+				if out.MaxProcSteps != seq.MaxProcSteps || out.MaxFaults != seq.MaxFaults {
+					t.Errorf("merged maxima = (%d,%d), want (%d,%d)",
+						out.MaxProcSteps, out.MaxFaults, seq.MaxProcSteps, seq.MaxFaults)
+				}
+				if t.Failed() || (len(m.Participants) == 2 && m.Results >= 2) {
+					break
+				}
+				if attempt == 4 {
+					t.Fatalf("participants = %v with %d merged results after %d attempts, want 2 participants and a multi-subtree merge",
+						m.Participants, m.Results, attempt+1)
+				}
+			}
+		})
 	}
 }
 
 // TestEngineLedgerCanonicalCounterexample: on a violating configuration the
 // merged counterexample must be the lexicographically least violating path —
-// the exact counterexample the sequential checker reports.
+// the exact counterexample the sequential checker reports under the same
+// dedup × reduction cell, with the same schedule, verdict and completeness.
 func TestEngineLedgerCanonicalCounterexample(t *testing.T) {
-	cfg := run.Settings{
-		Protocol:        core.SingleCAS{},
-		Inputs:          inputs(3),
-		FaultyObjects:   []int{0},
-		FaultsPerObject: fault.Unbounded,
-	}
-	seq, err := check(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.OK() {
-		t.Fatal("reference run found no violation")
-	}
-	out, _ := ledgerParticipants(t, cfg, t.TempDir(), 2, 2*time.Second)
-	if out.OK() {
-		t.Fatal("merged run found no violation")
-	}
-	if !reflect.DeepEqual(out.Violation.Path, seq.Violation.Path) {
-		t.Errorf("merged violation path = %v, want %v", out.Violation.Path, seq.Violation.Path)
-	}
-	if !reflect.DeepEqual(out.Violation.Schedule, seq.Violation.Schedule) {
-		t.Errorf("merged schedule = %v, want %v", out.Violation.Schedule, seq.Violation.Schedule)
-	}
-	if out.Violation.Verdict.Violation != seq.Violation.Verdict.Violation {
-		t.Errorf("merged verdict = %v, want %v",
-			out.Violation.Verdict.Violation, seq.Violation.Verdict.Violation)
+	for _, lc := range leverCells {
+		t.Run(fmt.Sprintf("dedup=%v/reduce=%s", lc.dedup, lc.reduce), func(t *testing.T) {
+			cfg := run.Settings{
+				Protocol:        core.SingleCAS{},
+				Inputs:          inputs(3),
+				FaultyObjects:   []int{0},
+				FaultsPerObject: fault.Unbounded,
+				Dedup:           lc.dedup,
+				Reduce:          lc.reduce,
+			}
+			seq, err := check(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.OK() {
+				t.Fatal("reference run found no violation")
+			}
+			out, _ := ledgerParticipants(t, cfg, t.TempDir(), 2, 2*time.Second)
+			if out.OK() {
+				t.Fatal("merged run found no violation")
+			}
+			if out.Complete != seq.Complete {
+				t.Errorf("merged complete = %v, want %v", out.Complete, seq.Complete)
+			}
+			if !reflect.DeepEqual(out.Violation.Path, seq.Violation.Path) {
+				t.Errorf("merged violation path = %v, want %v", out.Violation.Path, seq.Violation.Path)
+			}
+			if !reflect.DeepEqual(out.Violation.Schedule, seq.Violation.Schedule) {
+				t.Errorf("merged schedule = %v, want %v", out.Violation.Schedule, seq.Violation.Schedule)
+			}
+			if out.Violation.Verdict.Violation != seq.Violation.Verdict.Violation {
+				t.Errorf("merged verdict = %v, want %v",
+					out.Violation.Verdict.Violation, seq.Violation.Verdict.Violation)
+			}
+		})
 	}
 }
 

@@ -350,6 +350,10 @@ type execState struct {
 	// the reducer found the node sleep-blocked (pruneSleep tells which).
 	prunedAt   int
 	pruneSleep bool
+	// probed is the chooser position at or below which the current replay
+	// makes no dedup probe: the first changed position when it resumed
+	// from a snapshot, -1 when it replays from the root (see runLeaf).
+	probed int
 
 	budget  *fault.Budget
 	bank    *object.Bank
@@ -447,20 +451,34 @@ func newExecState(s *run.Settings, kind fault.Kind, c *chooser, dh *dedupHandle,
 }
 
 // schedNext is the replay scheduler: it first saves a snapshot when the
-// chooser advanced since the last one; it folds the
-// previous step into the reducer (when on), consults the dedup set (when
-// on) before consuming each scheduling decision, then follows the choice
-// path through the branch alternatives this node exposes — the enabled
-// set, or the reducer's filtered candidate set.
+// chooser advanced since the last one; it folds the previous step into the
+// reducer and cuts a sleep-blocked node (when reduction is on), consults the
+// dedup set (when on, and only at a decision past es.probed), then follows
+// the choice path through the branch alternatives this node exposes — the
+// enabled set, or the reducer's filtered candidate set.
+//
+// The reducer's filter runs before the probe, so a sleep-blocked node is
+// cut without probing or storing a fingerprint. The fingerprint is salted
+// with the sleep set, so an entry stored there could only ever match
+// another sleep-blocked node.
 func (es *execState) schedNext(enabled []int) (int, bool) {
 	c := es.c
 	if len(es.snaps) == 0 || c.pos > es.snaps[len(es.snaps)-1].pos {
 		es.push()
 	}
+	var cand []int
 	if es.red != nil {
 		es.red.advance()
+		cand = es.red.candidates(enabled)
+		if len(cand) == 0 {
+			// Sleep-blocked: every continuation from this node is covered
+			// below an earlier sibling.
+			es.prunedAt = c.pos
+			es.pruneSleep = true
+			return 0, false
+		}
 	}
-	if es.dh != nil {
+	if es.dh != nil && c.pos > es.probed {
 		fp := es.tracker.Fingerprint()
 		if es.red != nil {
 			// Same state, different sleep set ⇒ different explored
@@ -482,14 +500,6 @@ func (es *execState) schedNext(enabled []int) (int, bool) {
 			es.schedule = append(es.schedule, pick)
 		}
 		return pick, true
-	}
-	cand := es.red.candidates(enabled)
-	if len(cand) == 0 {
-		// Sleep-blocked: every continuation from this node is covered
-		// below an earlier sibling.
-		es.prunedAt = c.pos
-		es.pruneSleep = true
-		return 0, false
 	}
 	idx := 0
 	if len(cand) > 1 {
@@ -593,20 +603,28 @@ func (es *execState) restart() {
 // mechanism); the replay is then neither evaluated nor counted — any
 // violation visible in the halted prefix also appears below a smaller path.
 //
-// A resumed replay skips the dedup probes before its snapshot. The previous
-// replay made them with the same prefix and was not pruned there, so with
-// one worker the set would answer Revisit to each; with more, the only
-// difference is a prune another worker made possible in between, which
-// costs work, not soundness or the lex-least counterexample.
+// A resumed replay probes the dedup set only at decisions past the first
+// changed position. A decision at or below it reaches a state that depends
+// only on the prefix the previous replay shared: next, truncate and a task
+// start only lower changed, and rewind restores only snapshots at or below
+// it. That replay probed the state (or skipped it by this same rule) and
+// was not pruned there, because a replay pruned at position p leaves
+// changed below p. So with one worker the set would answer Revisit to each
+// skipped probe; with more, the only difference is a prune another worker
+// made possible in between, which costs work, not soundness or the
+// lex-least counterexample. A replay from the root (an empty snapshot
+// stack) probes every decision.
 //
 // es.verdict borrows slices owned by the runner and is overwritten by the
 // next leaf; callers retaining a leaf (violations, trace samples) must go
 // through keep, which clones everything.
 func (es *execState) runLeaf(ctx context.Context) (runStats, bool, error) {
 	es.prunedAt = -1
+	es.probed = es.c.changed
 	var res *sim.Result
 	var err error
 	if !es.rewind(es.c.changed) {
+		es.probed = -1
 		es.restart()
 		err = es.stepped.Start(es.steppedCfg)
 	}

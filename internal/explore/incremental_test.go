@@ -51,8 +51,8 @@ func TestIncrementalReplayMatchesInterpreted(t *testing.T) {
 		}, map[cell]replayCounters{
 			{false, run.ReduceOff}:  {executions: 59_004},
 			{false, run.ReduceSafe}: {executions: 43_616, reducePrunes: 6_112},
-			{true, run.ReduceOff}:   {executions: 20_144, hits: 3_196, leafLookups: 23_340, states: 31_361, dedupLookups: 58_102},
-			{true, run.ReduceSafe}:  {executions: 18_318, reducePrunes: 1_826, hits: 2_684, leafLookups: 22_828, states: 31_361, dedupLookups: 57_727},
+			{true, run.ReduceOff}:   {executions: 20_144, hits: 3_196, leafLookups: 23_340, states: 31_361, dedupLookups: 34_763},
+			{true, run.ReduceSafe}:  {executions: 18_318, reducePrunes: 1_826, hits: 2_684, leafLookups: 22_828, states: 29_535, dedupLookups: 32_425},
 		}},
 		{"violating", run.Settings{
 			Protocol:        core.NewStaged(2, 1),
@@ -63,8 +63,8 @@ func TestIncrementalReplayMatchesInterpreted(t *testing.T) {
 		}, map[cell]replayCounters{
 			{false, run.ReduceOff}:  {executions: 61},
 			{false, run.ReduceSafe}: {executions: 30},
-			{true, run.ReduceOff}:   {executions: 30, hits: 18, leafLookups: 48, states: 126, dedupLookups: 193},
-			{true, run.ReduceSafe}:  {executions: 30, leafLookups: 30, states: 126, dedupLookups: 159},
+			{true, run.ReduceOff}:   {executions: 30, hits: 18, leafLookups: 48, states: 126, dedupLookups: 144},
+			{true, run.ReduceSafe}:  {executions: 30, leafLookups: 30, states: 126, dedupLookups: 126},
 		}},
 	}
 	for _, tc := range cases {
@@ -145,23 +145,8 @@ func TestIncrementalReplayAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			es := (&Engine{}).newRun(env, 0, func() {}).newWorkerState()
-			c := es.c
 			var leaves int
-			sweep := func() {
-				c.path, c.changed = c.path[:0], 0
-				for {
-					if _, pruned, err := es.runLeaf(context.Background()); err != nil {
-						t.Fatal(err)
-					} else if pruned {
-						c.truncate(es.prunedAt)
-					} else {
-						leaves++
-					}
-					if !c.next() {
-						return
-					}
-				}
-			}
+			sweep := func() { leaves += sweepTask(t, es) }
 			sweep() // warm-up: grows the path, the stack and the snapshot buffers
 			if allocs := testing.AllocsPerRun(2, sweep); allocs != 0 {
 				t.Errorf("a sweep allocates %.0f objects after warm-up, want 0", allocs)
@@ -177,6 +162,71 @@ func TestIncrementalReplayAllocatesNothing(t *testing.T) {
 				t.Errorf("event observer present = %v with reduction %s", observed, reduce)
 			}
 		})
+	}
+}
+
+// TestResumedReplayProbesOnlyNewStates pins where a worker probes the dedup
+// set. It drives one worker's replay state over the staged f=1, n=2 tree as
+// a single task, with reduction off and on. A resumed replay skips the
+// decisions at or below the first position that changed since the previous
+// leaf, which that leaf already probed with the same prefix, and the
+// reducer cuts a sleep-blocked node before any probe. So every probe finds
+// a new state or a prune, never a Revisit of the worker's own prefix, and
+// never an Improved one (at one worker paths arrive in lexicographic
+// order). The sweep must still reach the one-worker engine's executions
+// and hits.
+func TestResumedReplayProbesOnlyNewStates(t *testing.T) {
+	for _, reduce := range []run.ReduceMode{run.ReduceOff, run.ReduceSafe} {
+		t.Run("reduce="+reduce.String(), func(t *testing.T) {
+			cfg := run.Settings{
+				Protocol:        core.NewStaged(1, 1),
+				Inputs:          inputs(2),
+				FaultyObjects:   []int{0, 1, 2},
+				FaultsPerObject: fault.Unbounded,
+				MaxExecutions:   1_000_000,
+				Dedup:           true,
+				Reduce:          reduce,
+				Workers:         1,
+			}
+			ref, err := (&Engine{}).Check(context.Background(), &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := (&Engine{}).setup(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es := (&Engine{}).newRun(env, 0, func() {}).newWorkerState()
+			leaves := sweepTask(t, es)
+			st := env.set.Stats()
+			if revisits := st.Lookups - st.States - st.Hits - st.Improved; revisits != 0 || st.Improved != 0 {
+				t.Errorf("lookups %d = states %d + hits %d + improved %d + %d revisits, want no revisit and no improvement",
+					st.Lookups, st.States, st.Hits, st.Improved, revisits)
+			}
+			if leaves != ref.Executions || st.Hits != ref.Dedup.Hits {
+				t.Errorf("sweep: %d executions and %d hits, engine: %d and %d", leaves, st.Hits, ref.Executions, ref.Dedup.Hits)
+			}
+		})
+	}
+}
+
+// sweepTask drives a worker's replay state over the whole tree as one task,
+// as runSubtree does without leases, donations or a violation bound, and
+// returns the number of completed leaves.
+func sweepTask(t *testing.T, es *execState) (leaves int) {
+	c := es.c
+	c.path, c.changed = c.path[:0], 0
+	for {
+		if _, pruned, err := es.runLeaf(context.Background()); err != nil {
+			t.Fatal(err)
+		} else if pruned {
+			c.truncate(es.prunedAt)
+		} else {
+			leaves++
+		}
+		if !c.next() {
+			return leaves
+		}
 	}
 }
 

@@ -112,15 +112,18 @@ echo "== exec-form equivalence gate (compiled engine and sampler vs goroutine re
 # reference the same way, then holds every dedup x reduction x workers
 # cell, clean and violating, to that plain enumeration's verdict and
 # lex-least counterexample and, at one worker, to pinned counters. The
-# capture test replays each violating case's counterexample (dedup on and
-# off, one and two workers) on the reference and requires the engine's
-# schedule, verdict and trace event for event. The sampler test holds the
+# probe test drives one worker over a tree with dedup, with and without
+# reduction, and requires that no resumed replay re-probes a state its
+# shared prefix already probed (no Revisit). The capture test replays each
+# violating case's counterexample (dedup on and off, one and two workers)
+# on the reference and requires the engine's schedule, verdict and trace
+# event for event. The sampler test holds the
 # compiled sampler behind StressWith, StressPCTWith, SampleWith and
 # TallyWith to the goroutine reference run for run (uniform and PCT, 200
 # seeds per case): schedule, verdict, step and fault counts, and every kept
 # record's trace event for event, then whole batch outcomes. Uncached, so
 # the gate re-runs every time.
-gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted|TestCaptureMatchesReference|TestSamplerMatchesReference)$' ./internal/explore/
+gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted|TestResumedReplayProbesOnlyNewStates|TestCaptureMatchesReference|TestSamplerMatchesReference)$' ./internal/explore/
 
 echo "== experiments golden gate (quick tables at 1 and 2 workers, fresh) =="
 # The quick experiments output is committed as a golden file. Regenerated
