@@ -1,6 +1,6 @@
 // Benchmarks for the extension modules: the universal construction and its
-// state machines, the linearizability checker, the valency analyzer, and
-// the PCT-vs-uniform search comparison.
+// state machines, the valency analyzer, and the PCT-vs-uniform search
+// comparison.
 package repro_test
 
 import (
@@ -13,10 +13,8 @@ import (
 	"repro/internal/atomicx"
 	"repro/internal/core"
 	"repro/internal/explore"
-	"repro/internal/history"
 	"repro/internal/run"
 	"repro/internal/valency"
-	"repro/internal/word"
 )
 
 func BenchmarkUniversalExecute(b *testing.B) {
@@ -67,50 +65,11 @@ func BenchmarkCounterAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkHistoryCheckStrict(b *testing.B) {
-	// A 12-operation concurrent history with overlap: the checker's
-	// working set for typical recorded workloads.
-	var ops []history.Op
-	for k := 0; k < 6; k++ {
-		exp := word.Bottom
-		if k > 0 {
-			exp = word.FromValue(int64(k))
-		}
-		ops = append(ops, history.Op{
-			Object: 0, Invoke: int64(3 * k), Return: int64(3*k + 2),
-			Exp: exp, New: word.FromValue(int64(k + 1)), Old: exp,
-		})
-		ops = append(ops, history.Op{
-			Object: 1, Invoke: int64(3*k + 1), Return: int64(3*k + 3),
-			Exp: word.Bottom, New: word.FromValue(int64(k + 1)),
-			Old: contentAfter(k),
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !history.Check(ops, 2, history.Budget{}) {
-			b.Fatal("history must be linearizable")
-		}
-	}
-}
-
-// contentAfter is the old value object 1 reports on its k-th failed CAS.
-func contentAfter(k int) word.Word {
-	if k == 0 {
-		return word.Bottom
-	}
-	return word.FromValue(1)
-}
-
 func BenchmarkValencyCompute(b *testing.B) {
-	cfg := valency.Config{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          benchInputs(2),
-		FaultyObjects:   []int{0},
-		FaultsPerObject: 1,
-	}
+	s := run.NewSettings(run.WithProtocol(core.NewStaged(1, 1)), run.WithInputs(benchInputs(2)...),
+		run.WithFaultyObjects([]int{0}, 1))
 	for i := 0; i < b.N; i++ {
-		v, err := valency.Compute(cfg, nil)
+		v, err := valency.Compute(s, nil)
 		if err != nil || !v.Multivalent() {
 			b.Fatal("initial state must be multivalent")
 		}

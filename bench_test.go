@@ -17,6 +17,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/fault"
 	"repro/internal/object"
+	"repro/internal/refsim"
 	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/word"
@@ -257,12 +258,12 @@ func BenchmarkMicroWordPack(b *testing.B) {
 }
 
 func BenchmarkMicroSimCASStep(b *testing.B) {
-	// Cost of one scheduled CAS step in the simulator, amortized over a
-	// long-running single process.
+	// Cost of one scheduled CAS step in the goroutine-gated reference
+	// simulator, amortized over a long-running single process.
 	const stepsPerRun = 1024
 	bank := object.NewBank(1, nil, nil)
-	prog := func(p *sim.Proc) word.Word {
-		env := bank.Bind(p)
+	prog := func(p *refsim.Proc) word.Word {
+		env := refsim.Bind(bank, p)
 		for i := 0; i < stepsPerRun; i++ {
 			env.CAS(0, word.Bottom, word.Bottom)
 		}
@@ -270,8 +271,8 @@ func BenchmarkMicroSimCASStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(sim.Config{
-			Programs:  []sim.Program{prog},
+		if _, err := refsim.Run(refsim.Config{
+			Programs:  []refsim.Program{prog},
 			Scheduler: sim.NewRoundRobin(),
 			StepLimit: stepsPerRun + 1,
 		}); err != nil {

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/run"
 	"repro/internal/valency"
 )
 
@@ -64,12 +65,7 @@ func main() {
 		inputs[i] = int64(10 + i)
 	}
 
-	cfg := valency.Config{
-		Protocol:        proto,
-		Inputs:          inputs,
-		FaultyObjects:   ids,
-		FaultsPerObject: *t,
-	}
+	s := run.NewSettings(run.WithProtocol(proto), run.WithInputs(inputs...), run.WithFaultyObjects(ids, *t))
 
 	var prefix []int
 	if *prefixArg != "" {
@@ -82,7 +78,7 @@ func main() {
 		}
 	}
 
-	v, err := valency.Compute(cfg, prefix)
+	v, err := valency.Compute(s, prefix)
 	if err != nil {
 		fail(err)
 	}
@@ -92,11 +88,15 @@ func main() {
 	if !*critical || len(prefix) > 0 {
 		return
 	}
+	if v.Violated {
+		fmt.Println("critical : not searched (violations reachable)")
+		return
+	}
 	if !v.Multivalent() {
 		fmt.Println("critical : not searched (initial state is univalent)")
 		return
 	}
-	crit, err := valency.FindCritical(cfg)
+	crit, err := valency.FindCritical(s)
 	if err != nil {
 		fail(err)
 	}
@@ -107,7 +107,9 @@ func main() {
 	}
 }
 
+// fail prints err on one line and exits 2. The valency package's own errors
+// already start with the command's name.
 func fail(err error) {
-	fmt.Fprintf(os.Stderr, "valency: %v\n", err)
+	fmt.Fprintf(os.Stderr, "valency: %s\n", strings.TrimPrefix(err.Error(), "valency: "))
 	os.Exit(2)
 }

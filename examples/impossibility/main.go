@@ -12,6 +12,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/run"
 	"repro/internal/trace"
 	"repro/internal/valency"
 )
@@ -61,12 +62,8 @@ func main() {
 	fmt.Printf("after resuming the halted coverers: %s\n", tight.Verdict)
 
 	fmt.Println("\n--- the valency view (Section 5's proof machinery, computed) ---")
-	vc := valency.Config{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          []int64{10, 11},
-		FaultyObjects:   []int{0},
-		FaultsPerObject: 1,
-	}
+	vc := run.NewSettings(run.WithProtocol(core.NewStaged(1, 1)), run.WithInputs(10, 11),
+		run.WithFaultyObjects([]int{0}, 1))
 	v, err := valency.Compute(vc, nil)
 	if err != nil {
 		panic(err)

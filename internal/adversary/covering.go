@@ -6,6 +6,7 @@
 package adversary
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -55,9 +56,11 @@ func (r *CoveringResult) Violated() bool { return !r.Verdict.OK() }
 // theorem's point is that budget-respecting faults already kill any
 // f-object protocol once n ≥ f+2.
 //
-// Covering works against any Protocol; the paper proves a violation must
-// exist for every protocol that would be (f, t, f+2)-tolerant, and for the
-// paper's own constructions this adversary finds it directly.
+// Covering works against any Protocol with a compiled form (core.Steppable,
+// which every protocol here has) and refuses one without; the paper proves
+// a violation must exist for every protocol that would be
+// (f, t, f+2)-tolerant, and for the paper's own constructions this
+// adversary finds it directly.
 func Covering(proto core.Protocol, inputs []int64) (*CoveringResult, error) {
 	f := proto.Objects()
 	if len(inputs) != f+2 {
@@ -79,8 +82,31 @@ func CoveringTightness(proto core.Protocol, inputs []int64) (*CoveringResult, er
 	return coveringRun(proto, inputs, true)
 }
 
+// setup is one adversary execution before it runs: the inputs and the bank
+// it runs on, and the scheduler, observer, log and step limit that drive
+// and record it (its SteppedConfig, all but the Program). Each adversary
+// builds its setup with one constructor (newCovering, newDataFault) and
+// runs it on the protocol's compiled step machines (runStepped).
+type setup struct {
+	sim.SteppedConfig
+	inputs []int64
+	bank   *object.Bank
+}
+
+// runStepped executes the setup on the protocol's compiled step machines.
+// A protocol without a core.Stepper is refused.
+func runStepped(proto core.Protocol, a *setup) (*sim.Result, error) {
+	stepper, ok := core.Compile(proto)
+	if !ok {
+		return nil, fmt.Errorf("adversary: protocol %s has no compiled form (core.Stepper)", proto.Name())
+	}
+	cfg := a.SteppedConfig
+	cfg.Program = run.NewSteppedExec(stepper, a.bank, a.inputs)
+	return sim.RunStepped(context.Background(), cfg)
+}
+
 // coveringState is shared by the scheduler, fault policy, and observer of
-// one covering execution. The simulator serializes all steps, so no locking
+// one covering execution. The runner serializes all steps, so no locking
 // is needed.
 type coveringState struct {
 	f int
@@ -111,6 +137,23 @@ func (st *coveringState) currentCoverer() int { return st.phase }
 func (st *coveringState) fresh(obj int) bool { return !st.writtenByCoverers[obj] }
 
 func coveringRun(proto core.Protocol, inputs []int64, tightness bool) (*CoveringResult, error) {
+	st, a := newCovering(proto, inputs, tightness)
+	res, err := runStepped(proto, a)
+	if err != nil && res == nil {
+		return nil, err
+	}
+	return &CoveringResult{
+		Verdict:          run.Evaluate(inputs, res, err),
+		Covered:          st.covered,
+		HaltedAfterSteps: st.haltSteps,
+		Trace:            a.Log,
+		Sim:              res,
+	}, nil
+}
+
+// newCovering builds one covering execution: its state, and the setup whose
+// scheduler, fault policy and observer carry out the proof's phases.
+func newCovering(proto core.Protocol, inputs []int64, tightness bool) (*coveringState, *setup) {
 	f := proto.Objects()
 	n := len(inputs)
 	st := &coveringState{
@@ -129,11 +172,13 @@ func coveringRun(proto core.Protocol, inputs []int64, tightness bool) (*Covering
 		}
 		return fault.NoFault
 	})
+	a := &setup{
+		SteppedConfig: sim.SteppedConfig{Procs: n, Log: trace.New(), StepLimit: proto.StepBound(n) + 8},
+		inputs:        inputs,
+		bank:          object.NewBank(f, budget, policy),
+	}
 
-	bank := object.NewBank(f, budget, policy)
-	log := trace.New()
-
-	observer := func(e trace.Event) {
+	a.Observer = func(e trace.Event) {
 		if e.Kind != trace.EventCAS {
 			return
 		}
@@ -148,12 +193,12 @@ func coveringRun(proto core.Protocol, inputs []int64, tightness bool) (*Covering
 			st.covered = append(st.covered, e.Object)
 			st.haltSteps = append(st.haltSteps, st.stepsTaken[e.Proc])
 			st.halted[e.Proc] = true
-			log.Append(trace.Event{Kind: trace.EventHalt, Proc: e.Proc})
+			a.Log.Append(trace.Event{Kind: trace.EventHalt, Proc: e.Proc})
 			st.phase++
 		}
 	}
 
-	scheduler := sim.SchedulerFunc(func(enabled []int) (int, bool) {
+	a.Scheduler = sim.SchedulerFunc(func(enabled []int) (int, bool) {
 		isEnabled := func(id int) bool {
 			for _, e := range enabled {
 				if e == id {
@@ -192,25 +237,7 @@ func coveringRun(proto core.Protocol, inputs []int64, tightness bool) (*Covering
 			}
 		}
 	})
-
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(proto, bank, inputs),
-		Scheduler: scheduler,
-		StepLimit: proto.StepBound(n) + 8,
-		Log:       log,
-		Observer:  observer,
-	})
-	if err != nil && res == nil {
-		return nil, err
-	}
-	verdict := run.Evaluate(inputs, res, err)
-	return &CoveringResult{
-		Verdict:          verdict,
-		Covered:          st.covered,
-		HaltedAfterSteps: st.haltSteps,
-		Trace:            log,
-		Sim:              res,
-	}, nil
+	return st, a
 }
 
 // ReducedModelPolicy returns the fault policy of the reduced model used in
@@ -241,7 +268,7 @@ func (r *DataFaultResult) Violated() bool { return !r.Verdict.OK() }
 // then ONE data fault replaces the content of the given object with the
 // given value (a data fault strikes at an arbitrary time, independently of
 // any operation — exactly what a functional fault cannot do); then the
-// remaining processes run round-robin to completion.
+// remaining processes run to completion one after another, lowest id first.
 //
 // Against the paper's constructions a single well-aimed data fault breaks
 // consistency in configurations where the model checker proves that any
@@ -251,11 +278,28 @@ func DataFault(proto core.Protocol, inputs []int64, obj int, value word.Word) (*
 	if obj < 0 || obj >= proto.Objects() {
 		return nil, fmt.Errorf("adversary: object %d out of range", obj)
 	}
-	bank := object.NewBank(proto.Objects(), nil, nil)
-	log := trace.New()
+	a := newDataFault(proto, inputs, obj, value)
+	res, err := runStepped(proto, a)
+	if err != nil && res == nil {
+		return nil, err
+	}
+	return &DataFaultResult{
+		Verdict: run.Evaluate(inputs, res, err),
+		Trace:   a.Log,
+	}, nil
+}
 
+// newDataFault builds one data-fault execution: p0 solo, then the
+// corruption, then the other processes, lowest enabled id first.
+func newDataFault(proto core.Protocol, inputs []int64, obj int, value word.Word) *setup {
+	n := len(inputs)
+	a := &setup{
+		SteppedConfig: sim.SteppedConfig{Procs: n, Log: trace.New(), StepLimit: proto.StepBound(n) + 8},
+		inputs:        inputs,
+		bank:          object.NewBank(proto.Objects(), nil, nil),
+	}
 	corrupted := false
-	scheduler := sim.SchedulerFunc(func(enabled []int) (int, bool) {
+	a.Scheduler = sim.SchedulerFunc(func(enabled []int) (int, bool) {
 		for _, id := range enabled {
 			if id == 0 {
 				return 0, true
@@ -263,23 +307,10 @@ func DataFault(proto core.Protocol, inputs []int64, obj int, value word.Word) (*
 		}
 		if !corrupted {
 			corrupted = true
-			pre := bank.Object(obj).Corrupt(value)
-			log.Append(trace.Event{Kind: trace.EventCorrupt, Object: obj, Value: value, Pre: pre})
+			pre := a.bank.Object(obj).Corrupt(value)
+			a.Log.Append(trace.Event{Kind: trace.EventCorrupt, Object: obj, Value: value, Pre: pre})
 		}
 		return enabled[0], true
 	})
-
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(proto, bank, inputs),
-		Scheduler: scheduler,
-		StepLimit: proto.StepBound(len(inputs)) + 8,
-		Log:       log,
-	})
-	if err != nil && res == nil {
-		return nil, err
-	}
-	return &DataFaultResult{
-		Verdict: run.Evaluate(inputs, res, err),
-		Trace:   log,
-	}, nil
+	return a
 }

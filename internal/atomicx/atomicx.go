@@ -1,9 +1,8 @@
 // Package atomicx is the real-hardware substrate: a bank of CAS objects
 // backed by sync/atomic words, with overriding-fault injection, runnable by
-// ordinary goroutines. It implements the same environment interface as the
-// deterministic simulator, so the protocols in internal/core run unchanged
-// on real atomics — this is what the benchmarks and the runnable examples
-// use.
+// ordinary goroutines. It implements core.Env, the environment the protocols
+// in internal/core run against, so they run unchanged on real atomics — this
+// is what the benchmarks and the runnable examples use.
 //
 // Fault injection on real atomics exploits a pleasant identity: the
 // overriding fault of Section 3.3 — "the new value is written even if the
@@ -18,9 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/word"
 )
 
@@ -58,16 +55,6 @@ func NewFaultyBank(n int, budget *fault.Budget, rate float64, seed int64) *Bank 
 
 // Len returns the number of objects.
 func (b *Bank) Len() int { return len(b.words) }
-
-// Bind returns the bank as seen by one process. On real atomics the calling
-// goroutine is the process, so the simulator handle is ignored (nil is
-// fine); the bank itself is the environment. Bind exists so both substrates
-// satisfy the same run.Bank interface.
-func (b *Bank) Bind(_ *sim.Proc) core.Env { return b }
-
-// Contents returns the current register contents (an alias of Snapshot,
-// matching the simulator bank's monitor-side accessor).
-func (b *Bank) Contents() []word.Word { return b.Snapshot() }
 
 // Faults returns the number of overriding faults injected so far.
 func (b *Bank) Faults() int64 { return b.faults.Load() }

@@ -55,16 +55,16 @@ import (
 //     object.CAS.Corrupt — are deliberately outside this contract: they
 //     model an adversary writing between steps and are driven by
 //     experiment code, never by an Env).
-//   - Both execution forms rely on this: the goroutine-gated simulator
-//     parks a process around each Invoke, and the compiled stepped runner
-//     grants exactly one CAS per Stepper.Step. Either way the fault
+//   - Both execution forms rely on this: the goroutine-gated reference
+//     simulator parks a process around each CAS, and the compiled stepped
+//     runner grants exactly one CAS per Stepper.Step. Either way the fault
 //     pipeline of object.CAS.Apply (or the swap path of atomicx.Bank.CAS)
 //     runs inside the granted step, so the two forms observe identical
 //     faults at identical points.
 //
 // Audit of the two banks: internal/object charges ops and the budget inside
-// CAS.Apply, which both Invoke (goroutine path) and the stepped env call
-// within the granted step — compliant. internal/atomicx decides the fault
+// CAS.Apply, which both the reference's refsim.Array (goroutine path) and
+// the stepped env call within the granted step — compliant. internal/atomicx decides the fault
 // and charges the budget under the bank's lock inside Bank.CAS before the
 // swap; the charge is conservative (decision-time, even when the override
 // turns out unobservable) but still strictly within the invocation —

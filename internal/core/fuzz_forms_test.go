@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/object"
+	"repro/internal/refsim"
 	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -16,7 +17,7 @@ import (
 
 // FuzzCompiledVsInterpreted drives random (protocol, schedule, fault) triples
 // through both execution forms — the protocol's Decide on the goroutine-gated
-// reference simulator (sim.RunContext) and the compiled Stepper machines that
+// reference simulator (refsim.RunContext) and the compiled Stepper machines that
 // run.ConsensusContext drives — and fails on any divergence in decisions,
 // per-process step counts, stall/stop status, verdicts, or the full trace
 // event log. It is the randomized complement of the exhaustive sweep in the
@@ -98,8 +99,8 @@ func fuzzRun(proto core.Protocol, inputs []int64, kind fault.Kind, sched, faults
 // returned).
 func fuzzReference(proto core.Protocol, inputs []int64, kind fault.Kind, sched, faults []byte) (*run.Result, error) {
 	bank := object.NewBank(proto.Objects(), fuzzBudget(proto), bytePolicy(kind, faults))
-	res, err := sim.RunContext(context.Background(), sim.Config{
-		Programs:  run.Programs(proto, bank, inputs),
+	res, err := refsim.RunContext(context.Background(), refsim.Config{
+		Programs:  refsim.Programs(proto, bank, inputs),
 		Scheduler: &byteSched{bytes: sched},
 		StepLimit: proto.StepBound(len(inputs)),
 		Log:       trace.New(),

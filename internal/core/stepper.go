@@ -5,12 +5,12 @@ import "repro/internal/word"
 // This file is the compiled execution form of the protocols: each Decide
 // loop is lowered to an explicitly resumable state machine (a Stepper) that
 // a driver advances one shared-memory step at a time on its own goroutine.
-// Every driver that enumerates or replays executions runs this form. Decide
-// on the goroutine-gated simulator remains the reference semantics: a
-// Stepper must be step-for-step equivalent to its protocol's Decide (same
-// CAS arguments in the same order, same decision), which the explore
-// package's differential test (TestCompiledMatchesInterpreted) and
-// FuzzCompiledVsInterpreted enforce.
+// Every driver outside tests runs this form. Decide on the goroutine-gated
+// reference simulator (internal/refsim, test code only) remains the
+// reference semantics: a Stepper must be step-for-step equivalent to its
+// protocol's Decide (same CAS arguments in the same order, same decision),
+// which the explore package's differential test
+// (TestCompiledMatchesInterpreted) and FuzzCompiledVsInterpreted enforce.
 //
 // The Stepper contract mirrors the simulator's step model exactly:
 //

@@ -847,7 +847,7 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 	}()
 
 	// Poll ctx.Done(), not ctx.Err(): Err locks the context every worker
-	// shares (see sim.Arena.Run).
+	// shares (see sim.Stepped.Resume).
 	done := ctx.Done()
 	for {
 		select {

@@ -145,11 +145,19 @@ func (c *chooser) choose(n int) int {
 		// The prefix came from a previous run whose tree shape matched
 		// up to here; a deterministic system never shrinks an arity on
 		// the same prefix.
-		panic(fmt.Sprintf("explore: stale choice %d of %d at position %d", pick, n, c.pos))
+		panic(staleChoice{pick: pick, n: n, pos: c.pos})
 	}
 	c.arity = append(c.arity, n)
 	c.pos++
 	return pick
+}
+
+// staleChoice is choose's panic value: the path's choice at pos is not
+// among the n alternatives the replay offers there.
+type staleChoice struct{ pick, n, pos int }
+
+func (e staleChoice) Error() string {
+	return fmt.Sprintf("explore: stale choice %d of %d at position %d", e.pick, e.n, e.pos)
 }
 
 // next advances the path depth-first: it truncates to the deepest branch

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/object"
+	"repro/internal/refsim"
 	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -19,7 +20,7 @@ import (
 // the goroutine-gated simulator, replayed from the initial state for every
 // leaf along the chooser's path. It drives the same choice-driven fault
 // policy and scheduler as the engine's execState, without dedup or
-// reduction. The programs are bound once to one reused sim.Arena, so a
+// reduction. The programs are bound once to one reused refsim.Arena, so a
 // replay costs two channel handshakes per step and no allocation of
 // goroutines or closures.
 type refReplay struct {
@@ -29,8 +30,8 @@ type refReplay struct {
 	bank     *object.Bank
 	log      *trace.Log
 	schedule []int
-	arena    *sim.Arena
-	cfg      sim.Config
+	arena    *refsim.Arena
+	cfg      refsim.Config
 }
 
 // newRefReplay builds the reference replay machinery for settings that
@@ -49,13 +50,13 @@ func newRefReplay(s *run.Settings, kind fault.Kind, c *chooser) *refReplay {
 	})
 	r.bank = object.NewBank(s.Protocol.Objects(), r.budget, policy)
 	r.log = trace.New()
-	r.arena = sim.NewArena(len(s.Inputs))
+	r.arena = refsim.NewArena(len(s.Inputs))
 	limit := s.StepLimit
 	if limit <= 0 {
 		limit = s.Protocol.StepBound(len(s.Inputs))
 	}
-	r.cfg = sim.Config{
-		Programs: run.BoundPrograms(s.Protocol, r.bank, s.Inputs, r.arena.Procs()),
+	r.cfg = refsim.Config{
+		Programs: refsim.BoundPrograms(s.Protocol, r.bank, s.Inputs, r.arena.Procs()),
 		Scheduler: sim.SchedulerFunc(func(enabled []int) (int, bool) {
 			pick := enabled[0]
 			if len(enabled) > 1 {

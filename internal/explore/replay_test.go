@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -186,5 +187,68 @@ func TestKeepRefusesIrreproducibleLeaf(t *testing.T) {
 	out, err := check(&cfg)
 	if err == nil || !strings.Contains(err.Error(), "does not reproduce") {
 		t.Fatalf("outcome %+v, err %v; want the irreproducible leaf refused", out, err)
+	}
+}
+
+// TestLeavesWalksTheEngineTree: Leaves visits exactly the leaves the
+// one-worker engine enumerates, in increasing lexicographic order, and a
+// walk below a prefix visits exactly the leaves that extend it. A walk
+// refuses dedup, reduction and a subtree larger than the execution cap.
+func TestLeavesWalksTheEngineTree(t *testing.T) {
+	cfg := run.Settings{
+		Protocol:        core.NewStaged(1, 1),
+		Inputs:          inputs(2),
+		FaultyObjects:   []int{0},
+		FaultsPerObject: 1,
+	}
+	out, err := check(&cfg)
+	if err != nil || !out.Complete || !out.OK() {
+		t.Fatalf("engine: complete=%v err=%v", out != nil && out.Complete, err)
+	}
+	walk := func(s *run.Settings, prefix []int) ([][]int, error) {
+		var leaves [][]int
+		err := Leaves(context.Background(), s, prefix, -1, func(path []int, v run.Verdict) {
+			if !v.OK() {
+				t.Errorf("leaf %v: %s", path, v)
+			}
+			leaves = append(leaves, slices.Clone(path))
+		})
+		return leaves, err
+	}
+	all, err := walk(&cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != out.Executions {
+		t.Fatalf("Leaves visited %d leaves, the engine %d", len(all), out.Executions)
+	}
+	for i := 1; i < len(all); i++ {
+		if !lexLess(all[i-1], all[i]) {
+			t.Fatalf("leaf %d %v does not follow %v in lexicographic order", i, all[i], all[i-1])
+		}
+	}
+
+	prefix := all[len(all)/2][:3]
+	var want [][]int
+	for _, p := range all {
+		if len(p) >= len(prefix) && slices.Equal(p[:len(prefix)], prefix) {
+			want = append(want, p)
+		}
+	}
+	if below, err := walk(&cfg, prefix); err != nil || !reflect.DeepEqual(below, want) {
+		t.Fatalf("below %v: %d leaves (err %v), want the %d that extend it", prefix, len(below), err, len(want))
+	}
+
+	if _, err := walk(with(&cfg, run.WithMaxExecutions(out.Executions)), nil); err != nil {
+		t.Errorf("a cap of exactly the tree's %d leaves refused: %v", out.Executions, err)
+	}
+	for name, s := range map[string]*run.Settings{
+		"dedup":     with(&cfg, run.WithDedup()),
+		"reduction": with(&cfg, run.WithReduce(run.ReduceSafe)),
+		"cap":       with(&cfg, run.WithMaxExecutions(out.Executions-1)),
+	} {
+		if _, err := walk(s, nil); err == nil {
+			t.Errorf("%s: walk accepted", name)
+		}
 	}
 }

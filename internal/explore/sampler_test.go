@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/object"
+	"repro/internal/refsim"
 	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -48,8 +49,8 @@ func refSample(s *run.Settings, kind fault.Kind, rng *rand.Rand, sched sim.Sched
 		limit = s.Protocol.StepBound(len(s.Inputs))
 	}
 	log := trace.New()
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(s.Protocol, bank, s.Inputs),
+	res, err := refsim.Run(refsim.Config{
+		Programs:  refsim.Programs(s.Protocol, bank, s.Inputs),
 		Scheduler: recording,
 		StepLimit: limit,
 		Log:       log,
@@ -96,8 +97,8 @@ func refBatch(s *run.Settings, kind fault.Kind, runs int, rng *rand.Rand, next f
 // refSoloSteps is soloSteps on the goroutine-gated simulator.
 func refSoloSteps(s *run.Settings) int {
 	bank := object.NewBank(s.Protocol.Objects(), nil, nil)
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(s.Protocol, bank, s.Inputs[:1]),
+	res, err := refsim.Run(refsim.Config{
+		Programs:  refsim.Programs(s.Protocol, bank, s.Inputs[:1]),
 		Scheduler: sim.NewRoundRobin(),
 		StepLimit: s.Protocol.StepBound(1),
 	})

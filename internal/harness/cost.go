@@ -25,15 +25,15 @@ type costConfig struct {
 	procs     int     // concurrent goroutines
 }
 
-// substrate runs one consensus instance on a run.Bank. Both substrates are
-// driven through the unified Bank interface, so the measurement loop —
-// construction, decide, op accounting, agreement check — is one code path
-// with no type switches. setup builds one round's bank and everything the
-// round is seeded with (fault stream, scheduler); the decide it returns is
-// the consensus run itself, the only part measureCost times.
+// substrate runs one consensus instance on one bank. setup builds one
+// round's bank and everything the round is seeded with (fault stream,
+// scheduler), and returns the bank's CAS-invocation counter and the decide
+// that runs the consensus instance, the only part measureCost times. The
+// measurement loop — construction, decide, op accounting, agreement check —
+// is one code path for both substrates.
 type substrate struct {
 	name  string
-	setup func(cfg costConfig, round int, seed int64) (run.Bank, func() ([]int64, error))
+	setup func(cfg costConfig, round int, seed int64) (ops func() int64, decide func() ([]int64, error))
 }
 
 // realAtomics races native goroutines on the lock-free environment: the
@@ -41,8 +41,8 @@ type substrate struct {
 func realAtomics() substrate {
 	return substrate{
 		name: "atomics",
-		setup: func(cfg costConfig, round int, seed int64) (run.Bank, func() ([]int64, error)) {
-			var bank run.Bank
+		setup: func(cfg costConfig, round int, seed int64) (func() int64, func() ([]int64, error)) {
+			var bank *atomicx.Bank
 			if cfg.faulty > 0 {
 				bank = atomicx.NewFaultyBank(cfg.proto.Objects(),
 					fault.NewFixedBudget(objectIDs(cfg.faulty), cfg.boundedT),
@@ -50,17 +50,17 @@ func realAtomics() substrate {
 			} else {
 				bank = atomicx.NewBank(cfg.proto.Objects())
 			}
-			return bank, func() ([]int64, error) {
-				// Real atomics need no per-process binding: Bind returns
-				// the shared lock-free environment.
-				env := bank.Bind(nil)
+			return bank.Ops, func() ([]int64, error) {
+				// Real atomics need no per-process binding: the calling
+				// goroutine is the process, and the bank is its
+				// environment.
 				results := make([]int64, cfg.procs)
 				var wg sync.WaitGroup
 				for g := 0; g < cfg.procs; g++ {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						results[g] = cfg.proto.Decide(env, int64(100+g))
+						results[g] = cfg.proto.Decide(bank, int64(100+g))
 					}(g)
 				}
 				wg.Wait()
@@ -77,7 +77,7 @@ func realAtomics() substrate {
 func simulated() substrate {
 	return substrate{
 		name: "simulator",
-		setup: func(cfg costConfig, round int, seed int64) (run.Bank, func() ([]int64, error)) {
+		setup: func(cfg costConfig, round int, seed int64) (func() int64, func() ([]int64, error)) {
 			policy := fault.Never()
 			if cfg.faulty > 0 {
 				policy = fault.Rate(fault.Overriding, cfg.faultRate, seed+int64(round))
@@ -86,7 +86,7 @@ func simulated() substrate {
 				fault.NewFixedBudget(objectIDs(cfg.faulty), cfg.boundedT), policy)
 			stepper, ok := core.Compile(cfg.proto)
 			if !ok {
-				return bank, func() ([]int64, error) {
+				return bank.Ops, func() ([]int64, error) {
 					return nil, fmt.Errorf("protocol %s has no compiled form (core.Stepper)", cfg.proto.Name())
 				}
 			}
@@ -101,7 +101,7 @@ func simulated() substrate {
 				Scheduler: sim.NewRandom(seed + int64(round)),
 				StepLimit: cfg.proto.StepBound(cfg.procs),
 			}
-			return bank, func() ([]int64, error) {
+			return bank.Ops, func() ([]int64, error) {
 				res, err := stepped.Run(context.Background(), simCfg)
 				if err != nil {
 					return nil, err
@@ -129,14 +129,14 @@ func measureCost(cfg costConfig, sub substrate, rounds int, seed int64) (nsPerDe
 	var totalOps int64
 	var elapsed time.Duration
 	for r := 0; r < rounds; r++ {
-		bank, decide := sub.setup(cfg, r, seed)
+		ops, decide := sub.setup(cfg, r, seed)
 		start := time.Now()
 		results, err := decide()
 		elapsed += time.Since(start)
 		if err != nil {
 			return 0, 0, fmt.Errorf("round %d (%s/%s): %w", r, cfg.name, sub.name, err)
 		}
-		totalOps += bank.Ops()
+		totalOps += ops()
 		for g := 1; g < len(results); g++ {
 			if results[g] != results[0] {
 				return 0, 0, fmt.Errorf("round %d: disagreement %v under %s/%s",
@@ -155,7 +155,7 @@ func measureCost(cfg costConfig, sub substrate, rounds int, seed int64) (nsPerDe
 // for its stage budget t·(4f+f²) — the price of surviving with zero
 // reliable objects. Each configuration is measured on real atomics and,
 // at the lowest concurrency, cross-checked on the simulator through the
-// same unified bank code path.
+// same measurement loop.
 func runE8(w io.Writer, opts Options) error {
 	rounds := 3000
 	simRounds := 300

@@ -1,7 +1,7 @@
 // Package object implements the shared objects of the paper's model: the
 // CAS object of Section 3.3 — which exposes only the CAS operation and can
-// manifest any of the functional faults of Sections 3.3–3.4 — and a plain
-// read/write register.
+// manifest any of the functional faults of Sections 3.3–3.4 — and the bank
+// of them one execution shares.
 //
 // The fault pipeline per invocation is: the configured fault.Policy proposes
 // a fault; the proposal is admitted only if it is observable (it would
@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/word"
 )
@@ -27,8 +26,7 @@ type CAS struct {
 	budget  *fault.Budget
 	policy  fault.Policy
 	// ops, when non-nil, is the bank-wide invocation counter, bumped
-	// inside Do — i.e. inside the granted atomic step, where the
-	// simulator's grant protocol orders all object accesses.
+	// inside Do, within the atomic step the runner granted.
 	ops *int64
 }
 
@@ -143,8 +141,8 @@ func (o *CAS) Do(proc int, exp, new word.Word) (word.Word, fault.Kind) {
 		if !o.admit() {
 			kind = fault.None
 		}
-		// The caller is responsible for never returning (Invoke stalls
-		// the process).
+		// The caller is responsible for never returning: the compiled
+		// path reports the process stalled (run.SteppedExec).
 	default:
 		panic(fmt.Sprintf("object: unknown fault kind %v", kind))
 	}
@@ -165,8 +163,8 @@ func (o *CAS) admit() bool {
 }
 
 // Apply executes one atomic CAS action directly, as Do does, and also
-// returns the trace event describing what happened. The simulator wraps
-// Apply in a scheduled step via Invoke.
+// returns the trace event describing what happened: the compiled path calls
+// it when something records the step.
 func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
 	pre := o.content
 	old, kind := o.Do(proc, exp, new)
@@ -181,20 +179,4 @@ func (o *CAS) Apply(proc int, exp, new word.Word) (word.Word, trace.Event) {
 		Old:    old,
 		Fault:  kind,
 	}
-}
-
-// Invoke executes the CAS operation as one atomic step of the simulated
-// process p, recording the step in the execution trace. A nonresponsive
-// fault stalls the process forever.
-func (o *CAS) Invoke(p *sim.Proc, exp, new word.Word) word.Word {
-	var old word.Word
-	p.Exec(func() {
-		var ev trace.Event
-		old, ev = o.Apply(p.ID(), exp, new)
-		p.Record(ev)
-		if ev.Fault == fault.Nonresponsive {
-			p.Stall()
-		}
-	})
-	return old
 }

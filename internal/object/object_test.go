@@ -1,12 +1,9 @@
 package object
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/word"
 )
 
@@ -16,12 +13,12 @@ func TestBankCreatesIndependentObjects(t *testing.T) {
 		t.Fatalf("Len = %d", b.Len())
 	}
 	b.Object(1).Apply(0, word.Bottom, word.FromValue(5))
-	contents := b.Contents()
+	contents := b.AppendContents(nil)
 	if contents[0] != word.Bottom || contents[1] != word.FromValue(5) || contents[2] != word.Bottom {
 		t.Errorf("contents = %v", contents)
 	}
 	b.Reset()
-	for i, c := range b.Contents() {
+	for i, c := range b.AppendContents(nil) {
 		if c != word.Bottom {
 			t.Errorf("object %d not reset: %s", i, c)
 		}
@@ -44,163 +41,5 @@ func TestBankObjectsShareBudget(t *testing.T) {
 	_, ev = b.Object(1).Apply(0, word.Bottom, word.FromValue(2))
 	if ev.Fault != fault.None {
 		t.Error("object 1 must be denied: faulty set is full")
-	}
-}
-
-func TestArrayRunsCASUnderScheduler(t *testing.T) {
-	bank := NewBank(1, nil, nil)
-	log := trace.New()
-	prog := func(p *sim.Proc) word.Word {
-		env := bank.Bind(p)
-		old := env.CAS(0, word.Bottom, word.FromValue(int64(p.ID()+10)))
-		if old.IsBottom() {
-			return word.FromValue(int64(p.ID() + 10))
-		}
-		return old
-	}
-	res, err := sim.Run(sim.Config{
-		Programs:  []sim.Program{prog, prog},
-		Scheduler: sim.NewRoundRobin(),
-		Log:       log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Process 0 CASes first under round-robin, so both decide 10.
-	for i := 0; i < 2; i++ {
-		if res.Decisions[i].Value() != 10 {
-			t.Errorf("p%d decided %s, want 10", i, res.Decisions[i])
-		}
-	}
-	var casEvents int
-	for _, e := range log.Events() {
-		if e.Kind == trace.EventCAS {
-			casEvents++
-		}
-	}
-	if casEvents != 2 {
-		t.Errorf("trace has %d CAS events, want 2", casEvents)
-	}
-	if got := bank.Object(0).Content(); got != word.FromValue(10) {
-		t.Errorf("final content = %s, want 10", got)
-	}
-}
-
-func TestArrayLen(t *testing.T) {
-	bank := NewBank(4, nil, nil)
-	prog := func(p *sim.Proc) word.Word {
-		if bank.Bind(p).Len() != 4 {
-			t.Error("bound array must report bank size")
-		}
-		return word.Bottom
-	}
-	if _, err := sim.Run(sim.Config{Programs: []sim.Program{prog}, Scheduler: sim.NewRoundRobin()}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNonresponsiveInvokeStallsProcess(t *testing.T) {
-	budget := fault.NewBudget(1, 1)
-	bank := NewBank(1, budget, fault.Always(fault.Nonresponsive))
-	prog := func(p *sim.Proc) word.Word {
-		bank.Bind(p).CAS(0, word.Bottom, word.FromValue(1))
-		return word.FromValue(1)
-	}
-	res, err := sim.Run(sim.Config{
-		Programs:  []sim.Program{prog},
-		Scheduler: sim.NewRoundRobin(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stalled[0] {
-		t.Error("nonresponsive fault must stall the process")
-	}
-	if res.Decided[0] {
-		t.Error("stalled process must not decide")
-	}
-}
-
-func TestRegisterReadWrite(t *testing.T) {
-	reg := NewRegister(0)
-	log := trace.New()
-	prog := func(p *sim.Proc) word.Word {
-		reg.Write(p, word.FromValue(42))
-		return reg.Read(p)
-	}
-	res, err := sim.Run(sim.Config{
-		Programs:  []sim.Program{prog},
-		Scheduler: sim.NewRoundRobin(),
-		Log:       log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decisions[0].Value() != 42 {
-		t.Errorf("read back %s, want 42", res.Decisions[0])
-	}
-	if reg.Content() != word.FromValue(42) {
-		t.Errorf("content = %s", reg.Content())
-	}
-	if reg.ID() != 0 {
-		t.Errorf("id = %d", reg.ID())
-	}
-	kinds := []trace.EventKind{}
-	for _, e := range log.Events() {
-		kinds = append(kinds, e.Kind)
-	}
-	want := []trace.EventKind{trace.EventWrite, trace.EventRead, trace.EventDecide}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("trace kinds = %v, want %v", kinds, want)
-		}
-	}
-}
-
-func TestRegisterInitiallyBottom(t *testing.T) {
-	reg := NewRegister(1)
-	prog := func(p *sim.Proc) word.Word { return reg.Read(p) }
-	res, err := sim.Run(sim.Config{Programs: []sim.Program{prog}, Scheduler: sim.NewRoundRobin()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Decisions[0].IsBottom() {
-		t.Error("fresh register must read ⊥")
-	}
-}
-
-func TestRegisterIsOneStepPerOperation(t *testing.T) {
-	reg := NewRegister(0)
-	prog := func(p *sim.Proc) word.Word {
-		reg.Write(p, word.FromValue(1))
-		reg.Read(p)
-		reg.Read(p)
-		return word.Bottom
-	}
-	res, err := sim.Run(sim.Config{
-		Programs:  []sim.Program{prog},
-		Scheduler: sim.NewRoundRobin(),
-		StepLimit: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps[0] != 3 {
-		t.Errorf("steps = %d, want 3", res.Steps[0])
-	}
-	// One more operation than the limit must trip wait-freedom.
-	prog2 := func(p *sim.Proc) word.Word {
-		for i := 0; i < 4; i++ {
-			reg.Read(p)
-		}
-		return word.Bottom
-	}
-	_, err = sim.Run(sim.Config{
-		Programs:  []sim.Program{prog2},
-		Scheduler: sim.NewRoundRobin(),
-		StepLimit: 3,
-	})
-	if !errors.Is(err, sim.ErrWaitFreedom) {
-		t.Errorf("err = %v, want wait-freedom", err)
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // SteppedExec adapts a compiled protocol to the sim stepped runner: one
 // core.Stepper shared by all processes, one State and one bank-bound
-// environment per process. It is reusable across executions the same way
-// BoundPrograms is — Begin re-initializes a process's machine — provided
-// the bank is Reset between executions by the caller.
+// environment per process. It is reusable across executions — Begin
+// re-initializes a process's machine — provided the bank is Reset between
+// executions by the caller.
 type SteppedExec struct {
 	stepper core.Stepper
 	inputs  []int64
@@ -56,9 +56,9 @@ func (x *SteppedExec) Pending(id int) sim.PendingOp {
 }
 
 // Step implements sim.SteppedProgram: one Stepper step against the bank.
-// A nonresponsive fault surfaces as a stalled outcome, exactly like
-// object.CAS.Invoke stalling the goroutine-gated process; whatever the
-// machine computed after the stalling CAS is discarded with it.
+// A nonresponsive fault surfaces as a stalled outcome, exactly like the
+// reference simulator's process stalling inside its CAS (refsim.Array);
+// whatever the machine computed after the stalling CAS is discarded with it.
 func (x *SteppedExec) Step(id int, rec *sim.StepRecorder) sim.StepOutcome {
 	env := &x.envs[id]
 	env.rec = rec
@@ -77,8 +77,8 @@ func (x *SteppedExec) Step(id int, rec *sim.StepRecorder) sim.StepOutcome {
 // steppedEnv is the core.Env one process sees on the compiled path: each
 // CAS applies the object's full fault pipeline directly (the stepped runner
 // granted this step, so no scheduling handshake is needed) and records the
-// event, mirroring object.CAS.Invoke minus the park. When the recorder has
-// neither a log nor an observer, no event is built at all.
+// event, mirroring the reference's refsim.Array.CAS minus the park. When the
+// recorder has neither a log nor an observer, no event is built at all.
 type steppedEnv struct {
 	bank    *object.Bank
 	proc    int

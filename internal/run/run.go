@@ -1,4 +1,4 @@
-// Package run wires a consensus protocol to the deterministic simulator and
+// Package run wires a consensus protocol to the stepped simulator and
 // evaluates the consensus correctness conditions of Section 2 of the paper:
 // validity (the decision is some process's input), consistency (all deciders
 // agree), and wait-freedom (every process decides within its step bound).
@@ -14,41 +14,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/word"
 )
-
-// Programs builds one simulator program per input value, each executing the
-// protocol against the shared bank.
-func Programs(proto core.Protocol, bank Bank, inputs []int64) []sim.Program {
-	progs := make([]sim.Program, len(inputs))
-	for i, input := range inputs {
-		input := input
-		progs[i] = func(p *sim.Proc) word.Word {
-			return word.FromValue(proto.Decide(bank.Bind(p), input))
-		}
-	}
-	return progs
-}
-
-// BoundPrograms builds one program per input value with the object
-// environment pre-bound to the arena's stable process handles, so repeated
-// replays do not allocate a binding per program invocation. The returned
-// programs are tied to those handles: they must only run on the arena that
-// produced procs (procs[i] is the handle the arena passes to program i).
-func BoundPrograms(proto core.Protocol, bank Bank, inputs []int64, procs []*sim.Proc) []sim.Program {
-	if len(procs) != len(inputs) {
-		panic(fmt.Sprintf("run: %d process handles for %d inputs", len(procs), len(inputs)))
-	}
-	progs := make([]sim.Program, len(inputs))
-	for i, input := range inputs {
-		input := input
-		env := bank.Bind(procs[i])
-		progs[i] = func(*sim.Proc) word.Word {
-			return word.FromValue(proto.Decide(env, input))
-		}
-	}
-	return progs
-}
 
 // Result bundles the simulation outcome with its verdict.
 type Result struct {

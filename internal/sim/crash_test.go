@@ -1,23 +1,12 @@
 package sim
 
 import (
+	"slices"
 	"testing"
-
-	"repro/internal/word"
 )
 
 func TestCrashSchedulerStopsProcess(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		for i := 0; i < 5; i++ {
-			c.Incr(p)
-		}
-		return word.FromValue(int64(p.ID()))
-	}
-	res, err := Run(Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: NewCrash(NewRoundRobin(), map[int]int{0: 2}),
-	})
+	res, err := newCounter(2, 5).run(NewCrash(NewRoundRobin(), map[int]int{0: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,22 +28,13 @@ func TestCrashSchedulerStopsProcess(t *testing.T) {
 }
 
 func TestCrashFromStartNeverRuns(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		return word.Bottom
-	}
-	res, err := Run(Config{
-		Programs:  []Program{prog, prog, prog},
-		Scheduler: NewCrash(NewRoundRobin(), map[int]int{1: 0}),
-	})
+	c := newCounter(3, 1)
+	res, err := c.run(NewCrash(NewRoundRobin(), map[int]int{1: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range c.order {
-		if id == 1 {
-			t.Fatal("process 1 stepped despite crashing at step 0")
-		}
+	if slices.Contains(c.order, 1) {
+		t.Fatal("process 1 stepped despite crashing at step 0")
 	}
 	if res.Decided[1] {
 		t.Error("process 1 must not decide")

@@ -1,25 +1,14 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
-
-	"repro/internal/word"
 )
 
 func TestPCTRunsAllProcessesToCompletion(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		for i := 0; i < 4; i++ {
-			c.Incr(p)
-		}
-		return word.FromValue(int64(p.ID()))
-	}
 	for seed := int64(0); seed < 20; seed++ {
-		c.n, c.order = 0, nil
-		res, err := Run(Config{
-			Programs:  []Program{prog, prog, prog},
-			Scheduler: NewPCT(seed, 12, 3),
-		})
+		c := newCounter(3, 4)
+		res, err := c.run(NewPCT(seed, 12, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,17 +27,8 @@ func TestPCTProducesSoloBursts(t *testing.T) {
 	// Without change points (depth 1), PCT runs strict priority order:
 	// one process runs solo to completion, then the next — exactly the
 	// shape the impossibility proofs need.
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		c.Incr(p)
-		return word.Bottom
-	}
-	_, err := Run(Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: NewPCT(3, 4, 1),
-	})
-	if err != nil {
+	c := newCounter(2, 2)
+	if _, err := c.run(NewPCT(3, 4, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// The order must be a solo burst: [a a b b] for some a ≠ b.
@@ -59,26 +39,14 @@ func TestPCTProducesSoloBursts(t *testing.T) {
 
 func TestPCTSeedDeterminism(t *testing.T) {
 	runOnce := func(seed int64) []int {
-		c := &counter{}
-		prog := func(p *Proc) word.Word {
-			for i := 0; i < 3; i++ {
-				c.Incr(p)
-			}
-			return word.Bottom
-		}
-		if _, err := Run(Config{
-			Programs:  []Program{prog, prog, prog},
-			Scheduler: NewPCT(seed, 9, 3),
-		}); err != nil {
+		c := newCounter(3, 3)
+		if _, err := c.run(NewPCT(seed, 9, 3)); err != nil {
 			t.Fatal(err)
 		}
 		return c.order
 	}
-	a, b := runOnce(11), runOnce(11)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
-		}
+	if a, b := runOnce(11), runOnce(11); !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed diverged: %v vs %v", a, b)
 	}
 }
 

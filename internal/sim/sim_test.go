@@ -1,43 +1,57 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
 	"repro/internal/word"
 )
 
-// counter is a trivial shared object for testing the step machinery: each
-// Incr is one atomic step recording who ran it.
-type counter struct {
+// steppedCounter is a stepped program for testing the runner and the
+// schedulers: each process takes incrs steps, each incrementing a shared
+// count, recording the new count and noting who ran it, and decides its id
+// in its last step. With incrs 0 a process never decides.
+type steppedCounter struct {
+	incrs int
+	left  []int
 	n     int
 	order []int
 }
 
-func (c *counter) Incr(p *Proc) int {
-	var v int
-	p.Exec(func() {
-		c.n++
-		v = c.n
-		c.order = append(c.order, p.ID())
-		p.Record(trace.Event{Kind: trace.EventWrite, Proc: p.ID(), Value: word.FromValue(int64(v))})
-	})
-	return v
+func newCounter(procs, incrs int) *steppedCounter {
+	return &steppedCounter{incrs: incrs, left: make([]int, procs)}
 }
 
-func TestRunAllProcessesDecide(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		for i := 0; i < 3; i++ {
-			c.Incr(p)
-		}
-		return word.FromValue(int64(p.ID()))
+func (c *steppedCounter) Begin(id int) { c.left[id] = c.incrs }
+
+func (c *steppedCounter) Step(id int, rec *StepRecorder) StepOutcome {
+	c.n++
+	c.order = append(c.order, id)
+	rec.Record(trace.Event{Kind: trace.EventWrite, Proc: id, Value: word.FromValue(int64(c.n))})
+	if c.left[id]--; c.left[id] == 0 {
+		return StepOutcome{Done: true, Decision: word.FromValue(int64(id))}
 	}
-	res, err := Run(Config{
-		Programs:  []Program{prog, prog, prog},
-		Scheduler: NewRoundRobin(),
-	})
+	return StepOutcome{}
+}
+
+// run executes the counter once under sched.
+func (c *steppedCounter) run(sched Scheduler) (*Result, error) {
+	return RunStepped(context.Background(), SteppedConfig{Procs: len(c.left), Program: c, Scheduler: sched})
+}
+
+// steppedFunc is a stepped program given by its step function.
+type steppedFunc func(id int, rec *StepRecorder) StepOutcome
+
+func (steppedFunc) Begin(int) {}
+
+func (f steppedFunc) Step(id int, rec *StepRecorder) StepOutcome { return f(id, rec) }
+
+func TestRunAllProcessesDecide(t *testing.T) {
+	c := newCounter(3, 3)
+	res, err := c.run(NewRoundRobin())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,63 +71,32 @@ func TestRunAllProcessesDecide(t *testing.T) {
 	}
 }
 
-func TestRoundRobinInterleavesFairly(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		c.Incr(p)
-		return word.Bottom
+// wantOrder fails unless the counter's steps ran in exactly the given order.
+func wantOrder(t *testing.T, c *steppedCounter, want ...int) {
+	t.Helper()
+	if !reflect.DeepEqual(c.order, want) {
+		t.Fatalf("order = %v, want %v", c.order, want)
 	}
-	_, err := Run(Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: NewRoundRobin(),
-	})
-	if err != nil {
+}
+
+func TestRoundRobinInterleavesFairly(t *testing.T) {
+	c := newCounter(2, 2)
+	if _, err := c.run(NewRoundRobin()); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 1, 0, 1}
-	if len(c.order) != len(want) {
-		t.Fatalf("order = %v", c.order)
-	}
-	for i := range want {
-		if c.order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", c.order, want)
-		}
-	}
+	wantOrder(t, c, 0, 1, 0, 1)
 }
 
 func TestSoloRunsSequentially(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		c.Incr(p)
-		return word.Bottom
-	}
-	_, err := Run(Config{
-		Programs:  []Program{prog, prog, prog},
-		Scheduler: NewSolo(2, 0, 1),
-	})
-	if err != nil {
+	c := newCounter(3, 2)
+	if _, err := c.run(NewSolo(2, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{2, 2, 0, 0, 1, 1}
-	for i := range want {
-		if c.order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", c.order, want)
-		}
-	}
+	wantOrder(t, c, 2, 2, 0, 0, 1, 1)
 }
 
 func TestSoloOmittedProcessNeverRuns(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		return word.FromValue(int64(p.ID()))
-	}
-	res, err := Run(Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: NewSolo(1), // process 0 is never scheduled
-	})
+	res, err := newCounter(2, 1).run(NewSolo(1)) // process 0 is never scheduled
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,87 +112,47 @@ func TestSoloOmittedProcessNeverRuns(t *testing.T) {
 }
 
 func TestScriptReplaysExactOrder(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		c.Incr(p)
-		return word.Bottom
-	}
-	res, err := Run(Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: NewScript(1, 1, 0, 0),
-	})
+	c := newCounter(2, 2)
+	res, err := c.run(NewScript(1, 1, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 1, 0, 0}
-	for i := range want {
-		if c.order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", c.order, want)
-		}
-	}
+	wantOrder(t, c, 1, 1, 0, 0)
 	if res.Stopped {
 		t.Error("fully-replayed script covering all steps ends naturally, not stopped")
 	}
 }
 
 func TestScriptExhaustionStops(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		c.Incr(p)
-		return word.Bottom
-	}
-	res, err := Run(Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: NewScript(0), // one step only
-	})
+	c := newCounter(2, 2)
+	res, err := c.run(NewScript(0)) // one step only
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stopped {
 		t.Error("exhausted script must stop the execution")
 	}
-	if len(c.order) != 1 || c.order[0] != 0 {
-		t.Errorf("order = %v, want [0]", c.order)
-	}
+	wantOrder(t, c, 0)
 }
 
 func TestRandomSchedulerIsSeedDeterministic(t *testing.T) {
 	runWith := func(seed int64) []int {
-		c := &counter{}
-		prog := func(p *Proc) word.Word {
-			for i := 0; i < 5; i++ {
-				c.Incr(p)
-			}
-			return word.Bottom
-		}
-		_, err := Run(Config{
-			Programs:  []Program{prog, prog, prog},
-			Scheduler: NewRandom(seed),
-		})
-		if err != nil {
+		c := newCounter(3, 5)
+		if _, err := c.run(NewRandom(seed)); err != nil {
 			t.Fatal(err)
 		}
 		return c.order
 	}
-	a, b := runWith(7), runWith(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
-		}
+	if a, b := runWith(7), runWith(7); !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed diverged: %v vs %v", a, b)
 	}
 }
 
 func TestStepLimitViolation(t *testing.T) {
-	c := &counter{}
-	spinner := func(p *Proc) word.Word {
-		for {
-			c.Incr(p)
-		}
-	}
-	res, err := Run(Config{
-		Programs:  []Program{spinner},
+	spinner := newCounter(1, 0)
+	res, err := RunStepped(context.Background(), SteppedConfig{
+		Procs:     1,
+		Program:   spinner,
 		Scheduler: NewRoundRobin(),
 		StepLimit: 10,
 	})
@@ -225,14 +168,8 @@ func TestStepLimitViolation(t *testing.T) {
 }
 
 func TestProgramPanicPropagates(t *testing.T) {
-	prog := func(p *Proc) word.Word {
-		p.Exec(func() {})
-		panic("boom")
-	}
-	_, err := Run(Config{
-		Programs:  []Program{prog},
-		Scheduler: NewRoundRobin(),
-	})
+	prog := steppedFunc(func(int, *StepRecorder) StepOutcome { panic("boom") })
+	_, err := RunStepped(context.Background(), SteppedConfig{Procs: 1, Program: prog, Scheduler: NewRoundRobin()})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want PanicError", err)
@@ -243,19 +180,14 @@ func TestProgramPanicPropagates(t *testing.T) {
 }
 
 func TestStallModelsNonresponsiveFault(t *testing.T) {
-	c := &counter{}
-	stuck := func(p *Proc) word.Word {
-		p.Exec(func() { p.Stall() })
-		return word.FromValue(1) // unreachable
-	}
-	fine := func(p *Proc) word.Word {
-		c.Incr(p)
-		return word.FromValue(2)
-	}
-	res, err := Run(Config{
-		Programs:  []Program{stuck, fine},
-		Scheduler: NewRoundRobin(),
+	// Process 0 stalls in its first step; process 1 decides 2 in its.
+	prog := steppedFunc(func(id int, _ *StepRecorder) StepOutcome {
+		if id == 0 {
+			return StepOutcome{Stalled: true}
+		}
+		return StepOutcome{Done: true, Decision: word.FromValue(2)}
 	})
+	res, err := RunStepped(context.Background(), SteppedConfig{Procs: 2, Program: prog, Scheduler: NewRoundRobin()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,47 +199,10 @@ func TestStallModelsNonresponsiveFault(t *testing.T) {
 	}
 }
 
-func TestDecideWithoutStepsIsDeterministicallyTraced(t *testing.T) {
-	// Processes that decide without any shared step must appear in the
-	// trace in id order regardless of goroutine start order.
-	for trial := 0; trial < 20; trial++ {
-		log := trace.New()
-		mk := func(id int64) Program {
-			return func(p *Proc) word.Word { return word.FromValue(id) }
-		}
-		_, err := Run(Config{
-			Programs:  []Program{mk(10), mk(11), mk(12)},
-			Scheduler: NewRoundRobin(),
-			Log:       log,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs := log.Events()
-		if len(evs) != 3 {
-			t.Fatalf("trace has %d events, want 3", len(evs))
-		}
-		for i, e := range evs {
-			if e.Kind != trace.EventDecide || e.Proc != i {
-				t.Fatalf("trial %d: event %d = %+v, want decide by p%d", trial, i, e, i)
-			}
-		}
-	}
-}
-
 func TestTraceRecordsStepsAndDecisions(t *testing.T) {
-	c := &counter{}
 	log := trace.New()
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		return word.FromValue(int64(p.ID()))
-	}
-	_, err := Run(Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: NewRoundRobin(),
-		Log:       log,
-	})
-	if err != nil {
+	c := newCounter(2, 1)
+	if _, err := RunStepped(context.Background(), SteppedConfig{Procs: 2, Program: c, Scheduler: NewRoundRobin(), Log: log}); err != nil {
 		t.Fatal(err)
 	}
 	var writes, decides int
@@ -325,14 +220,10 @@ func TestTraceRecordsStepsAndDecisions(t *testing.T) {
 }
 
 func TestObserverSeesEvents(t *testing.T) {
-	c := &counter{}
 	var seen []trace.Event
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		return word.Bottom
-	}
-	_, err := Run(Config{
-		Programs:  []Program{prog},
+	_, err := RunStepped(context.Background(), SteppedConfig{
+		Procs:     1,
+		Program:   newCounter(1, 1),
 		Scheduler: NewRoundRobin(),
 		Observer:  func(e trace.Event) { seen = append(seen, e) },
 	})
@@ -345,15 +236,10 @@ func TestObserverSeesEvents(t *testing.T) {
 }
 
 func TestObserverWithLogSeesIndexedEvents(t *testing.T) {
-	c := &counter{}
 	var indices []int
-	prog := func(p *Proc) word.Word {
-		c.Incr(p)
-		c.Incr(p)
-		return word.Bottom
-	}
-	_, err := Run(Config{
-		Programs:  []Program{prog},
+	_, err := RunStepped(context.Background(), SteppedConfig{
+		Procs:     1,
+		Program:   newCounter(1, 2),
 		Scheduler: NewRoundRobin(),
 		Log:       trace.New(),
 		Observer:  func(e trace.Event) { indices = append(indices, e.Index) },
@@ -361,42 +247,39 @@ func TestObserverWithLogSeesIndexedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, idx := range indices {
-		if idx != i {
-			t.Errorf("observer event %d has index %d", i, idx)
-		}
+	if !reflect.DeepEqual(indices, []int{0, 1, 2}) { // two writes, one decide
+		t.Errorf("observer saw indices %v, want [0 1 2]", indices)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Scheduler: NewRoundRobin()}); err == nil {
-		t.Error("empty programs must error")
+	ctx := context.Background()
+	c := newCounter(1, 1)
+	r := NewStepped(1)
+	if _, err := r.Run(ctx, SteppedConfig{Procs: 1, Scheduler: NewRoundRobin()}); err == nil {
+		t.Error("missing program must error")
 	}
-	if _, err := Run(Config{Programs: []Program{func(*Proc) word.Word { return word.Bottom }}}); err == nil {
+	if _, err := r.Run(ctx, SteppedConfig{Procs: 1, Program: c}); err == nil {
 		t.Error("missing scheduler must error")
+	}
+	if _, err := r.Run(ctx, SteppedConfig{Procs: 2, Program: c, Scheduler: NewRoundRobin()}); err == nil {
+		t.Error("a process count other than the runner's must error")
+	}
+	if _, err := RunStepped(ctx, SteppedConfig{Program: c, Scheduler: NewRoundRobin()}); err == nil {
+		t.Error("no processes must error")
 	}
 }
 
 func TestSchedulerStopAbandonsCleanly(t *testing.T) {
-	c := &counter{}
-	prog := func(p *Proc) word.Word {
-		for i := 0; i < 100; i++ {
-			c.Incr(p)
-		}
-		return word.Bottom
-	}
+	c := newCounter(2, 100)
 	steps := 0
-	sched := SchedulerFunc(func(enabled []int) (int, bool) {
+	res, err := c.run(SchedulerFunc(func(enabled []int) (int, bool) {
 		steps++
 		if steps > 5 {
 			return 0, false
 		}
 		return enabled[0], true
-	})
-	res, err := Run(Config{
-		Programs:  []Program{prog, prog},
-		Scheduler: sched,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,16 +288,5 @@ func TestSchedulerStopAbandonsCleanly(t *testing.T) {
 	}
 	if c.n != 5 {
 		t.Errorf("counter = %d, want 5", c.n)
-	}
-}
-
-func TestDecidedValues(t *testing.T) {
-	res := &Result{
-		Decided:   []bool{true, false, true},
-		Decisions: []word.Word{word.FromValue(1), word.Bottom, word.FromValue(3)},
-	}
-	vals := res.DecidedValues()
-	if len(vals) != 2 || vals[0].Value() != 1 || vals[1].Value() != 3 {
-		t.Errorf("DecidedValues = %v", vals)
 	}
 }

@@ -1,15 +1,13 @@
-// The stepped runner is the compiled counterpart of the goroutine-gated
-// Arena: it executes an entire schedule in one tight loop on the calling
-// goroutine. Where the Arena suspends each process inside a blocked Program
-// closure (park, grant, channel handshake — two scheduler hops per atomic
-// step), the stepped runner advances explicitly resumable state machines
-// (core.Stepper, adapted through SteppedProgram), so granting a step is a
-// plain function call. The Arena remains the reference semantics; the
-// stepped runner reproduces its observable behaviour exactly — same
-// scheduling decisions, same step accounting, same trace events in the same
-// order, same errors byte for byte — which the explore package's
-// differential test (TestCompiledMatchesInterpreted) and the differential
-// fuzz tests enforce.
+// The stepped runner executes an entire schedule in one loop on the calling
+// goroutine. It advances explicitly resumable state machines (core.Stepper,
+// adapted through SteppedProgram), so granting a step is a plain function
+// call. It is the one runner outside tests. The reference semantics is each
+// protocol's Decide code on refsim's goroutine-gated Arena, where every
+// process is suspended inside a blocked program between steps; the stepped
+// runner reproduces its observable behaviour exactly — same scheduling
+// decisions, same step accounting, same trace events in the same order, same
+// errors byte for byte — which the explore package's differential test
+// (TestCompiledMatchesInterpreted) and the differential fuzz tests enforce.
 package sim
 
 import (
@@ -46,7 +44,7 @@ type StepOutcome struct {
 }
 
 // StepRecorder appends events to the execution trace on behalf of the
-// process taking the current step — the stepped counterpart of Proc.Record.
+// process taking the current step.
 type StepRecorder struct {
 	log      *trace.Log
 	observer func(trace.Event)
@@ -56,8 +54,8 @@ type StepRecorder struct {
 // observer). When nothing does, a program may skip building them.
 func (r *StepRecorder) Recording() bool { return r.log != nil || r.observer != nil }
 
-// Record appends an event to the trace and notifies the observer, exactly
-// as Arena.record does: the observer sees the event with its log index.
+// Record appends an event to the trace and notifies the observer: with a
+// log, the observer sees the event with its log index.
 func (r *StepRecorder) Record(e trace.Event) {
 	if r.log != nil {
 		r.log.Append(e)
@@ -72,8 +70,8 @@ func (r *StepRecorder) Record(e trace.Event) {
 	}
 }
 
-// SteppedConfig describes one stepped execution. The fields mirror Config;
-// Programs is replaced by the resumable Program plus the process count.
+// SteppedConfig describes one stepped execution: the resumable Program of
+// all processes plus the process count, the scheduler, and what records it.
 type SteppedConfig struct {
 	// Procs is the number of processes; process ids are 0..Procs-1.
 	Procs int
@@ -82,7 +80,8 @@ type SteppedConfig struct {
 	// Scheduler chooses the interleaving. Required.
 	Scheduler Scheduler
 	// StepLimit bounds the number of atomic steps any single process may
-	// take (0 means DefaultStepLimit), as in Config.
+	// take (0 means DefaultStepLimit). Exceeding it is reported as a
+	// wait-freedom violation.
 	StepLimit int
 	// Log, when non-nil, records every step.
 	Log *trace.Log
@@ -92,9 +91,8 @@ type SteppedConfig struct {
 	Observer func(trace.Event)
 }
 
-// Stepped is the reusable runner state for stepped executions — the
-// counterpart of Arena for the compiled path. A Stepped is built for a
-// fixed process count and can run any number of executions in sequence; it
+// Stepped is the reusable runner state for stepped executions. A Stepped
+// is built for a fixed process count and can run any number of executions in sequence; it
 // holds no goroutines, so there is nothing to Close. Not safe for
 // concurrent Runs.
 type Stepped struct {
@@ -143,9 +141,7 @@ func NewStepped(n int) *Stepped {
 
 // Run executes one stepped simulation and returns its result: Start
 // followed by Resume. The returned Result's slices are owned by the runner
-// and are invalidated by the next Run, exactly like Arena.Run. The
-// termination conditions and error behaviour match Arena.Run: the
-// execution ends when every process has decided (or stalled), when the
+// and are invalidated by the next Run. The execution ends when every process has decided (or stalled), when the
 // scheduler stops it, when ctx is cancelled between steps (partial result
 // plus ctx.Err(), marked Stopped), or on a wait-freedom violation or
 // program panic. Run never returns both a nil Result and a nil error.
@@ -184,10 +180,9 @@ func (s *Stepped) Start(cfg SteppedConfig) error {
 	s.rec = StepRecorder{log: cfg.Log, observer: cfg.Observer}
 	s.live = s.n
 
-	// Initialization phase: the counterpart of the Arena's collection
-	// phase. Begin performs no shared-memory step, so afterwards every
-	// process sits at its first step, exactly like a freshly parked
-	// goroutine.
+	// Initialization phase: Begin performs no shared-memory step, so
+	// afterwards every process sits at its first step, as a process of the
+	// reference Arena sits parked at its first grant.
 	for id := 0; id < s.n; id++ {
 		if err := beginProc(cfg.Program, id); err != nil {
 			return err
@@ -201,11 +196,13 @@ func (s *Stepped) Start(cfg SteppedConfig) error {
 // Restore rewound to. See Run for the result and errors.
 func (s *Stepped) Resume(ctx context.Context) (*Result, error) {
 	// Main loop: grant one step at a time. Structure and error strings
-	// track Arena.Run exactly — the engine's verdicts and lex-least
-	// counterexamples match the reference simulator's only because both
-	// consume scheduler decisions identically (the explore package's
-	// differential test checks it). Cancellation is polled through
-	// ctx.Done(), as in Arena.Run.
+	// track the reference refsim.Arena.Run exactly — the engine's verdicts
+	// and lex-least counterexamples match the reference simulator's only
+	// because both consume scheduler decisions identically (the explore
+	// package's differential test checks it). Cancellation is polled through
+	// ctx.Done(), not ctx.Err(): a cancelCtx's Err takes the context's
+	// mutex, and every engine worker replays under the same context, so a
+	// per-step Err would serialize the workers on it.
 	done := ctx.Done()
 	for s.live > 0 {
 		select {
@@ -296,8 +293,8 @@ func (s *Stepped) Restore(snap *SteppedSnapshot) {
 }
 
 // beginProc initializes one process, converting a panic into the same
-// PanicError the Arena reports for a program panicking before its first
-// step.
+// PanicError the reference Arena reports for a program panicking before
+// its first step.
 func beginProc(prog SteppedProgram, id int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -309,7 +306,8 @@ func beginProc(prog SteppedProgram, id int) (err error) {
 }
 
 // stepProc advances one process by one step, converting a panic into the
-// same PanicError the Arena reports for a program panicking mid-step.
+// same PanicError the reference Arena reports for a program panicking
+// mid-step.
 func stepProc(prog SteppedProgram, id int, rec *StepRecorder) (out StepOutcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -328,8 +326,8 @@ func (s *Stepped) result(stopped bool) *Result {
 }
 
 // RunStepped executes one stepped simulation to completion — the one-shot
-// form, mirroring RunContext. Repeated replays (the model checker's hot
-// path) should hold a Stepped and call its Run directly.
+// form. Repeated replays (the model checker's hot path) should hold a
+// Stepped and call its Run directly.
 func RunStepped(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 	if cfg.Procs <= 0 {
 		return nil, errors.New("sim: no processes")

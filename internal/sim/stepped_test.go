@@ -24,14 +24,14 @@ func TestSteppedRestoreResumes(t *testing.T) {
 		return p, true
 	})
 
-	ref := &steppedCounter{incrs: incrs, left: make([]int, 2)}
+	ref := newCounter(2, incrs)
 	refLog := trace.New()
 	want, err := RunStepped(context.Background(), SteppedConfig{Procs: 2, Program: ref, Log: refLog, Scheduler: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	c := &steppedCounter{incrs: incrs, left: make([]int, 2)}
+	c := newCounter(2, incrs)
 	log := trace.New()
 	r := NewStepped(2)
 	var (

@@ -4,16 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/run"
 	"repro/internal/valency"
 )
 
 // The FLP/Herlihy picture for the single-CAS protocol: the initial state is
 // multivalent and critical — each process's first step is a decision step.
 func ExampleFindCritical() {
-	cfg := valency.Config{
-		Protocol: core.SingleCAS{},
-		Inputs:   []int64{10, 11},
-	}
+	cfg := run.NewSettings(run.WithProtocol(core.SingleCAS{}), run.WithInputs(10, 11))
 	crit, err := valency.FindCritical(cfg)
 	if err != nil {
 		panic(err)
@@ -30,10 +28,7 @@ func ExampleFindCritical() {
 
 // Valence of the state after p0's first CAS: only p0's input remains.
 func ExampleCompute() {
-	cfg := valency.Config{
-		Protocol: core.SingleCAS{},
-		Inputs:   []int64{10, 11},
-	}
+	cfg := run.NewSettings(run.WithProtocol(core.SingleCAS{}), run.WithInputs(10, 11))
 	v, err := valency.Compute(cfg, []int{0})
 	if err != nil {
 		panic(err)

@@ -2,7 +2,7 @@ package valency
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/run"
 )
@@ -14,33 +14,12 @@ import (
 // successor states of a critical state: if two states are indistinguishable
 // to process p, p's solo runs from both decide the same values, which
 // contradicts the states having different valencies.
-func SoloValence(cfg Config, prefix []int, proc int) (Valence, error) {
-	if proc < 0 || proc >= len(cfg.Inputs) {
+func SoloValence(s *run.Settings, prefix []int, proc int) (Valence, error) {
+	if proc < 0 || proc >= len(s.Inputs) {
 		return Valence{}, fmt.Errorf("valency: process %d out of range", proc)
 	}
-	res := Valence{Prefix: append([]int(nil), prefix...)}
-	seen := map[int64]bool{}
-
-	soloCfg := cfg
-	soloCfg.soloProc = proc + 1 // +1 so zero means "no solo restriction"
-
-	err := enumerate(soloCfg, prefix, func(verdict run.Verdict) {
-		res.Executions++
-		if !verdict.OK() {
-			res.Violated = true
-		}
-		if verdict.Decided[proc] && !verdict.Decisions[proc].IsBottom() {
-			seen[verdict.Decisions[proc].Value()] = true
-		}
-	})
-	if err != nil {
-		return Valence{}, err
-	}
-	for v := range seen {
-		res.Values = append(res.Values, v)
-	}
-	sort.Slice(res.Values, func(i, j int) bool { return res.Values[i] < res.Values[j] })
-	return res, nil
+	v, _, _, err := walk(s, prefix, proc, proc)
+	return v, err
 }
 
 // IndistinguishableTo reports whether two states look the same to a process
@@ -48,22 +27,14 @@ func SoloValence(cfg Config, prefix []int, proc int) (Valence, error) {
 // both states decide exactly the same value sets. (True state-level
 // indistinguishability implies this; the converse direction is what the
 // contradiction needs.)
-func IndistinguishableTo(cfg Config, prefixA, prefixB []int, proc int) (bool, error) {
-	a, err := SoloValence(cfg, prefixA, proc)
+func IndistinguishableTo(s *run.Settings, prefixA, prefixB []int, proc int) (bool, error) {
+	a, err := SoloValence(s, prefixA, proc)
 	if err != nil {
 		return false, err
 	}
-	b, err := SoloValence(cfg, prefixB, proc)
+	b, err := SoloValence(s, prefixB, proc)
 	if err != nil {
 		return false, err
 	}
-	if len(a.Values) != len(b.Values) {
-		return false, nil
-	}
-	for i := range a.Values {
-		if a.Values[i] != b.Values[i] {
-			return false, nil
-		}
-	}
-	return true, nil
+	return slices.Equal(a.Values, b.Values), nil
 }

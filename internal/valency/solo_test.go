@@ -3,7 +3,6 @@ package valency
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -123,13 +122,7 @@ func TestSoloValenceUnderFaultsEnumeratesFaultChoices(t *testing.T) {
 }
 
 func TestSoloValenceStaged(t *testing.T) {
-	cfg := Config{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          []int64{10, 11},
-		FaultyObjects:   []int{0},
-		FaultsPerObject: 1,
-	}
-	v, err := SoloValence(cfg, nil, 1)
+	v, err := SoloValence(staged11(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,23 +1,29 @@
 package valency
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/run"
 )
 
-func cfgSingle(n int, faults int) Config {
-	in := make([]int64, n)
-	for i := range in {
-		in[i] = int64(10 + i)
-	}
-	c := Config{Protocol: core.SingleCAS{}, Inputs: in}
+// cfgSingle describes the single-CAS protocol with n distinct inputs and,
+// when faults is not 0, that many overriding faults on its object.
+func cfgSingle(n int, faults int) *run.Settings {
+	s := run.NewSettings(run.WithProtocol(core.SingleCAS{}), run.WithDistinctInputs(n))
 	if faults != 0 {
-		c.FaultyObjects = []int{0}
-		c.FaultsPerObject = faults
+		s.FaultyObjects = []int{0}
+		s.FaultsPerObject = faults
 	}
-	return c
+	return s
+}
+
+// staged11 describes Figure 3 at f=1, t=1 with two processes.
+func staged11() *run.Settings {
+	return run.NewSettings(run.WithProtocol(core.NewStaged(1, 1)), run.WithDistinctInputs(2),
+		run.WithFaultyObjects([]int{0}, 1))
 }
 
 func TestInitialStateIsMultivalent(t *testing.T) {
@@ -61,7 +67,7 @@ func TestFirstStepDecides(t *testing.T) {
 }
 
 func TestEqualInputsAreUnivalentFromTheStart(t *testing.T) {
-	cfg := Config{Protocol: core.SingleCAS{}, Inputs: []int64{7, 7}}
+	cfg := run.NewSettings(run.WithProtocol(core.SingleCAS{}), run.WithInputs(7, 7))
 	v, err := Compute(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -97,31 +103,6 @@ func TestValenceDetectsTheorem18Violations(t *testing.T) {
 	}
 }
 
-func TestChildArity(t *testing.T) {
-	// Initial state of the 2-process single-CAS system: the scheduler
-	// picks between 2 enabled processes.
-	arity, err := ChildArity(cfgSingle(2, 0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arity != 2 {
-		t.Fatalf("initial arity = %d, want 2", arity)
-	}
-	// After both steps the execution is over: no further choices.
-	arity, err = ChildArity(cfgSingle(2, 0), []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arity != 1 {
-		// One enabled process remains; single-enabled picks consume no
-		// choice, so the frontier choice (if any) is the fault choice
-		// or nothing. Fault-free: nothing.
-		if arity != 0 {
-			t.Fatalf("post-step arity = %d, want 0 or 1", arity)
-		}
-	}
-}
-
 func TestFindCriticalSingleCAS(t *testing.T) {
 	// The canonical FLP/Herlihy picture: for the single-CAS protocol the
 	// initial state itself is critical — every enabled step decides.
@@ -131,6 +112,9 @@ func TestFindCriticalSingleCAS(t *testing.T) {
 	}
 	if len(crit.Prefix) != 0 {
 		t.Fatalf("critical prefix = %v, want the initial state", crit.Prefix)
+	}
+	if len(crit.Children) != 2 {
+		t.Fatalf("critical state has %d children, want one per enabled process", len(crit.Children))
 	}
 	if !crit.State.Multivalent() {
 		t.Fatal("critical state must be multivalent")
@@ -150,13 +134,7 @@ func TestFindCriticalSingleCAS(t *testing.T) {
 func TestFindCriticalStaged(t *testing.T) {
 	// Figure 3's f=1, t=1 instance also has a critical state; verify the
 	// structural invariants hold wherever the walk lands.
-	cfg := Config{
-		Protocol:        core.NewStaged(1, 1),
-		Inputs:          []int64{10, 11},
-		FaultyObjects:   []int{0},
-		FaultsPerObject: 1,
-	}
-	crit, err := FindCritical(cfg)
+	crit, err := FindCritical(staged11())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +157,7 @@ func TestFindCriticalStaged(t *testing.T) {
 }
 
 func TestFindCriticalRejectsUnivalentStart(t *testing.T) {
-	cfg := Config{Protocol: core.SingleCAS{}, Inputs: []int64{7, 7}}
+	cfg := run.NewSettings(run.WithProtocol(core.SingleCAS{}), run.WithInputs(7, 7))
 	if _, err := FindCritical(cfg); err == nil {
 		t.Fatal("equal inputs must be rejected (initial state univalent)")
 	}
@@ -199,5 +177,50 @@ func TestValenceString(t *testing.T) {
 	}
 	if u.String() == "" {
 		t.Error("empty string")
+	}
+}
+
+// TestErrorsNameWhatIsWrong: a prefix that names no state, and a walk for a
+// critical state in a configuration that violates consensus, are errors
+// that say so, not a panic, a valence of some other state, or a complaint
+// about a state deep in the walk.
+func TestErrorsNameWhatIsWrong(t *testing.T) {
+	cases := []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"scheduling choice out of range", func() error {
+			_, err := Compute(cfgSingle(2, 1), []int{7})
+			return err
+		}, "prefix [7] names no state"},
+		{"negative choice", func() error {
+			_, err := Compute(cfgSingle(2, 1), []int{0, -1})
+			return err
+		}, "prefix [0 -1] names no state"},
+		{"fault choice out of range", func() error {
+			_, err := Compute(cfgSingle(2, 1), []int{0, 2})
+			return err
+		}, "prefix [0 2] names no state"},
+		{"more choices than the execution makes", func() error {
+			_, err := Compute(cfgSingle(2, 1), []int{0, 0, 0, 0})
+			return err
+		}, "prefix [0 0 0 0] names no state"},
+		{"solo extensions of no state", func() error {
+			_, err := SoloValence(cfgSingle(2, 1), []int{0, 0, 0, 0}, 1)
+			return err
+		}, "prefix [0 0 0 0] names no state"},
+		{"violations reachable from the initial state", func() error {
+			_, err := FindCritical(cfgSingle(3, 1))
+			return err
+		}, "state [] has violating extensions, first [0 0 1]: VIOLATION(consistency)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.call()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -10,16 +10,16 @@
 //   - internal/spec     — Hoare-triple specifications Ψ{O}Φ, relaxed Φ′, fault classification
 //   - internal/fault    — fault kinds, (f, t, n) budgets, fault policies
 //   - internal/sim      — deterministic shared-memory simulator (Section 2's model)
-//   - internal/object   — the CAS-only shared object with fault injection; registers
+//   - internal/refsim   — test-only reference: Decide on goroutine-gated processes
+//   - internal/object   — the CAS-only shared object with fault injection
 //   - internal/core     — the paper's protocols (Figures 1–3), silent-retry, replicated log
-//   - internal/run      — protocol↔simulator wiring and the consensus verdict
+//   - internal/run      — settings, protocol↔simulator wiring and the consensus verdict
 //   - internal/explore  — exhaustive model checker and randomized stress
 //   - internal/adversary— Theorem 18/19 adversaries and the data-fault comparator
 //   - internal/hierarchy— consensus-number estimation (Section 5.2)
 //   - internal/valency  — valence, decision steps, critical states (Section 5's machinery)
-//   - internal/history  — linearizability checker for concurrent CAS histories
-//   - internal/tas      — test-and-set with its lost-set fault (the Section 7 question)
 //   - internal/atomicx  — sync/atomic substrate with overriding-fault injection
+//   - internal/history  — test-only linearizability checker for the atomics substrate
 //   - internal/stats    — summary statistics for the harness
 //   - internal/harness  — reproduction experiments E1–E10 and table rendering
 //

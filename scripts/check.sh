@@ -68,6 +68,24 @@ go test -count=1 ./internal/trace/ ./internal/trace/export/
 echo "== go build =="
 go build ./...
 
+echo "== reference isolation (only tests run the goroutine-gated simulator) =="
+# internal/refsim is the reference semantics the compiled step machines are
+# certified against: each protocol's Decide code on goroutine-gated
+# processes. Every verdict, table, adversary and CLI runs the compiled
+# machines, so no package may depend on the reference outside its tests.
+# go list -deps leaves test imports out, so a package listed here reaches
+# refsim from non-test code. bench/ is its own module and is checked too.
+refsim_users() {
+	go list -f '{{.ImportPath}}:{{range .Deps}} {{.}}{{end}}' ./... |
+		grep -E ' repro/internal/refsim( |$)' | cut -d: -f1
+}
+leaks="$(refsim_users; cd bench && refsim_users)"
+if [ -n "$leaks" ]; then
+	echo "reference isolation: these non-test packages depend on internal/refsim:" >&2
+	echo "$leaks" >&2
+	exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
@@ -96,12 +114,12 @@ go test -count=1 ./internal/obs/fleet/
 gate -run 'TestEngineFleet' ./internal/explore/
 gate -run 'TestCLIFleet' .
 
-echo "== exec-form equivalence gate (compiled engine and sampler vs goroutine reference) =="
+echo "== exec-form equivalence gate (compiled engine, sampler and adversaries vs goroutine reference) =="
 # The engine runs only the compiled Stepper machines. They must enumerate
 # the SAME execution tree as the protocols' Decide code on the
-# goroutine-gated simulator, the literal transcription of Figures 1-3, which
-# survives as a test-only reference replay: every protocol is swept (n=2,
-# f=1, unbounded faults) leaf for leaf through both. The engine's leaves
+# goroutine-gated simulator (internal/refsim), the literal transcription of
+# Figures 1-3, which survives as a test-only reference replay: every
+# protocol is swept (n=2, f=1, unbounded faults) leaf for leaf through both. The engine's leaves
 # record nothing, so each is compared on verdict, decisions, step counts
 # and fault tally, and then kept as a worker keeps a violation (one more
 # replay of its path, with recording on), whose schedule and trace log are
@@ -121,9 +139,14 @@ echo "== exec-form equivalence gate (compiled engine and sampler vs goroutine re
 # compiled sampler behind StressWith, StressPCTWith, SampleWith and
 # TallyWith to the goroutine reference run for run (uniform and PCT, 200
 # seeds per case): schedule, verdict, step and fault counts, and every kept
-# record's trace event for event, then whole batch outcomes. Uncached, so
-# the gate re-runs every time.
-gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted|TestResumedReplayProbesOnlyNewStates|TestCaptureMatchesReference|TestSamplerMatchesReference)$' ./internal/explore/
+# record's trace event for event, then whole batch outcomes. The adversary
+# test runs the covering, tightness and data-fault adversaries, built by
+# one constructor each, on the compiled machines and on the reference over
+# a grid of protocols and configurations, and requires the same verdict,
+# cover, steps, decisions and trace event for event. Uncached, so the gate
+# re-runs every time.
+gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted|TestResumedReplayProbesOnlyNewStates|TestCaptureMatchesReference|TestSamplerMatchesReference|TestAdversariesMatchReference)$' \
+	./internal/explore/ ./internal/adversary/
 
 echo "== experiments golden gate (quick tables at 1 and 2 workers, fresh) =="
 # The quick experiments output is committed as a golden file. Regenerated
@@ -157,15 +180,15 @@ gate -race -run '^(TestEngineInterruptedResume|TestEngineInterruptedResumeFindsV
 	./internal/explore/ ./internal/store/
 
 echo "== cancellation gate (between-step exits, fresh, race, 10 runs) =="
-# Both runners and the engine poll cancellation without blocking before
-# every granted step and every leaf. These tests pin what a cancelled run
+# The stepped runner, the reference arena and the engine poll cancellation
+# without blocking before every granted step and every leaf. These tests pin what a cancelled run
 # returns (the partial Stopped result or outcome, with ctx.Err()), that a
 # pre-cancelled context grants no step, that an uncancelled run never calls
 # ctx.Err(), and that per-worker counters still sum after a mid-lease
 # cancel. The exits race the workers and the watcher goroutine that aborts
 # the frontier, so they run ten times under the race detector, uncached.
 gate -race -count=10 -run '^(TestRunContextCancelMidExecution|TestRunContextPreCancelled|TestRunPollsDoneOncePerRun|TestEngineImmediateCancel|TestEngineDeadline|TestEngineCancelMidLeaseWorkerSum|TestConsensusContextCancelPropagates)$' \
-	./internal/sim/ ./internal/explore/ ./internal/run/
+	./internal/sim/ ./internal/refsim/ ./internal/explore/ ./internal/run/
 
 echo "== benchmark smoke test (bench/, its own module, fresh) =="
 # bench/ drives explore.CheckWith, harness.RunOne, explore.ExplainFile, and
@@ -210,7 +233,7 @@ END {
 echo "== compiled-speedup gate (compiled engine vs goroutine reference, min of $SCALE_COUNT) =="
 # The compiled form's reason to exist is speed: the single-worker engine
 # must explore the 4096-execution covering slab at least 2x faster than the
-# test-only reference replays the same 4096 leaves (Decide on the
+# test-only reference replays the same 4096 leaves (Decide on refsim's
 # goroutine-gated simulator, from the root, pre-bound programs on one
 # reused arena — the cost the removed goroutine engine form had). Users can
 # no longer pick the goroutine form, so the gate measures what the compiled

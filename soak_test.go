@@ -12,9 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/fault"
-	"repro/internal/history"
 	"repro/internal/run"
-	"repro/internal/word"
 )
 
 func TestSoakSimulatedProtocols(t *testing.T) {
@@ -90,31 +88,6 @@ func TestSoakAtomicSubstrate(t *testing.T) {
 			if results[g] != results[0] {
 				t.Fatalf("round %d: disagreement %v", r, results)
 			}
-		}
-	}
-}
-
-func TestSoakHistoryLinearizability(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak")
-	}
-	// Many recorded concurrent histories of the faulty bank, each checked
-	// against its own (f, t) budget under the Φ′ relaxation.
-	for trial := 0; trial < 300; trial++ {
-		bank := atomicx.NewFaultyBank(2, fault.NewBudget(2, 1), 0.6, int64(trial))
-		rec := history.NewRecorder(bank)
-		var wg sync.WaitGroup
-		for g := 0; g < 3; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rec.CAS(g%2, word.Bottom, word.FromValue(int64(g+1)))
-				rec.CAS(g%2, word.FromValue(int64(g+1)), word.FromValue(int64(g+4)))
-			}(g)
-		}
-		wg.Wait()
-		if !history.Check(rec.Ops(), 2, history.Budget{F: 2, T: 1}) {
-			t.Fatalf("trial %d: history exceeds its (2,1) budget:\n%v", trial, rec.Ops())
 		}
 	}
 }
