@@ -176,7 +176,7 @@ func cliExecutions(t *testing.T, out string) int {
 // 1,814,400 executions to VERIFIED, about 0.7 s at two workers on a 2-vCPU
 // host, so a kill or a freeze lands mid-run. Every other tree under the
 // default cap finishes in under 0.2 s at one worker. No manifest records
-// the cap, so every ledger participant and every -resume passes slowMax.
+// the cap, so every -resume passes slowMax.
 var slowArgs = []string{"-proto", "figure2", "-f", "1", "-n", "5", "-faulty", "1", "-unbounded", "-max", slowMax}
 
 const slowMax = "2000000"
@@ -287,6 +287,120 @@ func TestCLIModelcheckResumeMismatch(t *testing.T) {
 	if code != 2 || !strings.Contains(out, "contradicts") {
 		t.Errorf("mismatched resume: exit %d, want 2 with a contradiction message:\n%s", code, out)
 	}
+}
+
+// TestCLIRepeatedCreationFlagsAreNoContradiction: the manifest records the
+// settings in canonical form (protocol name, resolved faulty count, the f
+// and t the protocol uses), so a resume that repeats the creating command
+// line — aliases, -faulty -1, an ignored -f — must be accepted, not refused
+// as contradicting it.
+func TestCLIRepeatedCreationFlagsAreNoContradiction(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	args := []string{"-proto", "single", "-f", "3", "-t", "2", "-n", "2", "-unbounded", "-faulty", "-1"}
+	out, code := runCLI(t, "modelcheck", append(append([]string{}, args...), "-max", "2", "-checkpoint", dir)...)
+	if code != 0 {
+		t.Fatalf("capped run: exit %d:\n%s", code, out)
+	}
+	out, code = runCLI(t, "modelcheck", append(append([]string{}, args...), "-resume", dir)...)
+	if code == 2 {
+		t.Errorf("resume repeating the creation flags: exit 2:\n%s", out)
+	}
+}
+
+// TestCLIModelcheckRefusesLedgerRun: the multi-process work ledger is gone.
+// A run directory it wrote holds a manifest and a ledger/ subdirectory but
+// no checkpoint, so -resume must refuse it with one line naming the ledger
+// (exit 2) rather than restart the sweep from the root; and the ledger's
+// flags are unknown flags (exit 2).
+func TestCLIModelcheckRefusesLedgerRun(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	out, code := runCLI(t, "modelcheck", "-proto", "figure3", "-f", "1", "-t", "1", "-n", "2", "-max", "2", "-checkpoint", dir)
+	if code != 0 {
+		t.Fatalf("capped run: exit %d:\n%s", code, out)
+	}
+	// Rewrite the run directory into the shape a ledger run left behind.
+	if err := os.Remove(filepath.Join(dir, "checkpoint.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "ledger", "tasks"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out, code = runCLI(t, "modelcheck", "-resume", dir)
+	if code != 2 || !refusedInOneLine(out, "ledger") || strings.Contains(out, "executions") {
+		t.Errorf("resume of a ledger run: exit %d, want 2 with one error line naming the ledger:\n%s", code, out)
+	}
+	for _, flag := range [][]string{
+		{"-ledger", dir}, {"-ledger-finalize", dir}, {"-fleet-status", dir},
+		{"-worker-id", "a"}, {"-lease-ttl", "1s"}, {"-fleet-snapshots=false"},
+	} {
+		if out, code := runCLI(t, "modelcheck", flag...); code != 2 || !strings.Contains(out, "flag provided but not defined") {
+			t.Errorf("modelcheck %v: exit %d, want 2 as an unknown flag:\n%s", flag, code, out)
+		}
+	}
+}
+
+// TestCLIModelcheckRefusesPathsNamingNoExecution: a choice path read from a
+// file — a trace's path for -explain, a checkpoint's best path for -resume
+// — that names no execution is refused with one line (exit 2), not a panic.
+func TestCLIModelcheckRefusesPathsNamingNoExecution(t *testing.T) {
+	traceDir := filepath.Join(t.TempDir(), "traces")
+	args := []string{"-proto", "figure3", "-f", "1", "-t", "1", "-n", "3"}
+	if out, code := runCLI(t, "modelcheck", append(append([]string{}, args...), "-trace", traceDir)...); code != 1 {
+		t.Fatalf("violating run: exit %d, want 1:\n%s", code, out)
+	}
+	capture := filepath.Join(traceDir, "violation-000001.jsonl")
+	data, err := os.ReadFile(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := regexp.MustCompile(`"path":\[[0-9,]*\]`).ReplaceAll(data, []byte(`"path":[7]`))
+	if string(edited) == string(data) {
+		t.Fatal("the capture's meta line has no path to edit")
+	}
+	if err := os.WriteFile(capture, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := runCLI(t, "modelcheck", "-explain", capture)
+	if code != 2 || !refusedInOneLine(out, "names no state") {
+		t.Errorf("explain of path [7]: exit %d, want 2 with one error line:\n%s", code, out)
+	}
+
+	dir := filepath.Join(t.TempDir(), "run")
+	if out, code := runCLI(t, "modelcheck", append(append([]string{}, args...), "-max", "2", "-checkpoint", dir)...); code != 0 {
+		t.Fatalf("capped run: exit %d:\n%s", code, out)
+	}
+	ckpt := filepath.Join(dir, "checkpoint.json")
+	var cp map[string]any
+	data, err = os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &cp); err != nil {
+		t.Fatal(err)
+	}
+	cp["best_path"] = []int{7}
+	if data, err = json.Marshal(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code = runCLI(t, "modelcheck", "-resume", dir)
+	if code != 2 || !refusedInOneLine(out, "names no state") {
+		t.Errorf("resume with best path [7]: exit %d, want 2 with one error line:\n%s", code, out)
+	}
+}
+
+// refusedInOneLine reports that a CLI's output holds exactly one error line,
+// which contains want, and no panic.
+func refusedInOneLine(out, want string) bool {
+	var errs []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "modelcheck: ") {
+			errs = append(errs, line)
+		}
+	}
+	return len(errs) == 1 && strings.Contains(errs[0], want) && !strings.Contains(out, "panic")
 }
 
 // TestCLIModelcheckDedupReduction: -dedup must complete the same

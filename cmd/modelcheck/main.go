@@ -18,26 +18,6 @@
 //	modelcheck -proto figure3 -f 2 -n 3 -checkpoint run/ -deadline 10s
 //	modelcheck -resume run/                              # pick up where it died
 //
-// Distributed exploration (docs/MODEL.md, "Distributed exploration"):
-// -ledger joins any number of OS processes into one sweep over a shared work
-// ledger in the run directory; workers claim subtrees under expiring leases,
-// so a SIGKILLed participant forfeits only its current claim to the
-// survivors. -ledger-finalize merges the drained ledger into the exact
-// verdict a single process would have reported.
-//
-//	modelcheck -proto figure3 -f 1 -n 2 -unbounded -ledger run/ &
-//	modelcheck -ledger run/ &                            # settings from the manifest
-//	wait; modelcheck -ledger-finalize run/
-//
-// Fleet observability (docs/MODEL.md, "Fleet observability"): each ledger
-// worker publishes periodic metrics snapshots into the shared run
-// directory; -fleet-status renders the merged fleet view — per-worker
-// liveness, summed counters, flagged anomalies — of any ledger run
-// directory without joining it, and /fleet (JSON) plus /fleet/dashboard
-// (text) serve the same view from any worker's -http endpoint.
-//
-//	modelcheck -fleet-status run/                        # or -fleet-status run/ -json
-//
 // Observability (docs/MODEL.md, "Observability"): -http serves the live
 // metric snapshot, the latest progress report, and pprof while the
 // exploration runs; -events streams the structured run event log as JSONL;
@@ -66,7 +46,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"maps"
 	"os"
 	"os/signal"
@@ -81,9 +60,7 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/fault"
-	"repro/internal/ledger"
 	"repro/internal/obs"
-	"repro/internal/obs/fleet"
 	"repro/internal/run"
 	"repro/internal/store"
 )
@@ -108,12 +85,6 @@ func main() {
 		checkpt   = flag.String("checkpoint", "", "create a run directory there and checkpoint the exploration into it")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "checkpoint period (default 5s)")
 		resume    = flag.String("resume", "", "resume the exploration recorded in this run directory")
-		ledgerF   = flag.String("ledger", "", "join (or create) the multi-process work ledger in this run directory and explore cooperatively")
-		workerID  = flag.String("worker-id", "", "name of this ledger participant (default host:pid); must be unique among live participants")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "ledger lease time-to-live when creating a ledger (default 5s); later joiners adopt the creator's TTL")
-		finalizeF = flag.String("ledger-finalize", "", "merge the drained work ledger in this run directory into the final verdict, then exit")
-		fleetF    = flag.String("fleet-status", "", "print the fleet observability view of this ledger run directory (per-worker liveness, merged metrics, anomalies), then exit; -json for the machine-readable view")
-		fleetSnap = flag.Bool("fleet-snapshots", true, "on a ledger run, periodically publish this worker's metrics snapshot into <run>/obs/ for -fleet-status and /fleet")
 		jsonOut   = flag.Bool("json", false, "emit the counterexample trace as JSON")
 		diagram   = flag.Bool("diagram", false, "render the counterexample as a space-time diagram")
 		httpAddr  = flag.String("http", "", "serve live introspection (/metrics, /progress, /pprof/) on this address while exploring, e.g. :6060")
@@ -134,26 +105,6 @@ func main() {
 		return
 	}
 
-	if *fleetF != "" {
-		// One-shot fleet inspection: read-only over the run directory's
-		// worker snapshots and ledger, no worker needed, no join.
-		view, err := fleet.Load(*fleetF)
-		if err != nil {
-			fail("%v", err)
-		}
-		if *jsonOut {
-			data, err := json.MarshalIndent(view, "", "  ")
-			if err != nil {
-				fail("%v", err)
-			}
-			os.Stdout.Write(data)
-			fmt.Println()
-		} else {
-			fmt.Print(view.Dashboard())
-		}
-		return
-	}
-
 	// SIGINT/SIGTERM cancel the exploration context instead of killing the
 	// process. The handler is installed before the run directory is touched
 	// and held until every output file is sealed, so a signal at any moment
@@ -164,28 +115,16 @@ func main() {
 	if *resume != "" && *checkpt != "" {
 		fail("use either -checkpoint (new run) or -resume (existing run), not both")
 	}
-	if *ledgerF != "" && (*checkpt != "" || *resume != "") {
-		fail("the work ledger is the durable state of a distributed run; -ledger cannot be combined with -checkpoint or -resume")
-	}
-	if *finalizeF != "" && (*ledgerF != "" || *checkpt != "" || *resume != "") {
-		fail("-ledger-finalize merges a finished run on its own; combine it only with output flags")
-	}
 
-	// At most one run directory is named (checked above); its manifest
-	// supplies every setting the flags leave out.
-	s, flagMeta := settingsFromFlags(*resume+*ledgerF+*finalizeF, *ledgerF != "")
-
-	if *finalizeF != "" {
-		finalizeLedger(s, *finalizeF, *jsonOut, *diagram, *reportOut, reportMeta(flagMeta, s))
-		return
-	}
+	// A resumed run directory's manifest supplies every setting the flags
+	// leave out.
+	s, flagMeta := settingsFromFlags(*resume)
 
 	s.MaxExecutions = *maxExecs
 	s.Workers = *workers
 	s.CheckpointDir, s.CheckpointEvery, s.Resume = *checkpt, *ckptEvery, *resume
-	s.LedgerDir, s.WorkerID, s.LeaseTTL = *ledgerF, *workerID, *leaseTTL
 	s.TraceDir, s.TraceSample = *traceDir, *traceN
-	eng := &explore.Engine{FleetSnapshots: *fleetSnap}
+	eng := &explore.Engine{}
 	if err := eng.Attach(s); err != nil {
 		fail("%v", err)
 	}
@@ -231,34 +170,13 @@ func main() {
 	}
 	if *progress > 0 || *httpAddr != "" {
 		eng.Progress = func(p explore.Progress) { rep.tick(p, *progress > 0) }
-		if eng.Ledger != nil && *progress > 0 {
-			// On a ledger run each progress tick also reports the fleet:
-			// who has joined, which leases are live or forfeited, and how
-			// much is already merged into published results. The status is
-			// served through the fleet aggregator's cache — a full
-			// ledger.Status is a directory scan that grows with task and
-			// result count, so ticks within half a TTL reuse one scan.
-			cache := fleet.NewStatusCache(*ledgerF, eng.Ledger.TTL()/2)
-			eng.Progress = func(p explore.Progress) {
-				rep.tick(p, true)
-				rep.ledgerLine(cache)
-			}
-		}
 	}
 	if *httpAddr != "" {
-		mux := obs.Handler(reg, rep.latest)
-		endpoints := "/metrics /progress /healthz /pprof/"
-		if eng.Ledger != nil {
-			// Any worker can answer for the whole fleet: the view is
-			// rebuilt from the shared run directory per request.
-			fleet.Attach(mux, *ledgerF)
-			endpoints += " /fleet /fleet/dashboard"
-		}
-		addr, shutdown, err := obs.Serve(*httpAddr, mux)
+		addr, shutdown, err := obs.Serve(*httpAddr, obs.Handler(reg, rep.latest))
 		if err != nil {
 			fail("%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "modelcheck: introspection on http://%s (%s)\n", addr, endpoints)
+		fmt.Fprintf(os.Stderr, "modelcheck: introspection on http://%s (/metrics /progress /healthz /pprof/)\n", addr)
 		defer shutdown() //nolint:errcheck // exiting anyway
 	}
 	out, err := eng.Check(ctx, s)
@@ -343,26 +261,8 @@ func main() {
 			fmt.Printf("checkpoint  : finished run recorded in %s\n", dir)
 		}
 	}
-	if eng.Ledger != nil {
-		if rs, rserr := ledger.Status(*ledgerF); rserr == nil {
-			if rs.Drained {
-				fmt.Printf("ledger      : drained — %d participant(s), %d subtree result(s) in %s\n",
-					len(rs.Participants), rs.Results, *ledgerF)
-			} else {
-				fmt.Printf("ledger      : %d task(s) pending, %d live / %d expired lease(s) in %s\n",
-					rs.TasksPending, rs.LeasesLive, rs.LeasesExpired, *ledgerF)
-			}
-		}
-	}
 
 	if out.Violation == nil {
-		if eng.Ledger != nil {
-			// This worker's published claims hold no counterexample, but
-			// another participant's might: the authoritative verdict is the
-			// merged fold over every published result.
-			fmt.Printf("result      : WORKER DONE — merged verdict via: modelcheck -ledger-finalize %s\n", *ledgerF)
-			return
-		}
 		switch {
 		case out.Complete:
 			fmt.Println("result      : VERIFIED — no execution violates consensus")
@@ -461,21 +361,6 @@ func (r *progressReporter) line(p explore.Progress) {
 	fmt.Fprintln(r.w)
 }
 
-// ledgerLine renders the fleet view of a ledger run underneath the local
-// progress line: participants, lease liveness, and the merged totals so
-// far. The status comes through the fleet aggregator's cache, so back-to-
-// back ticks do not each rescan the ledger directories.
-func (r *progressReporter) ledgerLine(cache *fleet.StatusCache) {
-	rs, err := cache.Status()
-	if err != nil {
-		return // the ledger is being torn down or not yet created; skip the line
-	}
-	fmt.Fprintf(r.w, "ledger:   %d participant(s) %v, %d live / %d expired lease(s), %d task(s) pending, %d result(s) merged (%d executions, %d violations)\n",
-		len(rs.Participants), rs.Participants, rs.LeasesLive, rs.LeasesExpired,
-		rs.TasksPending, rs.Results, rs.MergedExecutions, rs.MergedViolations)
-	r.flush()
-}
-
 func (r *progressReporter) flush() { r.w.Flush() } //nolint:errcheck // stderr
 
 // settingsFlags are the flags that describe the explored configuration.
@@ -487,23 +372,19 @@ var settingsFlags = []string{"proto", "f", "t", "n", "fault", "unbounded", "faul
 // returns the flag values it was built from (keyed by flag name). dir, when
 // set, is a run directory whose manifest supplies every setting not given
 // explicitly; an explicit flag that contradicts it is refused — a run
-// directory continues only with the settings it was created with. The first
-// participant of a new ledger (mayCreate) finds no manifest yet and keeps
-// its own flags. Only the manifest is read, not the checkpoint.
-func settingsFromFlags(dir string, mayCreate bool) (*run.Settings, map[string]string) {
+// directory continues only with the settings it was created with. Only the
+// manifest is read, not the checkpoint.
+func settingsFromFlags(dir string) (*run.Settings, map[string]string) {
 	meta := map[string]string{}
 	for _, name := range settingsFlags {
 		meta[name] = strings.ToLower(flag.Lookup(name).Value.String())
 	}
 	if dir != "" {
 		m, err := store.ReadManifest(dir)
-		switch {
-		case err == nil:
-			restoreFlags(meta, m.Extra)
-		case errors.Is(err, fs.ErrNotExist) && mayCreate:
-		default:
+		if err != nil {
 			fail("%v", err)
 		}
+		restoreFlags(meta, m.Extra)
 	}
 	return settingsFromMeta(meta), meta
 }
@@ -556,93 +437,6 @@ func reportMeta(flags map[string]string, s *run.Settings) map[string]string {
 	meta["exec"] = run.ExecForm
 	meta["reduce"] = s.Reduce.String()
 	return meta
-}
-
-// finalizeLedger merges the drained work ledger in dir into the final
-// verdict and renders it exactly as a single-process run would: VERIFIED
-// exits 0, a violation prints the replayed counterexample and exits 1, and
-// an incomplete ledger (pending tasks or leases) reports who is still
-// working and exits 2.
-func finalizeLedger(s *run.Settings, dir string, jsonOut, diagram bool, reportOut string, meta map[string]string) {
-	out, merged, err := explore.FinalizeLedger(s, dir, false)
-	var inc *ledger.IncompleteError
-	if errors.As(err, &inc) {
-		if rs, serr := ledger.Status(dir); serr == nil {
-			fmt.Fprintf(os.Stderr, "modelcheck: participants %v, %d live / %d expired lease(s), %d result(s) published so far\n",
-				rs.Participants, rs.LeasesLive, rs.LeasesExpired, rs.Results)
-		}
-		fail("%v", err)
-	}
-	if err != nil {
-		fail("%v", err)
-	}
-
-	if reportOut != "" {
-		// The finalize report mirrors the single-process -report so
-		// scripts/bench.sh consumes either: merged counters stand in for
-		// the live registry, and the fleet shape rides in the Run section.
-		reg := obs.NewRegistry()
-		reg.Counter("explore.violations").Add(merged.Violations)
-		meta["workers"] = strconv.Itoa(out.Workers)
-		meta["ledger_participants"] = strconv.Itoa(len(merged.Participants))
-		meta["ledger_results"] = strconv.Itoa(merged.Results)
-		meta["ledger_reclaims"] = strconv.FormatInt(merged.Reclaims, 10)
-		meta["ledger_total_work_ns"] = strconv.FormatInt(merged.TotalWorkNS, 10)
-		rep := buildReport(out, reg, nil, meta)
-		// The fleet section (modelcheck-fleet-report/v1) preserves the
-		// worker fleet's final shape — per-worker snapshots, liveness,
-		// anomalies — in the durable report. Best-effort: a run whose
-		// workers never published snapshots still reports the ledger view.
-		if fv, ferr := fleet.Load(dir); ferr == nil {
-			rep.Fleet = fv
-		}
-		if err := obs.WriteReport(reportOut, rep); err != nil {
-			fail("%v", err)
-		}
-	}
-
-	fmt.Printf("protocol    : %s\n", s.Protocol.Name())
-	fmt.Printf("processes   : %d, faulty objects: %v, faults/object: %s\n",
-		len(s.Inputs), s.FaultyObjects, tString(s.FaultsPerObject))
-	fmt.Printf("executions  : %d (complete: %v)\n", out.Executions, out.Complete)
-	fmt.Printf("max steps   : %d per process, max faults: %d per execution\n",
-		out.MaxProcSteps, out.MaxFaults)
-	fmt.Printf("ledger      : %d participant(s) %v, %d subtree result(s) merged, %d reclaimed\n",
-		len(merged.Participants), merged.Participants, merged.Results, merged.Reclaims)
-	if merged.TotalWorkNS > 0 {
-		fmt.Printf("ledger      : %s longest claim, %s total fleet work\n",
-			time.Duration(merged.ElapsedNS).Round(time.Millisecond),
-			time.Duration(merged.TotalWorkNS).Round(time.Millisecond))
-	}
-	if merged.DedupHits > 0 {
-		fmt.Printf("dedup       : %d replays pruned (per-process caches)\n", merged.DedupHits)
-	}
-
-	if out.Violation == nil {
-		if out.Complete {
-			fmt.Println("result      : VERIFIED — no execution violates consensus")
-			return
-		}
-		fmt.Println("result      : NO VIOLATION FOUND (a participant hit its execution cap; re-run with a higher -max for certainty)")
-		return
-	}
-	fmt.Printf("result      : VIOLATION (%s)\n", out.Violation.Verdict.Violation)
-	fmt.Println()
-	if diagram {
-		fmt.Print(out.Violation.Trace.Diagram())
-		fmt.Println()
-	}
-	if jsonOut {
-		data, err := json.MarshalIndent(out.Violation.Trace, "", "  ")
-		if err != nil {
-			fail("%v", err)
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
-	} else {
-		fmt.Print(out.Violation.String())
-	}
-	os.Exit(1)
 }
 
 // buildReport renders the finished run as the machine-readable report

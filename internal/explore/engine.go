@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/dedup"
 	"repro/internal/fault"
-	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/store"
@@ -60,10 +59,12 @@ import (
 // aggregated outcome to the run directory, and primes itself from the stored
 // checkpoint on start — an interrupted exploration resumed from its
 // checkpoint reports the same verdict and counterexample as an uninterrupted
-// one. The dedup set is not persisted: a resumed run starts with an empty
-// set, which costs pruning but cannot change the verdict or the
-// counterexample, since a dedup entry only ever lets a subtree be skipped
-// that a strictly smaller path of the same run covers.
+// one, and, each checkpoint being one consistent cut (saveCheckpoint), the
+// same execution count when it completes without dedup. The dedup set is
+// not persisted: a resumed run starts with an empty set, which costs
+// pruning but cannot change the verdict or the counterexample, since a
+// dedup entry only ever lets a subtree be skipped that a strictly smaller
+// path of the same run covers.
 type Engine struct {
 	// Exhaustive keeps enumerating after a violation (no pruning), so the
 	// complete tree is visited and the minimal counterexample (shortest
@@ -84,24 +85,6 @@ type Engine struct {
 	// lease instead of once per leaf. Larger leases cut cross-core traffic
 	// further but make mid-run progress and checkpoint counters staler.
 	LeaseSize int
-	// Ledger, when non-nil, switches Check to distributed mode: instead of
-	// seeding its frontier with the whole execution tree, the engine claims
-	// subtree tasks from the multi-process work ledger, runs each claim with
-	// its full in-process worker pool, publishes the claim's outcome at the
-	// lease boundary, and exports surplus subtrees for other OS processes to
-	// claim. Checkpointing (Store) is mutually exclusive with Ledger — the
-	// ledger's published results ARE the durable state, and a worker crash
-	// loses at most one lease of work. See internal/ledger and
-	// FinalizeLedger.
-	Ledger *ledger.Ledger
-	// FleetSnapshots, with Ledger, periodically publishes this worker's
-	// observability snapshot — registry dump, heartbeat, current claim —
-	// into the shared run directory (<run>/obs/worker-<id>.json) at TTL/3,
-	// so the fleet aggregator (internal/obs/fleet, `modelcheck
-	// -fleet-status`, /fleet) can report per-worker liveness and merged
-	// metrics without talking to any worker. Ignored without Ledger; a
-	// failed publish is a warn event, never a run failure.
-	FleetSnapshots bool
 	// Tracer, when non-nil, captures executions as durable trace artifacts:
 	// every violation (up to MaxViolationCaptures) and a 1-in-N sample of
 	// passing runs are written as trace/v1 + Perfetto files, and the
@@ -141,14 +124,14 @@ type Progress struct {
 const DefaultLeaseSize = 64
 
 // runMetrics is the registry-backed counter set of one engine run. The
-// execution and prune counters are advanced in per-lease batches from each
-// worker's local tally (the cap itself is enforced by the capPool ledger),
-// so the registry sees exact totals at every lease boundary without a
-// shared counter bounce on every replay.
+// execution, violation and prune counters are advanced in per-lease batches
+// from each worker's local tally (the cap itself is enforced by the
+// capPool), so the registry sees exact totals at every lease boundary
+// without a shared counter bounce on every replay.
 type runMetrics struct {
 	execs        *obs.Counter // completed replays (flushed per lease)
 	restored     *obs.Counter // executions primed from a resumed checkpoint
-	violations   *obs.Counter
+	violations   *obs.Counter // violating replays (flushed per lease)
 	prunes       *obs.Counter // replays halted at an already-covered state
 	reducePrunes *obs.Counter // replays halted at a sleep-blocked node
 	donations    *obs.Counter // subtree tasks pushed to the frontier
@@ -193,8 +176,7 @@ func newRunMetrics(reg *obs.Registry, workers int) *runMetrics {
 // tally is one reading of the shared counters a run reports. A registry may
 // outlive one run (the harness points every exploration of a sweep at the
 // same one), so the registry reads cumulatively while the cap, Outcome,
-// Progress, checkpoints, and ledger results subtract the tally their scope
-// started from.
+// Progress, and checkpoints subtract the tally the run started from.
 type tally struct{ execs, violations, donations, steals, reducePrunes int64 }
 
 func (m *runMetrics) tally() tally {
@@ -219,69 +201,6 @@ func (m *runMetrics) since(base tally) tally {
 	}
 }
 
-// runEnv is the setup every engine run shares, whether it enumerates the
-// whole tree or a stream of ledger claims: the settings and what prepare
-// resolved from them, the worker and lease sizes, the registry-backed
-// counters, and the dedup set.
-type runEnv struct {
-	s         *run.Settings
-	kind      fault.Kind
-	cap       int
-	workers   int
-	leaseSize int64
-	reg       *obs.Registry
-	m         *runMetrics
-	set       *dedup.Set // nil without dedup
-	ev        *obs.Log   // nil-safe
-}
-
-// setup validates the settings against the engine's attachments and builds
-// the run environment. The registry is Settings.Metrics or a private one:
-// the engine is always registry-backed, so Outcome and Progress are views of
-// the same counters a live /metrics endpoint reads.
-func (e *Engine) setup(s *run.Settings) (*runEnv, error) {
-	kind, cap, err := prepare(s, e.Store, e.Ledger)
-	if err != nil {
-		return nil, err
-	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	reg := s.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	leaseSize := int64(e.LeaseSize)
-	if leaseSize <= 0 {
-		leaseSize = DefaultLeaseSize
-	}
-	env := &runEnv{
-		s: s, kind: kind, cap: cap,
-		workers: workers, leaseSize: leaseSize,
-		reg: reg, m: newRunMetrics(reg, workers), ev: s.Events,
-	}
-	reg.Gauge("explore.workers").Set(int64(workers))
-	if s.Dedup {
-		env.set = dedup.NewSet(0)
-		env.set.Register(reg)
-	}
-	return env, nil
-}
-
-// scope is the window of the shared counters one report covers: their
-// tally when it opened, and the wall clock since then plus any time
-// accumulated before a resume.
-type scope struct {
-	base     tally
-	start    time.Time
-	elapsed0 time.Duration
-}
-
-func (env *runEnv) newScope() scope { return scope{base: env.m.tally(), start: time.Now()} }
-
-func (sc *scope) elapsed() time.Duration { return sc.elapsed0 + time.Since(sc.start) }
-
 // findings is what an enumeration has established: the reported
 // counterexample, when the first violation was replayed, and the observed
 // maxima.
@@ -290,21 +209,6 @@ type findings struct {
 	firstAt   time.Duration
 	maxSteps  int
 	maxFaults int
-}
-
-// merge folds another enumeration's findings into f.
-func (f *findings) merge(o findings, exhaustive bool) {
-	f.maxSteps = max(f.maxSteps, o.maxSteps)
-	f.maxFaults = max(f.maxFaults, o.maxFaults)
-	if o.best == nil {
-		return
-	}
-	if better(o.best, f.best, exhaustive) {
-		f.best = o.best
-	}
-	if f.firstAt == 0 || (o.firstAt != 0 && o.firstAt < f.firstAt) {
-		f.firstAt = o.firstAt
-	}
 }
 
 // better decides whether cand replaces cur as the reported counterexample:
@@ -320,48 +224,122 @@ func better(cand, cur *Counterexample, exhaustive bool) bool {
 	return lexLess(cand.Path, cur.Path)
 }
 
-// outcome renders a scope's counters and findings as an Outcome; finish
+// engineRun is the state of one Engine.Check: the settings and what
+// prepare resolved from them, the worker and lease sizes, the
+// registry-backed counters and the tally they started from, the dedup set,
+// the frontier and cap pool, and the findings.
+type engineRun struct {
+	s           *run.Settings
+	kind        fault.Kind
+	cap         int
+	workers     int
+	leaseSize   int64
+	stopOnFirst bool
+	reg         *obs.Registry
+	m           *runMetrics
+	set         *dedup.Set   // nil without dedup
+	ev          *obs.Log     // nil-safe
+	st          *store.Store // nil without checkpointing
+	tr          *Tracer      // nil without tracing
+
+	// base is the counters' tally when the run started; start and
+	// elapsed0 are its wall clock and the time accumulated before a resume.
+	base     tally
+	start    time.Time
+	elapsed0 time.Duration
+
+	pool *capPool
+	fr   *frontier
+
+	capped atomic.Bool
+	// bound is the lex-least violating path found so far (pruning bound);
+	// nil until a violation is seen or in Exhaustive mode.
+	bound atomic.Pointer[[]int]
+
+	mu sync.Mutex
+	findings
+	err    error
+	cancel context.CancelFunc
+}
+
+// newRun validates the settings against the engine's attachments and opens
+// one run. The registry is Settings.Metrics or a private one: the engine is
+// always registry-backed, so Outcome and Progress are views of the same
+// counters a live /metrics endpoint reads.
+func (e *Engine) newRun(s *run.Settings) (*engineRun, error) {
+	kind, cap, err := prepare(s, e.Store)
+	if err != nil {
+		return nil, err
+	}
+	workers := s.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	reg := s.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	leaseSize := int64(e.LeaseSize)
+	if leaseSize <= 0 {
+		leaseSize = DefaultLeaseSize
+	}
+	r := &engineRun{
+		s: s, kind: kind, cap: cap,
+		workers: workers, leaseSize: leaseSize, stopOnFirst: !e.Exhaustive,
+		reg: reg, m: newRunMetrics(reg, workers), ev: s.Events,
+		st: e.Store, tr: e.Tracer,
+	}
+	reg.Gauge("explore.workers").Set(int64(workers))
+	if s.Dedup {
+		r.set = dedup.NewSet(0)
+		r.set.Register(reg)
+	}
+	r.base, r.start = r.m.tally(), time.Now()
+	return r, nil
+}
+
+func (r *engineRun) elapsed() time.Duration { return r.elapsed0 + time.Since(r.start) }
+
+// outcome renders the run's counters and findings as an Outcome; finish
 // decides Complete.
-func (env *runEnv) outcome(sc *scope, f findings) *Outcome {
-	d := env.m.since(sc.base)
+func (r *engineRun) outcome(f findings) *Outcome {
+	d := r.m.since(r.base)
 	out := &Outcome{
 		Executions:       int(d.execs),
 		Violation:        f.best,
 		MaxProcSteps:     f.maxSteps,
 		MaxFaults:        f.maxFaults,
-		Workers:          env.workers,
-		Elapsed:          sc.elapsed(),
+		Workers:          r.workers,
+		Elapsed:          r.elapsed(),
 		ViolationLatency: f.firstAt,
 		Donations:        d.donations,
 		Steals:           d.steals,
 		ReducePrunes:     d.reducePrunes,
 	}
-	if env.set != nil {
-		st := env.set.Stats()
+	if r.set != nil {
+		st := r.set.Stats()
 		out.Dedup = &st
 	}
 	return out
 }
 
-// finish seals an outcome and logs run.done with the given extra fields: a
-// cancelled run is never complete and returns ctx's error alongside its
-// partial outcome.
-func (env *runEnv) finish(ctx context.Context, sc *scope, out *Outcome, complete bool, fields map[string]any) (*Outcome, error) {
-	if fields == nil {
-		fields = map[string]any{}
+// finish seals an outcome and logs run.done: a cancelled run is never
+// complete and returns ctx's error alongside its partial outcome.
+func (r *engineRun) finish(ctx context.Context, out *Outcome, complete bool) (*Outcome, error) {
+	fields := map[string]any{
+		"executions": out.Executions,
+		"elapsed_ms": out.Elapsed.Milliseconds(),
 	}
-	fields["executions"] = out.Executions
-	fields["elapsed_ms"] = out.Elapsed.Milliseconds()
 	if err := ctx.Err(); err != nil {
 		fields["complete"] = false
 		fields["cancelled"] = true
-		env.ev.Emit(obs.Warn, "run.done", fields)
+		r.ev.Emit(obs.Warn, "run.done", fields)
 		return out, err
 	}
 	out.Complete = complete
 	fields["complete"] = complete
-	fields["violations"] = env.m.since(sc.base).violations
-	env.ev.Emit(obs.Info, "run.done", fields)
+	fields["violations"] = r.m.since(r.base).violations
+	r.ev.Emit(obs.Info, "run.done", fields)
 	return out, nil
 }
 
@@ -395,10 +373,9 @@ func every(ctx context.Context, period time.Duration, fn func(now time.Time) boo
 	}
 }
 
-// startProgress launches the periodic throughput reporter over a scope's
-// counters and returns its stop function; pending reports the queued
-// subtree count.
-func (e *Engine) startProgress(ctx context.Context, env *runEnv, sc *scope, pending func() int) func() {
+// startProgress launches the periodic throughput reporter over the run's
+// counters and returns its stop function.
+func (e *Engine) startProgress(ctx context.Context, r *engineRun) func() {
 	if e.Progress == nil {
 		return func() {}
 	}
@@ -407,77 +384,29 @@ func (e *Engine) startProgress(ctx context.Context, env *runEnv, sc *scope, pend
 		period = 2 * time.Second
 	}
 	var lastExecs int64
-	lastTime := sc.start
+	lastTime := r.start
 	return every(ctx, period, func(now time.Time) bool {
-		d := env.m.since(sc.base)
+		d := r.m.since(r.base)
 		p := Progress{
 			Executions: d.execs,
 			Rate:       float64(d.execs-lastExecs) / now.Sub(lastTime).Seconds(),
-			Frontier:   pending(),
+			Frontier:   r.fr.pending(),
 			Violations: d.violations,
-			Elapsed:    sc.elapsed(),
+			Elapsed:    r.elapsed(),
 			Donations:  d.donations,
 			Steals:     d.steals,
 		}
 		lastExecs, lastTime = d.execs, now
-		if env.set != nil {
-			p.Dedup = env.set.Stats()
+		if r.set != nil {
+			p.Dedup = r.set.Stats()
 		}
-		if snap := env.m.depth.Snapshot(); snap.Count > 0 {
+		if snap := r.m.depth.Snapshot(); snap.Count > 0 {
 			p.DepthP50 = snap.Quantile(0.5)
 			p.DepthP99 = snap.Quantile(0.99)
 		}
 		e.Progress(p)
 		return true
 	})
-}
-
-// engineRun is the state of one enumeration: a whole Engine.Check, or one
-// ledger claim.
-type engineRun struct {
-	*runEnv
-	scope
-	stopOnFirst bool
-	lowWater    int
-	pool        *capPool
-	fr          *frontier
-	st          *store.Store // nil without checkpointing
-	tr          *Tracer      // nil without tracing
-
-	capped atomic.Bool
-	// bound is the lex-least violating path found so far (pruning bound);
-	// nil until a violation is seen or in Exhaustive mode.
-	bound atomic.Pointer[[]int]
-
-	mu sync.Mutex
-	findings
-	err    error
-	cancel context.CancelFunc
-}
-
-// newRun opens one enumeration on the shared environment: a fresh scope,
-// violation bound, and findings. lowWater is the frontier size below which
-// workers donate subtrees; cancel stops the enumeration on a framework
-// error.
-func (e *Engine) newRun(env *runEnv, lowWater int, cancel context.CancelFunc) *engineRun {
-	return &engineRun{
-		runEnv:      env,
-		scope:       env.newScope(),
-		stopOnFirst: !e.Exhaustive,
-		lowWater:    lowWater,
-		tr:          e.Tracer,
-		cancel:      cancel,
-	}
-}
-
-// seed loads the frontier with tasks and the cap pool with capacity
-// (clamped at zero) before the workers start.
-func (r *engineRun) seed(tasks []task, capacity int64) {
-	r.pool = newCapPool(max(capacity, 0))
-	r.fr = newFrontier(tasks, r.workers)
-	for _, t := range tasks {
-		r.m.depth.Observe(float64(len(t.path)))
-	}
 }
 
 // runWorkers runs the worker pool until the frontier drains, the cap is
@@ -513,22 +442,21 @@ func (r *engineRun) result() (findings, error) {
 // outcome is returned together with ctx.Err(). See Outcome for what each way
 // of ending guarantees.
 func (e *Engine) Check(ctx context.Context, s *run.Settings) (*Outcome, error) {
-	env, err := e.setup(s)
+	// The cancel context is allocated before the run's state: every leaf
+	// loads ctx.Done(), and allocated after it that load cost two workers
+	// about 20% more CPU on figure3 f=1 t=1 n=2, a cache-line effect.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	r, err := e.newRun(s)
 	if err != nil {
 		return nil, err
 	}
-	if e.Ledger != nil {
-		return e.checkLedger(ctx, env)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	r.cancel = cancel
 
-	r := e.newRun(env, 2*env.workers, cancel)
-	r.st = e.Store
 	tasks := []task{{}} // root: the empty prefix
 	resumed := false
 	if r.st != nil {
-		r.st.Instrument(env.reg, env.ev)
+		r.st.Instrument(r.reg, r.ev)
 		if cp := r.st.Checkpoint(); cp != nil {
 			if tasks, err = r.prime(cp); err != nil {
 				return nil, err
@@ -536,15 +464,19 @@ func (e *Engine) Check(ctx context.Context, s *run.Settings) (*Outcome, error) {
 			resumed = true
 		}
 	}
-	// The cap ledger: what this process may still execute is the cap minus
+	// The cap pool: what this process may still execute is the cap minus
 	// whatever a resumed checkpoint already accounts for.
-	r.seed(tasks, int64(env.cap)-r.m.since(r.base).execs)
-	env.reg.Func("explore.frontier.pending", func() int64 { return int64(r.fr.pending()) })
-	env.ev.Emit(obs.Info, "run.start", map[string]any{
-		"workers": env.workers, "cap": env.cap, "dedup": s.Dedup,
+	r.pool = newCapPool(max(int64(r.cap)-r.m.since(r.base).execs, 0))
+	r.fr = newFrontier(tasks, r.workers)
+	for _, t := range tasks {
+		r.m.depth.Observe(float64(len(t.path)))
+	}
+	r.reg.Func("explore.frontier.pending", func() int64 { return int64(r.fr.pending()) })
+	r.ev.Emit(obs.Info, "run.start", map[string]any{
+		"workers": r.workers, "cap": r.cap, "dedup": s.Dedup,
 		"checkpoint": r.st != nil, "resumed": resumed, "tasks": len(tasks),
 	})
-	stopProgress := e.startProgress(ctx, env, &r.scope, r.fr.pending)
+	stopProgress := e.startProgress(ctx, r)
 	stopCheckpoint := r.startCheckpoint(ctx)
 	r.runWorkers(ctx)
 	stopCheckpoint()
@@ -563,8 +495,7 @@ func (e *Engine) Check(ctx context.Context, s *run.Settings) (*Outcome, error) {
 			return nil, fmt.Errorf("explore: final checkpoint: %w", err)
 		}
 	}
-	out := env.outcome(&r.scope, f)
-	return env.finish(ctx, &r.scope, out, !r.capped.Load() && (f.best == nil || e.Exhaustive), nil)
+	return r.finish(ctx, r.outcome(f), !r.capped.Load() && (f.best == nil || e.Exhaustive))
 }
 
 // prime seeds the run from a stored checkpoint: counters, the best
@@ -636,7 +567,7 @@ type dedupHandle struct {
 	tracker *dedup.Tracker
 }
 
-// capPool is the execution-cap ledger: workers lease batches of executions
+// capPool is the execution-cap pool: workers lease batches of executions
 // instead of CAS-ing a shared counter per replay. Its invariant is
 //
 //	remaining + outstanding + consumed == capacity
@@ -688,7 +619,7 @@ func (p *capPool) acquire(max int64) (int64, bool) {
 	}
 }
 
-// settle returns a lease to the ledger: used units are consumed for good,
+// settle returns a lease to the pool: used units are consumed for good,
 // unused units go back to remaining for other workers to lease.
 func (p *capPool) settle(used, unused int64) {
 	if used == 0 && unused == 0 {
@@ -711,32 +642,42 @@ func (p *capPool) abort() {
 	p.mu.Unlock()
 }
 
-// workerLease is one worker's current slice of the execution cap: avail
-// units may still be spent, used units are spent but not yet flushed to the
-// shared counters. The replays pruned since the last flush, by the dedup set
-// (prunes) or the reducer (reducePrunes), ride along: they spend no unit.
+// workerLease is one worker's current slice of the execution cap and its
+// tally since the last flush: avail units may still be spent, used units
+// are spent but not yet flushed to the shared counters. The violations
+// among them and their step and fault maxima ride along, and so do the
+// replays pruned by the dedup set (prunes) or the reducer (reducePrunes),
+// which spend no unit.
 type workerLease struct {
 	avail        int64
 	used         int64
+	violations   int64
 	prunes       int64
 	reducePrunes int64
+	maxSteps     int
+	maxFaults    int
 }
 
-// flush publishes a worker's locally tallied executions and prunes to the
-// shared metric counters (with dedup, every one of those replays is a leaf
-// lookup of the set) and settles the executions with the cap pool.
-// releaseUnused additionally returns the lease's unspent units (task exit:
-// the worker is about to block on the frontier and must not sit on capacity
-// other workers could spend). Flushing per lease instead of per leaf is
-// what keeps the shared counters off the replay hot path; per-worker
-// counters and the total advance in the same batch, so the report schema's
-// worker-sum invariant (Σ worker executions + restored == total) holds at
-// every flush boundary — in particular in every final report, even after
-// cancellation mid-lease.
+// flush publishes a worker's locally tallied executions, violations, prunes
+// and maxima to the shared counters and findings (with dedup, every one of
+// those replays is a leaf lookup of the set) and settles the executions
+// with the cap pool. releaseUnused additionally returns the lease's unspent
+// units (task exit: the worker is about to block on the frontier and must
+// not sit on capacity other workers could spend). Flushing per lease
+// instead of per leaf is what keeps the shared counters off the replay hot
+// path; per-worker counters and the total advance in the same batch, so the
+// report schema's worker-sum invariant (Σ worker executions + restored ==
+// total) holds at every flush boundary — in particular in every final
+// report, even after cancellation mid-lease. A worker flushes only inside a
+// frontier slot update (frontier.publish), which is what makes a
+// checkpoint one consistent cut.
 func (r *engineRun) flush(w int, l *workerLease, releaseUnused bool) {
 	if l.used > 0 {
 		r.m.execs.Add(l.used)
 		r.m.workerExecs[w].Add(l.used)
+	}
+	if l.violations > 0 {
+		r.m.violations.Add(l.violations)
 	}
 	if l.prunes > 0 {
 		r.m.prunes.Add(l.prunes)
@@ -747,28 +688,18 @@ func (r *engineRun) flush(w int, l *workerLease, releaseUnused bool) {
 	if leaves := l.used + l.prunes + l.reducePrunes; r.set != nil && leaves > 0 {
 		r.set.LeafLookup(leaves)
 	}
+	if l.maxSteps > 0 || l.maxFaults > 0 {
+		r.mu.Lock()
+		r.maxSteps = max(r.maxSteps, l.maxSteps)
+		r.maxFaults = max(r.maxFaults, l.maxFaults)
+		r.mu.Unlock()
+	}
 	var unused int64
 	if releaseUnused {
 		unused, l.avail = l.avail, 0
 	}
 	r.pool.settle(l.used, unused)
-	l.used, l.prunes, l.reducePrunes = 0, 0, 0
-}
-
-// mergeMaxima folds a worker's local step/fault maxima into the shared
-// outcome. Called per lease boundary and at task exit, not per leaf.
-func (r *engineRun) mergeMaxima(localSteps, localFaults int) {
-	if localSteps == 0 && localFaults == 0 {
-		return
-	}
-	r.mu.Lock()
-	if localSteps > r.maxSteps {
-		r.maxSteps = localSteps
-	}
-	if localFaults > r.maxFaults {
-		r.maxFaults = localFaults
-	}
-	r.mu.Unlock()
+	*l = workerLease{avail: l.avail}
 }
 
 // worker pops subtree tasks and enumerates them until the frontier drains.
@@ -781,7 +712,11 @@ func (r *engineRun) mergeMaxima(localSteps, localFaults int) {
 // nothing on their hot path.
 func (r *engineRun) worker(ctx context.Context, w int) {
 	es := r.newWorkerState()
-	var l workerLease
+	l := &workerLease{}
+	// The frontier runs these inside its slot updates: flush keeps the
+	// lease's unspent units, release returns them.
+	flush := func() { r.flush(w, l, false) }
+	release := func() { r.flush(w, l, true) }
 	for {
 		idleStart := time.Now()
 		t, ok := r.fr.pop(w)
@@ -791,11 +726,12 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 		}
 		r.m.steals.Inc()
 		r.m.workerSteals[w].Inc()
-		finished := r.runSubtree(ctx, w, t, es, &l)
+		finished := r.runSubtree(ctx, w, t, es, l, flush)
 		// Settle before blocking on the frontier (or exiting): a worker
-		// waiting for work must not sit on leased capacity.
-		r.flush(w, &l, true)
-		r.fr.done(w, finished)
+		// waiting for work must not sit on leased capacity. An unfinished
+		// task stays in the slot at the chooser's position, the first leaf
+		// this worker did not run.
+		r.fr.release(w, finished, es.c.path, es.c.lb, release)
 		if !finished {
 			return
 		}
@@ -822,28 +758,27 @@ func (r *engineRun) newWorkerState() *execState {
 // frontier whenever it runs low. It reports whether the task was finished:
 // fully enumerated, or abandoned because no leaf below it can improve the
 // canonical counterexample (bound pruning) or because its root state was
-// already covered by a smaller path (dedup).
+// already covered by a smaller path (dedup). An unfinished task returns
+// with the chooser at the first leaf whose execution the lease does not
+// hold.
 //
 // Shared state is touched once per lease, not once per leaf: the cap pool,
-// the metric counters (executions, prunes, and the dedup set's leaf
-// lookups), the frontier slot publish, and the maxima merge all amortize
-// over LeaseSize replays. The slot path is therefore up to a lease
-// stale, which is safe — a stale path lexicographically precedes the true
-// position, so a checkpoint taken between publishes covers a superset of
-// the remaining work (see docs/MODEL.md, "Performance model").
-func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState, l *workerLease) bool {
+// the metric counters (executions, violations, prunes, and the dedup set's
+// leaf lookups), the maxima, and the frontier slot publish all amortize
+// over LeaseSize replays. Between publishes the slot lags the worker by up
+// to a lease, and so do the counters: each publish moves both at once (see
+// frontier.snapshot).
+func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState, l *workerLease, flush func()) bool {
 	c := es.c
 	c.path = append(c.path[:0], t.path...)
 	c.lb = t.floor
 	c.changed = 0
-	var localSteps, localFaults int
 	var taskExecs int64
 	spanStart := r.tr.Recorder().Begin()
 	defer func() {
 		r.tr.Recorder().End("task", "worker", w, -1, spanStart, map[string]any{
 			"root_depth": len(t.path), "executions": taskExecs,
 		})
-		r.mergeMaxima(localSteps, localFaults)
 	}()
 
 	// Poll ctx.Done(), not ctx.Err(): Err locks the context every worker
@@ -862,12 +797,9 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			return true
 		}
 		if l.avail == 0 {
-			// Lease boundary: reconcile the spent lease, refresh the
-			// slot's resume point, fold the maxima, and reserve the next
-			// batch.
-			r.flush(w, l, false)
-			r.fr.publish(w, c.path, c.lb)
-			r.mergeMaxima(localSteps, localFaults)
+			// Lease boundary: flush the spent lease together with the
+			// slot's new resume point, then reserve the next batch.
+			r.fr.publish(w, false, c.path, c.lb, flush)
 			n, ok := r.pool.acquire(r.leaseSize)
 			if !ok {
 				return false // cancelled; the slot keeps the task
@@ -911,25 +843,25 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 		l.avail--
 		l.used++
 		taskExecs++
-		if stats.maxSteps > localSteps {
-			localSteps = stats.maxSteps
-		}
-		if stats.faults > localFaults {
-			localFaults = stats.faults
-		}
+		l.maxSteps = max(l.maxSteps, stats.maxSteps)
+		l.maxFaults = max(l.maxFaults, stats.faults)
 		// Not es.verdict.OK(): its value receiver copies the verdict.
 		if es.verdict.Violation != run.ViolationNone {
+			l.violations++
 			ce, err := es.keep(stats)
+			if err == nil {
+				r.recordViolation(w, ce)
+				if r.tr != nil {
+					if err = r.tr.captureViolation(w, ce.Path, ce); err != nil {
+						err = fmt.Errorf("explore: trace capture: %w", err)
+					}
+				}
+			}
 			if err != nil {
 				r.fail(err)
-				return false
-			}
-			r.recordViolation(w, ce)
-			if r.tr != nil {
-				if err := r.tr.captureViolation(w, ce.Path, ce); err != nil {
-					r.fail(fmt.Errorf("explore: trace capture: %w", err))
-					return false
-				}
+				// The leaf ran and the lease counts it: the slot resumes
+				// past it.
+				return !c.next()
 			}
 		} else if r.tr.sampleHit() {
 			ce, err := es.keep(stats)
@@ -938,23 +870,25 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			}
 			if err != nil {
 				r.fail(fmt.Errorf("explore: trace capture: %w", err))
-				return false
+				return !c.next()
 			}
 		}
-		if r.fr.starving(r.lowWater) {
-			if p, floor, ok := c.donate(); ok {
-				// donate raised the chooser's floor past the donated
-				// subtree; push before the next publish so a snapshot
-				// between the two covers the donation twice, never zero
-				// times.
-				r.m.depth.Observe(float64(len(p)))
-				r.m.donations.Inc()
-				r.debugEvent("frontier.donate", w, "depth", len(p))
-				r.fr.push([]task{{path: p, floor: floor}})
-				r.fr.publish(w, c.path, c.lb)
-			}
+		var donation task
+		if r.fr.starving() {
+			// donate raises the chooser's floor past the donated subtree,
+			// so next stays out of it.
+			donation.path, donation.floor, _ = c.donate()
 		}
-		if !c.next() {
+		more := c.next()
+		if donation.path != nil {
+			r.m.depth.Observe(float64(len(donation.path)))
+			r.m.donations.Inc()
+			r.debugEvent("frontier.donate", w, "depth", len(donation.path))
+			// Queue the donation, flush the lease, and move the slot to
+			// the next leaf (or clear it when none is left) in one step.
+			r.fr.donate(w, donation, !more, c.path, c.lb, flush)
+		}
+		if !more {
 			return true
 		}
 	}
@@ -999,8 +933,6 @@ func lexGE(path, leaf []int) bool {
 // beyond the replay that produced it.
 func (r *engineRun) recordViolation(w int, ce *Counterexample) {
 	p := ce.Path
-	r.m.violations.Inc()
-
 	r.mu.Lock()
 	if r.firstAt == 0 {
 		r.firstAt = r.elapsed()
@@ -1038,36 +970,39 @@ func (r *engineRun) fail(err error) {
 	r.cancel()
 }
 
-// saveCheckpoint persists one snapshot of the run. The task snapshot is
-// taken first: every counter and violation read afterwards describes work
-// that is either complete (and thus reflected in the snapshot's counters)
-// or still covered by a snapshotted task — so a resume from any checkpoint
-// re-explores a superset of the unfinished work and reaches the same
-// verdict. final marks the run finished when no task survives (a cancelled
-// or capped run keeps its tasks and stays resumable).
+// saveCheckpoint persists one snapshot of the run: a consistent cut (see
+// frontier.snapshot) of the tasks, the counters and the maxima. A resume
+// from any checkpoint runs no leaf the checkpoint counts and skips none it
+// does not (bar those a violation bound prunes), so it reaches the same
+// verdict and counterexample as an uninterrupted run and, when it completes
+// without dedup, the same execution count. The best counterexample may
+// come from a leaf past the cut; prime restores it. final marks the run
+// finished when no task survives (a cancelled or capped run keeps its
+// tasks and stays resumable).
 func (r *engineRun) saveCheckpoint(final bool) error {
 	start := time.Now()
-	tasks := r.fr.snapshot()
 	cp := &store.Checkpoint{
-		Done:       final && len(tasks) == 0,
-		Executions: r.m.execs.Load() - r.base.execs,
-		Violations: r.m.violations.Load() - r.base.violations,
-		Capped:     r.capped.Load(),
-		ElapsedNS:  r.elapsed().Nanoseconds(),
-		Tasks:      make([]store.Task, len(tasks)),
+		Capped:    r.capped.Load(),
+		ElapsedNS: r.elapsed().Nanoseconds(),
 	}
+	tasks := r.fr.snapshot(func() {
+		cp.Executions = r.m.execs.Load() - r.base.execs
+		cp.Violations = r.m.violations.Load() - r.base.violations
+		r.mu.Lock()
+		cp.MaxProcSteps = r.maxSteps
+		cp.MaxFaults = r.maxFaults
+		cp.FirstViolationNS = int64(r.firstAt)
+		if r.best != nil {
+			cp.BestPath = append([]int(nil), r.best.Path...)
+			cp.BestLen = len(r.best.Schedule)
+		}
+		r.mu.Unlock()
+	})
+	cp.Done = final && len(tasks) == 0
+	cp.Tasks = make([]store.Task, len(tasks))
 	for i, t := range tasks {
 		cp.Tasks[i] = store.Task{Path: t.path, Floor: t.floor}
 	}
-	r.mu.Lock()
-	cp.MaxProcSteps = r.maxSteps
-	cp.MaxFaults = r.maxFaults
-	cp.FirstViolationNS = int64(r.firstAt)
-	if r.best != nil {
-		cp.BestPath = append([]int(nil), r.best.Path...)
-		cp.BestLen = len(r.best.Schedule)
-	}
-	r.mu.Unlock()
 	spanStart := r.tr.Recorder().Begin()
 	if err := r.st.Save(cp); err != nil {
 		return err

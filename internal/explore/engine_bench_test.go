@@ -181,7 +181,7 @@ func BenchmarkExecFormCoveringSweep(b *testing.B) {
 		b.ReportMetric(float64(execs)/b.Elapsed().Seconds(), "paths/sec")
 	})
 	b.Run("form=goroutine", func(b *testing.B) {
-		kind, _, err := prepare(&cfg, nil, nil)
+		kind, _, err := prepare(&cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

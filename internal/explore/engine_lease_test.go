@@ -94,7 +94,7 @@ func TestDedupStatsLeafAccounting(t *testing.T) {
 // TestEngineCapExactUnderDedup is the regression test for the capped-latch
 // race: a prune used to claim an execution and release it after the cap
 // check, so a run whose cap equals its own completed-execution count could
-// latch `capped` (and print "incomplete") spuriously. With the lease ledger
+// latch `capped` (and print "incomplete") spuriously. With the lease pool
 // a pruned replay never touches the cap, so the cap binds exactly on
 // completed executions.
 func TestEngineCapExactUnderDedup(t *testing.T) {

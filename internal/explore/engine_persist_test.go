@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/store"
 )
@@ -165,13 +166,19 @@ func TestEngineDedupRejectsFixedPolicy(t *testing.T) {
 	}
 }
 
-// TestEngineInterruptedResume: an exploration killed repeatedly by short
-// deadlines mid-enumeration and resumed from its run directory must reach
+// TestEngineInterruptedResume: an exploration cut short three times
+// mid-enumeration and resumed from its run directory each time must reach
 // the identical verdict as an uninterrupted run. The workload enumerates
-// ~59k executions completely (no violation), so the resumed runs must stitch
-// the checkpointed frontier back together without losing a single subtree —
-// any lost task would surface as a premature "complete". Exercised plain,
-// with deduplication, and with deduplication and reduction.
+// 59,004 executions completely (no violation), so the resumed runs must
+// stitch the checkpointed frontier back together without losing a single
+// subtree — any lost task would surface as a premature "complete". The
+// cuts come at execution counts, not deadlines, so the host's speed does
+// not decide whether a run is cut, and they land mid-lease. A checkpoint is one
+// consistent cut (see frontier.snapshot), so without dedup, whose count
+// depends on how workers race, a resumed run must count exactly the
+// uninterrupted run's executions. Exercised plain, with reduction, with
+// deduplication, and with deduplication and reduction, at one, two and
+// four workers.
 func TestEngineInterruptedResume(t *testing.T) {
 	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
@@ -187,18 +194,30 @@ func TestEngineInterruptedResume(t *testing.T) {
 	if !ref.Complete || !ref.OK() {
 		t.Fatalf("reference run: complete=%v violation=%v", ref.Complete, ref.Violation)
 	}
+	cuts := []int64{10_000, 25_000, 40_000}
 
 	for _, tc := range []struct {
-		name   string
-		dedup  bool
-		reduce run.ReduceMode
+		name    string
+		workers int
+		dedup   bool
+		reduce  run.ReduceMode
 	}{
-		{"plain", false, run.ReduceOff},
-		{"dedup", true, run.ReduceOff},
-		{"dedup+reduce", true, run.ReduceSafe},
+		{"plain", 4, false, run.ReduceOff},
+		{"plain-1-worker", 1, false, run.ReduceOff},
+		{"reduce-2-workers", 2, false, run.ReduceSafe},
+		{"dedup", 4, true, run.ReduceOff},
+		{"dedup+reduce", 4, true, run.ReduceSafe},
 	} {
-		settings := with(&cfg, run.WithWorkers(4), dedupIf(tc.dedup), run.WithReduce(tc.reduce))
+		settings := with(&cfg, run.WithWorkers(tc.workers), dedupIf(tc.dedup), run.WithReduce(tc.reduce))
 		t.Run(tc.name, func(t *testing.T) {
+			want := ref.Executions
+			if tc.reduce != run.ReduceOff && !tc.dedup {
+				cellRef, err := (&Engine{}).Check(context.Background(), settings)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = cellRef.Executions
+			}
 			dir := filepath.Join(t.TempDir(), "run")
 			m, err := ManifestFor(settings, false)
 			if err != nil {
@@ -212,24 +231,23 @@ func TestEngineInterruptedResume(t *testing.T) {
 			var out *Outcome
 			interrupted := 0
 			for attempt := 0; ; attempt++ {
-				if attempt > 100 {
-					t.Fatal("exploration made no progress across 100 resumes")
+				if attempt > len(cuts) {
+					t.Fatalf("exploration did not finish after %d cuts", len(cuts))
 				}
 				eng := &Engine{Store: st}
-				runCtx := context.Background()
-				var cancel context.CancelFunc
-				if interrupted < 3 {
-					// First attempts: die young, mid-enumeration.
-					runCtx, cancel = context.WithTimeout(runCtx, 30*time.Millisecond)
+				reg := obs.NewRegistry()
+				runCtx, cancel := context.WithCancel(context.Background())
+				stop := func() {}
+				if attempt < len(cuts) {
+					stop = cutAt(reg.Counter("explore.executions"), cuts[attempt], cancel)
 				}
-				out, err = eng.Check(runCtx, with(settings, checkpointEvery(5*time.Millisecond)))
-				if cancel != nil {
-					cancel()
-				}
+				out, err = eng.Check(runCtx, with(settings, run.WithMetrics(reg), checkpointEvery(5*time.Millisecond)))
+				stop()
+				cancel()
 				if err == nil {
 					break
 				}
-				if !errors.Is(err, context.DeadlineExceeded) {
+				if !errors.Is(err, context.Canceled) {
 					t.Fatal(err)
 				}
 				interrupted++
@@ -237,11 +255,25 @@ func TestEngineInterruptedResume(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if interrupted == 0 {
-				t.Log("run completed before the first deadline; resume path not exercised")
+			switch {
+			case interrupted > 0:
+			case tc.dedup:
+				// Dedup finishes in about 20,000 executions, and a cut
+				// lands only when the watcher is scheduled.
+				t.Log("run completed before the first cut; resume path not exercised")
+			default:
+				t.Error("run completed before the first cut; resume path not exercised")
 			}
 			if !out.Complete || !out.OK() {
 				t.Fatalf("resumed run: complete=%v violation=%v", out.Complete, out.Violation)
+			}
+			if !tc.dedup && out.Executions != want {
+				t.Errorf("resumed run after %d cuts counted %d executions, uninterrupted run %d",
+					interrupted, out.Executions, want)
+			}
+			if out.MaxProcSteps != ref.MaxProcSteps || out.MaxFaults != ref.MaxFaults {
+				t.Errorf("resumed maxima = %d steps, %d faults; uninterrupted %d, %d",
+					out.MaxProcSteps, out.MaxFaults, ref.MaxProcSteps, ref.MaxFaults)
 			}
 			if out.Elapsed <= 0 {
 				t.Error("resumed run lost its accumulated elapsed time")
@@ -268,6 +300,121 @@ func TestEngineInterruptedResume(t *testing.T) {
 				t.Errorf("done-run resume executions = %d, want stored %d", again.Executions, out.Executions)
 			}
 		})
+	}
+}
+
+// TestEngineResumeFromPeriodicCheckpoints: a SIGKILL leaves behind the
+// last periodic checkpoint, written while the workers run. Copies of the
+// run directory's checkpoint are taken throughout an uninterrupted
+// two-worker run that checkpoints every millisecond, and each copy,
+// resumed to completion, must count exactly the uninterrupted run's
+// executions: the snapshot, the flushes and publishes, and the donations
+// are one consistent cut (see frontier.snapshot), so no leaf is both
+// counted and left in a task, or neither.
+func TestEngineResumeFromPeriodicCheckpoints(t *testing.T) {
+	cfg := run.Settings{
+		Protocol:        core.NewStaged(1, 1),
+		Inputs:          inputs(2),
+		FaultyObjects:   []int{0, 1, 2},
+		FaultsPerObject: fault.Unbounded,
+		MaxExecutions:   1_000_000,
+		Workers:         2,
+	}
+	m, err := ManifestFor(&cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "run")
+	st, err := store.Create(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var copies [][]byte
+	done := make(chan struct{})
+	collected := make(chan struct{})
+	go func() {
+		defer close(collected)
+		seen := map[int]bool{}
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
+			var cp store.Checkpoint
+			if err != nil || json.Unmarshal(data, &cp) != nil || cp.Done || seen[cp.Seq] {
+				continue
+			}
+			seen[cp.Seq] = true
+			copies = append(copies, data)
+		}
+	}()
+	ref, err := (&Engine{Store: st}).Check(context.Background(), with(&cfg, checkpointEvery(time.Millisecond)))
+	close(done)
+	<-collected
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.Complete || !ref.OK() {
+		t.Fatalf("uninterrupted run: complete=%v violation=%v", ref.Complete, ref.Violation)
+	}
+	if len(copies) == 0 {
+		t.Skip("the run finished before a periodic checkpoint could be copied")
+	}
+	// Resume an evenly spread handful of the copies.
+	for i := 0; i < len(copies); i += max(1, len(copies)/4) {
+		resumeDir := filepath.Join(t.TempDir(), "copy")
+		st, err := store.Create(resumeDir, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if err := os.WriteFile(filepath.Join(resumeDir, "checkpoint.json"), copies[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = store.Open(resumeDir); err != nil {
+			t.Fatal(err)
+		}
+		out, err := (&Engine{Store: st}).Check(context.Background(), &cfg)
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Complete || out.Executions != ref.Executions {
+			t.Errorf("resume of checkpoint %d (at %d executions): complete=%v, %d executions, uninterrupted %d",
+				st.Checkpoint().Seq, st.Checkpoint().Executions, out.Complete, out.Executions, ref.Executions)
+		}
+	}
+}
+
+// cutAt cancels a run once its execution counter reaches n, as the
+// benchmark's durable workload does. The counter moves a lease at a time,
+// so the cut lands wherever the workers are in their leases. stop returns
+// after the watcher has exited.
+func cutAt(c *obs.Counter, n int64, cancel func()) (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				if c.Load() >= n {
+					cancel()
+					return
+				}
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
 	}
 }
 

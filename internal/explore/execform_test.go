@@ -1,9 +1,11 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,7 +17,7 @@ import (
 
 // TestManifestHashesUnchanged pins the settings hash of three run
 // directories to the values earlier versions wrote, so run directories they
-// created still resume and join: the manifest keeps recording the compiled
+// created still resume: the manifest keeps recording the compiled
 // execution form, and reduction only when it is on.
 func TestManifestHashesUnchanged(t *testing.T) {
 	for _, tc := range []struct {
@@ -79,12 +81,41 @@ func wantRemovedMismatch(t *testing.T, op string, err error, mode string) {
 }
 
 // TestRemovedModesRefused: a run directory whose manifest records the
-// removed interpreted engine form or aggressive reduction is refused by a
-// resume, a ledger join and a ledger finalize, each with the typed
-// mismatch that names the mode. The manifests are written the way earlier
-// versions wrote them, with a valid settings hash, so only the mode check
-// can refuse them.
+// removed interpreted engine form or aggressive reduction, or one the
+// removed multi-process work ledger wrote, is refused by a resume with the
+// typed mismatch that names the mode. The manifests are written the way
+// earlier versions wrote them, with a valid settings hash, so only the mode
+// check can refuse them. A ledger directory holds no checkpoint, so
+// without the refusal a resume would restart it from the root.
 func TestRemovedModesRefused(t *testing.T) {
+	resume := func(t *testing.T, name string, m store.Manifest, ledger bool) {
+		cfg := benchConfig()
+		runDir := filepath.Join(t.TempDir(), "run")
+		st, err := store.Create(runDir, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if ledger {
+			// The ledger's participants stamped its epoch into the
+			// manifest, unhashed, and kept their records under ledger/.
+			mf := filepath.Join(runDir, "manifest.json")
+			data, err := os.ReadFile(mf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = bytes.Replace(data, []byte("{"), []byte(`{"ledger_epoch": 1760000000000000000,`), 1)
+			if err := os.WriteFile(mf, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Join(runDir, "ledger", "results"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng := &Engine{}
+		wantRemovedMismatch(t, "resume", eng.Attach(with(&cfg, run.WithResume(runDir))), name)
+		eng.Close()
+	}
 	for _, mode := range removedModes {
 		name := mode.key + "=" + mode.value
 		t.Run(name, func(t *testing.T) {
@@ -94,29 +125,17 @@ func TestRemovedModesRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			mode.apply(&m)
-
-			runDir := filepath.Join(t.TempDir(), "run")
-			st, err := store.Create(runDir, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.Close()
-			eng := &Engine{}
-			wantRemovedMismatch(t, "resume", eng.Attach(with(&cfg, run.WithResume(runDir))), name)
-			eng.Close()
-
-			ledgerDir := filepath.Join(t.TempDir(), "ledger")
-			st, err = store.CreateShared(ledgerDir, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.Close()
-			_, err = JoinLedger(with(&cfg, run.WithLedger(ledgerDir), run.WithWorkerID("w")), false)
-			wantRemovedMismatch(t, "ledger join", err, name)
-			_, _, err = FinalizeLedger(&cfg, ledgerDir, false)
-			wantRemovedMismatch(t, "ledger finalize", err, name)
+			resume(t, name, m, false)
 		})
 	}
+	t.Run("ledger", func(t *testing.T) {
+		cfg := benchConfig()
+		m, err := ManifestFor(&cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume(t, "ledger", m, true)
+	})
 }
 
 // TestExplainRefusesExecFormMismatch: -explain replays a capture on the

@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dedup"
 	"repro/internal/fault"
-	"repro/internal/ledger"
 	"repro/internal/object"
 	"repro/internal/run"
 	"repro/internal/sim"
@@ -75,6 +74,12 @@ func (c *Counterexample) String() string {
 //     workers, which leaves ran depends on goroutine interleaving, and so
 //     do MaxProcSteps, MaxFaults, and Violation.
 //   - Cancelled: a partial tally of whatever ran before ctx ended.
+//   - Resumed from a checkpoint: a checkpoint is one consistent cut, so
+//     the resumed run re-runs exactly the leaves the checkpoint did not
+//     count. A resumed complete run reports exactly the Executions,
+//     MaxProcSteps, and MaxFaults of an uninterrupted one, however often
+//     it was cut and at any worker counts; with Dedup, Executions depends
+//     on how workers race even without a resume.
 type Outcome struct {
 	// Executions is the number of complete executions enumerated.
 	Executions int
@@ -87,8 +92,7 @@ type Outcome struct {
 	MaxProcSteps int
 	// MaxFaults is the largest total fault count observed in a run.
 	MaxFaults int
-	// Workers is the number of parallel workers used (for FinalizeLedger,
-	// the number of participant processes).
+	// Workers is the number of parallel workers used.
 	Workers int
 	// Elapsed is the wall-clock duration of the exploration, including
 	// time accumulated before a resume.
@@ -243,10 +247,10 @@ func (e *ProcessLimitError) Error() string {
 }
 
 // prepare validates the settings and resolves the effective fault kind and
-// execution cap. st and l are the run store and work ledger the engine is
-// attached to (both nil for a single replay), so every combination the
-// engine cannot honour is refused in one place.
-func prepare(s *run.Settings, st *store.Store, l *ledger.Ledger) (kind fault.Kind, cap int, err error) {
+// execution cap. st is the run store the engine is attached to (nil for a
+// single replay), so every combination the engine cannot honour is refused
+// in one place.
+func prepare(s *run.Settings, st *store.Store) (kind fault.Kind, cap int, err error) {
 	if s.Protocol == nil {
 		return 0, 0, fmt.Errorf("explore: no protocol")
 	}
@@ -263,12 +267,7 @@ func prepare(s *run.Settings, st *store.Store, l *ledger.Ledger) (kind fault.Kin
 	if s.Policy == nil && kind != fault.Overriding && kind != fault.Silent {
 		return 0, 0, fmt.Errorf("explore: unsupported fault kind %v", kind)
 	}
-	switch {
-	case l != nil && st != nil:
-		return 0, 0, fmt.Errorf("explore: Ledger and Store are mutually exclusive — published results are the ledger's durable state")
-	case s.Policy != nil && l != nil:
-		return 0, 0, fmt.Errorf("explore: the ledger requires the checker's own fault policy, not a fixed Policy")
-	case s.Policy != nil && (s.Dedup || st != nil):
+	if s.Policy != nil && (s.Dedup || st != nil) {
 		// A fixed policy is an opaque closure that may carry state across
 		// invocations; neither the state fingerprint nor a checkpointed
 		// replay can reproduce it.
@@ -306,9 +305,8 @@ func prepare(s *run.Settings, st *store.Store, l *ledger.Ledger) (kind fault.Kin
 //
 // run.WithCheckpoint creates a run store and checkpoints into it;
 // run.WithResume opens an existing run store, refuses mismatched settings
-// (store.ErrMismatch), and continues the stored exploration; run.WithLedger
-// joins a multi-process work ledger; run.WithTraceDir captures durable
-// execution traces. Engine.Attach opens all of it and Engine.Close releases
+// (store.ErrMismatch), and continues the stored exploration;
+// run.WithTraceDir captures durable execution traces. Engine.Attach opens all of it and Engine.Close releases
 // it before this call returns.
 func CheckWith(ctx context.Context, opts ...run.Option) (*Outcome, error) {
 	s := run.NewSettings(opts...)

@@ -27,9 +27,9 @@ type task struct {
 //
 // For crash-safe checkpointing the frontier also tracks, per worker, the
 // task it currently holds (a slot, assigned under the frontier lock inside
-// pop so no task is ever in flight unaccounted). snapshot returns the queued
-// tasks plus every claimed slot — together they cover all unfinished work at
-// the moment of the call.
+// pop so no task is ever in flight unaccounted), and snapshot takes one
+// consistent cut of the run. Lock order: f.mu, then slot locks in worker
+// order, then whatever a settle or read callback takes.
 type frontier struct {
 	mu     sync.Mutex
 	wait   sync.Cond
@@ -39,13 +39,15 @@ type frontier struct {
 
 	slots []slot
 
+	// lowWater is the pool size below which workers donate subtrees.
+	lowWater int
 	// size mirrors len(stack) so starving() needs no lock on the replay
 	// hot path.
 	size atomic.Int64
 }
 
 // slot is one worker's claimed task, updated as the worker's enumeration
-// progresses. Lock ordering: frontier.mu before slot.mu, never the reverse.
+// progresses.
 type slot struct {
 	mu     sync.Mutex
 	active bool
@@ -53,37 +55,19 @@ type slot struct {
 	floor  int
 }
 
-func (s *slot) set(t task) {
-	s.mu.Lock()
+// set points the slot at the remaining subtree (path, floor). The caller
+// holds s.mu.
+func (s *slot) set(path []int, floor int) {
 	s.active = true
-	s.path = append(s.path[:0], t.path...)
-	s.floor = t.floor
-	s.mu.Unlock()
-}
-
-func (s *slot) clear() {
-	s.mu.Lock()
-	s.active = false
-	s.mu.Unlock()
+	s.path = append(s.path[:0], path...)
+	s.floor = floor
 }
 
 func newFrontier(tasks []task, workers int) *frontier {
-	f := &frontier{stack: tasks, slots: make([]slot, workers)}
+	f := &frontier{stack: tasks, slots: make([]slot, workers), lowWater: 2 * workers}
 	f.wait.L = &f.mu
 	f.size.Store(int64(len(tasks)))
 	return f
-}
-
-// push adds tasks to the pool.
-func (f *frontier) push(tasks []task) {
-	if len(tasks) == 0 {
-		return
-	}
-	f.mu.Lock()
-	f.stack = append(f.stack, tasks...)
-	f.size.Store(int64(len(f.stack)))
-	f.mu.Unlock()
-	f.wait.Broadcast()
 }
 
 // pop blocks until a task is available and claims it into worker w's slot.
@@ -101,7 +85,10 @@ func (f *frontier) pop(w int) (task, bool) {
 			f.stack = f.stack[:n-1]
 			f.size.Store(int64(n - 1))
 			f.busy++
-			f.slots[w].set(t)
+			s := &f.slots[w]
+			s.mu.Lock()
+			s.set(t.path, t.floor)
+			s.mu.Unlock()
 			return t, true
 		}
 		if f.busy == 0 {
@@ -114,27 +101,41 @@ func (f *frontier) pop(w int) (task, bool) {
 	}
 }
 
-// publish records worker w's enumeration progress: the subtree rooted at
-// path (floor = backtracking floor) is what remains of its claimed task.
-// Callers must publish only *after* pushing any donation carved from the
-// task, so a snapshot between the two covers the donated subtrees twice
-// rather than never.
-func (f *frontier) publish(w int, path []int, floor int) {
+// publish records worker w's enumeration progress in one step with
+// settle, which moves the worker's tally of the leaves it ran into the
+// shared counters: the subtree rooted at path (floor = backtracking floor)
+// is what remains of its claimed task, or nothing when finished.
+func (f *frontier) publish(w int, finished bool, path []int, floor int, settle func()) {
 	s := &f.slots[w]
 	s.mu.Lock()
-	s.path = append(s.path[:0], path...)
-	s.floor = floor
+	settle()
+	if finished {
+		s.active = false
+	} else {
+		s.set(path, floor)
+	}
 	s.mu.Unlock()
 }
 
-// done releases the claim taken by pop. finished reports that the task's
-// subtree was fully enumerated (or is covered elsewhere); an abandoned task
-// — cancellation, execution cap — stays in the slot so snapshot still
-// accounts for it.
-func (f *frontier) done(w int, finished bool) {
-	if finished {
-		f.slots[w].clear()
-	}
+// donate queues t, a subtree carved from worker w's task, and publishes
+// what remains of the task in the same step, so no snapshot sees the
+// donated subtree both queued and in the slot, or in neither.
+func (f *frontier) donate(w int, t task, finished bool, path []int, floor int, settle func()) {
+	f.mu.Lock()
+	f.stack = append(f.stack, t)
+	f.size.Store(int64(len(f.stack)))
+	f.publish(w, finished, path, floor, settle)
+	f.mu.Unlock()
+	f.wait.Broadcast()
+}
+
+// release publishes worker w's last progress on its claim (see publish)
+// and ends the claim taken by pop. finished reports that the task's subtree
+// was fully enumerated (or is covered elsewhere); an abandoned task —
+// cancellation, execution cap — stays in the slot at (path, floor), the
+// first leaf the worker did not run, so snapshot still accounts for it.
+func (f *frontier) release(w int, finished bool, path []int, floor int, settle func()) {
+	f.publish(w, finished, path, floor, settle)
 	f.mu.Lock()
 	f.busy--
 	idle := f.busy == 0 && len(f.stack) == 0
@@ -153,64 +154,43 @@ func (f *frontier) abort() {
 	f.wait.Broadcast()
 }
 
-// snapshot returns every unfinished task: the queued stack plus all claimed
-// slots, deep-copied so callers may serialize them while workers continue.
-func (f *frontier) snapshot() []task {
+// snapshot returns every unfinished task — the queued stack plus all
+// claimed slots, deep-copied so callers may serialize them while workers
+// continue — and calls read, which reads the run's shared counters, in the
+// same critical section. Together they are one consistent cut. A worker
+// counts the leaves it runs in a local tally and moves them into the
+// shared counters (its settle function) only inside a slot update —
+// publish, donate or release — so whenever its slot lock is free, its slot
+// starts at the first leaf of its task the counters do not hold. snapshot
+// holds the frontier lock and every slot lock while it reads the queue,
+// the slots and the counters, so no pop, donation, flush or publish is
+// half done in what it sees: every leaf is either counted or below exactly
+// one returned task, never both and never neither. A resume from the cut
+// therefore runs no counted leaf again and loses none, and a complete
+// resumed run counts exactly the executions of an uninterrupted one.
+func (f *frontier) snapshot(read func()) []task {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	out := make([]task, 0, len(f.stack)+len(f.slots))
 	for _, t := range f.stack {
 		out = append(out, task{path: append([]int(nil), t.path...), floor: t.floor})
 	}
-	f.mu.Unlock()
 	for i := range f.slots {
 		s := &f.slots[i]
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		if s.active {
 			out = append(out, task{path: append([]int(nil), s.path...), floor: s.floor})
 		}
-		s.mu.Unlock()
 	}
+	read()
 	return out
-}
-
-// takeOldest removes the OLDEST queued task — the shallowest root, i.e. the
-// largest subtree on offer — for export to the multi-process work ledger.
-// The exporter counts as busy until settleExport, so the frontier cannot
-// report drained while the task is in flight between pool and ledger (a
-// worker publishing its claim's result must never leave an in-flight task
-// uncovered).
-func (f *frontier) takeOldest() (task, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed || len(f.stack) == 0 {
-		return task{}, false
-	}
-	t := f.stack[0]
-	copy(f.stack, f.stack[1:])
-	f.stack = f.stack[:len(f.stack)-1]
-	f.size.Store(int64(len(f.stack)))
-	f.busy++
-	return t, true
-}
-
-// settleExport completes a takeOldest: returned is nil when the task was
-// committed to the ledger, or the task itself when the export failed and it
-// must go back to the local pool.
-func (f *frontier) settleExport(returned *task) {
-	f.mu.Lock()
-	if returned != nil {
-		f.stack = append(f.stack, *returned)
-		f.size.Store(int64(len(f.stack)))
-	}
-	f.busy--
-	f.mu.Unlock()
-	f.wait.Broadcast()
 }
 
 // starving reports that the pool has fewer pending tasks than the low-water
 // mark, asking busy workers to donate a subtree.
-func (f *frontier) starving(lowWater int) bool {
-	return f.size.Load() < int64(lowWater)
+func (f *frontier) starving() bool {
+	return f.size.Load() < int64(f.lowWater)
 }
 
 // pending returns the number of queued tasks (for progress reports).

@@ -81,8 +81,7 @@ func TestFrontierDonationRacingAbort(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		fr.push([]task{{path: []int{0, 1}, floor: 2}})
-		fr.publish(0, []int{0, 0, 1}, 1)
+		fr.donate(0, task{path: []int{0, 1}, floor: 2}, false, []int{0, 0, 1}, 1, func() {})
 	}()
 	go func() {
 		defer wg.Done()
@@ -95,7 +94,7 @@ func TestFrontierDonationRacingAbort(t *testing.T) {
 	select {
 	case ok := <-popped:
 		if ok {
-			fr.done(1, true)
+			fr.release(1, true, nil, 0, func() {})
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pop(1) still blocked after abort")
@@ -103,14 +102,14 @@ func TestFrontierDonationRacingAbort(t *testing.T) {
 
 	// Worker 0 abandons its task (as engine workers do on cancellation):
 	// the claim stays in its slot.
-	fr.done(0, false)
+	fr.release(0, false, []int{0, 0, 1}, 1, func() {})
 	if _, ok := fr.pop(0); ok {
 		t.Fatal("pop succeeded after abort")
 	}
 
 	// The snapshot must cover worker 0's unfinished claim, and — unless
 	// worker 1 already claimed it — the donation pushed during the abort.
-	snap := fr.snapshot()
+	snap := fr.snapshot(func() {})
 	foundClaim := false
 	for _, task := range snap {
 		if reflect.DeepEqual(task.path, []int{0, 0, 1}) && task.floor == 1 {
@@ -122,18 +121,23 @@ func TestFrontierDonationRacingAbort(t *testing.T) {
 	}
 }
 
-// TestFrontierAbandonedTaskKeepsSlot: done(w, false) must keep the task
-// visible to snapshot — this is what makes a cancelled run's checkpoint
-// cover work the worker never finished.
+// TestFrontierAbandonedTaskKeepsSlot: release(w, false, ...) must keep the
+// task visible to snapshot at the position it was released at — this is
+// what makes a cancelled run's checkpoint cover work the worker never
+// finished — and settle must run in the same step.
 func TestFrontierAbandonedTaskKeepsSlot(t *testing.T) {
 	fr := newFrontier([]task{{path: []int{2}, floor: 1}}, 1)
 	if _, ok := fr.pop(0); !ok {
 		t.Fatal("pop failed on a non-empty frontier")
 	}
-	fr.done(0, false)
-	snap := fr.snapshot()
-	if len(snap) != 1 || !reflect.DeepEqual(snap[0].path, []int{2}) {
-		t.Fatalf("snapshot = %v, want the abandoned task", snap)
+	settled := false
+	fr.release(0, false, []int{2, 1}, 1, func() { settled = true })
+	if !settled {
+		t.Fatal("release did not settle the lease")
+	}
+	snap := fr.snapshot(func() {})
+	if len(snap) != 1 || !reflect.DeepEqual(snap[0].path, []int{2, 1}) || snap[0].floor != 1 {
+		t.Fatalf("snapshot = %v, want the abandoned task at [2 1] floor 1", snap)
 	}
 
 	// A finished task, by contrast, leaves no residue.
@@ -141,8 +145,8 @@ func TestFrontierAbandonedTaskKeepsSlot(t *testing.T) {
 	if _, ok := fr2.pop(0); !ok {
 		t.Fatal("pop failed on a non-empty frontier")
 	}
-	fr2.done(0, true)
-	if snap := fr2.snapshot(); len(snap) != 0 {
+	fr2.release(0, true, nil, 0, func() {})
+	if snap := fr2.snapshot(func() {}); len(snap) != 0 {
 		t.Fatalf("snapshot after finished task = %v, want empty", snap)
 	}
 }

@@ -140,11 +140,11 @@ func TestIncrementalReplayAllocatesNothing(t *testing.T) {
 				Reduce:          reduce,
 				Workers:         1,
 			}
-			env, err := (&Engine{}).setup(&cfg)
+			r, err := (&Engine{}).newRun(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			es := (&Engine{}).newRun(env, 0, func() {}).newWorkerState()
+			es := r.newWorkerState()
 			var leaves int
 			sweep := func() { leaves += sweepTask(t, es) }
 			sweep() // warm-up: grows the path, the stack and the snapshot buffers
@@ -192,13 +192,12 @@ func TestResumedReplayProbesOnlyNewStates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env, err := (&Engine{}).setup(&cfg)
+			r, err := (&Engine{}).newRun(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			es := (&Engine{}).newRun(env, 0, func() {}).newWorkerState()
-			leaves := sweepTask(t, es)
-			st := env.set.Stats()
+			leaves := sweepTask(t, r.newWorkerState())
+			st := r.set.Stats()
 			if revisits := st.Lookups - st.States - st.Hits - st.Improved; revisits != 0 || st.Improved != 0 {
 				t.Errorf("lookups %d = states %d + hits %d + improved %d + %d revisits, want no revisit and no improvement",
 					st.Lookups, st.States, st.Hits, st.Improved, revisits)
@@ -234,7 +233,7 @@ func sweepTask(t *testing.T, es *execState) (leaves int) {
 // event sites at zero allocations when the log drops Debug events: the
 // field map must not be built before the level check.
 func TestDebugEventAllocatesNothingWhenFiltered(t *testing.T) {
-	r := &engineRun{runEnv: &runEnv{ev: obs.NewLog(io.Discard, obs.Info)}}
+	r := &engineRun{ev: obs.NewLog(io.Discard, obs.Info)}
 	if allocs := testing.AllocsPerRun(100, func() { r.debugEvent("dedup.prune", 1, "pos", 1000) }); allocs != 0 {
 		t.Errorf("a filtered debug event allocates %.0f objects, want 0", allocs)
 	}
@@ -261,7 +260,7 @@ func TestPrepareRefusesProcessLimits(t *testing.T) {
 	} {
 		for _, n := range []int{tc.max, tc.max + 1} {
 			s := run.NewSettings(run.WithProtocol(core.SingleCAS{}), run.WithDistinctInputs(n), tc.opt)
-			_, _, err := prepare(s, nil, nil)
+			_, _, err := prepare(s, nil)
 			var limit *ProcessLimitError
 			switch {
 			case n == tc.max && err != nil:

@@ -1,13 +1,11 @@
 package explore
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
+	"path/filepath"
 
 	"repro/internal/fault"
-	"repro/internal/ledger"
 	"repro/internal/run"
 	"repro/internal/store"
 )
@@ -50,23 +48,13 @@ func ManifestFor(s *run.Settings, exhaustive bool) (store.Manifest, error) {
 }
 
 // Attach connects the engine to the durable state the settings name: it
-// joins the work ledger in LedgerDir, or opens the run store in Resume
-// (refusing mismatched settings with store.ErrMismatch), or creates one in
-// CheckpointDir — Resume wins over CheckpointDir, so one option list can
-// create a run and later resume it. TraceDir opens a tracer. Every manifest
-// and trace header carries run.MetaFromSettings(s). Close releases what
-// Attach opened.
+// opens the run store in Resume (refusing mismatched settings with
+// store.ErrMismatch), or creates one in CheckpointDir — Resume wins over
+// CheckpointDir, so one option list can create a run and later resume it.
+// TraceDir opens a tracer. Every manifest and trace header carries
+// run.MetaFromSettings(s). Close releases what Attach opened.
 func (e *Engine) Attach(s *run.Settings) error {
 	switch {
-	case s.LedgerDir != "":
-		if s.Resume != "" || s.CheckpointDir != "" {
-			return fmt.Errorf("explore: the work ledger is the durable state of a distributed run; it cannot be combined with checkpointing or resume")
-		}
-		l, err := JoinLedger(s, e.Exhaustive)
-		if err != nil {
-			return err
-		}
-		e.Ledger = l
 	case s.Resume != "":
 		m, err := ManifestFor(s, e.Exhaustive)
 		if err != nil {
@@ -118,56 +106,18 @@ func (e *Engine) Close() error {
 // verifyManifest checks that the run directory's stored manifest describes
 // the exploration m does (store.ErrMismatch otherwise). A manifest recording
 // a removed mode is refused as a mismatch that names the mode
-// (run.ErrRemovedMode), not as two differing hashes.
+// (run.ErrRemovedMode), not as two differing hashes. So is a directory the
+// removed multi-process work ledger wrote: it holds a manifest and a ledger/
+// subdirectory but never a checkpoint, so resuming it would silently
+// restart from the root.
 func verifyManifest(st *store.Store, m store.Manifest) error {
 	stored := st.Manifest()
-	if err := run.CheckModes(stored.Exec, stored.Reduce); err != nil {
+	err := run.CheckModes(stored.Exec, stored.Reduce)
+	if _, serr := os.Stat(filepath.Join(st.Dir(), "ledger")); serr == nil {
+		err = fmt.Errorf("%w: the multi-process work ledger is no longer supported (only a run created with -checkpoint resumes)", run.ErrRemovedMode)
+	}
+	if err != nil {
 		return fmt.Errorf("%w in %s: %w", store.ErrMismatch, st.Dir(), err)
 	}
 	return st.Verify(m)
-}
-
-// WorkerIDFor returns the effective ledger participant id for the settings:
-// the configured WorkerID, or the canonical "host:pid" default.
-func WorkerIDFor(s *run.Settings) string {
-	if s.WorkerID != "" {
-		return s.WorkerID
-	}
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "worker"
-	}
-	return fmt.Sprintf("%s:%d", host, os.Getpid())
-}
-
-// JoinLedger joins (or creates) the work ledger in s.LedgerDir and binds the
-// run directory to these settings: the first participant commits a manifest
-// carrying the ledger epoch; every later participant must present identical
-// settings and is refused (store.ErrMismatch) otherwise — two processes
-// silently sweeping different execution spaces into one ledger would merge
-// to garbage.
-func JoinLedger(s *run.Settings, exhaustive bool) (*ledger.Ledger, error) {
-	m, err := ManifestFor(s, exhaustive)
-	if err != nil {
-		return nil, err
-	}
-	l, _, err := ledger.Join(s.LedgerDir, WorkerIDFor(s), s.LeaseTTL)
-	if err != nil {
-		return nil, err
-	}
-	m.LedgerEpoch = l.Epoch()
-	st, err := store.CreateShared(s.LedgerDir, m)
-	if errors.Is(err, fs.ErrExist) {
-		if st, err = store.OpenShared(s.LedgerDir); err != nil {
-			return nil, err
-		}
-		if verr := verifyManifest(st, m); verr != nil {
-			st.Close()
-			return nil, verr
-		}
-	} else if err != nil {
-		return nil, err
-	}
-	st.Close()
-	return l, nil
 }

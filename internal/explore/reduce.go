@@ -29,9 +29,9 @@ import (
 // Everything the reducer consults — the register contents and per-process
 // digests (dedup.Tracker), the remaining fault budget, the pending
 // operations — is a deterministic function of the choice-path prefix, so
-// the reduced tree has a stable shape across replays, workers, resumed
-// checkpoints, and ledger participants: the chooser's stale-choice panic
-// and the manifest's reduce field enforce exactly this.
+// the reduced tree has a stable shape across replays, workers, and resumed
+// checkpoints: the chooser's stale-choice panic and the manifest's reduce
+// field enforce exactly this.
 //
 // Soundness (verdict preservation) is the classical argument; reduction
 // additionally preserves the lexicographically least counterexample: every

@@ -131,7 +131,7 @@ func CrossCheck(s *run.Settings) (*CrossReport, error) {
 	if s.Policy != nil || s.Dedup || s.Reduce != run.ReduceOff {
 		return nil, fmt.Errorf("explore: CrossCheck sweeps the plain tree of the checker's own fault policy: no fixed Policy, dedup or reduction")
 	}
-	kind, cap, err := prepare(s, nil, nil)
+	kind, cap, err := prepare(s, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -15,14 +15,20 @@ import (
 // its counterexample record. Because the simulator is deterministic, the
 // replay reproduces the original execution event for event — the standard
 // way to inspect, shrink, or export a violation found during exploration.
+// A path shorter than its execution stands for its first-fill extension
+// (zeros). A path that names no execution is an error, checked as Leaves
+// checks a prefix.
 func Replay(s *run.Settings, path []int) (*Counterexample, error) {
-	kind, _, err := prepare(s, nil, nil)
+	kind, _, err := prepare(s, nil)
 	if err != nil {
+		return nil, err
+	}
+	if err := nonNegative("path", path); err != nil {
 		return nil, err
 	}
 	c := &chooser{path: append([]int(nil), path...)}
 	es := newExecState(s, kind, c, nil, true)
-	if _, _, err := es.runLeaf(context.Background()); err != nil {
+	if err := leafBelow(context.Background(), es, "path", path); err != nil {
 		return nil, err
 	}
 	return es.counterexample(), nil
@@ -41,7 +47,7 @@ func Replay(s *run.Settings, path []int) (*Counterexample, error) {
 // a choice past the alternatives its node offers, or more choices than its
 // execution makes.
 func Leaves(ctx context.Context, s *run.Settings, prefix []int, solo int, visit func(path []int, v run.Verdict)) error {
-	kind, cap, err := prepare(s, nil, nil)
+	kind, cap, err := prepare(s, nil)
 	if err != nil {
 		return err
 	}
@@ -51,8 +57,8 @@ func Leaves(ctx context.Context, s *run.Settings, prefix []int, solo int, visit 
 	if solo >= len(s.Inputs) {
 		return fmt.Errorf("explore: solo process %d out of range", solo)
 	}
-	if i := slices.IndexFunc(prefix, func(choice int) bool { return choice < 0 }); i >= 0 {
-		return fmt.Errorf("explore: prefix %v names no state: choice %d at position %d", prefix, prefix[i], i)
+	if err := nonNegative("prefix", prefix); err != nil {
+		return err
 	}
 	c := &chooser{path: append([]int(nil), prefix...), lb: len(prefix)}
 	es := newExecState(s, kind, c, nil, false)
@@ -73,21 +79,40 @@ func Leaves(ctx context.Context, s *run.Settings, prefix []int, solo int, visit 
 		if n == cap {
 			return fmt.Errorf("explore: subtree at %v exceeds %d executions", prefix, cap)
 		}
-		if err := leaf(ctx, es); err != nil {
-			var stale staleChoice
-			if errors.As(err, &stale) {
-				return fmt.Errorf("explore: prefix %v names no state: position %d offers %d alternatives", prefix, stale.pos, stale.n)
-			}
+		if err := leafBelow(ctx, es, "prefix", prefix); err != nil {
 			return err
-		}
-		if c.pos < len(prefix) {
-			return fmt.Errorf("explore: prefix %v names no state: its execution ends after %d choices", prefix, c.pos)
 		}
 		visit(c.path, es.verdict)
 		if !c.next() {
 			return nil
 		}
 	}
+}
+
+// nonNegative refuses a choice path with a negative choice: it names no
+// state. what names the path in the error ("path" or "prefix").
+func nonNegative(what string, path []int) error {
+	if i := slices.IndexFunc(path, func(choice int) bool { return choice < 0 }); i >= 0 {
+		return fmt.Errorf("explore: %s %v names no state: choice %d at position %d", what, path, path[i], i)
+	}
+	return nil
+}
+
+// leafBelow runs the chooser's current leaf, which must extend path, and
+// refuses a path the execution does not follow: a choice past the
+// alternatives its node offers, or more choices than the execution makes.
+func leafBelow(ctx context.Context, es *execState, what string, path []int) error {
+	if err := leaf(ctx, es); err != nil {
+		var stale staleChoice
+		if errors.As(err, &stale) {
+			return fmt.Errorf("explore: %s %v names no state: position %d offers %d alternatives", what, path, stale.pos, stale.n)
+		}
+		return err
+	}
+	if es.c.pos < len(path) {
+		return fmt.Errorf("explore: %s %v names no state: its execution ends after %d choices", what, path, es.c.pos)
+	}
+	return nil
 }
 
 // leaf runs the chooser's current leaf. A stale choice panics in choose:

@@ -82,6 +82,46 @@ func TestReplayValidation(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesPathsNamingNoExecution: Replay takes paths read from
+// files (a trace's path for Explain, a checkpoint's best path for resume),
+// so a path that names no execution must come back as an error that says
+// so, not a panic. It is checked as Leaves checks a prefix: a negative
+// choice, a choice past the alternatives its node offers (a scheduling or a
+// fault choice), and more choices than the execution makes. A shorter path
+// still stands for its first-fill extension.
+func TestReplayRefusesPathsNamingNoExecution(t *testing.T) {
+	cfg := run.Settings{
+		Protocol:        core.SingleCAS{},
+		Inputs:          inputs(2),
+		FaultyObjects:   []int{0},
+		FaultsPerObject: 1,
+	}
+	for _, tc := range []struct {
+		name string
+		path []int
+		want string
+	}{
+		{"scheduling choice out of range", []int{7}, "path [7] names no state: position 0 offers 2 alternatives"},
+		{"negative choice", []int{-1}, "path [-1] names no state: choice -1 at position 0"},
+		{"fault choice out of range", []int{0, 5}, "path [0 5] names no state: position 1 offers 2 alternatives"},
+		{"more choices than the execution makes", []int{0, 0, 0, 0}, "path [0 0 0 0] names no state: its execution ends after"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ce, err := Replay(&cfg, tc.path)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Replay(%v) = %v, %v; want an error containing %q", tc.path, ce, err, tc.want)
+			}
+		})
+	}
+	ce, err := Replay(&cfg, []int{0})
+	if err != nil {
+		t.Fatalf("a prefix of an execution must replay its first-fill extension: %v", err)
+	}
+	if len(ce.Path) < 2 || ce.Path[0] != 0 {
+		t.Errorf("replayed path = %v, want an extension of [0]", ce.Path)
+	}
+}
+
 func TestReplayIsDeterministic(t *testing.T) {
 	cfg := run.Settings{
 		Protocol:        core.NewStaged(1, 1),
@@ -134,7 +174,7 @@ func TestCaptureMatchesReference(t *testing.T) {
 					if ce == nil {
 						t.Fatal("no violation found")
 					}
-					kind, _, err := prepare(&cfg, nil, nil)
+					kind, _, err := prepare(&cfg, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

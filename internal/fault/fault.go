@@ -188,9 +188,6 @@ func (b *Budget) TotalFaults() int {
 	return total
 }
 
-// MaxFaultyObjects returns the f parameter.
-func (b *Budget) MaxFaultyObjects() int { return b.f }
-
 // FaultsPerObject returns the t parameter (Unbounded for t = ∞).
 func (b *Budget) FaultsPerObject() int { return b.t }
 

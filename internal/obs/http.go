@@ -16,9 +16,8 @@ import (
 //	/progress  JSON of whatever progress() returns (the engine's latest
 //	           Progress report); 204 when progress is nil or returns nil
 //	/healthz   liveness probe: 200 with uptime and whether a verdict is
-//	           in progress — distinct from /metrics so fleet probes and
-//	           load balancers never parse a metric snapshot to ask
-//	           "is it up?"
+//	           in progress — distinct from /metrics so probes and load
+//	           balancers never parse a metric snapshot to ask "is it up?"
 //	/pprof/    the standard net/http/pprof handlers (index, profile,
 //	           heap, goroutine, trace, ...), re-rooted under /pprof/
 //	/debug/trace  on-demand runtime execution trace capture
@@ -72,12 +71,6 @@ func Handler(reg *Registry, progress func() any) *http.ServeMux {
 	mux.HandleFunc("/debug/trace", pprof.Trace)
 	return mux
 }
-
-// WriteHTTPJSON renders v as indented JSON with the JSON content type —
-// the same rendering /metrics and /progress use, exported so subsystems
-// that attach routes to the mux (the fleet endpoints) match the handler's
-// house style.
-func WriteHTTPJSON(w http.ResponseWriter, v any) { writeJSON(w, v) }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

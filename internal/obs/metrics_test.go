@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -180,5 +181,32 @@ func TestRegistrySnapshotConcurrent(t *testing.T) {
 	}
 	if s.Histograms["h"].Count != 4000 {
 		t.Errorf("histogram count = %d, want 4000", s.Histograms["h"].Count)
+	}
+}
+
+// TestHistogramBoundEdges pins the bucket convention: bounds are inclusive
+// upper edges (Prometheus "le"), values above the last bound and +Inf land
+// in the overflow bucket, NaN is dropped entirely.
+func TestHistogramBoundEdges(t *testing.T) {
+	h := NewHistogram(1, 2, 4)
+	h.Observe(0.5)          // below first bound -> bucket 0
+	h.Observe(1)            // exactly on a bound is inclusive -> bucket 0
+	h.Observe(2)            // -> bucket 1
+	h.Observe(4)            // exactly the last bound -> bucket 2, not overflow
+	h.Observe(4.0001)       // just above -> overflow
+	h.Observe(math.Inf(1))  // +Inf -> overflow
+	h.Observe(math.NaN())   // dropped
+	h.Observe(math.Inf(-1)) // -Inf -> bucket 0
+
+	s := h.Snapshot()
+	wantCounts := []int64{3, 1, 1, 2}
+	if !reflect.DeepEqual(s.Counts, wantCounts) {
+		t.Errorf("counts = %v, want %v", s.Counts, wantCounts)
+	}
+	if s.Count != 7 {
+		t.Errorf("count = %d, want 7 (NaN dropped)", s.Count)
+	}
+	if !math.IsInf(s.Min, -1) || !math.IsInf(s.Max, 1) {
+		t.Errorf("extremes = [%v, %v]", s.Min, s.Max)
 	}
 }

@@ -31,11 +31,6 @@ type Report struct {
 	Metrics Snapshot `json:"metrics"`
 	// Events counts the event-log records written, per type.
 	Events map[string]int64 `json:"events,omitempty"`
-	// Fleet, for ledger finalizes, embeds the fleet observability view
-	// (schema modelcheck-fleet-report/v1: per-worker liveness, merged
-	// metrics, anomalies). Typed any so obs stays dependency-free; the
-	// concrete shape is internal/obs/fleet.View.
-	Fleet any `json:"fleet,omitempty"`
 }
 
 // Verdict is the outcome section of a Report.

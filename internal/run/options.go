@@ -67,21 +67,6 @@ type Settings struct {
 	// Resume, when non-empty, resumes the exploration recorded in that run
 	// directory; the stored manifest must match these settings.
 	Resume string
-	// LedgerDir, when non-empty, joins (or creates) the multi-process work
-	// ledger in that run directory: the exploration claims subtrees from
-	// the shared ledger and publishes results there, so any number of OS
-	// processes pointed at the same directory cooperate on one sweep. The
-	// stored manifest must match these settings. Mutually exclusive with
-	// CheckpointDir and Resume.
-	LedgerDir string
-	// WorkerID names this participant in the work ledger (default
-	// "host:pid"). It must be unique among live participants.
-	WorkerID string
-	// LeaseTTL is the ledger lease time-to-live: a participant silent for
-	// this long forfeits its claimed subtree to the survivors (0 means the
-	// ledger's default). Only the participant that creates the ledger sets
-	// the TTL; later joiners adopt it.
-	LeaseTTL time.Duration
 	// Quick shrinks experiment sweeps and sample counts.
 	Quick bool
 	// Seed drives every randomized component.
@@ -204,18 +189,6 @@ func WithCheckpoint(dir string, every time.Duration) Option {
 // WithResume makes the exploration engine resume the run recorded in dir,
 // refusing to start if the stored manifest does not match these settings.
 func WithResume(dir string) Option { return func(s *Settings) { s.Resume = dir } }
-
-// WithLedger joins (or creates) the multi-process work ledger in the run
-// directory: processes pointed at the same directory split one exploration
-// between them and merge to the single-process verdict.
-func WithLedger(dir string) Option { return func(s *Settings) { s.LedgerDir = dir } }
-
-// WithWorkerID names this ledger participant (default "host:pid").
-func WithWorkerID(id string) Option { return func(s *Settings) { s.WorkerID = id } }
-
-// WithLeaseTTL sets the ledger lease time-to-live when creating a ledger;
-// later joiners adopt the creator's TTL.
-func WithLeaseTTL(ttl time.Duration) Option { return func(s *Settings) { s.LeaseTTL = ttl } }
 
 // WithMetrics publishes exploration metrics on the given registry.
 func WithMetrics(reg *obs.Registry) Option { return func(s *Settings) { s.Metrics = reg } }

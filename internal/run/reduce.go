@@ -11,9 +11,9 @@ import (
 // docs/MODEL.md, "Partial-order reduction").
 //
 // The reduction mode changes WHICH schedules are replayed, so it
-// participates in manifests and trace meta: a resumed run, a joining ledger
-// worker, and -explain all refuse artifacts recorded under a different
-// mode — their choice paths are coordinates in a different tree.
+// participates in manifests and trace meta: a resumed run and -explain
+// both refuse artifacts recorded under a different mode — their choice
+// paths are coordinates in a different tree.
 type ReduceMode int
 
 const (
@@ -57,8 +57,9 @@ const ExecForm = "compiled"
 
 // ErrRemovedMode reports a mode this version no longer runs, recorded in an
 // artifact (or asked for on a command line): the goroutine-gated
-// ("interpreted") engine form or aggressive reduction. The wrapping message
-// names the mode; match with errors.Is.
+// ("interpreted") engine form, aggressive reduction, or a run directory of
+// the multi-process work ledger. The wrapping message names the mode; match
+// with errors.Is.
 var ErrRemovedMode = errors.New("run: removed mode")
 
 // removedMode refuses the meta value key=value.
@@ -68,8 +69,8 @@ func removedMode(key, value string) error {
 }
 
 // CheckModes decides whether an artifact's recorded execution form and
-// reduction mode can still be replayed. It is the one place that refuses
-// the removed modes: SettingsFromMeta applies it to trace headers and
+// reduction mode can still be replayed. It refuses the removed modes an
+// artifact records: SettingsFromMeta applies it to trace headers and
 // manifest meta, and the exploration engine to the manifest fields. An
 // empty exec predates the compiled form and replays on it.
 func CheckModes(exec, reduce string) error {

@@ -18,7 +18,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -33,7 +32,6 @@ const (
 	manifestFile   = "manifest.json"
 	checkpointFile = "checkpoint.json"
 	lockFile       = "owner.json"
-	obsDirName     = "obs"
 )
 
 // Manifest pins down what a run directory explores. Every field that
@@ -63,22 +61,13 @@ type Manifest struct {
 	// Reduce is the partial-order reduction mode ("on"; empty means off;
 	// the removed "aggressive" is refused). It is hashed when set: reduced
 	// choice paths are coordinates in a reduced tree, so a checkpointed
-	// frontier or a ledger task is only meaningful to an engine running the
-	// same reduction. The empty/off value contributes nothing to the hash,
+	// frontier is only meaningful to an engine running the same reduction. The empty/off value contributes nothing to the hash,
 	// so run directories from before reduction existed still verify.
 	Reduce string `json:"reduce,omitempty"`
 
 	// Advisory (not hashed): tuning that does not change the verdict.
 	MaxExecutions int  `json:"max_executions"`
 	Dedup         bool `json:"dedup"`
-
-	// LedgerEpoch identifies the ledger incarnation when the run directory
-	// doubles as a multi-process work ledger (see internal/ledger): the
-	// creating participant stamps it from the ledger marker so a finalize
-	// can be matched to the worker fleet that produced it. Zero for
-	// single-process runs. Advisory (not hashed): joining workers verify
-	// the hashed settings, the epoch only identifies the fleet.
-	LedgerEpoch int64 `json:"ledger_epoch,omitempty"`
 
 	// Extra carries driver-specific reconstruction data (e.g. the CLI
 	// flags that built the protocol). Not hashed.
@@ -147,7 +136,7 @@ type Store struct {
 	manifest Manifest
 	cp       *Checkpoint
 	seq      int
-	locked   bool // this handle holds the owner lock; Close releases it
+	locked   bool // the owner lock is still held; Close releases it
 
 	// Observability, attached via Instrument; all nil-safe.
 	events    *obs.Log
@@ -188,7 +177,7 @@ type LockedError struct {
 }
 
 func (e *LockedError) Error() string {
-	return fmt.Sprintf("store: %s is held by live process %d (since %s); use a ledger run for multi-process access", e.Dir, e.PID, e.Since)
+	return fmt.Sprintf("store: %s is held by live process %d (since %s)", e.Dir, e.PID, e.Since)
 }
 
 func (e *LockedError) Unwrap() error { return ErrLocked }
@@ -217,7 +206,7 @@ func acquireLock(dir string) error {
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		err = CreateExclusive(dir, lockFile, data)
+		err = createExclusive(dir, lockFile, data)
 		if err == nil {
 			return nil
 		}
@@ -260,8 +249,8 @@ func pidAlive(pid int) bool {
 	return err == nil || errors.Is(err, syscall.EPERM)
 }
 
-// Close releases the owner lock taken by Create/Open. Shared handles and
-// already-closed handles are no-ops. The run directory's contents are
+// Close releases the owner lock taken by Create/Open. Closing an
+// already-closed handle is a no-op. The run directory's contents are
 // unaffected — every write was already durable when Save returned.
 func (s *Store) Close() error {
 	if !s.locked {
@@ -279,18 +268,6 @@ func (s *Store) Close() error {
 // already contains a manifest — resuming must go through Open so the
 // settings check cannot be bypassed.
 func Create(dir string, m Manifest) (*Store, error) {
-	return create(dir, m, true)
-}
-
-// CreateShared is Create without the exclusive owner lock, for cooperating
-// ledger participants that intentionally share the run directory. The
-// manifest commit is link-exclusive, so racing creators resolve to exactly
-// one winner; losers get an error and should OpenShared + Verify instead.
-func CreateShared(dir string, m Manifest) (*Store, error) {
-	return create(dir, m, false)
-}
-
-func create(dir string, m Manifest, lock bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -309,20 +286,16 @@ func create(dir string, m Manifest, lock bool) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := CreateExclusive(dir, manifestFile, data); err != nil {
+	if err := createExclusive(dir, manifestFile, data); err != nil {
 		if errors.Is(err, fs.ErrExist) {
 			return nil, fmt.Errorf("store: %s already holds a run (resume it, or choose a fresh directory): %w", dir, fs.ErrExist)
 		}
 		return nil, err
 	}
-	s := &Store{dir: dir, manifest: m}
-	if lock {
-		if err := acquireLock(dir); err != nil {
-			return nil, err
-		}
-		s.locked = true
+	if err := acquireLock(dir); err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Store{dir: dir, manifest: m, locked: true}, nil
 }
 
 // Open loads an existing run directory — its manifest and, when present, the
@@ -330,13 +303,33 @@ func create(dir string, m Manifest, lock bool) (*Store, error) {
 // by another live process yields *LockedError (errors.Is ErrLocked) instead
 // of silently sharing mutable checkpoint state.
 func Open(dir string) (*Store, error) {
-	return open(dir, true)
-}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := acquireLock(dir); err != nil {
+		return nil, err
+	}
+	s := &Store{dir: dir, manifest: m, locked: true}
 
-// OpenShared is Open without the exclusive owner lock, for cooperating
-// ledger participants and read-only inspectors (progress, finalize).
-func OpenShared(dir string) (*Store, error) {
-	return open(dir, false)
+	cpData, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		// A manifest without a checkpoint: the run died before its first
+		// snapshot; resume restarts from the root.
+	case err != nil:
+		s.Close()
+		return nil, fmt.Errorf("store: %w", err)
+	default:
+		var cp Checkpoint
+		if err := json.Unmarshal(cpData, &cp); err != nil {
+			s.Close()
+			return nil, fmt.Errorf("store: corrupt checkpoint in %s: %w", dir, err)
+		}
+		s.cp = &cp
+		s.seq = cp.Seq
+	}
+	return s, nil
 }
 
 // ReadManifest loads and validates only the run directory's manifest: no
@@ -360,39 +353,6 @@ func ReadManifest(dir string) (Manifest, error) {
 			dir, m.SettingsHash, got)
 	}
 	return m, nil
-}
-
-func open(dir string, lock bool) (*Store, error) {
-	m, err := ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{dir: dir, manifest: m}
-	if lock {
-		if err := acquireLock(dir); err != nil {
-			return nil, err
-		}
-		s.locked = true
-	}
-
-	cpData, err := os.ReadFile(filepath.Join(dir, checkpointFile))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// A manifest without a checkpoint: the run died before its first
-		// snapshot; resume restarts from the root.
-	case err != nil:
-		s.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	default:
-		var cp Checkpoint
-		if err := json.Unmarshal(cpData, &cp); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("store: corrupt checkpoint in %s: %w", dir, err)
-		}
-		s.cp = &cp
-		s.seq = cp.Seq
-	}
-	return s, nil
 }
 
 // Dir returns the run directory path.
@@ -455,20 +415,12 @@ func writeFileAtomic(dir, name string, data []byte) error {
 	return syncDir(dir)
 }
 
-// WriteFileAtomic is the exported form of the store's crash-safe write
-// discipline (temp file, fsync, rename, directory fsync) for subsystems
-// layered over the run directory, e.g. the work ledger's lease renewals.
-// The rename replaces any existing file.
-func WriteFileAtomic(dir, name string, data []byte) error {
-	return writeFileAtomic(dir, name, data)
-}
-
-// CreateExclusive commits name under dir if and only if no file with that
-// name exists, with the same durability as WriteFileAtomic: the content is
+// createExclusive commits name under dir if and only if no file with that
+// name exists, with the same durability as writeFileAtomic: the content is
 // written and fsync'd to a temp file, then hard-linked to the target — link
-// is atomic and fails with fs.ErrExist when the target appeared first, so N
-// racing processes resolve to exactly one winner whose content is complete.
-func CreateExclusive(dir, name string, data []byte) error {
+// is atomic and fails with fs.ErrExist when the target appeared first, so
+// racing creators resolve to exactly one winner whose content is complete.
+func createExclusive(dir, name string, data []byte) error {
 	tmpName, err := writeTemp(dir, name, data)
 	if err != nil {
 		return err
@@ -506,47 +458,6 @@ func writeTemp(dir, name string, data []byte) (string, error) {
 		return "", fmt.Errorf("store: %w", err)
 	}
 	return tmpName, nil
-}
-
-// ObsDir returns (creating if needed) the run directory's observability
-// subdirectory, where ledger workers publish their fleet snapshots
-// (worker-<id>.json) beside the manifest and the ledger itself.
-func ObsDir(runDir string) (string, error) {
-	dir := filepath.Join(runDir, obsDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	return dir, nil
-}
-
-// WorkerSnapshotName is the file-name convention for one worker's fleet
-// snapshot under ObsDir. Worker ids follow the ledger's owner rules (no
-// path separators), so the name is always a single path element.
-func WorkerSnapshotName(worker string) string {
-	return "worker-" + worker + ".json"
-}
-
-// ListWorkerSnapshots returns the sorted paths of every published worker
-// snapshot in runDir's obs directory. A run with no obs directory (no
-// snapshot-publishing worker ever joined) lists empty, not an error.
-func ListWorkerSnapshots(runDir string) ([]string, error) {
-	dir := filepath.Join(runDir, obsDirName)
-	ents, err := os.ReadDir(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var paths []string
-	for _, e := range ents {
-		name := e.Name()
-		if strings.HasPrefix(name, "worker-") && strings.HasSuffix(name, ".json") &&
-			!strings.Contains(name, ".tmp") {
-			paths = append(paths, filepath.Join(dir, name))
-		}
-	}
-	return paths, nil
 }
 
 // syncDir fsyncs a directory so a just-committed rename or link survives a

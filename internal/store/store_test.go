@@ -217,10 +217,6 @@ func TestOpenRefusesLiveOwner(t *testing.T) {
 	if !errors.As(err, &le) || le.PID != 1 {
 		t.Fatalf("err = %#v, want *LockedError naming PID 1", err)
 	}
-	// Shared handles never contend for the lock.
-	if _, err := OpenShared(dir); err != nil {
-		t.Fatalf("OpenShared under a foreign lock: %v", err)
-	}
 }
 
 // TestOpenReplacesDeadOwnerLock: a lock left by a SIGKILLed process (its PID

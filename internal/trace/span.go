@@ -42,7 +42,6 @@ type Recorder struct {
 	cap     int
 	spans   []Span
 	dropped int64
-	common  map[string]any // Annotate keys, stamped onto every End
 }
 
 // NewRecorder returns a recorder retaining at most cap spans (0 means
@@ -63,26 +62,8 @@ func (r *Recorder) Begin() time.Time {
 	return time.Now()
 }
 
-// Annotate registers a key/value pair stamped into the args of every span
-// recorded from now on (explicit End args win on collision). It is how a
-// process-wide identity — a ledger worker id, a ledger epoch — reaches
-// every span without threading through each End call site, so spans from
-// different OS processes can be correlated after export. Nil-safe.
-func (r *Recorder) Annotate(key string, value any) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.common == nil {
-		r.common = make(map[string]any)
-	}
-	r.common[key] = value
-}
-
 // End records one span that started at the given Begin instant. Args is
-// retained, not copied (unless Annotate keys force a merge); callers must
-// not mutate it afterwards.
+// retained, not copied; callers must not mutate it afterwards.
 func (r *Recorder) End(name, cat string, pid, tid int, start time.Time, args map[string]any) {
 	if r == nil || start.IsZero() {
 		return
@@ -98,16 +79,6 @@ func (r *Recorder) End(name, cat string, pid, tid int, start time.Time, args map
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.common) > 0 {
-		merged := make(map[string]any, len(r.common)+len(args))
-		for k, v := range r.common {
-			merged[k] = v
-		}
-		for k, v := range args {
-			merged[k] = v
-		}
-		s.Args = merged
-	}
 	if len(r.spans) >= r.cap {
 		r.dropped++
 		return

@@ -75,33 +75,3 @@ func TestRecorderConcurrent(t *testing.T) {
 		t.Errorf("got %d spans, want 800", got)
 	}
 }
-
-// TestRecorderAnnotate: Annotate keys are stamped into every span recorded
-// afterwards, explicit End args win on collision, and earlier spans are
-// untouched — the idiom that stamps a ledger worker's identity onto its
-// spans for cross-process correlation.
-func TestRecorderAnnotate(t *testing.T) {
-	r := NewRecorder(0)
-	r.End("before", "", 0, 0, r.Begin(), nil)
-	r.Annotate("worker", "w1")
-	r.Annotate("ledger_epoch", int64(2))
-	r.End("plain", "", 0, 0, r.Begin(), nil)
-	r.End("merged", "", 0, 0, r.Begin(), map[string]any{"worker": "explicit", "claim": "0001"})
-
-	spans := r.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("spans = %d", len(spans))
-	}
-	if spans[0].Args != nil {
-		t.Errorf("pre-Annotate span gained args: %v", spans[0].Args)
-	}
-	if got := spans[1].Args; got["worker"] != "w1" || got["ledger_epoch"] != int64(2) {
-		t.Errorf("annotated span args = %v", got)
-	}
-	if got := spans[2].Args; got["worker"] != "explicit" || got["claim"] != "0001" || got["ledger_epoch"] != int64(2) {
-		t.Errorf("merged span args = %v", got)
-	}
-
-	var nilRec *Recorder
-	nilRec.Annotate("k", "v") // must not panic
-}

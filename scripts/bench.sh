@@ -32,23 +32,6 @@
 # honest on a single-core host (annotated single_core_host: true), unlike
 # the worker-scaling block whose efficiency ceiling depends on cores.
 #
-# A fourth pass records the distributed work ledger: the covering slab runs
-# once through a single ledger worker process and once through two
-# concurrent worker processes, both finalized with -ledger-finalize, and
-# the wall clocks, merged execution counts, and the 2-process ratio land
-# under "ledger_scaling" (annotated with the host's core count — on a
-# single-core box two processes time-slice one P, so the honest ceiling is
-# coordination overhead, not speedup). The two merges must agree on the
-# execution count; disagreement prints a warning (scripts/check.sh's ledger
-# gate is the hard equality check).
-#
-# A fifth pass measures the fleet-snapshot publication overhead: the same
-# solo ledger worker runs FLEET_COUNT times with -fleet-snapshots=false and
-# =true interleaved, and the per-mode MINIMUM wall clocks are compared under
-# "fleet_overhead" with a 5% budget (warning, not failure — the publisher
-# is two atomic writes plus one per TTL/3 tick, so the budget is headroom,
-# not a target).
-#
 # It then runs the same covering-sweep workload once through
 # `modelcheck -report` (with dedup and periodic checkpointing enabled) and
 # embeds the machine-readable report under "report", so the perf
@@ -66,7 +49,6 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-3x}"
 TRACE_COUNT="${TRACE_COUNT:-5}"
 FORM_COUNT="${FORM_COUNT:-5}"
-FLEET_COUNT="${FLEET_COUNT:-5}"
 OUT="${OUT:-BENCH_explore.json}"
 NCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 RAW="$(mktemp)"
@@ -180,64 +162,6 @@ END {
 }
 ' "$RAW_FORM" > "$SPEEDUP"
 
-echo "== ledger scaling (1 vs 2 cooperating worker processes) =="
-MC="$RUNDIR/modelcheck"
-go build -o "$MC" ./cmd/modelcheck
-LEDGER_ARGS="-proto figure3 -f 1 -t 1 -n 2 -unbounded"
-T0="$(date +%s%N)"
-"$MC" $LEDGER_ARGS -ledger "$RUNDIR/led1" -worker-id solo >/dev/null
-T1="$(date +%s%N)"
-"$MC" $LEDGER_ARGS -ledger "$RUNDIR/led2" -worker-id duo-a >/dev/null &
-LWPID=$!
-"$MC" $LEDGER_ARGS -ledger "$RUNDIR/led2" -worker-id duo-b >/dev/null
-wait "$LWPID"
-T2="$(date +%s%N)"
-"$MC" -ledger-finalize "$RUNDIR/led1" -report "$RUNDIR/led1.json" >/dev/null
-"$MC" -ledger-finalize "$RUNDIR/led2" -report "$RUNDIR/led2.json" >/dev/null
-EX1="$(sed -n 's/^ *"executions": \([0-9]*\),*$/\1/p' "$RUNDIR/led1.json" | head -1)"
-EX2="$(sed -n 's/^ *"executions": \([0-9]*\),*$/\1/p' "$RUNDIR/led2.json" | head -1)"
-if [ "$EX1" != "$EX2" ]; then
-	echo "WARNING: ledger merges disagree: 1-proc $EX1 executions, 2-proc $EX2" >&2
-fi
-W1_MS=$(( (T1 - T0) / 1000000 ))
-W2_MS=$(( (T2 - T1) / 1000000 ))
-LEDGER_JSON="$RUNDIR/ledger_scaling.json"
-awk -v ex1="$EX1" -v ex2="$EX2" -v w1="$W1_MS" -v w2="$W2_MS" -v ncpu="$NCPU" 'BEGIN {
-	printf "{\"executions_1proc\": %d, \"executions_2proc\": %d, \"wall_ms_1proc\": %d, \"wall_ms_2proc\": %d, \"speedup_2proc\": %.4f, \"host_cpus\": %d, \"single_core_host\": %s}\n", \
-		ex1, ex2, w1, w2, (w2 > 0 ? w1 / w2 : 0), ncpu, (ncpu <= 1 ? "true" : "false")
-}' > "$LEDGER_JSON"
-cat "$LEDGER_JSON"
-
-echo "== fleet snapshot overhead (publishing vs plain solo worker, min of $FLEET_COUNT) =="
-# Fresh ledger directories every iteration: re-joining a drained ledger
-# would measure an immediate exit, not a sweep.
-FLEET_JSON="$RUNDIR/fleet_overhead.json"
-PMIN=0
-SMIN=0
-i=1
-while [ "$i" -le "$FLEET_COUNT" ]; do
-	F0="$(date +%s%N)"
-	"$MC" $LEDGER_ARGS -ledger "$RUNDIR/fleet-plain-$i" -worker-id plain \
-		-fleet-snapshots=false >/dev/null
-	F1="$(date +%s%N)"
-	"$MC" $LEDGER_ARGS -ledger "$RUNDIR/fleet-snap-$i" -worker-id snap >/dev/null
-	F2="$(date +%s%N)"
-	P=$(( F1 - F0 ))
-	S=$(( F2 - F1 ))
-	if [ "$PMIN" -eq 0 ] || [ "$P" -lt "$PMIN" ]; then PMIN=$P; fi
-	if [ "$SMIN" -eq 0 ] || [ "$S" -lt "$SMIN" ]; then SMIN=$S; fi
-	i=$(( i + 1 ))
-done
-awk -v p="$PMIN" -v s="$SMIN" -v count="$FLEET_COUNT" 'BEGIN {
-	overhead = (s - p) / p
-	printf "{\"plain_min_wall_ms\": %.1f, \"snapshots_min_wall_ms\": %.1f, \"overhead_fraction\": %.4f, \"budget_fraction\": 0.05, \"samples\": %d}\n", \
-		p / 1e6, s / 1e6, overhead, count
-	if (overhead > 0.05) {
-		printf "WARNING: fleet snapshot overhead %.1f%% exceeds the 5%% budget\n", 100 * overhead > "/dev/stderr"
-	}
-}' > "$FLEET_JSON"
-cat "$FLEET_JSON"
-
 # One instrumented run producing the metric snapshot the bench trajectory
 # records. The workload is the dedup-sweep configuration (staged f=1, t=1,
 # n=2, unbounded faults on every object): its execution tree is finite, so
@@ -259,10 +183,6 @@ go run ./cmd/modelcheck \
 	sed 's/^/  /' "$OVERHEAD"
 	printf '  ,\n  "compiled_speedup":\n'
 	sed 's/^/  /' "$SPEEDUP"
-	printf '  ,\n  "ledger_scaling":\n'
-	sed 's/^/  /' "$LEDGER_JSON"
-	printf '  ,\n  "fleet_overhead":\n'
-	sed 's/^/  /' "$FLEET_JSON"
 	printf '  ,\n  "report":\n'
 	sed 's/^/  /' "$REPORT"
 	printf '}\n'

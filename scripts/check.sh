@@ -92,28 +92,6 @@ go test ./...
 echo "== go test -race (all packages) =="
 go test -race ./...
 
-echo "== ledger gate (multi-process verdict equality, fresh) =="
-# The distributed work ledger must merge to the exact single-process
-# verdict — same execution count, same lex-least counterexample — with
-# participants joining, exporting, dying mid-lease, and being reclaimed.
-# Package tests cover the protocol (fencing, reclaim, lineage supersession);
-# the CLI tests drive real OS processes, SIGKILL one, and compare the
-# finalized verdict against an uninterrupted reference run. Uncached.
-go test -count=1 ./internal/ledger/
-gate -run 'TestEngineLedger' ./internal/explore/
-gate -run 'TestCLILedger' .
-
-echo "== fleet gate (cross-worker observability, fresh) =="
-# Fleet observability is how a distributed run is watched: per-worker
-# snapshots merge into one view whose totals must agree with the finalize
-# merge, and a frozen worker must surface as stale with its reaped claim
-# traceable across the survivors' event logs. Package tests exercise every
-# anomaly rule on synthetic inputs; the CLI test SIGSTOPs a real worker
-# and follows the reclaim chain. Uncached.
-go test -count=1 ./internal/obs/fleet/
-gate -run 'TestEngineFleet' ./internal/explore/
-gate -run 'TestCLIFleet' .
-
 echo "== exec-form equivalence gate (compiled engine, sampler and adversaries vs goroutine reference) =="
 # The engine runs only the compiled Stepper machines. They must enumerate
 # the SAME execution tree as the protocols' Decide code on the
@@ -170,13 +148,16 @@ gate -race -run TestReduceMatchesFull ./internal/explore/
 echo "== resume gate (interrupted vs uninterrupted runs, fresh, race) =="
 # A checkpoint carries the frontier, the counters and the best path, not
 # the dedup set, so a resumed run starts with an empty set. These tests cut
-# runs short by deadline or cap under dedup, reduction and several worker
-# counts, resume them from the run directory, and require the verdict and
-# the lex-least counterexample of an uninterrupted run. One resumes a run
-# directory whose checkpoint still holds a "dedup" section, as older ones
-# do. Uncached, under the race detector, because checkpoints are cut while
-# the workers run.
-gate -race -run '^(TestEngineInterruptedResume|TestEngineInterruptedResumeFindsViolation|TestEngineResumeStartsAtLexLeastTask|TestEngineResumeCappedRun|TestEngineCheckWithPersistence|TestEngineResumesRunWithStoredDedupSet|TestOpenSkipsStoredDedupSet)$' \
+# runs short by execution count or cap under dedup, reduction and several
+# worker counts, resume them from the run directory, and require the
+# verdict and the lex-least counterexample of an uninterrupted run and,
+# without dedup, its exact execution count. A checkpoint is one consistent
+# cut, so one test also resumes copies of the periodic checkpoints a
+# running sweep writes, as a SIGKILL leaves them, and requires the exact
+# count from each. One resumes a run directory whose checkpoint still
+# holds a "dedup" section, as older ones do. Uncached, under the race
+# detector, because checkpoints are cut while the workers run.
+gate -race -run '^(TestEngineInterruptedResume|TestEngineResumeFromPeriodicCheckpoints|TestEngineInterruptedResumeFindsViolation|TestEngineResumeStartsAtLexLeastTask|TestEngineResumeCappedRun|TestEngineCheckWithPersistence|TestEngineResumesRunWithStoredDedupSet|TestOpenSkipsStoredDedupSet)$' \
 	./internal/explore/ ./internal/store/
 
 echo "== cancellation gate (between-step exits, fresh, race, 10 runs) =="
