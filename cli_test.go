@@ -6,6 +6,7 @@ package repro_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,6 +27,15 @@ var (
 	buildErr  error
 )
 
+// TestMain removes the directory the CLI tests built their tools into.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir) //nolint:errcheck // a leftover temp dir fails no test
+	}
+	os.Exit(code)
+}
+
 // buildCLIs compiles all commands into a shared temp dir, once per test run.
 func buildCLIs(t *testing.T) string {
 	t.Helper()
@@ -41,14 +51,13 @@ func buildCLIs(t *testing.T) string {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, tool), "./cmd/"+tool)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
-				buildErr = err
-				binDir = string(out)
+				buildErr = fmt.Errorf("%v\n%s", err, out)
 				return
 			}
 		}
 	})
 	if buildErr != nil {
-		t.Fatalf("building CLIs: %v\n%s", buildErr, binDir)
+		t.Fatalf("building CLIs: %v", buildErr)
 	}
 	return binDir
 }
@@ -421,6 +430,32 @@ func TestCLIModelcheckDedupReduction(t *testing.T) {
 	p, d := cliExecutions(t, plain), cliExecutions(t, dedup)
 	if d >= p {
 		t.Errorf("dedup explored %d executions, plain %d — no reduction", d, p)
+	}
+}
+
+// TestCLIModelcheckDedupWithReduce turns both pruning levers on from the
+// command line, on prove-pruned's configuration at one worker, where every
+// counter is deterministic: the executions, the stored states, the set's
+// size and the reducer's prunes.
+func TestCLIModelcheckDedupWithReduce(t *testing.T) {
+	out, code := runCLI(t, "modelcheck", "-proto", "figure2", "-f", "1", "-n", "5", "-faulty", "1",
+		"-unbounded", "-dedup", "-reduce", "on", "-workers", "1")
+	if code != 0 || !strings.Contains(out, "VERIFIED") {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "executions  : 6525 (complete: true)") {
+		t.Errorf("want 6525 executions, complete:\n%s", out)
+	}
+	m := regexp.MustCompile(`dedup       : 74373 states in (\d+\.\d) MiB, `).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("want a dedup line with 74373 states and the set's size:\n%s", out)
+	}
+	// 74,373 states at most 60 bytes each (TestDedupBytesPerState).
+	if mib, _ := strconv.ParseFloat(m[1], 64); mib <= 0 || mib > 4.3 {
+		t.Errorf("set size %s MiB, want (0, 4.3]:\n%s", m[1], out)
+	}
+	if !strings.Contains(out, "reduce      : on, 59133 sleep-blocked subtrees pruned") {
+		t.Errorf("want 59133 reduce prunes:\n%s", out)
 	}
 }
 

@@ -228,8 +228,8 @@ func main() {
 			out.Workers, float64(out.Executions)/secs, out.Elapsed.Round(time.Millisecond))
 	}
 	if out.Dedup != nil {
-		fmt.Printf("dedup       : %d states, %d of %d replays pruned (%.1f%% hit rate)\n",
-			out.Dedup.States, out.Dedup.Hits, out.Dedup.LeafLookups, 100*out.Dedup.HitRate())
+		fmt.Printf("dedup       : %d states in %.1f MiB, %d of %d replays pruned (%.1f%% hit rate)\n",
+			out.Dedup.States, float64(out.Dedup.Bytes)/(1<<20), out.Dedup.Hits, out.Dedup.LeafLookups, 100*out.Dedup.HitRate())
 	}
 	if s.Reduce != run.ReduceOff {
 		fmt.Printf("reduce      : %s, %d sleep-blocked subtrees pruned\n",

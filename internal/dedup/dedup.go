@@ -15,11 +15,20 @@
 // smaller violating leaf — contradicting leastness. Pruning therefore
 // changes how much work is done, never which verdict and counterexample are
 // reported.
+//
+// Each of the set's shards is an open-addressing table of fixed-size
+// entries, a state's full fingerprint plus the offset and length of its
+// representative path in the shard's byte arena, with the shard's counters
+// beside its lock. The set therefore holds no pointers, so the garbage
+// collector never scans it, and a probe of an unlimited set writes only its
+// own shard's memory.
 package dedup
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -56,39 +65,85 @@ const (
 // of two keeps shard selection a mask.
 const numShards = 64
 
+// initialSlots is a shard's table length before its first doubling.
+const initialSlots = 16
+
+// entry is one slot of a shard's open-addressing table: a state's full
+// fingerprint and where its representative path sits in the shard's arena.
+type entry struct {
+	hi, lo uint64
+	// off is the path's first byte in the arena; n is the path length plus
+	// one, so the zero entry marks an empty slot.
+	off, n uint32
+}
+
+// entryBytes is the table's cost per slot.
+const entryBytes = int64(unsafe.Sizeof(entry{}))
+
 type shard struct {
 	mu sync.Mutex
-	m  map[Fingerprint][]uint8
-	// buf is the shard's interning arena: representative paths are carved
-	// out of large chunks instead of one heap object per state, which
-	// removes the per-store allocation from the Visit hot path.
-	buf []uint8
+	// table is a linear-probing table of power-of-two length, at most ¾
+	// full. A state's home slot is fp.Hi masked to the table length; the
+	// shard is chosen by fp.Lo, so the two draw on independent bits.
+	table []entry
+	// arena holds the representative paths, one byte per choice (see
+	// MaxChoice). An Improved representative is appended anew and its old
+	// bytes stay behind.
+	arena []uint8
+
+	// The counters are written under mu and read under it by Stats, so a
+	// probe writes no memory that another shard's probes touch.
+	states, lookups, hits, improved int64
+
+	// Padding keeps neighbouring shards' fields off one cache line.
+	_ [64]byte
 }
 
 // MaxChoice is the largest choice a visited path may hold: representative
-// paths are stored one byte per choice, which keeps the set's footprint
-// (and the GC's work over it) a quarter of 32-bit cells. A choice indexes
-// the enabled processes or a fault's two branches, so the exploration
-// engine refuses dedup above MaxChoice+1 processes; a larger choice would
-// be stored truncated.
+// paths are stored one byte per choice, which keeps the set's footprint a
+// quarter of 32-bit cells. A choice indexes the enabled processes or a
+// fault's two branches, so the exploration engine refuses dedup above
+// MaxChoice+1 processes; a larger choice would be stored truncated.
 const MaxChoice = 255
 
-// internChunk is the arena chunk size in cells; paths longer than a chunk
-// get an exact allocation.
-const internChunk = 4096
+// fits reports whether path can join the arena with its offset and length
+// still held in 32 bits. A shard whose arena is that full (4 GiB) records
+// no new state or representative, like a set at its limit.
+func (sh *shard) fits(path []int) bool {
+	return uint64(len(sh.arena))+uint64(len(path)) < math.MaxUint32
+}
 
-// intern copies path into the shard's arena. Callers hold the shard lock.
-func (sh *shard) intern(path []int) []uint8 {
-	n := len(path)
-	if n > internChunk {
-		return compact(make([]uint8, 0, n), path)
+// intern appends path to the arena as e's representative. Callers hold the
+// shard lock and have checked fits.
+func (sh *shard) intern(e *entry, path []int) {
+	e.off, e.n = uint32(len(sh.arena)), uint32(len(path)+1)
+	sh.arena = compact(sh.arena, path)
+}
+
+// path returns e's representative.
+func (sh *shard) path(e *entry) []uint8 {
+	return sh.arena[e.off : int(e.off)+int(e.n)-1]
+}
+
+// free returns the first empty slot on hi's probe sequence.
+func (sh *shard) free(hi uint64) uint64 {
+	mask := uint64(len(sh.table) - 1)
+	i := hi & mask
+	for sh.table[i].n != 0 {
+		i = (i + 1) & mask
 	}
-	if len(sh.buf)+n > cap(sh.buf) {
-		sh.buf = make([]uint8, 0, internChunk)
+	return i
+}
+
+// grow doubles the table and reinserts every entry.
+func (sh *shard) grow() {
+	old := sh.table
+	sh.table = make([]entry, 2*len(old))
+	for _, e := range old {
+		if e.n != 0 {
+			sh.table[sh.free(e.hi)] = e
+		}
 	}
-	start := len(sh.buf)
-	sh.buf = compact(sh.buf, path)
-	return sh.buf[start : start+n : start+n]
 }
 
 // Set is the concurrent visited-state set. The zero value is not usable;
@@ -99,12 +154,10 @@ type Set struct {
 	// limit bounds the number of stored states (0 = unlimited). When the
 	// set is full, new states are not recorded — existing entries keep
 	// pruning, so the cap trades hit rate for memory, never soundness.
+	// used counts the states stored against a limit; an unlimited set
+	// never touches it.
 	limit int64
-	size  atomic.Int64
-
-	lookups  atomic.Int64
-	hits     atomic.Int64
-	improved atomic.Int64
+	used  atomic.Int64
 
 	// leafLookups is the engine-side effectiveness denominator: Visit runs
 	// at most once per scheduling decision a replay executes (so Lookups
@@ -121,7 +174,7 @@ type Set struct {
 func NewSet(limit int) *Set {
 	s := &Set{limit: int64(limit)}
 	for i := range s.shards {
-		s.shards[i].m = make(map[Fingerprint][]uint8)
+		s.shards[i].table = make([]entry, initialSlots)
 	}
 	return s
 }
@@ -132,30 +185,64 @@ func NewSet(limit int) *Set {
 // when it becomes a representative. Every choice must lie in
 // [0, MaxChoice].
 func (s *Set) Visit(fp Fingerprint, path []int) Decision {
-	s.lookups.Add(1)
 	sh := &s.shards[fp.Lo&(numShards-1)]
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	d := sh.visit(s, fp, path)
+	sh.mu.Unlock()
+	return d
+}
 
-	stored, ok := sh.m[fp]
-	if !ok {
-		if s.limit > 0 && s.size.Load() >= s.limit {
-			return Stored // full: not recorded, treated as fresh
+// visit is Visit under the shard lock.
+func (sh *shard) visit(s *Set, fp Fingerprint, path []int) Decision {
+	sh.lookups++
+	mask := uint64(len(sh.table) - 1)
+	i := fp.Hi & mask
+	for ; sh.table[i].n != 0; i = (i + 1) & mask {
+		e := &sh.table[i]
+		if e.hi != fp.Hi || e.lo != fp.Lo {
+			continue
 		}
-		sh.m[fp] = sh.intern(path)
-		s.size.Add(1)
-		return Stored
-	}
-	switch comparePaths(stored, path) {
-	case 0:
-		return Revisit
-	case -1:
-		s.hits.Add(1)
-		return Prune
-	default:
-		sh.m[fp] = sh.intern(path)
-		s.improved.Add(1)
+		switch comparePaths(sh.path(e), path) {
+		case 0:
+			return Revisit
+		case -1:
+			sh.hits++
+			return Prune
+		}
+		if sh.fits(path) {
+			sh.intern(e, path)
+			sh.improved++
+		}
 		return Improved
+	}
+	if !sh.fits(path) || !s.reserve() {
+		return Stored // full: not recorded, treated as fresh
+	}
+	if 4*(sh.states+1) > 3*int64(len(sh.table)) {
+		sh.grow()
+		i = sh.free(fp.Hi)
+	}
+	e := &sh.table[i]
+	e.hi, e.lo = fp.Hi, fp.Lo
+	sh.intern(e, path)
+	sh.states++
+	return Stored
+}
+
+// reserve claims room for one more state under the set's limit. An
+// unlimited set never touches the shared count.
+func (s *Set) reserve() bool {
+	if s.limit <= 0 {
+		return true
+	}
+	for {
+		n := s.used.Load()
+		if n >= s.limit {
+			return false
+		}
+		if s.used.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
 }
 
@@ -219,6 +306,9 @@ type Stats struct {
 	// deduplicated run against the same run with dedup off (scripts/bench.sh
 	// records exactly that as executions_saved_fraction).
 	LeafLookups int64
+	// Bytes is the memory the set holds: every shard's table and path
+	// arena, at capacity.
+	Bytes int64
 }
 
 // HitRate is the fraction of replayed leaves that were pruned: Hits over
@@ -239,28 +329,36 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// Stats returns the current counters.
+// Stats returns the current counters. It takes each shard's lock in turn,
+// so it may run while workers visit.
 func (s *Set) Stats() Stats {
-	return Stats{
-		States:      s.size.Load(),
-		Lookups:     s.lookups.Load(),
-		Hits:        s.hits.Load(),
-		Improved:    s.improved.Load(),
-		LeafLookups: s.leafLookups.Load(),
+	st := Stats{LeafLookups: s.leafLookups.Load()}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		st.States += sh.states
+		st.Lookups += sh.lookups
+		st.Hits += sh.hits
+		st.Improved += sh.improved
+		st.Bytes += int64(cap(sh.table))*entryBytes + int64(cap(sh.arena))
+		sh.mu.Unlock()
 	}
+	return st
 }
 
 // Register exposes the set's counters on the registry as live derived
-// gauges (dedup.states, dedup.lookups, dedup.hits, dedup.improved), so a
-// metrics snapshot taken mid-run reads the cache's effectiveness without
-// extra bookkeeping on the Visit hot path.
+// gauges (dedup.states, dedup.lookups, dedup.hits, dedup.improved,
+// dedup.leaf_lookups, dedup.bytes), so a metrics snapshot taken mid-run
+// reads the cache's effectiveness and size without extra bookkeeping on
+// the Visit hot path.
 func (s *Set) Register(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Func("dedup.states", s.size.Load)
-	reg.Func("dedup.lookups", s.lookups.Load)
-	reg.Func("dedup.hits", s.hits.Load)
-	reg.Func("dedup.improved", s.improved.Load)
+	reg.Func("dedup.states", func() int64 { return s.Stats().States })
+	reg.Func("dedup.lookups", func() int64 { return s.Stats().Lookups })
+	reg.Func("dedup.hits", func() int64 { return s.Stats().Hits })
+	reg.Func("dedup.improved", func() int64 { return s.Stats().Improved })
 	reg.Func("dedup.leaf_lookups", s.leafLookups.Load)
+	reg.Func("dedup.bytes", func() int64 { return s.Stats().Bytes })
 }

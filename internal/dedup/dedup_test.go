@@ -1,6 +1,8 @@
 package dedup
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -75,25 +77,98 @@ func TestSetLimit(t *testing.T) {
 	}
 }
 
+// TestConcurrentVisits races 8 goroutines over 2,000 states in 37 shards,
+// whose tables double several times meanwhile. Goroutine w offers state i
+// the path [w^(i%8), i%256], so each state's least path comes from a
+// different goroutine and larger paths often arrive first. Afterwards every
+// state must hold the least path offered: Revisit for it, Prune for the
+// others.
 func TestConcurrentVisits(t *testing.T) {
+	const workers, states = 8, 2000
+	fp := func(i int) Fingerprint { return Fingerprint{Hi: uint64(i), Lo: uint64(i % 37)} }
 	s := NewSet(0)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				s.Visit(Fingerprint{Hi: uint64(i), Lo: uint64(i % 37)}, []int{w, i})
+			for i := 0; i < states; i++ {
+				s.Visit(fp(i), []int{w ^ i%workers, i % 256})
 			}
 		}(w)
 	}
 	wg.Wait()
 	st := s.Stats()
-	if st.States != 2000 {
-		t.Fatalf("states = %d, want 2000", st.States)
+	if st.States != states {
+		t.Fatalf("states = %d, want %d", st.States, states)
 	}
-	if st.Lookups != 16000 {
-		t.Fatalf("lookups = %d, want 16000", st.Lookups)
+	if st.Lookups != workers*states {
+		t.Fatalf("lookups = %d, want %d", st.Lookups, workers*states)
+	}
+	for i := 0; i < states; i++ {
+		if d := s.Visit(fp(i), []int{0, i % 256}); d != Revisit {
+			t.Fatalf("state %d, least path: %v, want Revisit", i, d)
+		}
+		for c := 1; c < workers; c++ {
+			if d := s.Visit(fp(i), []int{c, i % 256}); d != Prune {
+				t.Fatalf("state %d, path [%d %d]: %v, want Prune", i, c, i%256, d)
+			}
+		}
+	}
+}
+
+// visit is one probe of a test stream.
+type visit struct {
+	fp   Fingerprint
+	path []int
+}
+
+// benchStream returns visits shaped like prove-pruned's probes (figure2
+// f=1 n=5, dedup and reduction, one worker: 74,373 states stored in 79,717
+// probes): about 75,000 distinct states, each reached by a path of 8 to 24
+// choices over 5, and about 5,000 more probes of earlier states under new
+// paths.
+func benchStream(rng *rand.Rand) []visit {
+	randPath := func() []int {
+		p := make([]int, 8+rng.Intn(17))
+		for i := range p {
+			p[i] = rng.Intn(5)
+		}
+		return p
+	}
+	stream := make([]visit, 0, 80_000)
+	for len(stream) < cap(stream) {
+		if len(stream) > 0 && rng.Intn(16) == 0 {
+			stream = append(stream, visit{stream[rng.Intn(len(stream))].fp, randPath()})
+			continue
+		}
+		stream = append(stream, visit{Fingerprint{Hi: rng.Uint64(), Lo: rng.Uint64()}, randPath()})
+	}
+	return stream
+}
+
+// BenchmarkSetVisit fills a fresh set with benchStream's visits, split
+// round-robin over 1 and 2 goroutines, and reports the time per visit.
+func BenchmarkSetVisit(b *testing.B) {
+	stream := benchStream(rand.New(rand.NewSource(1)))
+	for _, g := range []int{1, 2} {
+		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				s := NewSet(0)
+				var wg sync.WaitGroup
+				for w := 0; w < g; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := w; i < len(stream); i += g {
+							s.Visit(stream[i].fp, stream[i].path)
+						}
+					}(w)
+				}
+				wg.Wait()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/visit")
+		})
 	}
 }
 

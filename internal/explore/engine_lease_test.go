@@ -91,6 +91,43 @@ func TestDedupStatsLeafAccounting(t *testing.T) {
 	}
 }
 
+// TestDedupBytesPerState pins the visited set's memory per stored state on
+// prove-pruned's configuration (figure2 f=1 n=5, unbounded faults on object
+// 0, dedup and reduction, one worker). The set holds each state in one
+// 24-byte table slot, at most ¾ full, plus its path's bytes in the shard's
+// arena: 54.5 bytes per state here. One more pointer per entry would add 14
+// and a slice header per state 24, so either fails the bound.
+func TestDedupBytesPerState(t *testing.T) {
+	cfg := run.Settings{
+		Protocol:        core.NewFPlusOne(1),
+		Inputs:          inputs(5),
+		FaultyObjects:   []int{0},
+		FaultsPerObject: fault.Unbounded,
+		MaxExecutions:   1_000_000,
+	}
+	reg := obs.NewRegistry()
+	out, err := (&Engine{}).Check(context.Background(), with(&cfg,
+		run.WithWorkers(1), run.WithDedup(), run.WithReduce(run.ReduceSafe), run.WithMetrics(reg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Complete || !out.OK() {
+		t.Fatalf("complete=%v violation=%v", out.Complete, out.Violation)
+	}
+	st := out.Dedup
+	if out.Executions != 6_525 || st.States != 74_373 {
+		t.Fatalf("executions/states = %d/%d, want 6525/74373", out.Executions, st.States)
+	}
+	perState := float64(st.Bytes) / float64(st.States)
+	t.Logf("%d states in %d bytes: %.1f bytes per state", st.States, st.Bytes, perState)
+	if perState > 60 {
+		t.Errorf("%.1f bytes per state, want at most 60", perState)
+	}
+	if got := reg.Snapshot().Gauges["dedup.bytes"]; got != st.Bytes {
+		t.Errorf("dedup.bytes gauge = %d, want %d", got, st.Bytes)
+	}
+}
+
 // TestEngineCapExactUnderDedup is the regression test for the capped-latch
 // race: a prune used to claim an execution and release it after the cap
 // check, so a run whose cap equals its own completed-execution count could

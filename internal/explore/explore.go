@@ -105,10 +105,15 @@ type Outcome struct {
 	Donations int64
 	// Steals is the number of tasks claimed from the shared frontier.
 	Steals int64
-	// Dedup holds the state-cache counters of a deduplicated run (nil when
-	// deduplication was off). A checkpoint does not carry the set, so after
-	// a resume they count only the states and probes of this process, while
-	// Executions also counts the executions restored from the checkpoint.
+	// Dedup holds the state-cache counters and size of a deduplicated run
+	// (nil when deduplication was off). A checkpoint does not carry the set,
+	// so after a resume they count only the states and probes of this
+	// process, while Executions also counts the executions restored from
+	// the checkpoint. A full set records no new state and keeps pruning
+	// with the states it holds (the engine sets no state limit, so only a
+	// shard whose path arena reaches 4 GiB fills): that costs pruning,
+	// never soundness, so the verdict and the lex-least counterexample
+	// stand.
 	Dedup *dedup.Stats
 	// ReducePrunes is the number of sleep-blocked subtrees the partial-order
 	// reducer cut (zero with reduction off).

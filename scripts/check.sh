@@ -145,6 +145,16 @@ echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =
 # path, so this gate runs under the race detector, uncached.
 gate -race -run TestReduceMatchesFull ./internal/explore/
 
+echo "== dedup set gate (oracle, fresh, race) =="
+# The visited set's open-addressing tables must decide every visit as the
+# map-backed reference set does (colliding and wrapping keys, table
+# doublings, prefixes, improvements, a state limit) and hold the least path
+# offered after 8 goroutines race over 2,000 states. A wrong decision prunes
+# a subtree that holds the lex-least counterexample, so this runs under the
+# race detector, uncached.
+gate -race -run '^(TestSetMatchesReference|TestConcurrentVisits|TestSetLimit|TestVisitSemantics|TestVisitPrefixOrdering)$' \
+	./internal/dedup/
+
 echo "== resume gate (interrupted vs uninterrupted runs, fresh, race) =="
 # A checkpoint carries the frontier, the counters and the best path, not
 # the dedup set, so a resumed run starts with an empty set. These tests cut
