@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/seeded"
 	"repro/internal/word"
 )
 
@@ -47,7 +48,7 @@ func NewBank(n int) *Bank {
 func NewFaultyBank(n int, budget *fault.Budget, rate float64, seed int64) *Bank {
 	return &Bank{
 		words:  make([]atomic.Uint64, n),
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    seeded.New(seed),
 		rate:   rate,
 		budget: budget,
 	}

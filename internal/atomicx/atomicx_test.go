@@ -1,6 +1,7 @@
 package atomicx
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -96,6 +97,49 @@ func TestFaultyBankRespectsBudget(t *testing.T) {
 	}
 	if b.Faults() > 1 {
 		t.Errorf("observable faults = %d, exceeds t=1", b.Faults())
+	}
+}
+
+// TestFaultyBankDecisionsFollowSeed drives a faulty bank from one goroutine
+// with CAS invocations that all expect a value no register holds, so each
+// one writes exactly when the bank decides to fault. Those decisions must be
+// the ones math/rand's stream for the seed makes: a fault wherever
+// Float64() < rate and the (f, t) budget admits the object. E8's tables mask
+// the CAS counts this stream drives, so no golden file would notice a bank
+// seeded with anything else.
+func TestFaultyBankDecisionsFollowSeed(t *testing.T) {
+	const (
+		seed, rate, perObject = 20200715, 0.3, 40
+		objects, ops          = 3, 2000
+	)
+	faulty := []int{0, 2}
+	b := NewFaultyBank(objects, fault.NewFixedBudget(faulty, perObject), rate, seed)
+	ref := rand.New(rand.NewSource(seed))
+	refBudget := fault.NewFixedBudget(faulty, perObject)
+	never := word.FromValue(ops + 1) // no CAS writes it
+	wantFaults := int64(0)
+	for k := 0; k < ops; k++ {
+		obj := k % objects
+		want := ref.Float64() < rate && refBudget.Admits(obj)
+		if want {
+			refBudget.Charge(obj)
+			wantFaults++
+		}
+		before := b.Snapshot()[obj]
+		next := word.FromValue(int64(k + 1))
+		if old := b.CAS(obj, never, next); old != before {
+			t.Fatalf("op %d: CAS returned %s, register held %s", k, old, before)
+		}
+		if got := b.Snapshot()[obj] == next; got != want {
+			t.Fatalf("op %d on object %d: faulted %v, math/rand's stream for seed %d says %v", k, obj, got, seed, want)
+		}
+	}
+	if b.Faults() != wantFaults || wantFaults == 0 {
+		t.Errorf("faults = %d, want %d (> 0)", b.Faults(), wantFaults)
+	}
+	if refBudget.TotalFaults() != int(wantFaults) || refBudget.Admits(0) {
+		t.Errorf("budget: %d faults charged, object 0 still admitted: %v; the test should exhaust it",
+			refBudget.TotalFaults(), refBudget.Admits(0))
 	}
 }
 

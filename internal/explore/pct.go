@@ -2,11 +2,11 @@ package explore
 
 import (
 	"context"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/object"
 	"repro/internal/run"
+	"repro/internal/seeded"
 	"repro/internal/sim"
 )
 
@@ -33,7 +33,7 @@ func stressPCT(s *run.Settings, runs int, seed int64, depth, stepEstimate int) (
 		// fault-free execution times the process count.
 		stepEstimate = max(soloSteps(s)*len(s.Inputs), 8)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	return sp.batch(runs, rng, func() sim.Scheduler {
 		return sim.NewPCT(rng.Int63(), stepEstimate, depth)
 	})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/object"
 	"repro/internal/run"
+	"repro/internal/seeded"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -53,7 +54,7 @@ func stress(s *run.Settings, runs int, seed int64) (*StressOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	sched := uniform(rng)
 	return sp.batch(runs, rng, func() sim.Scheduler { return sched })
 }
@@ -67,7 +68,7 @@ func SampleWith(seed int64, opts ...run.Option) (*Counterexample, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	stats, err := sp.run(rng, uniform(rng))
 	if err != nil {
 		return nil, err
@@ -84,13 +85,13 @@ func TallyWith(runs int, seed int64, opts ...run.Option) (map[run.Violation]int,
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	sched := uniform(rng)
 	tally := make(map[run.Violation]int)
 	for i := 0; i < runs; i++ {
 		if i > 0 {
 			// Re-seeding in place yields the stream of a fresh
-			// rand.NewSource(seed+i), without allocating one.
+			// seeded.New(seed+i), without allocating one.
 			rng.Seed(seed + int64(i))
 		}
 		if _, err := sp.run(rng, sched); err != nil {

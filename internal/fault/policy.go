@@ -1,8 +1,7 @@
 package fault
 
 import (
-	"math/rand"
-
+	"repro/internal/seeded"
 	"repro/internal/word"
 )
 
@@ -60,7 +59,7 @@ func Always(kind Kind) Policy {
 // probability p, using a deterministic seeded source so runs are repeatable.
 // It models soft-error-style stochastic faults (Section 1).
 func Rate(kind Kind, p float64, seed int64) Policy {
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	return PolicyFunc(func(Op) Proposal {
 		if rng.Float64() < p {
 			return Proposal{Kind: kind}

@@ -123,8 +123,9 @@ func simulated() substrate {
 // substrate, returning ns per decide call and the mean CAS invocations per
 // decide call (counted by the bank, uniformly across substrates). Only the
 // consensus runs are timed: each round's bank, fault stream and scheduler
-// are built before its timer starts, since seeding a math/rand source costs
-// more than a two-process decide.
+// are built before its timer starts. Their generators are seeded lazily
+// (internal/seeded), so the register slots the decide's draws read are
+// computed, and timed, inside the decide.
 func measureCost(cfg costConfig, sub substrate, rounds int, seed int64) (nsPerDecide float64, casPerDecide float64, err error) {
 	var totalOps int64
 	var elapsed time.Duration

@@ -21,21 +21,29 @@ const goldenQuick = "testdata/experiments_quick_seed1.txt"
 // depend on how real goroutines interleave, are masked (maskE8); every other
 // cell, sampled or enumerated, must match byte for byte.
 func TestExperimentsGolden(t *testing.T) {
+	checkGolden(t, goldenQuick, Options{Quick: true, Seed: 1})
+}
+
+// checkGolden runs RunAll with opts at one and at two workers and requires
+// both outputs to equal the golden file outside what maskE8 blanks.
+func checkGolden(t *testing.T, golden string, opts Options) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	golden, err := os.ReadFile(goldenQuick)
+	data, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := maskE8(string(golden))
+	want := maskE8(string(data))
 	for _, workers := range []int{1, 2} {
+		opts.Workers = workers
 		var buf bytes.Buffer
-		if err := RunAll(&buf, Options{Quick: true, Seed: 1, Workers: workers}); err != nil {
+		if err := RunAll(&buf, opts); err != nil {
 			t.Fatalf("workers=%d: RunAll: %v\n%s", workers, err, buf.String())
 		}
 		if got := maskE8(buf.String()); got != want {
-			t.Errorf("workers=%d: output differs from %s:\n%s", workers, goldenQuick, lineDiff(want, got))
+			t.Errorf("workers=%d: output differs from %s:\n%s", workers, golden, lineDiff(want, got))
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/seeded"
+)
 
 // PCT is a probabilistic concurrency testing scheduler (Burckhardt et al.):
 // every process gets a random distinct priority, the highest-priority
@@ -31,7 +35,7 @@ func NewPCT(seed int64, maxSteps, depth int) *PCT {
 	if depth < 1 {
 		depth = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	cps := make(map[int]bool, depth-1)
 	for i := 0; i < depth-1; i++ {
 		cps[1+rng.Intn(maxSteps)] = true

@@ -1,6 +1,10 @@
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/seeded"
+)
 
 // RoundRobin cycles through enabled processes in id order, giving each one
 // step in turn. It is the canonical "fair" interleaving.
@@ -31,7 +35,7 @@ type Random struct {
 
 // NewRandom returns a seeded random scheduler.
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
+	return &Random{rng: seeded.New(seed)}
 }
 
 // Next implements Scheduler.

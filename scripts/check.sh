@@ -86,6 +86,35 @@ if [ -n "$leaks" ]; then
 	exit 1
 fi
 
+echo "== seeding gate (math/rand sources come from internal/seeded) =="
+# rand.NewSource fills math/rand's whole 607-slot register, 1,841 steps of
+# its seeding generator (about 13 µs), before the first draw, and the
+# samplers, schedulers and fault streams build a source per run.
+# internal/seeded yields the same stream and computes only the slots the
+# draws read, so no other non-test file of the module may call
+# rand.NewSource; internal/seeded itself reads one stream at init. bench/,
+# its own module, draws its inputs from one source per run and is left out.
+seeders="$(go list -f '{{$d := .Dir}}{{range .GoFiles}}{{$d}}/{{.}}{{"\n"}}{{end}}' ./... |
+	grep -v '/internal/seeded/' | xargs -r grep -nE 'rand\.NewSource\b' |
+	grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)"
+if [ -n "$seeders" ]; then
+	echo "seeding gate: these non-test files call rand.NewSource; use seeded.New:" >&2
+	echo "$seeders" >&2
+	exit 1
+fi
+
+echo "== seeded stream gate (internal/seeded vs math/rand, fresh) =="
+# Every sampled table cell, schedule and fault stream depends on
+# internal/seeded drawing exactly math/rand's stream. The test compares the
+# two draw for draw over edge seeds (zero, negatives, multiples of 2^31-1,
+# the int64 extremes), past two wraps of the register, across in-place
+# re-seeds and through every rand.Rand method the repository calls; the
+# fuzz target's seed corpus replays mixed draws and re-seeds. The atomics
+# test holds a faulty bank's fault decisions to math/rand's stream for its
+# seed, which no golden cell covers (E8 masks them). Uncached.
+gate -run '^(TestSourceMatchesMathRand|FuzzSourceMatchesMathRand|TestFaultyBankDecisionsFollowSeed)$' \
+	./internal/seeded/ ./internal/atomicx/
+
 echo "== go test =="
 go test ./...
 
@@ -126,14 +155,15 @@ echo "== exec-form equivalence gate (compiled engine, sampler and adversaries vs
 gate -run '^(TestCompiledMatchesInterpreted|TestIncrementalReplayMatchesInterpreted|TestResumedReplayProbesOnlyNewStates|TestCaptureMatchesReference|TestSamplerMatchesReference|TestAdversariesMatchReference)$' \
 	./internal/explore/ ./internal/adversary/
 
-echo "== experiments golden gate (quick tables at 1 and 2 workers, fresh) =="
-# The quick experiments output is committed as a golden file. Regenerated
-# through RunAll at one and at two workers, it must equal the file byte for
-# byte, except E8's timings and its atomics rows' CAS counts, which depend on
-# how real goroutines interleave. Every sampled and enumerated cell is
-# checked, so the tables EXPERIMENTS.md quotes are reproducible at any
-# worker count. Uncached.
-gate -run '^(TestExperimentsGolden)$' ./internal/harness/
+echo "== experiments golden gate (quick and full tables at 1 and 2 workers, fresh) =="
+# The quick experiments output (internal/harness/testdata) and the full
+# seed-1 output EXPERIMENTS.md quotes (experiments_output.txt) are committed
+# as golden files. Regenerated through RunAll at one and at two workers,
+# each must equal its file byte for byte, except E8's timings and its
+# atomics rows' CAS counts, which depend on how real goroutines interleave.
+# Every sampled and enumerated cell is checked, so the tables EXPERIMENTS.md
+# quotes are reproducible at any worker count. Uncached.
+gate -run '^(TestExperimentsGolden|TestExperimentsGoldenFull)$' ./internal/harness/
 
 echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =="
 # Partial-order reduction must not change what the checker reports: every
