@@ -593,6 +593,40 @@ func TestCLIModelcheckExplainGarbage(t *testing.T) {
 	}
 }
 
+// TestCLIModelcheckExplainRefusesDamagedTrace: a capture damaged as an
+// arbitrary fault damages a file — cut before its end record, a digit of
+// an event's index changed, an event line removed — is refused: a non-zero
+// exit and one error line naming the file, no panic, nothing "verified".
+func TestCLIModelcheckExplainRefusesDamagedTrace(t *testing.T) {
+	traceDir := filepath.Join(t.TempDir(), "traces")
+	if out, code := runCLI(t, "modelcheck", "-proto", "figure3", "-f", "1", "-t", "1", "-n", "3", "-trace", traceDir); code != 1 {
+		t.Fatalf("violating run: exit %d, want 1:\n%s", code, out)
+	}
+	data, err := os.ReadFile(filepath.Join(traceDir, "violation-000001.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if len(lines) < 5 || !strings.HasPrefix(lines[3], `{"type":"event","event":{"i":2,`) {
+		t.Fatalf("unexpected capture:\n%s", data)
+	}
+	damaged := map[string]string{
+		"cut.jsonl":   strings.Join(lines[:len(lines)-2], ""),
+		"digit.jsonl": strings.Join(lines[:3], "") + strings.Replace(lines[3], `"i":2,`, `"i":7,`, 1) + strings.Join(lines[4:], ""),
+		"drop.jsonl":  strings.Join(lines[:3], "") + strings.Join(lines[4:], ""),
+	}
+	for name, content := range damaged {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, code := runCLI(t, "modelcheck", "-explain", path)
+		if code == 0 || !refusedInOneLine(out, path) || strings.Contains(out, "verified") {
+			t.Errorf("explain of %s: exit %d, want a refusal in one line naming the file:\n%s", name, code, out)
+		}
+	}
+}
+
 // TestCLIModelcheckInterruptFlushesCleanly: on SIGINT, modelcheck shuts the
 // engine down gracefully and seals the event log and trace files — no
 // truncated final record anywhere, exit code 0.

@@ -442,9 +442,6 @@ func (r *engineRun) result() (findings, error) {
 // outcome is returned together with ctx.Err(). See Outcome for what each way
 // of ending guarantees.
 func (e *Engine) Check(ctx context.Context, s *run.Settings) (*Outcome, error) {
-	// The cancel context is allocated before the run's state: every leaf
-	// loads ctx.Done(), and allocated after it that load cost two workers
-	// about 20% more CPU on figure3 f=1 t=1 n=2, a cache-line effect.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r, err := e.newRun(s)
@@ -811,11 +808,9 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			}
 			l.avail = n
 		}
-		stats, pruned, err := es.runLeaf(ctx)
+		stats, pruned, err := es.runLeaf()
 		if err != nil {
-			if ctx.Err() == nil {
-				r.fail(err)
-			}
+			r.fail(err)
 			return false
 		}
 		if pruned {

@@ -324,6 +324,48 @@ func TestEngineResumeFromPeriodicCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The run takes milliseconds, and while both workers hold the CPUs the
+	// checkpoint timer and the copier wait for one, so a run often ends
+	// before a periodic checkpoint is copied: repeat it until one is.
+	var ref *Outcome
+	var copies [][]byte
+	for attempt := 0; attempt < 50 && len(copies) == 0; attempt++ {
+		ref, copies = runCopyingCheckpoints(t, &cfg, m)
+	}
+	if len(copies) == 0 {
+		t.Skip("every run finished before a periodic checkpoint could be copied")
+	}
+	// Resume an evenly spread handful of the copies.
+	for i := 0; i < len(copies); i += max(1, len(copies)/4) {
+		resumeDir := filepath.Join(t.TempDir(), "copy")
+		st, err := store.Create(resumeDir, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if err := os.WriteFile(filepath.Join(resumeDir, "checkpoint.json"), copies[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = store.Open(resumeDir); err != nil {
+			t.Fatal(err)
+		}
+		out, err := (&Engine{Store: st}).Check(context.Background(), &cfg)
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Complete || out.Executions != ref.Executions {
+			t.Errorf("resume of checkpoint %d (at %d executions): complete=%v, %d executions, uninterrupted %d",
+				st.Checkpoint().Seq, st.Checkpoint().Executions, out.Complete, out.Executions, ref.Executions)
+		}
+	}
+}
+
+// runCopyingCheckpoints runs cfg to completion in a fresh run directory,
+// checkpointing every millisecond, and returns its outcome with a copy of
+// each periodic checkpoint read from the directory while it ran.
+func runCopyingCheckpoints(t *testing.T, cfg *run.Settings, m store.Manifest) (*Outcome, [][]byte) {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "run")
 	st, err := store.Create(dir, m)
 	if err != nil {
@@ -350,7 +392,7 @@ func TestEngineResumeFromPeriodicCheckpoints(t *testing.T) {
 			copies = append(copies, data)
 		}
 	}()
-	ref, err := (&Engine{Store: st}).Check(context.Background(), with(&cfg, checkpointEvery(time.Millisecond)))
+	ref, err := (&Engine{Store: st}).Check(context.Background(), with(cfg, checkpointEvery(time.Millisecond)))
 	close(done)
 	<-collected
 	st.Close()
@@ -360,33 +402,7 @@ func TestEngineResumeFromPeriodicCheckpoints(t *testing.T) {
 	if !ref.Complete || !ref.OK() {
 		t.Fatalf("uninterrupted run: complete=%v violation=%v", ref.Complete, ref.Violation)
 	}
-	if len(copies) == 0 {
-		t.Skip("the run finished before a periodic checkpoint could be copied")
-	}
-	// Resume an evenly spread handful of the copies.
-	for i := 0; i < len(copies); i += max(1, len(copies)/4) {
-		resumeDir := filepath.Join(t.TempDir(), "copy")
-		st, err := store.Create(resumeDir, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Close()
-		if err := os.WriteFile(filepath.Join(resumeDir, "checkpoint.json"), copies[i], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if st, err = store.Open(resumeDir); err != nil {
-			t.Fatal(err)
-		}
-		out, err := (&Engine{Store: st}).Check(context.Background(), &cfg)
-		st.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Complete || out.Executions != ref.Executions {
-			t.Errorf("resume of checkpoint %d (at %d executions): complete=%v, %d executions, uninterrupted %d",
-				st.Checkpoint().Seq, st.Checkpoint().Executions, out.Complete, out.Executions, ref.Executions)
-		}
-	}
+	return ref, copies
 }
 
 // cutAt cancels a run once its execution counter reaches n, as the

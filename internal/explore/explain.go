@@ -87,7 +87,8 @@ func Explain(w io.Writer, s *run.Settings, x *export.Execution) error {
 
 // ExplainFile explains the trace/v1 file at path, reconstructing the
 // configuration from the trace's own sealed run meta. A capture recorded
-// under a removed mode is refused (run.ErrRemovedMode).
+// under a removed mode is refused (run.ErrRemovedMode). Every refusal is
+// one line naming the file.
 func ExplainFile(w io.Writer, path string) error {
 	x, err := export.ReadFile(path)
 	if err != nil {
@@ -98,7 +99,10 @@ func ExplainFile(w io.Writer, path string) error {
 		return fmt.Errorf("%w (trace %s)", err, path)
 	}
 	fmt.Fprintf(w, "trace         : %s (%s, captured by worker %d)\n", path, x.Meta.Schema, x.Meta.Worker)
-	return Explain(w, s, x)
+	if err := Explain(w, s, x); err != nil {
+		return fmt.Errorf("%w (trace %s)", err, path)
+	}
+	return nil
 }
 
 // checkReduceMode refuses to verify a capture under a different
@@ -119,7 +123,7 @@ func checkReduceMode(s *run.Settings, meta map[string]string) error {
 }
 
 // diffEvents compares the recorded and replayed event sequences and
-// describes the first divergence ("" when identical).
+// describes the first divergence in one line ("" when identical).
 func diffEvents(want, got []trace.Event) string {
 	n := len(want)
 	if len(got) < n {
@@ -127,7 +131,7 @@ func diffEvents(want, got []trace.Event) string {
 	}
 	for i := 0; i < n; i++ {
 		if want[i] != got[i] {
-			return fmt.Sprintf("event %d differs:\n  trace:  %s\n  replay: %s", i, want[i], got[i])
+			return fmt.Sprintf("event %d differs: trace %s, replay %s", i, want[i], got[i])
 		}
 	}
 	if len(want) != len(got) {

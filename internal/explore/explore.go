@@ -629,7 +629,11 @@ func (es *execState) restart() {
 // es.verdict borrows slices owned by the runner and is overwritten by the
 // next leaf; callers retaining a leaf (violations, trace samples) must go
 // through keep, which clones everything.
-func (es *execState) runLeaf(ctx context.Context) (runStats, bool, error) {
+//
+// A leaf always runs to its end: the stepped runner gets a context that is
+// never cancelled, so it polls nothing per step, and callers check for
+// cancellation between leaves.
+func (es *execState) runLeaf() (runStats, bool, error) {
 	es.prunedAt = -1
 	es.probed = es.c.changed
 	var res *sim.Result
@@ -640,15 +644,15 @@ func (es *execState) runLeaf(ctx context.Context) (runStats, bool, error) {
 		err = es.stepped.Start(es.steppedCfg)
 	}
 	if err == nil {
-		res, err = es.stepped.Resume(ctx)
+		res, err = es.stepped.Resume(context.Background())
 	}
 	es.c.changed = len(es.c.path)
 	if err != nil && res == nil {
 		return runStats{}, false, err
 	}
 	if err != nil && !errors.Is(err, sim.ErrWaitFreedom) {
-		// Cancellation (or any future partial-result condition): the
-		// truncated execution must not be evaluated as if it completed.
+		// Any other partial result: the truncated execution must not be
+		// evaluated as if it completed.
 		return runStats{}, false, err
 	}
 	if es.prunedAt >= 0 {
@@ -703,7 +707,7 @@ func replayLeaf(es *execState) (stats runStats, pruned bool, err error) {
 			err = fmt.Errorf("replay diverged from its path: %v", r)
 		}
 	}()
-	return es.runLeaf(context.Background())
+	return es.runLeaf()
 }
 
 // sameVerdict reports whether two verdicts judge the same outcome.

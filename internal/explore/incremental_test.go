@@ -216,7 +216,7 @@ func sweepTask(t *testing.T, es *execState) (leaves int) {
 	c := es.c
 	c.path, c.changed = c.path[:0], 0
 	for {
-		if _, pruned, err := es.runLeaf(context.Background()); err != nil {
+		if _, pruned, err := es.runLeaf(); err != nil {
 			t.Fatal(err)
 		} else if pruned {
 			c.truncate(es.prunedAt)

@@ -28,7 +28,7 @@ func Replay(s *run.Settings, path []int) (*Counterexample, error) {
 	}
 	c := &chooser{path: append([]int(nil), path...)}
 	es := newExecState(s, kind, c, nil, true)
-	if err := leafBelow(context.Background(), es, "path", path); err != nil {
+	if err := leafBelow(es, "path", path); err != nil {
 		return nil, err
 	}
 	return es.counterexample(), nil
@@ -45,7 +45,8 @@ func Replay(s *run.Settings, path []int) (*Counterexample, error) {
 // execution cap is an error, and so are dedup and reduction, which prune
 // leaves. A prefix that names no state is an error too: a negative choice,
 // a choice past the alternatives its node offers, or more choices than its
-// execution makes.
+// execution makes. ctx is checked before each leaf: a cancelled walk stops
+// there and returns ctx's error.
 func Leaves(ctx context.Context, s *run.Settings, prefix []int, solo int, visit func(path []int, v run.Verdict)) error {
 	kind, cap, err := prepare(s, nil)
 	if err != nil {
@@ -79,7 +80,10 @@ func Leaves(ctx context.Context, s *run.Settings, prefix []int, solo int, visit 
 		if n == cap {
 			return fmt.Errorf("explore: subtree at %v exceeds %d executions", prefix, cap)
 		}
-		if err := leafBelow(ctx, es, "prefix", prefix); err != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := leafBelow(es, "prefix", prefix); err != nil {
 			return err
 		}
 		visit(c.path, es.verdict)
@@ -101,8 +105,8 @@ func nonNegative(what string, path []int) error {
 // leafBelow runs the chooser's current leaf, which must extend path, and
 // refuses a path the execution does not follow: a choice past the
 // alternatives its node offers, or more choices than the execution makes.
-func leafBelow(ctx context.Context, es *execState, what string, path []int) error {
-	if err := leaf(ctx, es); err != nil {
+func leafBelow(es *execState, what string, path []int) error {
+	if err := leaf(es); err != nil {
 		var stale staleChoice
 		if errors.As(err, &stale) {
 			return fmt.Errorf("explore: %s %v names no state: position %d offers %d alternatives", what, path, stale.pos, stale.n)
@@ -118,7 +122,7 @@ func leafBelow(ctx context.Context, es *execState, what string, path []int) erro
 // leaf runs the chooser's current leaf. A stale choice panics in choose:
 // out of a scheduling decision directly, out of a fault decision as the
 // runner's PanicError. Either way leaf returns the staleChoice itself.
-func leaf(ctx context.Context, es *execState) (err error) {
+func leaf(es *execState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			stale, ok := r.(staleChoice)
@@ -128,7 +132,7 @@ func leaf(ctx context.Context, es *execState) (err error) {
 			err = stale
 		}
 	}()
-	_, _, err = es.runLeaf(ctx)
+	_, _, err = es.runLeaf()
 	var pe *sim.PanicError
 	if errors.As(err, &pe) {
 		if stale, ok := pe.Value.(staleChoice); ok {

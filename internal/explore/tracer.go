@@ -13,8 +13,8 @@ import (
 	"repro/internal/trace/export"
 )
 
-// Tracer captures executions of an engine run as durable trace artifacts in
-// a directory (which may be a run-store directory, so traces live next to
+// Tracer captures executions of an engine run as trace files in a
+// directory (which may be a run-store directory, so traces live next to
 // the checkpoints): every violating execution is written as a trace/v1
 // JSONL file plus a Perfetto-loadable JSON timeline, passing executions are
 // sampled 1-in-N, and the engine's wall-clock spans (worker tasks,
@@ -43,9 +43,11 @@ type Tracer struct {
 	// workers only build the execution (execState.keep, one recording
 	// replay) and enqueue it, so file creation and JSON encoding overlap with
 	// replays instead of stalling them. Close drains the queue before
-	// sealing the spans, so every enqueued capture is durable when Close
-	// returns. The first write error is sticky: later captures and Close
-	// report it (the queue keeps draining without writing).
+	// sealing the spans, so every enqueued capture is written and closed
+	// when Close returns. Nothing syncs a trace: a file a crash cut short
+	// lacks its end record, and export.Read refuses it with
+	// export.ErrTruncated. The first write error is sticky: later captures
+	// and Close report it (the queue keeps draining without writing).
 	work chan captureJob
 	done chan struct{}
 	werr atomic.Pointer[error]

@@ -1,7 +1,7 @@
-// Package export turns recorded executions into durable, exportable trace
-// artifacts: a JSONL on-disk format ("trace/v1") that round-trips through
-// Read back into events bit-for-bit, and a Chrome trace-event / Perfetto
-// JSON rendering (perfetto.go) loadable in ui.perfetto.dev.
+// Package export turns recorded executions into trace files: a JSONL
+// on-disk format ("trace/v1") that round-trips through Read back into
+// events bit-for-bit, and a Chrome trace-event / Perfetto JSON rendering
+// (perfetto.go) loadable in ui.perfetto.dev.
 //
 // A trace/v1 file is a sequence of JSON objects, one per line, each tagged
 // with a "type" discriminator:
@@ -14,6 +14,11 @@
 // The end record carries the record counts, so a truncated file — a crash
 // mid-write, a lost final block — is detected on read instead of silently
 // passing for a shorter execution.
+//
+// Every record is what encoding/json writes for it. Event records, nearly
+// all of a capture, are written and read without reflection (eventline.go);
+// the other records, and any event line not in the writer's canonical
+// shape, go through encoding/json.
 package export
 
 import (
@@ -89,6 +94,7 @@ var ErrTruncated = errors.New("export: trace file truncated (no matching end rec
 // any number of Event/Span, End. Writers are not safe for concurrent use.
 type Writer struct {
 	w       *bufio.Writer
+	buf     []byte    // the event record being written, reused
 	c       io.Closer // nil when wrapping a caller-owned io.Writer
 	events  int
 	spans   int
@@ -104,7 +110,8 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // Create opens path for writing (truncating) and returns a writer that
-// Close will flush, sync, and close.
+// Close will flush and close. Nothing syncs the file: a file cut short by a
+// crash lacks its end record, and Read refuses it with ErrTruncated.
 func Create(path string) (*Writer, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -120,11 +127,15 @@ func (w *Writer) emit(r *record) error {
 		return w.err
 	}
 	data, err := json.Marshal(r)
-	if err == nil {
-		data = append(data, '\n')
-		_, err = w.w.Write(data)
-	}
 	if err != nil {
+		w.err = fmt.Errorf("export: %w", err)
+		return w.err
+	}
+	return w.write(append(data, '\n'))
+}
+
+func (w *Writer) write(line []byte) error {
+	if _, err := w.w.Write(line); err != nil {
 		w.err = fmt.Errorf("export: %w", err)
 	}
 	return w.err
@@ -149,7 +160,11 @@ func (w *Writer) Event(e trace.Event) error {
 		return errors.New("export: Event before Begin")
 	}
 	w.events++
-	return w.emit(&record{Type: "event", Event: &e})
+	if w.err != nil {
+		return w.err
+	}
+	w.buf = appendEventRecord(w.buf[:0], &e)
+	return w.write(w.buf)
 }
 
 // Span appends one wall-clock span.
@@ -231,6 +246,7 @@ func Read(r io.Reader) (*Execution, error) {
 	x := &Execution{}
 	sealed := false
 	line := 0
+	var e trace.Event
 	for sc.Scan() {
 		line++
 		if len(sc.Bytes()) == 0 {
@@ -238,6 +254,10 @@ func Read(r io.Reader) (*Execution, error) {
 		}
 		if sealed {
 			return nil, fmt.Errorf("export: line %d: record after end", line)
+		}
+		if parseEvent(sc.Bytes(), &e) {
+			x.Events = append(x.Events, e)
+			continue
 		}
 		var rec record
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {

@@ -101,7 +101,7 @@ func TestPerfettoEngineLane(t *testing.T) {
 	if err := Perfetto(&buf, x); err != nil {
 		t.Fatal(err)
 	}
-	var f perfettoFile
+	var f oraclePerfettoFile
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}

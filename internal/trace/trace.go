@@ -141,8 +141,22 @@ func (l *Log) String() string {
 	return b.String()
 }
 
-// MarshalJSON serializes the log as a JSON array of events.
-func (l *Log) MarshalJSON() ([]byte, error) { return json.Marshal(l.events) }
+// MarshalJSON serializes the log as a JSON array of events, encoded by
+// AppendEvent (null for a log that never held one, as encoding/json
+// marshals a nil slice).
+func (l *Log) MarshalJSON() ([]byte, error) {
+	if l.events == nil {
+		return []byte("null"), nil
+	}
+	b := append(make([]byte, 0, 2+len(l.events)*192), '[')
+	for i := range l.events {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = AppendEvent(b, &l.events[i])
+	}
+	return append(b, ']'), nil
+}
 
 // UnmarshalJSON restores a log from its JSON form.
 func (l *Log) UnmarshalJSON(data []byte) error { return json.Unmarshal(data, &l.events) }

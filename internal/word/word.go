@@ -18,6 +18,7 @@ package word
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Word is the content of a CAS register: ⊥, a value, or a ⟨value, stage⟩ pair.
@@ -89,11 +90,22 @@ func (w Word) WithStage(stage int64) Word {
 
 // String renders ⊥, plain values, and pairs readably for traces.
 func (w Word) String() string {
+	var buf [32]byte // the longest form, ⟨MaxValue,MaxStage⟩, is 27 bytes
+	return string(w.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form of w to b and returns the extended
+// buffer, so trace writers render words without a string per word.
+func (w Word) AppendTo(b []byte) []byte {
 	if w.IsBottom() {
-		return "⊥"
+		return append(b, "⊥"...)
 	}
 	if w.Stage() == 0 {
-		return fmt.Sprintf("%d", w.Value())
+		return strconv.AppendInt(b, w.Value(), 10)
 	}
-	return fmt.Sprintf("⟨%d,%d⟩", w.Value(), w.Stage())
+	b = append(b, "⟨"...)
+	b = strconv.AppendInt(b, w.Value(), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, w.Stage(), 10)
+	return append(b, "⟩"...)
 }

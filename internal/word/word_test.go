@@ -1,6 +1,8 @@
 package word
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -131,6 +133,34 @@ func TestStringForms(t *testing.T) {
 	}
 	if got := Pack(7, 2).String(); got != "⟨7,2⟩" {
 		t.Errorf("pair string = %q, want ⟨7,2⟩", got)
+	}
+}
+
+// TestAppendToMatchesFormat holds String and AppendTo to the fmt rendering
+// they replace, on every bit pattern a trace file can carry.
+func TestAppendToMatchesFormat(t *testing.T) {
+	format := func(w Word) string {
+		switch {
+		case w.IsBottom():
+			return "⊥"
+		case w.Stage() == 0:
+			return fmt.Sprintf("%d", w.Value())
+		default:
+			return fmt.Sprintf("⟨%d,%d⟩", w.Value(), w.Stage())
+		}
+	}
+	prop := func(bits uint64) bool {
+		w := Word(bits)
+		want := format(w)
+		return w.String() == want && string(w.AppendTo([]byte("x"))) == "x"+want
+	}
+	for _, w := range []Word{Bottom, FromValue(0), FromValue(MaxValue), Pack(MaxValue, MaxStage), Pack(0, 1), 1, math.MaxUint64} {
+		if !prop(uint64(w)) {
+			t.Errorf("word %#x renders %q, want %q", uint64(w), w.String(), format(w))
+		}
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

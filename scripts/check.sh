@@ -64,6 +64,18 @@ echo "== trace gate (vet + fresh tests) =="
 # the same uncached gate.
 go vet ./internal/trace/ ./internal/trace/export/
 go test -count=1 ./internal/trace/ ./internal/trace/export/
+# Events are written, read and rendered without reflection, byte for byte
+# as encoding/json did. The oracle test holds the writer, the reader and
+# the Perfetto renderer to the reflecting code they replaced (kept in the
+# package's tests) over every event and fault kind and every string
+# escape; the fuzz target's seed corpus reads generated files with flipped
+# bytes, cuts, swapped keys, whitespace, changed digits and hand-written
+# edge lines, and Read must return the oracle's execution or its error;
+# the golden test reproduces captures the reflecting code wrote; and the
+# allocation test keeps event records, canonical event lines and Perfetto
+# files from allocating per event.
+gate -run '^(TestCodecMatchesOracle|FuzzReadMatchesOracle|TestGoldenCaptures|TestCodecAllocs)$' \
+	./internal/trace/export/
 
 echo "== go build =="
 go build ./...
